@@ -6,7 +6,7 @@ type result = {
   max_s : float;
 }
 
-let now () = Unix.gettimeofday ()
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 let time_once f =
   let t0 = now () in

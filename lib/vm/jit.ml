@@ -103,21 +103,20 @@ let walk_sparse_peeled lay root row ~peel =
     end
   end
 
-(* One tree, one row, per the group's walk kind. *)
-let walk_fn (lay : Layout.t) (walk : Mir.walk_kind) =
+(* One tree's walk of one row, per the group's walk kind. *)
+let walk_fn (lay : Layout.t) (walk : Mir.walk_kind) tree =
+  let root = lay.Layout.tree_root.(tree) in
   match (lay.Layout.kind, walk) with
-  | Layout.Array_kind, Mir.Loop_walk ->
-    fun tree row -> walk_array_generic lay lay.Layout.tree_root.(tree) row
+  | Layout.Array_kind, Mir.Loop_walk -> fun row -> walk_array_generic lay root row
   | Layout.Array_kind, Mir.Unrolled_walk { depth } ->
-    fun tree row -> walk_array_unrolled lay lay.Layout.tree_root.(tree) row ~depth
+    fun row -> walk_array_unrolled lay root row ~depth
   | Layout.Array_kind, Mir.Peeled_walk { peel } ->
-    fun tree row -> walk_array_peeled lay lay.Layout.tree_root.(tree) row ~peel
-  | Layout.Sparse_kind, Mir.Loop_walk ->
-    fun tree row -> walk_sparse_generic lay lay.Layout.tree_root.(tree) row
+    fun row -> walk_array_peeled lay root row ~peel
+  | Layout.Sparse_kind, Mir.Loop_walk -> fun row -> walk_sparse_generic lay root row
   | Layout.Sparse_kind, Mir.Unrolled_walk { depth } ->
-    fun tree row -> walk_sparse_unrolled lay lay.Layout.tree_root.(tree) row ~depth
+    fun row -> walk_sparse_unrolled lay root row ~depth
   | Layout.Sparse_kind, Mir.Peeled_walk { peel } ->
-    fun tree row -> walk_sparse_peeled lay lay.Layout.tree_root.(tree) row ~peel
+    fun row -> walk_sparse_peeled lay root row ~peel
 
 (* ------------------------------------------------------------------ *)
 (* Interleaved (jammed) kernels                                        *)
@@ -127,9 +126,8 @@ let walk_fn (lay : Layout.t) (walk : Mir.walk_kind) =
    order). Lockstep cursors; diverging walks retire individually. Cursors
    use the sparse encoding for both layouts: array-layout locals are
    non-negative, retirement is flagged via a parallel [value] store. *)
-let jam_rows_generic (lay : Layout.t) walk tree (rows : float array array) i0 count
+let jam_rows_generic (lay : Layout.t) tree (rows : float array array) i0 count
     (out : float array array) cls =
-  ignore walk;
   let cursors = Array.make count 0 in
   let live = Array.make count true in
   (match lay.Layout.kind with
@@ -404,41 +402,37 @@ let nwalk_sparse_peeled16 (lay : Layout.t) thr (leaves : Layout.narrow16)
 
 (* One tree, one quantized row, per the group's walk kind — the narrow
    mirror of {!walk_fn}. *)
-let nwalk_fn8 (lay : Layout.t) thr leaves always (walk : Mir.walk_kind) =
-  let root tree = lay.Layout.tree_root.(tree) in
+let nwalk_fn8 (lay : Layout.t) thr leaves always (walk : Mir.walk_kind) tree =
+  let root = lay.Layout.tree_root.(tree) in
   match (lay.Layout.kind, walk) with
   | Layout.Array_kind, Mir.Loop_walk ->
-    fun tree qrow -> nwalk_array8 lay thr always (root tree) 0 qrow
+    fun qrow -> nwalk_array8 lay thr always root 0 qrow
   | Layout.Array_kind, Mir.Unrolled_walk { depth } ->
-    fun tree qrow -> nwalk_array_unrolled8 lay thr always (root tree) qrow ~depth
+    fun qrow -> nwalk_array_unrolled8 lay thr always root qrow ~depth
   | Layout.Array_kind, Mir.Peeled_walk { peel } ->
-    fun tree qrow -> nwalk_array_peeled8 lay thr always (root tree) qrow ~peel
+    fun qrow -> nwalk_array_peeled8 lay thr always root qrow ~peel
   | Layout.Sparse_kind, Mir.Loop_walk ->
-    fun tree qrow -> nwalk_sparse8 lay thr leaves always (root tree) qrow
+    fun qrow -> nwalk_sparse8 lay thr leaves always root qrow
   | Layout.Sparse_kind, Mir.Unrolled_walk { depth } ->
-    fun tree qrow ->
-      nwalk_sparse_unrolled8 lay thr leaves always (root tree) qrow ~depth
+    fun qrow -> nwalk_sparse_unrolled8 lay thr leaves always root qrow ~depth
   | Layout.Sparse_kind, Mir.Peeled_walk { peel } ->
-    fun tree qrow ->
-      nwalk_sparse_peeled8 lay thr leaves always (root tree) qrow ~peel
+    fun qrow -> nwalk_sparse_peeled8 lay thr leaves always root qrow ~peel
 
-let nwalk_fn16 (lay : Layout.t) thr leaves always (walk : Mir.walk_kind) =
-  let root tree = lay.Layout.tree_root.(tree) in
+let nwalk_fn16 (lay : Layout.t) thr leaves always (walk : Mir.walk_kind) tree =
+  let root = lay.Layout.tree_root.(tree) in
   match (lay.Layout.kind, walk) with
   | Layout.Array_kind, Mir.Loop_walk ->
-    fun tree qrow -> nwalk_array16 lay thr always (root tree) 0 qrow
+    fun qrow -> nwalk_array16 lay thr always root 0 qrow
   | Layout.Array_kind, Mir.Unrolled_walk { depth } ->
-    fun tree qrow -> nwalk_array_unrolled16 lay thr always (root tree) qrow ~depth
+    fun qrow -> nwalk_array_unrolled16 lay thr always root qrow ~depth
   | Layout.Array_kind, Mir.Peeled_walk { peel } ->
-    fun tree qrow -> nwalk_array_peeled16 lay thr always (root tree) qrow ~peel
+    fun qrow -> nwalk_array_peeled16 lay thr always root qrow ~peel
   | Layout.Sparse_kind, Mir.Loop_walk ->
-    fun tree qrow -> nwalk_sparse16 lay thr leaves always (root tree) qrow
+    fun qrow -> nwalk_sparse16 lay thr leaves always root qrow
   | Layout.Sparse_kind, Mir.Unrolled_walk { depth } ->
-    fun tree qrow ->
-      nwalk_sparse_unrolled16 lay thr leaves always (root tree) qrow ~depth
+    fun qrow -> nwalk_sparse_unrolled16 lay thr leaves always root qrow ~depth
   | Layout.Sparse_kind, Mir.Peeled_walk { peel } ->
-    fun tree qrow ->
-      nwalk_sparse_peeled16 lay thr leaves always (root tree) qrow ~peel
+    fun qrow -> nwalk_sparse_peeled16 lay thr leaves always root qrow ~peel
 
 (* ------------------------------------------------------------------ *)
 (* Resident-prefix walkers (quantized fast path)                       *)
@@ -725,63 +719,114 @@ let njam_generic16 (lay : Layout.t) thr (leaves : Layout.narrow16) always tree
     end
 
 (* ------------------------------------------------------------------ *)
-(* Quantized runner assembly                                           *)
+(* Runner assembly                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* One runner per tree, assembled from the pack's groups. Memory-only
-   trees (k = 0) honor their group's walk kind and interleave (jammed
-   rows, like the float path); resident trees bake the prefix and fall
-   through to the generic narrow walk from the exit cursor. The
-   schedule's loop order is deliberately ignored: integer adds are
-   exact, so tree-at-a-time — the cache-friendliest order — is always
-   bitwise-identical. *)
-let assemble_quant_runner (pk : Pack.t) ~resident_k ~walk_of ~tail_of ~leaf_get
-    ~jam_unrolled ~jam_generic =
-  let lay = pk.Pack.layout in
-  let per_row cls w qrows (out : int array array) lo hi =
-    for i = lo to hi - 1 do
-      out.(i).(cls) <- out.(i).(cls) + w qrows.(i)
-    done
-  in
-  let runners =
-    Array.to_list pk.Pack.groups
-    |> List.concat_map (fun (g : Pack.group) ->
-           Array.to_list g.Pack.positions
-           |> List.map (fun tree ->
-                  let cls = pk.Pack.tree_class.(tree) in
-                  if resident_k > 0 then
-                    per_row cls
-                      (resident_walker lay ~k:resident_k tree
-                         ~tail:(tail_of tree) ~leaf_get)
-                  else begin
-                    let k = g.Pack.interleave in
-                    if k <= 1 then per_row cls (walk_of g.Pack.walk tree)
-                    else
-                      let jam =
-                        match g.Pack.walk with
-                        | Mir.Unrolled_walk { depth } ->
-                          fun qrows i0 count out -> jam_unrolled tree ~depth qrows i0 count out cls
-                        | Mir.Loop_walk | Mir.Peeled_walk _ ->
-                          fun qrows i0 count out -> jam_generic tree qrows i0 count out cls
-                      in
-                      fun qrows out lo hi ->
-                        let i = ref lo in
-                        while !i < hi do
-                          let count = min k (hi - !i) in
-                          jam qrows !i count out;
-                          i := !i + count
-                        done
-                  end))
-  in
-  let runners = Array.of_list runners in
-  fun qrows out lo hi -> Array.iter (fun r -> r qrows out lo hi) runners
+(* A runner adds the predictions of rows[lo..hi) into out[lo..hi) (same
+   indexing). Both tiers assemble theirs once, at instantiate time, so a
+   call only runs closures. *)
 
+(* Every tree with its group and output class, in group order — the
+   order in which each output cell accumulates its trees. *)
+let trees_in_order (pk : Pack.t) =
+  Array.to_list pk.Pack.groups
+  |> List.concat_map (fun (g : Pack.group) ->
+         Array.to_list g.Pack.positions
+         |> List.map (fun tree -> (g, tree, pk.Pack.tree_class.(tree))))
+  |> Array.of_list
+
+(* Tree-at-a-time: one runner per tree. A tree either walks the rows one
+   by one ([per_row cls walk], over the tier's [walk_of] or, when given,
+   its [resident] walker) or, in a group interleaved k > 1 ways, jams k
+   rows at a time through the tier's lockstep kernels. *)
+let assemble_runner (pk : Pack.t) ~per_row ?resident ~walk_of ~jam_unrolled
+    ~jam_generic () =
+  let runners =
+    Array.map
+      (fun ((g : Pack.group), tree, cls) ->
+        match resident with
+        | Some walker -> per_row cls (walker tree)
+        | None ->
+          let k = g.Pack.interleave in
+          if k <= 1 then per_row cls (walk_of g.Pack.walk tree)
+          else begin
+            let jam =
+              match g.Pack.walk with
+              | Mir.Unrolled_walk { depth } -> jam_unrolled tree ~depth
+              | Mir.Loop_walk | Mir.Peeled_walk _ -> jam_generic tree
+            in
+            fun rows out lo hi ->
+              let i = ref lo in
+              while !i < hi do
+                let count = min k (hi - !i) in
+                jam rows !i count out cls;
+                i := !i + count
+              done
+          end)
+      (trees_in_order pk)
+  in
+  fun rows out lo hi -> Array.iter (fun r -> r rows out lo hi) runners
+
+let float_per_row cls walk rows (out : float array array) lo hi =
+  for i = lo to hi - 1 do
+    out.(i).(cls) <- out.(i).(cls) +. walk rows.(i)
+  done
+
+let int_per_row cls walk qrows (out : int array array) lo hi =
+  for i = lo to hi - 1 do
+    out.(i).(cls) <- out.(i).(cls) + walk qrows.(i)
+  done
+
+let float_runner (pk : Pack.t) =
+  let lay = pk.Pack.layout in
+  match pk.Pack.loop_order with
+  | Schedule.One_tree_at_a_time ->
+    assemble_runner pk ~per_row:float_per_row ~walk_of:(walk_fn lay)
+      ~jam_unrolled:(fun tree ~depth rows i0 count out cls ->
+        jam_rows_unrolled lay tree rows i0 count out cls ~depth)
+      ~jam_generic:(jam_rows_generic lay) ()
+  | Schedule.One_row_at_a_time ->
+    (* Innermost loop over the trees. Tree-jamming on one row is a
+       scheduling decision; walks of distinct trees are independent, so
+       executing them back to back is semantically identical. The
+       profiler models the jam's ILP effect; here we just follow group
+       order. *)
+    let trees = trees_in_order pk in
+    let classes = Array.map (fun (_, _, cls) -> cls) trees in
+    let walks =
+      Array.map (fun ((g : Pack.group), tree, _) -> walk_fn lay g.Pack.walk tree) trees
+    in
+    fun rows out lo hi ->
+      for i = lo to hi - 1 do
+        let row = rows.(i) and o = out.(i) in
+        for t = 0 to Array.length walks - 1 do
+          let cls = classes.(t) in
+          o.(cls) <- o.(cls) +. walks.(t) row
+        done
+      done
+
+(* Memory-only trees (k = 0) honor their group's walk kind and
+   interleave (jammed rows, like the float path); resident trees bake
+   the prefix and fall through to the generic narrow walk from the exit
+   cursor. The schedule's loop order is deliberately ignored: integer
+   adds are exact, so tree-at-a-time — the cache-friendliest order — is
+   always bitwise-identical. *)
 let quant_runner (pk : Pack.t) ~resident_k =
   let lay = pk.Pack.layout in
+  let assemble ~walk_of ~tail_of ~leaf_get ~jam_unrolled ~jam_generic =
+    let resident =
+      if resident_k = 0 then None
+      else
+        Some
+          (fun tree ->
+            resident_walker lay ~k:resident_k tree ~tail:(tail_of tree) ~leaf_get)
+    in
+    assemble_runner pk ~per_row:int_per_row ?resident ~walk_of ~jam_unrolled
+      ~jam_generic ()
+  in
   match Layout.narrow lay with
   | Layout.Narrow8 { thr; leaves; always } ->
-    assemble_quant_runner pk ~resident_k
-      ~walk_of:(fun walk tree -> nwalk_fn8 lay thr leaves always walk tree)
+    assemble ~walk_of:(nwalk_fn8 lay thr leaves always)
       ~tail_of:(fun tree ->
         match lay.Layout.kind with
         | Layout.Array_kind ->
@@ -792,11 +837,9 @@ let quant_runner (pk : Pack.t) ~resident_k =
       ~leaf_get:(fun i -> Bigarray.Array1.get leaves i)
       ~jam_unrolled:(fun tree ~depth qrows i0 count out cls ->
         njam_unrolled8 lay thr leaves always tree qrows i0 count out cls ~depth)
-      ~jam_generic:(fun tree qrows i0 count out cls ->
-        njam_generic8 lay thr leaves always tree qrows i0 count out cls)
+      ~jam_generic:(njam_generic8 lay thr leaves always)
   | Layout.Narrow16 { thr; leaves; always } ->
-    assemble_quant_runner pk ~resident_k
-      ~walk_of:(fun walk tree -> nwalk_fn16 lay thr leaves always walk tree)
+    assemble ~walk_of:(nwalk_fn16 lay thr leaves always)
       ~tail_of:(fun tree ->
         match lay.Layout.kind with
         | Layout.Array_kind ->
@@ -807,90 +850,38 @@ let quant_runner (pk : Pack.t) ~resident_k =
       ~leaf_get:(fun i -> Bigarray.Array1.get leaves i)
       ~jam_unrolled:(fun tree ~depth qrows i0 count out cls ->
         njam_unrolled16 lay thr leaves always tree qrows i0 count out cls ~depth)
-      ~jam_generic:(fun tree qrows i0 count out cls ->
-        njam_generic16 lay thr leaves always tree qrows i0 count out cls)
+      ~jam_generic:(njam_generic16 lay thr leaves always)
 
 (* ------------------------------------------------------------------ *)
 (* Drivers                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let run_range (pk : Pack.t) rows out lo hi =
-  (* Compute predictions for rows[lo..hi) into out (same indexing). *)
-  let lay = pk.Pack.layout in
-  let groups = pk.Pack.groups in
-  match pk.Pack.loop_order with
-  | Schedule.One_tree_at_a_time ->
-    Array.iter
-      (fun (g : Pack.group) ->
-        let k = g.Pack.interleave in
-        Array.iter
-          (fun tree ->
-            let cls = pk.Pack.tree_class.(tree) in
-            if k <= 1 then begin
-              let walk = walk_fn lay g.Pack.walk in
-              for i = lo to hi - 1 do
-                out.(i).(cls) <- out.(i).(cls) +. walk tree rows.(i)
-              done
-            end
-            else begin
-              let i = ref lo in
-              while !i < hi do
-                let count = min k (hi - !i) in
-                (match g.Pack.walk with
-                | Mir.Unrolled_walk { depth } ->
-                  jam_rows_unrolled lay tree rows !i count out cls ~depth
-                | Mir.Loop_walk | Mir.Peeled_walk _ ->
-                  jam_rows_generic lay g.Pack.walk tree rows !i count out cls);
-                i := !i + count
-              done
-            end)
-          g.Pack.positions)
-      groups
-  | Schedule.One_row_at_a_time ->
-    (* Innermost loop over a group's trees; interleaving jams k trees of
-       the same row. Tree cursors live in per-plan scratch. *)
-    let walks = Array.map (fun (g : Pack.group) -> walk_fn lay g.Pack.walk) groups in
-    for i = lo to hi - 1 do
-      let row = rows.(i) in
-      Array.iteri
-        (fun gi (g : Pack.group) ->
-          let walk = walks.(gi) in
-          (* Tree-jamming on one row is a scheduling decision; walks of
-             distinct trees are independent, so executing them back to back
-             is semantically identical. The profiler models the jam's ILP
-             effect; here we just follow group order. *)
-          Array.iter
-            (fun tree ->
-              let cls = pk.Pack.tree_class.(tree) in
-              out.(i).(cls) <- out.(i).(cls) +. walk tree row)
-            g.Pack.positions)
-        groups
-    done
-
-(* Tile the row loop by thread count (§IV-C); each domain owns a
+(* Tile the row loop by thread count (§IV-C); each partition owns a
    contiguous block of rows (Mir.row_partition, statically checked
-   disjoint by the analysis), so no synchronization is needed. *)
+   disjoint by the analysis), so no synchronization is needed. The
+   calling domain runs the first block and the process-wide pool the
+   other non-empty ones. *)
 let parallel_run ~threads run rows out =
   let n = Array.length rows in
   if threads <= 1 then run rows out 0 n
   else
-    let domains =
-      Array.to_list (Mir.row_partition ~num_threads:threads ~batch:n)
-      |> List.map (fun (lo, hi) ->
-             if lo >= hi then None
-             else Some (Domain.spawn (fun () -> run rows out lo hi)))
-    in
-    List.iter (function Some d -> Domain.join d | None -> ()) domains
+    Mir.row_partition ~num_threads:threads ~batch:n
+    |> Array.to_list
+    |> List.filter_map (fun (lo, hi) ->
+           if lo < hi then Some (fun () -> run rows out lo hi) else None)
+    |> Array.of_list
+    |> Pool.run
 
 let instantiate_with ~threads (pk : Pack.t) =
   match pk.Pack.layout.Layout.quant with
   | None ->
+    let run = float_runner pk in
     fun rows ->
       let n = Array.length rows in
       let out =
         Array.init n (fun _ -> Array.make pk.Pack.num_outputs pk.Pack.base_score)
       in
-      parallel_run ~threads (run_range pk) rows out;
+      parallel_run ~threads run rows out;
       out
   | Some q ->
     (* Integer fast path: quantize the batch into int rows once, walk

@@ -9,6 +9,15 @@
     - memory layout (array vs sparse buffer navigation);
     - row-loop parallelization over OCaml domains.
 
+    Threading: a predictor with [n > 1] threads splits each batch into
+    the [n] row ranges of {!Tb_mir.Mir.row_partition}. The calling domain
+    runs the first range and the process-wide {!Pool} the other non-empty
+    ones, so a one-row batch runs entirely on the caller. The outputs
+    are bitwise-equal to the
+    single-thread predictor's. A predictor may be called from several
+    domains at once, and from inside a pool task; an exception raised on
+    any range is re-raised in the caller once every range has finished.
+
     Semantics contract (tested): for every schedule, the predictor's output
     equals {!Tb_model.Forest.predict_batch_raw} on the source forest. *)
 
@@ -17,9 +26,12 @@ type predictor = float array array -> float array array
 
 val instantiate : Tb_lir.Pack.t -> predictor
 (** Closure instantiation: build the specialized predictor from a packed
-    artifact — the cheap half of a compile, run on registry disk hits. The
-    closure graph is constructed once here; calling the predictor performs
-    no per-call compilation work. *)
+    artifact — the cheap half of a compile, run on registry disk hits.
+    The whole closure graph is built here, for both the float and the
+    integer tier: one runner per tree with its walk kind, interleave and
+    (integer tier) resident prefix resolved. A call allocates its output
+    (and, on the integer tier, the quantized rows) and runs those
+    closures; it performs no compilation work. *)
 
 val instantiate_single_thread : Tb_lir.Pack.t -> predictor
 (** Same, ignoring the artifact's thread count (used by benchmarks that

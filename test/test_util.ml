@@ -171,6 +171,16 @@ let test_timer_measures () =
   check_bool "iterations" true (r.iterations >= 3);
   check_bool "mean nonneg" true (r.mean_s >= 0.0)
 
+let test_timer_now_monotonic () =
+  let prev = ref (Tb_util.Timer.now ()) in
+  let backwards = ref 0 in
+  for _ = 2 to 100_000 do
+    let t = Tb_util.Timer.now () in
+    if t < !prev then incr backwards;
+    prev := t
+  done;
+  check_int "reads that went backwards" 0 !backwards
+
 let suite =
   [
     quick "prng deterministic" test_prng_deterministic;
@@ -197,4 +207,5 @@ let suite =
     quick "table render" test_table_render;
     quick "table rejects mismatch" test_table_rejects_mismatch;
     quick "timer measures" test_timer_measures;
+    quick "timer now never decreases" test_timer_now_monotonic;
   ]

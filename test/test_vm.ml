@@ -5,7 +5,10 @@ module Model_stats = Tb_model.Model_stats
 module Schedule = Tb_hir.Schedule
 module Layout = Tb_lir.Layout
 module Lower = Tb_lir.Lower
+module Pack = Tb_lir.Pack
 module Jit = Tb_vm.Jit
+module Pool = Tb_vm.Pool
+module Numeric = Tb_analysis.Numeric
 module Profiler = Tb_vm.Profiler
 module Config = Tb_cpu.Config
 module Cost_model = Tb_cpu.Cost_model
@@ -74,15 +77,59 @@ let test_jit_batch_not_multiple_of_interleave () =
   let expected = Forest.predict_batch_raw forest rows in
   check_bool "remainder handled" true (Array.for_all2 arrays_close out expected)
 
+(* Threaded predictors split the batch with Mir.row_partition and only
+   change which domain runs each range, so every tier must agree with its
+   single-thread predictor bit for bit — whatever the batch leaves empty. *)
+let parallel_batches = [ 0; 1; 2; 3; 13; 257 ]
+
+let float_predictors forest schedule threads =
+  let lp = Lower.lower forest (Schedule.with_threads schedule threads) in
+  (Jit.compile_single_thread lp, Jit.compile lp)
+
+(* A certified int16 lowering of [forest] at [threads]: the same pack
+   instantiated single-thread and threaded. *)
+let int16_predictors forest threads =
+  let cert = Numeric.certify ~tolerance:1e12 ~width:Numeric.I16 forest in
+  check_bool "int16 plan does not overflow" false
+    (List.exists (fun d -> d.Tb_diag.Diagnostic.code = "N001") cert.Numeric.findings);
+  let lowered =
+    Lower.lower ~quant:(Test_quant.qspec_of_plan cert.Numeric.plan) forest
+      (Schedule.with_threads Schedule.default threads)
+  in
+  let pk = Pack.of_lower ~quant:(Test_quant.pack_quant cert 0) lowered in
+  (Jit.instantiate_single_thread pk, Jit.instantiate pk)
+
+let bitwise_outputs a b =
+  Array.length a = Array.length b && Array.for_all2 Test_quant.bitwise_eq a b
+
 let test_jit_parallel_matches_sequential () =
   let rng = Prng.create 14 in
   let forest = Forest.random ~num_trees:10 ~num_features:6 rng in
   let rows = random_rows rng 6 257 in
-  let seq = Jit.compile (Lower.lower forest Schedule.default) rows in
-  let par =
-    Jit.compile (Lower.lower forest (Schedule.with_threads Schedule.default 4)) rows
+  let tiers =
+    [
+      ("float tree-major", float_predictors forest Schedule.default);
+      ( "float row-major",
+        float_predictors forest
+          { Schedule.default with loop_order = Schedule.One_row_at_a_time } );
+      ("int16", int16_predictors forest);
+    ]
   in
-  check_bool "parallel == sequential" true (Array.for_all2 arrays_close seq par)
+  List.iter
+    (fun (tier, predictors) ->
+      List.iter
+        (fun threads ->
+          let seq, par = predictors threads in
+          List.iter
+            (fun batch ->
+              let batch_rows = Array.sub rows 0 batch in
+              check_bool
+                (Printf.sprintf "%s: %d threads, %d rows" tier threads batch)
+                true
+                (bitwise_outputs (seq batch_rows) (par batch_rows)))
+            parallel_batches)
+        [ 2; 3; 8 ])
+    tiers
 
 let test_jit_parallel_more_threads_than_rows () =
   let rng = Prng.create 15 in
@@ -102,6 +149,93 @@ let test_jit_single_leaf_forest () =
       let out = Jit.compile (Lower.lower forest schedule) [| [| 0.0 |] |] in
       check_float "constant forest" 5.0 out.(0).(0))
     [ Schedule.scalar_baseline; Schedule.default ]
+
+(* The domain pool behind threaded predictors *)
+
+let test_pool_reraises_after_every_task () =
+  (* The caller's own task fails first and fast; the pool's tasks are
+     still running when it does. *)
+  let finished = Array.make 4 false in
+  let task i () =
+    Unix.sleepf (if i = 0 then 0.005 else 0.05);
+    if i <= 1 then failwith (Printf.sprintf "task %d" i);
+    finished.(i) <- true
+  in
+  (match Pool.run (Array.init 4 task) with
+  | () -> Alcotest.fail "the raising tasks were swallowed"
+  | exception Failure m ->
+    check_bool "a task's own exception" true (m = "task 0" || m = "task 1"));
+  check_bool "every other task finished before the raise" true
+    (finished.(2) && finished.(3));
+  let ran = Atomic.make 0 in
+  Pool.run (Array.init 4 (fun _ () -> Atomic.incr ran));
+  check_int "the pool serves the next call" 4 (Atomic.get ran)
+
+let test_jit_partition_exception_reaches_caller () =
+  let rng = Prng.create 16 in
+  let forest = Forest.random ~num_trees:6 ~num_features:6 rng in
+  let seq, par = float_predictors forest Schedule.default 2 in
+  let rows = random_rows rng 6 16 in
+  (* A row too short to walk, in the second partition. *)
+  let bad = Array.mapi (fun i r -> if i = 12 then [||] else r) rows in
+  check_bool "second partition's error raised in the caller" true
+    (match par bad with _ -> false | exception Invalid_argument _ -> true);
+  check_bool "next call correct" true (bitwise_outputs (seq rows) (par rows))
+
+let test_pool_concurrent_callers () =
+  let rng = Prng.create 17 in
+  let forest = Forest.random ~num_trees:10 ~num_features:6 rng in
+  let seq, par = float_predictors forest Schedule.default 3 in
+  let batches = Array.init 4 (fun _ -> random_rows rng 6 40) in
+  let callers =
+    Array.map
+      (fun rows ->
+        Domain.spawn (fun () ->
+            let want = seq rows in
+            let ok = ref true in
+            for _ = 1 to 25 do
+              ok := !ok && bitwise_outputs want (par rows)
+            done;
+            !ok))
+      batches
+  in
+  Array.iteri
+    (fun i d -> check_bool (Printf.sprintf "caller %d" i) true (Domain.join d))
+    callers
+
+let test_pool_nested_calls () =
+  let rng = Prng.create 18 in
+  let forest = Forest.random ~num_trees:10 ~num_features:6 rng in
+  let seq, par = float_predictors forest Schedule.default 4 in
+  let batches = Array.init 3 (fun _ -> random_rows rng 6 33) in
+  let got = Array.make 3 [||] in
+  (* Every task is itself a threaded call, so tasks queue behind tasks. *)
+  Pool.run (Array.init 3 (fun i () -> got.(i) <- par batches.(i)));
+  Array.iteri
+    (fun i rows ->
+      check_bool (Printf.sprintf "nested call %d" i) true
+        (bitwise_outputs (seq rows) got.(i)))
+    batches
+
+(* pool_child.exe runs a threaded predictor, so its pool has live idle
+   workers when main returns; the process must still exit at once. *)
+let test_pool_child_exits () =
+  let exe = Filename.concat (Filename.dirname Sys.executable_name) "pool_child.exe" in
+  if not (Sys.file_exists exe) then Alcotest.failf "%s not built" exe;
+  let pid = Unix.create_process exe [| exe |] Unix.stdin Unix.stdout Unix.stderr in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec wait () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () < deadline ->
+      Unix.sleepf 0.01;
+      wait ()
+    | 0, _ ->
+      Unix.kill pid Sys.sigkill;
+      ignore (Unix.waitpid [] pid);
+      Alcotest.fail "child still running 10 s after start"
+    | _, status -> status
+  in
+  check_bool "child exited cleanly" true (wait () = Unix.WEXITED 0)
 
 (* Profiler *)
 
@@ -333,6 +467,12 @@ let suite =
     quick "jit parallel == sequential" test_jit_parallel_matches_sequential;
     quick "jit more threads than rows" test_jit_parallel_more_threads_than_rows;
     quick "jit constant forest" test_jit_single_leaf_forest;
+    quick "pool re-raises after every task" test_pool_reraises_after_every_task;
+    quick "jit partition error reaches the caller"
+      test_jit_partition_exception_reaches_caller;
+    quick "pool concurrent callers" test_pool_concurrent_callers;
+    quick "pool nested calls" test_pool_nested_calls;
+    quick "pool child process exits" test_pool_child_exits;
     quick "profiler counts walks" test_profiler_counts_walks;
     quick "profiler counts steps and cache" test_profiler_steps_positive;
     quick "profiler sees unrolled steps" test_profiler_unrolled_schedule_has_unchecked_steps;
