@@ -718,10 +718,10 @@ let calibrate () =
         let rows = Array.sub b.rows_1024 0 256 in
         let compile schedule =
           match
-            Tb_core.Passman.lower ~batch_size:(Array.length rows)
-              ~profiles:b.profiles b.entry.Zoo.forest schedule
+            Tb_core.Passman.compile ~batch_size:(Array.length rows)
+              ~profiles:b.profiles ~schedule b.entry.Zoo.forest
           with
-          | Ok (lowered, _) -> Ok lowered
+          | Ok (c, _) -> Ok (c.Tb_core.Passman.lowered, c.Tb_core.Passman.predict)
           | Error report -> Error (D.summary (Tb_core.Passman.diagnostics report))
         in
         let r =

@@ -835,8 +835,8 @@ let calibrate_cmd =
       List.map
         (fun (name, forest, profiles, rows) ->
           let compile schedule =
-            match Passman.lower ~batch_size:batch ?profiles forest schedule with
-            | Ok (lowered, _) -> Ok lowered
+            match Passman.compile ~batch_size:batch ?profiles ~schedule forest with
+            | Ok (c, _) -> Ok (c.Passman.lowered, c.Passman.predict)
             | Error report -> Error (D.summary (Passman.diagnostics report))
           in
           let report =

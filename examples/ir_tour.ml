@@ -48,15 +48,17 @@ let () =
     (Tb_hir.Lut.num_shapes hir.Tb_hir.Program.lut)
     (1 lsl schedule.Schedule.tile_size);
 
-  (* MIR + LIR + register IR via the lowering driver. *)
-  let lowered = Tb_lir.Lower.lower_hir hir in
+  (* MIR + LIR + register IR. *)
+  let lowered =
+    Tb_lir.Lower.assemble hir (Tb_mir.Mir.lower hir) (Tb_lir.Layout.build hir)
+  in
   section "MIR loop nest, LIR walk and register IR";
   print_string (Tb_lir.Lower.dump lowered);
 
   (* Execute on both backends. *)
   section "execution (closure JIT vs register-IR interpreter vs reference)";
   let rows = [| [| 0.2; 0.5; 0.05 |]; [| 0.7; 0.2; 0.9 |]; [| 0.4; 0.4; 0.4 |] |] in
-  let jit = Tb_vm.Jit.compile lowered rows in
+  let jit = Tb_vm.Jit.instantiate (Tb_lir.Pack.of_lower lowered) rows in
   let interp = Tb_vm.Interp.compile lowered rows in
   let reference = Forest.predict_batch_raw forest rows in
   Array.iteri

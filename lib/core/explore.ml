@@ -1,5 +1,4 @@
 module Schedule = Tb_hir.Schedule
-module Lower = Tb_lir.Lower
 
 type result = {
   schedule : Schedule.t;
@@ -8,21 +7,28 @@ type result = {
 }
 
 let evaluate ~target ?profiles ?sample ?threads forest schedule rows =
-  let lowered = Lower.lower ?profiles forest schedule in
+  let lowered, _ =
+    Result.get_ok (Passman.lower ~mode:No_verify ?profiles forest schedule)
+  in
   Perf.simulate ~target ?threads ?sample lowered rows
 
 let better a b = a.Perf.cycles_per_row < b.Perf.cycles_per_row
 
-let search ~target ?profiles ?sample ?threads forest rows candidates =
+(* Count one evaluation. Deep probability-tiled chains can overflow the
+   array layout's implicit indexing; treat such candidates as
+   infeasible. *)
+let scorer ~target ?profiles ?sample ?threads forest rows =
   let evaluated = ref 0 in
   let score schedule =
     incr evaluated;
-    (* Deep probability-tiled chains can overflow the array layout's
-       implicit indexing; treat such candidates as infeasible. *)
     match evaluate ~target ?profiles ?sample ?threads forest schedule rows with
     | perf -> Some perf
     | exception Invalid_argument _ -> None
   in
+  (evaluated, score)
+
+let search ~target ?profiles ?sample ?threads forest rows candidates =
+  let evaluated, score = scorer ~target ?profiles ?sample ?threads forest rows in
   let best =
     List.fold_left
       (fun best schedule ->
@@ -43,13 +49,7 @@ let exhaustive ~target ?profiles ?sample ?threads ?(grid = Schedule.table2_grid)
   search ~target ?profiles ?sample ?threads forest rows grid
 
 let greedy ~target ?profiles ?sample ?threads forest rows =
-  let evaluated = ref 0 in
-  let score schedule =
-    incr evaluated;
-    match evaluate ~target ?profiles ?sample ?threads forest schedule rows with
-    | perf -> Some perf
-    | exception Invalid_argument _ -> None
-  in
+  let evaluated, score = scorer ~target ?profiles ?sample ?threads forest rows in
   (* Coordinate descent: sweep each axis holding the others fixed. *)
   let current = ref { Schedule.default with interleave = 1 } in
   let current_perf = ref None in
@@ -129,14 +129,18 @@ let check_champion ~target ?profiles ?sample ?(rivals = Cost_check.reduced_grid)
     :: List.filter (fun s -> s <> result.schedule) rivals
   in
   let compile schedule =
-    (* Passman would be the natural front end here, but Passman depends on
-       Treebeard which depends on this module; lower + the whole-pipeline
-       check is its Verify_final mode. *)
-    let lowered = Lower.lower ?profiles forest schedule in
-    let ds = Tb_analysis.Tbcheck.check_lowered lowered in
+    (* One whole-program Tbcheck per rival instead of Passman's
+       Verify_each: the guard needs "no miscompile", not the per-pass
+       translation validation that would dominate its run time. *)
+    let c, _ =
+      Result.get_ok
+        (Passman.run ~mode:No_verify ?profiles ~backend:`Threaded ~target
+           ~sample:rows (Float_tier []) forest schedule)
+    in
+    let ds = Tb_analysis.Tbcheck.check_lowered c.Passman.lowered in
     if Tb_diag.Diagnostic.has_errors ds then
       Error (Tb_diag.Diagnostic.summary ds)
-    else Ok lowered
+    else Ok (c.Passman.lowered, c.Passman.predict)
   in
   let report =
     Cost_check.calibrate ~target ?tol ?sample ~compile

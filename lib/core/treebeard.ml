@@ -1,18 +1,12 @@
 module Forest = Tb_model.Forest
 module Schedule = Tb_hir.Schedule
-module Layout = Tb_lir.Layout
-module Lower = Tb_lir.Lower
-module Pack = Tb_lir.Pack
-module Jit = Tb_vm.Jit
 module Numeric = Tb_analysis.Numeric
-module Validate = Tb_analysis.Validate
 module D = Tb_diag.Diagnostic
 module Config = Tb_cpu.Config
-module Cost_model = Tb_cpu.Cost_model
 
 type quant_request = { bits : [ `I8 | `I16 ]; tolerance : float }
 type precision = [ `Float | `Quantized of quant_request ]
-type tier = [ `Float | `Int8 | `Int16 ]
+type tier = Passman.tier
 
 let tier_to_string = function
   | `Float -> "float"
@@ -33,14 +27,8 @@ let precision_to_string = function
   | `Quantized { bits = `I16; _ } -> "int16"
 
 let width_of_bits = function `I8 -> Numeric.I8 | `I16 -> Numeric.I16
-
-let qspec_of_plan (p : Numeric.plan) =
-  {
-    Layout.qbits = Numeric.bits p.Numeric.width;
-    q_max = p.Numeric.q_max;
-    feature_exp = Array.copy p.Numeric.feature_exp;
-    leaf_exp = p.Numeric.leaf_exp;
-  }
+let qspec_of_plan = Passman.qspec_of_plan
+let tune_resident_k = Passman.tune_resident_k
 
 (* N002 (threshold collisions) does not refute the certificate: dead-zone
    rows may route differently from the float path, which the quantized
@@ -49,8 +37,8 @@ let qspec_of_plan (p : Numeric.plan) =
 let refuting_findings (cert : Numeric.certificate) =
   List.filter (fun d -> d.D.code <> "N002") cert.Numeric.findings
 
-type resolution =
-  | Float_tier of D.t list  (** fallback (or explicit) reasons, may be [] *)
+type resolution = Passman.resolution =
+  | Float_tier of D.t list
   | Quant_tier of Numeric.certificate
 
 let resolve_precision ?(precision = `Float) forest =
@@ -75,36 +63,17 @@ let resolve_precision ?(precision = `Float) forest =
       Float_tier
         (info :: List.map (fun d -> { d with D.severity = D.Info }) blocking))
 
-type t = {
+type t = Passman.compiled = {
   forest : Forest.t;
   schedule : Schedule.t;
-  lowered : Lower.t;
+  lowered : Tb_lir.Lower.t;
+  artifact : Tb_lir.Pack.t;
   predict : float array array -> float array array;
   tier : tier;
   resident_k : int;
   certificate : Numeric.certificate option;
   precision_diags : D.t list;
 }
-
-(* Resident-prefix depth cap: past a few levels the baked code grows
-   geometrically while the saved chain latency is already spent. *)
-let max_resident_k = 3
-
-let tune_resident_k ~target (lowered : Lower.t) sample =
-  let q =
-    match lowered.Lower.layout.Layout.quant with
-    | Some q -> q
-    | None -> invalid_arg "Treebeard: tuning resident depth on a float layout"
-  in
-  let probe =
-    if Array.length sample > 32 then Array.sub sample 0 32 else sample
-  in
-  if Array.length probe = 0 then 1
-  else
-    let w = Tb_vm.Profiler.profile ~target lowered probe in
-    Cost_model.tune_resident_k target w lowered.Lower.layout
-      ~walk_depth:lowered.Lower.walk_depth ~qbits:q.Layout.qbits
-      ~max_k:max_resident_k
 
 let make ?(plan = `Schedule Schedule.default) ?profiles ?training_rows
     ?(backend = `Threaded) ?(precision = `Float) source =
@@ -129,87 +98,24 @@ let make ?(plan = `Schedule Schedule.default) ?profiles ?training_rows
           Array.init forest.Forest.num_features (fun _ ->
               Tb_util.Prng.gaussian rng))
   in
-  let schedule =
+  let schedule, target =
     match plan with
-    | `Schedule s -> s
+    | `Schedule s ->
+      (* The resident-depth autotune needs a machine model even under an
+         explicit schedule; default to the Intel testbed. *)
+      (s, Config.intel_rocket_lake)
     | `Auto target ->
-      let result = Explore.greedy ~target ?profiles forest sample in
-      result.Explore.schedule
+      ((Explore.greedy ~target ?profiles forest sample).Explore.schedule, target)
   in
   let schedule =
     match backend with
     | `Threaded -> schedule
     | `Single_thread -> fst (Schedule.clamp_threads ~max_threads:1 schedule)
   in
-  let resolution = resolve_precision ~precision forest in
-  (* A certified plan can still be refuted by the differential stage pair
-     (a compiler bug in the quantized lowering): degrade to the float
-     tier and surface the findings rather than serve wrong integers. *)
-  let resolution =
-    match resolution with
-    | Float_tier _ -> resolution
-    | Quant_tier cert -> (
-      let quant = qspec_of_plan cert.Numeric.plan in
-      let qlowered = Lower.lower ?profiles ~quant forest schedule in
-      match Validate.check_quant forest cert.Numeric.plan qlowered with
-      | [] -> resolution
-      | findings -> Float_tier (Validate.to_diagnostics findings))
-  in
-  match resolution with
-  | Float_tier diags ->
-    let lowered = Lower.lower ?profiles forest schedule in
-    let predict =
-      match backend with
-      | `Threaded -> Jit.compile lowered
-      | `Single_thread -> Jit.compile_single_thread lowered
-    in
-    {
-      forest;
-      schedule;
-      lowered;
-      predict;
-      tier = `Float;
-      resident_k = 0;
-      certificate = None;
-      precision_diags = diags;
-    }
-  | Quant_tier cert ->
-    let quant = qspec_of_plan cert.Numeric.plan in
-    let lowered = Lower.lower ?profiles ~quant forest schedule in
-    let target =
-      (* The resident-depth autotune needs a machine model even under an
-         explicit schedule; default to the Intel testbed. *)
-      match plan with
-      | `Auto target -> target
-      | `Schedule _ -> Config.intel_rocket_lake
-    in
-    let resident_k = tune_resident_k ~target lowered sample in
-    let pack_quant =
-      {
-        Pack.resident_k;
-        dev_bound = Array.copy cert.Numeric.dev_bound;
-        tolerance = cert.Numeric.plan.Numeric.tolerance;
-      }
-    in
-    let pack = Pack.of_lower ~quant:pack_quant lowered in
-    let predict =
-      match backend with
-      | `Threaded -> Jit.instantiate pack
-      | `Single_thread -> Jit.instantiate_single_thread pack
-    in
-    {
-      forest;
-      schedule;
-      lowered;
-      predict;
-      tier =
-        (match cert.Numeric.plan.Numeric.width with
-        | Numeric.I8 -> `Int8
-        | Numeric.I16 -> `Int16);
-      resident_k;
-      certificate = Some cert;
-      precision_diags = [];
-    }
+  Passman.run ~mode:No_verify ?profiles ~backend ~target ~sample
+    (resolve_precision ~precision forest)
+    forest schedule
+  |> Result.get_ok |> fst
 
 let predict_forest t rows = t.predict rows
 
@@ -218,4 +124,4 @@ let predict_one t row =
   | [| out |] -> out
   | _ -> assert false
 
-let dump_ir t = Lower.dump t.lowered
+let dump_ir t = Tb_lir.Lower.dump t.lowered

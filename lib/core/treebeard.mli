@@ -40,7 +40,7 @@ type precision = [ `Float | `Quantized of quant_request ]
     ({!Tb_analysis.Numeric.dead_zone_row}) may route differently from
     the float path, which the quantized tier permits by contract. *)
 
-type tier = [ `Float | `Int8 | `Int16 ]
+type tier = Passman.tier
 (** The precision tier a compile actually resolved to. *)
 
 val tier_to_string : tier -> string
@@ -54,7 +54,7 @@ val precision_of_string : string -> (precision, string) result
     {!Tb_analysis.Numeric.default_tolerance} — the CLI's [--precision]
     parser. *)
 
-type resolution =
+type resolution = Passman.resolution =
   | Float_tier of Tb_diag.Diagnostic.t list
       (** float path; the diagnostics explain a quantized-request
           fallback ([[]] when float was requested) *)
@@ -62,35 +62,30 @@ type resolution =
 
 val resolve_precision :
   ?precision:precision -> Tb_model.Forest.t -> resolution
-(** The certification gate {!make} runs, exposed for hosts (the serving
-    registry) that cache the outcome per model. *)
+(** The certification gate {!make} runs before {!Passman.run}, exposed
+    for hosts (the serving registry) that cache the certificate per
+    model. *)
 
 val qspec_of_plan : Tb_analysis.Numeric.plan -> Tb_lir.Layout.qspec
-(** The layout-level quantization spec of a certified plan — what
-    {!Tb_lir.Lower.lower}'s [?quant] expects. *)
+(** {!Passman.qspec_of_plan}. *)
 
 val tune_resident_k :
   target:Tb_cpu.Config.t -> Tb_lir.Lower.t -> float array array -> int
-(** Autotune the register-resident prefix depth of a quantized lowering
-    for a CPU target: profile the walk on (at most 32 of) the sample
-    rows and pick the depth the cost model scores cheapest
-    ({!Tb_cpu.Cost_model.tune_resident_k}), capped at 3 levels.
-    @raise Invalid_argument on a float lowering. *)
+(** {!Passman.tune_resident_k}. *)
 
-type t = {
+type t = Passman.compiled = {
   forest : Tb_model.Forest.t;
   schedule : Tb_hir.Schedule.t;
   lowered : Tb_lir.Lower.t;
+  artifact : Tb_lir.Pack.t;
   predict : float array array -> float array array;
-  tier : tier;  (** resolved precision tier *)
+  tier : tier;
   resident_k : int;
-      (** autotuned register-resident prefix depth (0 on the float tier) *)
   certificate : Tb_analysis.Numeric.certificate option;
-      (** present iff [tier] is quantized *)
   precision_diags : Tb_diag.Diagnostic.t list;
-      (** fallback diagnostics when a quantized request resolved to
-          [`Float]; [[]] otherwise *)
 }
+(** A compiled model — {!Passman.compiled}, where the fields are
+    documented. *)
 
 val make :
   ?plan:[ `Schedule of Tb_hir.Schedule.t | `Auto of Tb_cpu.Config.t ] ->
@@ -100,7 +95,8 @@ val make :
   ?precision:precision ->
   [ `Forest of Tb_model.Forest.t | `File of string ] ->
   t
-(** The one compilation entry point.
+(** The one compilation entry point: resolve the plan and the precision,
+    then run {!Passman.run} without verification.
 
     - [source]: [`Forest f] compiles an in-memory ensemble; [`File path]
       deserializes one first (see {!Tb_model.Serialize}).
@@ -115,17 +111,18 @@ val make :
       probe batch is used when absent).
     - [backend]: [`Single_thread] clamps the schedule's row-loop
       parallelism to one thread ({!Tb_hir.Schedule.clamp_threads}) and
-      builds the predictor with {!Tb_vm.Jit.compile_single_thread} — for
+      builds the predictor with {!Tb_vm.Jit.instantiate_single_thread} — for
       hosts like the serving runtime whose workers each own a core.
       Default [`Threaded] keeps the schedule's own [num_threads].
     - [precision]: [`Quantized r] compiles the integer fast path when the
       model certifies clean at [r.bits]/[r.tolerance] — layout buffers
       rewritten to the certified fixed-point integers, a
       register-resident prefix of autotuned depth, predictions
-      bitwise-equal to {!Tb_analysis.Numeric.qpredict_raw}. The
-      quantized stage pair ({!Tb_analysis.Validate.check_quant}) is run
-      on every quantized compile; any finding degrades to [`Float] with
-      the findings in [precision_diags]. Default [`Float]. *)
+      bitwise-equal to {!Tb_analysis.Numeric.qpredict_raw}. The model
+      is lowered once, and the quantized stage pair
+      ({!Tb_analysis.Validate.check_quant}) runs on that lowering; any
+      finding degrades to [`Float] with the findings in
+      [precision_diags]. Default [`Float]. *)
 
 val predict_forest : t -> float array array -> float array array
 (** Batch inference: one raw margin vector per row. Feature values must be

@@ -52,9 +52,6 @@ let rec to_tree_from t id =
 
 let to_tree t = to_tree_from t root
 
-let internal_ids t =
-  List.filter (fun id -> not (is_leaf t id)) (List.init t.num_nodes Fun.id)
-
 let leaf_rank t =
   let rank = Array.make t.num_nodes (-1) in
   let next = ref 0 in

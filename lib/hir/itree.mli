@@ -23,9 +23,6 @@ val root : int
 (** Always 0. *)
 
 val is_leaf : t -> int -> bool
-val internal_ids : t -> int list
-(** All internal node ids, ascending. *)
-
 val leaf_rank : t -> int array
 (** [(leaf_rank t).(id)] is the left-to-right index of leaf [id]
     (meaningless for internal nodes). *)

@@ -96,6 +96,3 @@ let num_leaf_biased t =
   Array.fold_left
     (fun acc e -> if e.used_probability_tiling then acc + 1 else acc)
     0 t.trees
-
-let total_tiles t =
-  Array.fold_left (fun acc e -> acc + Tiled_tree.num_tiles e.tiled) 0 t.trees

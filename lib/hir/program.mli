@@ -44,5 +44,3 @@ val reference_predict : t -> float array -> float array
 
 val num_leaf_biased : t -> int
 (** Trees that were tiled with Algorithm 1. *)
-
-val total_tiles : t -> int

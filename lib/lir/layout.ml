@@ -395,14 +395,6 @@ let quantize_row (q : qspec) row =
 
 let dequant_scale (q : qspec) = pow2 (-q.leaf_exp)
 
-let quantize_row_int (q : qspec) row =
-  Array.mapi
-    (fun f x ->
-      match if f < Array.length q.feature_exp then q.feature_exp.(f) else None with
-      | None -> 0
-      | Some e -> quantize_scaled ~q_max:q.q_max (x *. pow2 e))
-    row
-
 let quantize_leaf_int (q : qspec) v =
   quantize_scaled ~q_max:q.q_max (v *. pow2 q.leaf_exp)
 

@@ -151,20 +151,16 @@ val dequant_scale : qspec -> float
 (** [2^(-leaf_exp)]: multiply an integer-valued accumulator by this to
     dequantize. Exact (a power of two). *)
 
-val quantize_row_int : qspec -> float array -> int array
-(** {!quantize_row} in the integer domain — same rounding, saturation
-    and unused-feature handling, but producing the int row form the
-    narrow kernels compare against. *)
-
 val quantize_leaf_int : qspec -> float -> int
 (** {!quantize_leaf} in the integer domain (used for the base score). *)
 
 val row_quantizer : qspec -> float array -> int array
-(** Staged {!quantize_row_int}: apply to the spec once to hoist the
-    per-feature scales, then per row. Always produces an array of
-    exactly [Array.length feature_exp] elements (the walk kernels index
-    it by model feature, so extra row columns are dropped and a too-short
-    row raises). The batch entry point of the integer fast path. *)
+(** {!quantize_row} in the integer domain, staged: apply to the spec
+    once to hoist the per-feature scales, then per row. Always produces
+    an array of exactly [Array.length feature_exp] elements (the walk
+    kernels index it by model feature, so extra row columns are dropped
+    and a too-short row raises). The batch entry point of the integer
+    fast path. *)
 
 val quantize : qspec -> t -> t
 (** Rewrite thresholds and leaf values to the plan's fixed-point

@@ -32,11 +32,9 @@ let assemble ?quant (hir : Program.t) mir layout =
       Array.map (fun e -> Tb_hir.Tiled_tree.depth e.Program.tiled) hir.Program.trees;
   }
 
-let lower_hir ?quant (hir : Program.t) =
-  assemble ?quant hir (Mir.lower hir) (Layout.build hir)
-
 let lower ?profiles ?quant forest schedule =
-  lower_hir ?quant (Program.build ?profiles forest schedule)
+  let hir = Program.build ?profiles forest schedule in
+  assemble ?quant hir (Mir.lower hir) (Layout.build hir)
 
 let reference_predict t row =
   let out = Array.make t.num_outputs t.base_score in

@@ -27,10 +27,6 @@ val lower :
     are rewritten to the plan's fixed-point integers
     ({!Layout.quantize}) — the integer fast path's program form. *)
 
-val lower_hir : ?quant:Layout.qspec -> Tb_hir.Program.t -> t
-(** Lower an already-built HIR program (lets callers reuse one HIR across
-    experiments). *)
-
 val assemble :
   ?quant:Layout.qspec -> Tb_hir.Program.t -> Tb_mir.Mir.t -> Layout.t -> t
 (** Bundle already-lowered stages into a backend-ready program — used by

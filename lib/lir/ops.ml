@@ -80,12 +80,6 @@ let op_name = function
   | Scalar_load_feature -> "load.featureIndex"
   | Scalar_compare_branch -> "cmp-br.predicate"
 
-let pp_step fmt ops =
-  Format.fprintf fmt "@[<v>%a@]"
-    (Format.pp_print_list ~pp_sep:Format.pp_print_cut (fun fmt op ->
-         Format.fprintf fmt "%s" (op_name op)))
-    ops
-
 let pp_walk_listing fmt ~layout ~tile_size () =
   Format.fprintf fmt "@[<v>WalkDecisionTree(tree, row):@,";
   Format.fprintf fmt "  tile = getRoot(tree)@,";

@@ -44,8 +44,6 @@ val dependency_chain : layout:Layout.kind -> tile_size:int -> step_kind -> op li
 
 val op_name : op -> string
 
-val pp_step : Format.formatter -> op list -> unit
-
 val pp_walk_listing :
   Format.formatter -> layout:Layout.kind -> tile_size:int -> unit -> unit
 (** Render the full §V-A style WalkDecisionTree listing for documentation

@@ -14,7 +14,7 @@ val compile :
   Tb_lir.Lower.t -> predictor
 (** Generate, verify and interpret the per-group walk programs following
     the MIR loop order (single-threaded; interleaving does not change
-    interpretation order). Output equals {!Jit.compile}'s bit-for-bit
+    interpretation order). Output equals {!Jit.instantiate}'s bit-for-bit
     (tested).
 
     [trace] observes every concrete buffer access of group [group]'s walk

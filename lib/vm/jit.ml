@@ -907,6 +907,3 @@ let instantiate_with ~threads (pk : Pack.t) =
 
 let instantiate_single_thread (pk : Pack.t) = instantiate_with ~threads:1 pk
 let instantiate (pk : Pack.t) = instantiate_with ~threads:pk.Pack.num_threads pk
-
-let compile_single_thread (lp : Lower.t) = instantiate_single_thread (Pack.of_lower lp)
-let compile (lp : Lower.t) = instantiate (Pack.of_lower lp)

@@ -37,9 +37,3 @@ val instantiate_single_thread : Tb_lir.Pack.t -> predictor
 (** Same, ignoring the artifact's thread count (used by benchmarks that
     sweep thread counts externally). *)
 
-val compile : Tb_lir.Lower.t -> predictor
-(** [instantiate] of {!Tb_lir.Pack.of_lower} — artifact construction plus
-    closure instantiation in one step. *)
-
-val compile_single_thread : Tb_lir.Lower.t -> predictor
-(** Single-threaded {!compile}. *)

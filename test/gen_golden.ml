@@ -34,7 +34,10 @@ let () =
       let forest = Tb_model.Serialize.of_file ("_models/" ^ name ^ ".json") in
       let seed = Hashtbl.hash name in
       let rows = golden_rows forest seed in
-      let predict = Tb_vm.Jit.compile (Tb_lir.Lower.lower forest Schedule.default) in
+      let predict =
+        Tb_vm.Jit.instantiate
+          (Tb_lir.Pack.of_lower (Tb_lir.Lower.lower forest Schedule.default))
+      in
       let predictions = predict rows in
       let floats a = Json.List (Array.to_list (Array.map (fun x -> Json.Num x) a)) in
       let json =

@@ -32,3 +32,8 @@ let arrays_close ?eps a b =
    structures via our own PRNG; shrinking over seeds is meaningless but
    cheap. *)
 let seed_gen = QCheck2.Gen.int_range 0 1_000_000
+
+(* Pack a lowering and instantiate its predictor. *)
+let jit lp = Tb_vm.Jit.instantiate (Tb_lir.Pack.of_lower lp)
+let jit_single_thread lp =
+  Tb_vm.Jit.instantiate_single_thread (Tb_lir.Pack.of_lower lp)

@@ -84,8 +84,8 @@ let test_passman_matches_unverified_lower () =
   | Error report ->
     Alcotest.failf "pipeline failed:\n%s" (Passman.report_to_string report)
   | Ok (lowered, _) ->
-    let want = Jit.compile (Lower.lower forest Schedule.default) rows in
-    let got = Jit.compile lowered rows in
+    let want = jit (Lower.lower forest Schedule.default) rows in
+    let got = jit lowered rows in
     check_bool "verified pipeline computes the same program" true
       (Array.for_all2 (fun a b -> arrays_close a b) want got)
 
@@ -684,43 +684,12 @@ let test_registry_codes_and_families () =
       ("A003", None); ("Z999", None);
     ]
 
-let test_passman_numeric_stage_advisory () =
-  let rng = Prng.create 29 in
-  let forest = Forest.random ~num_trees:5 ~max_depth:4 ~num_features:4 rng in
-  match Passman.lower forest Schedule.default with
-  | Error report ->
-    Alcotest.failf "pipeline failed: %s" (Passman.report_to_string report)
-  | Ok (_, report) ->
-    let stage =
-      List.find_opt
-        (fun s -> s.Passman.stage = "numeric:model")
-        report.Passman.stages
-    in
-    (match stage with
-    | None -> Alcotest.fail "report has no numeric:model stage"
-    | Some s ->
-      List.iter
-        (fun d ->
-          check_bool "numeric stage findings are info-severity" true
-            (d.D.severity = D.Info);
-          check_bool "numeric stage findings are Numeric-level" true
-            (d.D.level = D.Numeric))
-        s.Passman.diagnostics);
-    (* The stage runs right after the schedule check. *)
-    (match report.Passman.stages with
-    | s0 :: s1 :: _ ->
-      check_string "first stage" "schedule" s0.Passman.stage;
-      check_string "second stage" "numeric:model" s1.Passman.stage
-    | _ -> Alcotest.fail "fewer than two stages")
-
 let suite =
   [
     quick "verified pipeline accepts the default schedule"
       test_passman_default_clean;
     quick "code registry unique + census family coverage"
       test_registry_codes_and_families;
-    quick "Passman numeric:model stage is advisory (info-only)"
-      test_passman_numeric_stage_advisory;
     quick "verified pipeline == unverified lowering"
       test_passman_matches_unverified_lower;
     qcheck ~count:50 ~name:"pipeline lint-clean on random models x schedules"

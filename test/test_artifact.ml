@@ -80,7 +80,7 @@ let roundtrip_property seed =
       (List.length fs));
   (* And the instantiated predictor is the JIT, bitwise. *)
   let rows = random_rows rng forest.Forest.num_features 16 in
-  let direct = Jit.compile_single_thread lp rows in
+  let direct = jit_single_thread lp rows in
   let hydrated = Jit.instantiate_single_thread pk' rows in
   if not (bitwise_equal direct hydrated) then
     QCheck2.Test.fail_report "hydrated predictions diverge from the JIT";

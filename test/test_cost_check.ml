@@ -186,7 +186,7 @@ let test_observe_fields () =
   let lowered = Lower.lower forest Schedule.default in
   let o =
     Cost_check.observe ~target ~sample:32 ~min_time_s:0.0 ~min_iters:1 lowered
-      rows
+      (jit lowered) rows
   in
   check_int "extrapolated to the batch" 96 o.Cost_check.predicted_workload.Cost_model.rows;
   check_int "measured on the batch" 96 o.Cost_check.measured_workload.Cost_model.rows;
@@ -207,7 +207,9 @@ let test_calibrate_end_to_end () =
   let grid = [ Schedule.scalar_baseline; Schedule.default; rejected ] in
   let compile schedule =
     if schedule = rejected then Error "rejected for the test"
-    else Ok (Lower.lower forest schedule)
+    else
+      let lowered = Lower.lower forest schedule in
+      Ok (lowered, jit lowered)
   in
   let r =
     Cost_check.calibrate ~target ~tol:loose ~sample:16 ~min_time_s:0.0

@@ -40,7 +40,7 @@ let differential_property seed =
   let schedule = grid.(Prng.int rng (Array.length grid)) in
   let rows = random_rows rng 6 (1 + Prng.int rng 30) in
   let lp = Lower.lower forest schedule in
-  let jit = Jit.compile lp rows in
+  let jit = jit lp rows in
   let interp = Interp.compile lp rows in
   let reference = Forest.predict_batch_raw forest rows in
   let bitwise =
@@ -71,7 +71,7 @@ let test_full_grid_one_forest () =
   List.iter
     (fun schedule ->
       let lp = Lower.lower forest schedule in
-      let jit = Jit.compile lp rows in
+      let jit = jit lp rows in
       let interp = Interp.compile lp rows in
       if
         not

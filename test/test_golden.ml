@@ -66,7 +66,7 @@ let test_golden name () =
         Array.init num_rows (fun _ ->
             Array.init forest.Forest.num_features (fun _ -> Prng.gaussian rng))
       in
-      let got = Tb_vm.Jit.compile (Tb_lir.Lower.lower forest Schedule.default) rows in
+      let got = jit (Tb_lir.Lower.lower forest Schedule.default) rows in
       check_int "rows" (Array.length want) (Array.length got);
       Array.iteri
         (fun i w ->

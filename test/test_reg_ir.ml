@@ -179,7 +179,7 @@ let interp_equivalence_property seed =
   in
   let lp = Lower.lower forest schedule in
   let rows = random_rows rng 6 24 in
-  let jit = Jit.compile lp rows in
+  let jit = jit lp rows in
   let interp = Interp.compile lp rows in
   (Array.for_all2
      (fun a b -> Array.for_all2 Float.equal a b)

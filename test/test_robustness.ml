@@ -49,7 +49,7 @@ let test_nan_rows_consistent () =
   let expected = Forest.predict_batch_raw forest rows in
   List.iter
     (fun schedule ->
-      let out = Jit.compile (Lower.lower forest schedule) rows in
+      let out = jit (Lower.lower forest schedule) rows in
       check_bool
         ("nan consistent: " ^ Schedule.to_string schedule)
         true
@@ -68,7 +68,7 @@ let test_infinite_features_consistent () =
   let expected = Forest.predict_batch_raw forest rows in
   List.iter
     (fun schedule ->
-      let out = Jit.compile (Lower.lower forest schedule) rows in
+      let out = jit (Lower.lower forest schedule) rows in
       check_bool "inf consistent" true (Array.for_all2 arrays_close out expected))
     schedules_without_padding
 
@@ -80,7 +80,7 @@ let test_loop_orders_bitwise_equal () =
   let forest = Forest.random ~num_trees:15 ~max_depth:7 ~num_features:6 rng in
   let rows = random_rows rng 6 64 in
   let out_of order =
-    Jit.compile (Lower.lower forest { Schedule.default with loop_order = order }) rows
+    jit (Lower.lower forest { Schedule.default with loop_order = order }) rows
   in
   let a = out_of Schedule.One_tree_at_a_time in
   let b = out_of Schedule.One_row_at_a_time in
@@ -92,7 +92,7 @@ let test_interleave_bitwise_equal () =
   let forest = Forest.random ~num_trees:15 ~max_depth:7 ~num_features:6 rng in
   let rows = random_rows rng 6 67 in
   let out_of il =
-    Jit.compile (Lower.lower forest { Schedule.default with interleave = il }) rows
+    jit (Lower.lower forest { Schedule.default with interleave = il }) rows
   in
   let a = out_of 1 and b = out_of 8 in
   check_bool "bitwise equal" true
@@ -103,7 +103,7 @@ let test_layouts_bitwise_equal () =
   let forest = Forest.random ~num_trees:15 ~max_depth:7 ~num_features:6 rng in
   let rows = random_rows rng 6 32 in
   let out_of layout =
-    Jit.compile (Lower.lower forest { Schedule.default with layout }) rows
+    jit (Lower.lower forest { Schedule.default with layout }) rows
   in
   let a = out_of Schedule.Array_layout and b = out_of Schedule.Sparse_layout in
   check_bool "bitwise equal" true
@@ -129,7 +129,7 @@ let test_single_node_trees () =
   let expected = Forest.predict_batch_raw forest rows in
   List.iter
     (fun schedule ->
-      let out = Jit.compile (Lower.lower forest schedule) rows in
+      let out = jit (Lower.lower forest schedule) rows in
       check_bool "depth-1 forest" true (Array.for_all2 arrays_close out expected))
     schedules_under_test
 
@@ -155,7 +155,7 @@ let test_pure_chain_trees () =
   let expected = Forest.predict_batch_raw forest rows in
   List.iter
     (fun schedule ->
-      let out = Jit.compile (Lower.lower forest schedule) rows in
+      let out = jit (Lower.lower forest schedule) rows in
       check_bool "chain forest" true (Array.for_all2 arrays_close out expected))
     (* Array layout would blow up on deep tilings of chains; sparse-only
        schedules here. *)
@@ -185,7 +185,7 @@ let test_duplicate_feature_in_tile () =
   let check_at x expected =
     List.iter
       (fun schedule ->
-        let out = Jit.compile (Lower.lower forest schedule) [| [| x |] |] in
+        let out = jit (Lower.lower forest schedule) [| [| x |] |] in
         check_float (Printf.sprintf "x=%g" x) expected out.(0).(0))
       schedules_under_test
   in
@@ -293,7 +293,7 @@ let test_full_table2_grid_equivalence () =
       match Lower.lower ~profiles forest schedule with
       | exception Invalid_argument _ -> () (* array-slab cap on deep tilings *)
       | lp ->
-        let out = Jit.compile lp rows in
+        let out = jit lp rows in
         check_bool (Schedule.to_string schedule) true
           (Array.for_all2 arrays_close out expected))
     Schedule.table2_grid

@@ -499,7 +499,7 @@ let serve_equiv_property (seed, policy) =
   Array.iter
     (fun (name, forest) ->
       let predict =
-        Tb_vm.Jit.compile_single_thread (Tb_lir.Lower.lower forest normalized)
+        jit_single_thread (Tb_lir.Lower.lower forest normalized)
       in
       let served =
         Array.to_list requests

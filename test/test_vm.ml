@@ -42,7 +42,7 @@ let jit_equivalence_property seed =
     if Prng.bool rng then Some (Model_stats.profile_forest forest rows) else None
   in
   let lp = Lower.lower ?profiles forest schedule in
-  let predict = Jit.compile lp in
+  let predict = jit lp in
   let out = predict rows in
   let expected = Forest.predict_batch_raw forest rows in
   (Array.for_all2 (fun a b -> arrays_close a b) out expected)
@@ -55,7 +55,7 @@ let test_jit_multiclass () =
   let rows = random_rows rng 5 64 in
   List.iter
     (fun schedule ->
-      let predict = Jit.compile (Lower.lower forest schedule) in
+      let predict = jit (Lower.lower forest schedule) in
       let out = predict rows in
       let expected = Forest.predict_batch_raw forest rows in
       check_bool "multiclass equal" true (Array.for_all2 arrays_close out expected))
@@ -63,14 +63,14 @@ let test_jit_multiclass () =
 
 let test_jit_empty_batch () =
   let forest = Forest.random ~num_trees:3 (Prng.create 12) in
-  let predict = Jit.compile (Lower.lower forest Schedule.default) in
+  let predict = jit (Lower.lower forest Schedule.default) in
   check_int "empty output" 0 (Array.length (predict [||]))
 
 let test_jit_batch_not_multiple_of_interleave () =
   let rng = Prng.create 13 in
   let forest = Forest.random ~num_trees:5 ~num_features:6 rng in
   let schedule = { Schedule.default with interleave = 8 } in
-  let predict = Jit.compile (Lower.lower forest schedule) in
+  let predict = jit (Lower.lower forest schedule) in
   (* 13 rows: 8 + 5 remainder. *)
   let rows = random_rows rng 6 13 in
   let out = predict rows in
@@ -84,7 +84,7 @@ let parallel_batches = [ 0; 1; 2; 3; 13; 257 ]
 
 let float_predictors forest schedule threads =
   let lp = Lower.lower forest (Schedule.with_threads schedule threads) in
-  (Jit.compile_single_thread lp, Jit.compile lp)
+  (jit_single_thread lp, jit lp)
 
 (* A certified int16 lowering of [forest] at [threads]: the same pack
    instantiated single-thread and threaded. *)
@@ -135,7 +135,7 @@ let test_jit_parallel_more_threads_than_rows () =
   let rng = Prng.create 15 in
   let forest = Forest.random ~num_trees:4 ~num_features:6 rng in
   let rows = random_rows rng 6 3 in
-  let out = Jit.compile (Lower.lower forest (Schedule.with_threads Schedule.default 8)) rows in
+  let out = jit (Lower.lower forest (Schedule.with_threads Schedule.default 8)) rows in
   let expected = Forest.predict_batch_raw forest rows in
   check_bool "tiny batch" true (Array.for_all2 arrays_close out expected)
 
@@ -146,7 +146,7 @@ let test_jit_single_leaf_forest () =
   in
   List.iter
     (fun schedule ->
-      let out = Jit.compile (Lower.lower forest schedule) [| [| 0.0 |] |] in
+      let out = jit (Lower.lower forest schedule) [| [| 0.0 |] |] in
       check_float "constant forest" 5.0 out.(0).(0))
     [ Schedule.scalar_baseline; Schedule.default ]
 
