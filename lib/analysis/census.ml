@@ -182,10 +182,3 @@ let diff ?(family = lir_family) ~baseline (current : t) =
           row.schedule)
     baseline;
   List.rev !problems
-
-let pp_totals ?family fmt census =
-  Format.fprintf fmt "@[<v>";
-  List.iter
-    (fun (c, n) -> Format.fprintf fmt "%-6s %d@," c n)
-    (totals ?family census);
-  Format.fprintf fmt "@]"

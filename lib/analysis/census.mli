@@ -76,6 +76,3 @@ val diff : ?family:family -> baseline:t -> t -> string list
     baseline or not); a [soft]-code count in a cell exceeding the same
     cell in [baseline]; cells present on one side only. Fact codes are
     not diffed. Default family: {!lir_family}. *)
-
-val pp_totals : ?family:family -> Format.formatter -> t -> unit
-(** Per-code totals, one per line. *)

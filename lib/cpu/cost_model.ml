@@ -202,10 +202,3 @@ let cycles_per_row b w =
   if w.rows = 0 then 0.0 else b.cycles /. float_of_int w.rows
 
 let time_per_row_us ?(ghz = 3.5) b w = cycles_per_row b w /. (ghz *. 1000.0)
-
-let pp_breakdown fmt b =
-  let pct x = 100.0 *. x /. Float.max 1e-9 b.cycles in
-  Format.fprintf fmt
-    "cycles=%.0f inst=%.0f | retiring %.0f%% frontend %.0f%% bad-spec %.0f%% mem %.0f%% core %.0f%%"
-    b.cycles b.instructions (pct b.retiring) (pct b.frontend)
-    (pct b.bad_speculation) (pct b.backend_memory) (pct b.backend_core)
