@@ -791,6 +791,13 @@ let serve () =
       slo_us;
     }
   in
+  (* Sweeps 1-3 and the SLO leg serve on the default one-shard fleet and
+     read that shard's result. *)
+  let serve_one ?calibration config models =
+    List.assoc 0
+      (Simulate.run_fleet ?calibration config models).Simulate.fleet
+        .Runtime.shard_results
+  in
   let run ~models ~policy ~capacity ~batch_max ~deadline_us ~rate ~n =
     let config =
       {
@@ -807,11 +814,11 @@ let serve () =
         cache_capacity = capacity;
       }
     in
-    Simulate.run config models
+    serve_one config models
   in
-  let row_json ~label ~policy ~batch_max ~deadline_us (r : Simulate.report) =
-    let m = r.Simulate.result.Runtime.metrics in
-    let cs = r.Simulate.result.Runtime.cache_stats in
+  let row_json ~label ~policy ~batch_max ~deadline_us (r : Runtime.result) =
+    let m = r.Runtime.metrics in
+    let cs = r.Runtime.cache_stats in
     let q p = H.quantile m.Tb_serve.Metrics.total_us p in
     J.Obj
       [
@@ -831,7 +838,7 @@ let serve () =
              else float_of_int cs.Policy.hits /. float_of_int lookups) );
         ("evictions", J.Num (float_of_int cs.Policy.evictions));
         ( "equivalent",
-          J.Bool (r.Simulate.result.Runtime.equivalence_failures = 0) );
+          J.Bool (r.Runtime.equivalence_failures = 0) );
       ]
   in
   let rows_json = ref [] in
@@ -850,7 +857,7 @@ let serve () =
             run ~models:models2 ~policy:Policy.Lru ~capacity:8 ~batch_max
               ~deadline_us ~rate:100_000.0 ~n:4000
           in
-          let m = r.Simulate.result.Runtime.metrics in
+          let m = r.Runtime.metrics in
           Table.add_row t
             [
               string_of_int batch_max;
@@ -888,8 +895,8 @@ let serve () =
         run ~models:models4 ~policy ~capacity:2 ~batch_max:32
           ~deadline_us:500.0 ~rate:100_000.0 ~n:4000
       in
-      let m = r.Simulate.result.Runtime.metrics in
-      let cs = r.Simulate.result.Runtime.cache_stats in
+      let m = r.Runtime.metrics in
+      let cs = r.Runtime.cache_stats in
       Table.add_row t2
         [
           Policy.kind_to_string policy;
@@ -898,7 +905,7 @@ let serve () =
              (if lookups = 0 then 0.0
               else float_of_int cs.Policy.hits /. float_of_int lookups));
           string_of_int cs.Policy.evictions;
-          string_of_int r.Simulate.result.Runtime.compile_count;
+          string_of_int r.Runtime.compile_count;
           Printf.sprintf "%.0f" (H.quantile m.Tb_serve.Metrics.total_us 0.99);
           Printf.sprintf "%.0f" (Tb_serve.Metrics.throughput_rows_per_s m);
         ];
@@ -923,11 +930,11 @@ let serve () =
       mode = Runtime.Dual;
     }
   in
-  let rep1 = Simulate.run dual_config models_dual in
-  let drift1 = rep1.Simulate.result.Runtime.drift in
+  let drift1 = (serve_one dual_config models_dual).Runtime.drift in
   let cal = Registry.calibration_of_drift drift1 in
-  let rep2 = Simulate.run ~calibration:cal dual_config models_dual in
-  let drift2 = rep2.Simulate.result.Runtime.drift in
+  let drift2 =
+    (serve_one ~calibration:cal dual_config models_dual).Runtime.drift
+  in
   let pct_ratio (d : Serve_check.model_drift) p =
     match List.find_opt (fun (q, _, _) -> q = p) d.Serve_check.percentiles with
     | Some (_, v, w) when v > 0.0 -> w /. v
@@ -1149,7 +1156,7 @@ let serve () =
         runtime = { Runtime.default_config with Runtime.scheduling };
       }
     in
-    Simulate.run c slo_spec_models
+    serve_one c slo_spec_models
   in
   let t5 =
     Table.create
@@ -1160,7 +1167,7 @@ let serve () =
   List.iter
     (fun scheduling ->
       let r = slo_run scheduling in
-      let m = r.Simulate.result.Runtime.metrics in
+      let m = r.Runtime.metrics in
       let met = ref 0 in
       let per_model =
         List.map

@@ -1119,34 +1119,11 @@ let serve_sim_cmd =
         target;
       }
     in
-    (* The fleet path subsumes the single-shard one, but the 1-shard
-       report keeps its historical shape (and byte-compatibility with
-       determinism diffs), so only route through the fleet when asked. *)
-    let json, virtual_json, failures, compiles, hydrations, foreign, drift =
-      if shards = 1 then begin
-        let report = Simulate.run config models in
-        ( Simulate.report_to_json report,
-          (fun () -> Simulate.report_to_json ~virtual_only:true report),
-          report.Simulate.result.Runtime.equivalence_failures,
-          report.Simulate.result.Runtime.compile_count,
-          report.Simulate.result.Runtime.hydration_count,
-          report.Simulate.result.Runtime.foreign_hydration_count,
-          report.Simulate.result.Runtime.drift )
-      end
-      else begin
-        let report = Simulate.run_fleet config models in
-        let f = report.Simulate.fleet in
-        ( Simulate.fleet_report_to_json report,
-          (fun () -> Simulate.fleet_report_to_json ~virtual_only:true report),
-          f.Runtime.fleet_equivalence_failures,
-          f.Runtime.fleet_compiles,
-          f.Runtime.fleet_hydrations,
-          f.Runtime.fleet_foreign_hydrations,
-          List.concat_map
-            (fun (_, (r : Runtime.result)) -> r.Runtime.drift)
-            f.Runtime.shard_results )
-      end
-    in
+    let report = Simulate.run_fleet config models in
+    let f = report.Simulate.fleet in
+    let json = Simulate.fleet_report_to_json report in
+    let failures = f.Runtime.fleet_equivalence_failures in
+    let compiles = f.Runtime.fleet_compiles in
     let text = Tb_util.Json.to_string ~indent:true json ^ "\n" in
     (match out with
     | None -> print_string text
@@ -1156,13 +1133,14 @@ let serve_sim_cmd =
     (match virtual_out with
     | None -> ()
     | Some path ->
-      Cli_common.write_report path (virtual_json ());
+      Cli_common.write_report path
+        (Simulate.fleet_report_to_json ~virtual_only:true report);
       Printf.printf "virtual report: %s\n" path);
     if failures > 0 then
       Printf.eprintf "serve-sim: %d served output(s) diverge from the JIT\n"
         failures;
     Printf.printf "compiles: %d, disk hydrations: %d (foreign: %d)\n" compiles
-      hydrations foreign;
+      f.Runtime.fleet_hydrations f.Runtime.fleet_foreign_hydrations;
     if require_warm && compiles > 0 then begin
       Printf.eprintf
         "serve-sim: --require-warm but %d dispatch(es) paid a fresh compile\n"
@@ -1175,7 +1153,10 @@ let serve_sim_cmd =
         { S.max_service_drift; max_compile_drift;
           min_batches = min_drift_batches }
       in
-      S.check ~tol drift
+      S.check ~tol
+        (List.concat_map
+           (fun (_, (r : Runtime.result)) -> r.Runtime.drift)
+           f.Runtime.shard_results)
     in
     List.iter
       (fun d -> print_endline (Tb_diag.Diagnostic.to_string d))

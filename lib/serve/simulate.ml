@@ -126,12 +126,6 @@ let gen_arrivals rng kind ~rate_rps ~n =
     Array.sort compare us;
     Array.map (fun u -> horizon_us *. sqrt u) us
 
-type report = {
-  config_json : J.t;
-  result : Runtime.result;
-  per_model : (string * int) list;
-}
-
 let config_to_json (c : config) models =
   J.Obj
     [
@@ -177,7 +171,8 @@ let config_to_json (c : config) models =
              models) );
     ]
 
-let validate_models ~who models =
+let validate_models models =
+  let who = "Simulate.run_fleet" in
   if models = [] then invalid_arg (who ^ ": no models");
   List.iter
     (fun m ->
@@ -257,20 +252,6 @@ let count_per_model models requests outputs =
       (m.name, !count))
     models
 
-let run ?calibration (c : config) models =
-  validate_models ~who:"Simulate.run" models;
-  let registry = make_registry c models in
-  Option.iter (Registry.calibrate registry) calibration;
-  let rng = Prng.create c.seed in
-  let requests = gen_requests rng c models in
-  let result =
-    Runtime.run
-      ~config:(effective_runtime c models)
-      ~mode:c.mode ~schedule:c.schedule registry requests
-  in
-  let per_model = count_per_model models requests result.Runtime.outputs in
-  { config_json = config_to_json c models; result; per_model }
-
 (* Which precision tier actually served each model — per batch the
    compiled entry knows its resolved tier, so the report can show a
    quantized fleet's per-model fallbacks at a glance. Sorted by model
@@ -291,45 +272,6 @@ let tiers_json batches =
        (fun (m, tier) -> (m, J.Str (Tb_core.Treebeard.tier_to_string tier)))
        (tiers_of_batches batches))
 
-let report_to_json ?(virtual_only = false) r =
-  let res = r.result in
-  let m = res.Runtime.metrics in
-  let fields =
-    [
-      ("config", r.config_json);
-      ("metrics", Metrics.to_json ~include_wall:(not virtual_only) m);
-      ("queue", Rqueue.stats_to_json res.Runtime.queue_stats);
-      ("cache", Policy.stats_to_json res.Runtime.cache_stats);
-      ("compiles", J.Num (float_of_int res.Runtime.compile_count));
-      ("hydrations", J.Num (float_of_int res.Runtime.hydration_count));
-      ( "per_model",
-        J.Obj
-          (List.map
-             (fun (name, n) -> (name, J.Num (float_of_int n)))
-             r.per_model) );
-      ("precision_tiers", tiers_json res.Runtime.batches);
-      ( "equivalence_failures",
-        J.Num (float_of_int res.Runtime.equivalence_failures) );
-      ( "equivalent",
-        J.Bool (res.Runtime.equivalence_failures = 0) );
-    ]
-    (* Like the metrics' wall set: the drift section exists only when a
-       dual run measured one, and the virtual view omits it. *)
-    @
-    if virtual_only || res.Runtime.drift = [] then []
-    else
-      [
-        ( "drift",
-          J.List
-            (List.map Tb_analysis.Serve_check.drift_to_json res.Runtime.drift)
-        );
-      ]
-  in
-  J.Obj fields
-
-(* ------------------------------------------------------------------ *)
-(* Sharded fleet                                                       *)
-
 type fleet_report = {
   fleet_config_json : J.t;
   fleet : Runtime.fleet_result;
@@ -337,7 +279,7 @@ type fleet_report = {
 }
 
 let run_fleet ?calibration (c : config) models =
-  validate_models ~who:"Simulate.run_fleet" models;
+  validate_models models;
   if c.shards < 1 then invalid_arg "Simulate.run_fleet: shards < 1";
   let router = Router.create c.routing ~shards:c.shards in
   (* Every shard registers every model: registration is cheap and a

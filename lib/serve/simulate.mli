@@ -1,14 +1,15 @@
-(** Deterministic trace simulation: arrival processes → {!Runtime.run} →
-    JSON report.
+(** Deterministic trace simulation: arrival processes → {!Runtime.run_fleet}
+    → JSON report. One shard ([shards = 1], the default) is a fleet of
+    one.
 
     Everything is derived from the PRNG seed and the configuration — in
     the default [Virtual] mode the report contains no wall-clock times, so
     the same seed produces a byte-identical report on any machine (the
     acceptance criterion for [treebeard serve-sim]). In [Wall]/[Dual]
     modes ({!Runtime.mode}) the report additionally carries measured wall
-    metrics (and, for [Dual], a per-model drift section); the virtual
+    metrics (and, for [Dual], a per-shard drift section); the virtual
     fields are still byte-identical across same-seed runs, and
-    [report_to_json ~virtual_only:true] extracts exactly that
+    [fleet_report_to_json ~virtual_only:true] extracts exactly that
     deterministic half. *)
 
 type arrival_kind =
@@ -61,7 +62,7 @@ type config = {
   schedule : Tb_hir.Schedule.t;
   runtime : Runtime.config;
   mode : Runtime.mode;  (** virtual / wall / dual execution *)
-  shards : int;  (** fleet size for {!run_fleet}; {!run} ignores it *)
+  shards : int;  (** fleet size (≥ 1) *)
   routing : Router.policy;  (** fleet admission routing *)
   cache_policy : Policy.kind;
   cache_capacity : int;
@@ -90,32 +91,6 @@ val gen_requests :
     the trace depends only on the seed — resharding re-partitions the
     same requests. Exposed for tests. *)
 
-type report = {
-  config_json : Tb_util.Json.t;
-  result : Runtime.result;
-  per_model : (string * int) list;  (** completed request count per model *)
-}
-
-val run : ?calibration:Registry.calibration -> config -> model_spec list -> report
-(** Build a {!Registry}, generate the trace (model choice and row choice
-    are drawn from the same seeded PRNG as the arrival times) and serve
-    it. [calibration] (typically fitted from a previous dual run's drift
-    via {!Registry.calibration_of_drift}) is applied to the fresh registry
-    before any compile, so the run's modeled costs are the corrected ones.
-    @raise Invalid_argument on an empty model list or a model with an
-    empty row pool. *)
-
-val report_to_json : ?virtual_only:bool -> report -> Tb_util.Json.t
-(** The serve-sim report: config echo, counts, latency percentiles,
-    batch/queue/cache statistics, throughput, equivalence flag,
-    per-model totals and the ["precision_tiers"] map (the tier —
-    float/int8/int16 — that actually served each dispatched model) — plus, when the run measured them, the metrics'
-    ["wall"] sub-object and a top-level ["drift"] section (dual mode).
-    [~virtual_only:true] omits both, leaving exactly the deterministic
-    virtual report (used for determinism diffs of dual runs). *)
-
-(** {2 Sharded fleet} *)
-
 type fleet_report = {
   fleet_config_json : Tb_util.Json.t;
   fleet : Runtime.fleet_result;
@@ -125,15 +100,24 @@ type fleet_report = {
 
 val run_fleet :
   ?calibration:Registry.calibration -> config -> model_spec list -> fleet_report
-(** Like {!run} but across [config.shards] shards behind a
-    [config.routing] router: one registry per shard (every model
-    registered on each — compilation stays lazy; all sharing
-    [cache_dir]), the seed-deterministic trace partitioned by model.
-    @raise Invalid_argument as {!run}, or when [shards < 1]. *)
+(** Build one {!Registry} per shard (every model registered on each —
+    compilation stays lazy; all sharing [cache_dir]), generate the trace
+    (model choice and row choice are drawn from the same seeded PRNG as
+    the arrival times) and serve it across [config.shards] shards behind
+    a [config.routing] router. [calibration] (typically fitted from a
+    previous dual run's drift via {!Registry.calibration_of_drift}) is
+    applied to every fresh registry before any compile, so the run's
+    modeled costs are the corrected ones.
+    @raise Invalid_argument on an empty model list, a model with an
+    empty row pool, or [shards < 1]. *)
 
 val fleet_report_to_json : ?virtual_only:bool -> fleet_report -> Tb_util.Json.t
-(** The sharded serve-sim report: config echo, the router, the merged
-    fleet metrics, a per-shard breakdown (metrics, queue/cache stats,
-    compiles / hydrations / {e foreign} hydrations and the shard's
-    ["precision_tiers"] map of which tier served each model), fleet
-    totals and the equivalence flag. Virtual-only filtering as {!report_to_json}. *)
+(** The serve-sim report: config echo, the router, the merged fleet
+    metrics (counts, latency percentiles, batch statistics, throughput),
+    a per-shard breakdown (metrics, queue/cache stats, compiles /
+    hydrations / {e foreign} hydrations, the shard's ["precision_tiers"]
+    map of which tier — float/int8/int16 — served each model, and in
+    dual mode its ["drift"] section), fleet totals, per-model completion
+    counts and the equivalence flag. [~virtual_only:true] omits every
+    wall sub-object and drift section, leaving exactly the deterministic
+    virtual report (used for determinism diffs of wall and dual runs). *)

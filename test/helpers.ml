@@ -37,3 +37,13 @@ let seed_gen = QCheck2.Gen.int_range 0 1_000_000
 let jit lp = Tb_vm.Jit.instantiate (Tb_lir.Pack.of_lower lp)
 let jit_single_thread lp =
   Tb_vm.Jit.instantiate_single_thread (Tb_lir.Pack.of_lower lp)
+
+(* Serve a trace on a one-shard fleet and return that shard's result. *)
+let serve_one ?config ?mode ~schedule registry requests =
+  let module Runtime = Tb_serve.Runtime in
+  let router = Tb_serve.Router.create Tb_serve.Router.Affinity ~shards:1 in
+  let fleet =
+    Runtime.run_fleet ?config ?mode ~schedule ~router [ (0, registry) ]
+      requests
+  in
+  List.assoc 0 fleet.Runtime.shard_results

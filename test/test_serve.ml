@@ -391,7 +391,7 @@ let test_runtime_accounting () =
   let requests =
     mk_requests rng ~n:400 ~models:[| "m0" |] ~features:6 ~rate:100_000.0
   in
-  let r = Runtime.run ~schedule:Schedule.default reg requests in
+  let r = serve_one ~schedule:Schedule.default reg requests in
   let m = r.Runtime.metrics in
   check_int "arrivals" 400 m.Tb_serve.Metrics.arrivals;
   check_int "admitted + rejected = arrivals" 400
@@ -427,7 +427,7 @@ let test_runtime_backpressure () =
       workers = 1;
     }
   in
-  let r = Runtime.run ~config ~schedule:Schedule.default reg requests in
+  let r = serve_one ~config ~schedule:Schedule.default reg requests in
   check_bool "overload sheds load" true (r.Runtime.rejects <> []);
   List.iter
     (fun (req : Runtime.request) ->
@@ -444,7 +444,7 @@ let test_runtime_deterministic () =
     let requests =
       mk_requests rng ~n:300 ~models:[| "m0" |] ~features:6 ~rate:200_000.0
     in
-    let r = Runtime.run ~schedule:Schedule.default reg requests in
+    let r = serve_one ~schedule:Schedule.default reg requests in
     ( Tb_util.Json.to_string (Tb_serve.Metrics.to_json r.Runtime.metrics),
       r.Runtime.outputs )
   in
@@ -488,7 +488,7 @@ let serve_equiv_property (seed, policy) =
       workers = 1 + Prng.int rng 3;
     }
   in
-  let r = Runtime.run ~config ~schedule reg requests in
+  let r = serve_one ~config ~schedule reg requests in
   (* The runtime's own cross-check must be clean... *)
   if r.Runtime.equivalence_failures <> 0 then
     QCheck2.Test.fail_reportf "runtime reports %d equivalence failures"
@@ -554,17 +554,14 @@ let test_simulate_deterministic_report () =
   let config =
     { Simulate.default_config with Simulate.num_requests = 250 }
   in
-  let report () =
+  let report config =
     Tb_util.Json.to_string ~indent:true
-      (Simulate.report_to_json (Simulate.run config models))
+      (Simulate.fleet_report_to_json (Simulate.run_fleet config models))
   in
-  check_string "same seed, byte-identical report" (report ()) (report ());
-  let shifted =
-    Tb_util.Json.to_string ~indent:true
-      (Simulate.report_to_json
-         (Simulate.run { config with Simulate.seed = 43 } models))
-  in
-  check_bool "different seed, different report" true (report () <> shifted)
+  check_string "same seed, byte-identical report" (report config)
+    (report config);
+  check_bool "different seed, different report" true
+    (report config <> report { config with Simulate.seed = 43 })
 
 (* ---------------- dual clock: drift math, calibration, wall mode -------- *)
 
@@ -719,7 +716,7 @@ let test_runtime_dual_wall_sanity () =
     mk_requests rng ~n:300 ~models:[| "m0" |] ~features:6 ~rate:200_000.0
   in
   let r =
-    Runtime.run ~mode:Runtime.Dual ~schedule:Schedule.default reg requests
+    serve_one ~mode:Runtime.Dual ~schedule:Schedule.default reg requests
   in
   check_int "dual mode keeps equivalence" 0 r.Runtime.equivalence_failures;
   List.iter
@@ -749,7 +746,7 @@ let test_runtime_dual_wall_sanity () =
   | l -> Alcotest.failf "expected 1 drift summary, got %d" (List.length l));
   (* A virtual run of the same trace measures nothing. *)
   let reg2, _ = small_registry 71 in
-  let rv = Runtime.run ~schedule:Schedule.default reg2 requests in
+  let rv = serve_one ~schedule:Schedule.default reg2 requests in
   check_bool "virtual mode records no wall time" true
     (List.for_all
        (fun (b : Runtime.batch_exec) -> b.Runtime.wall_predict_us = 0.0)
@@ -772,7 +769,7 @@ let test_runtime_wall_monotone_in_batch_size () =
       { Runtime.default_config with Runtime.batch_max; queue_capacity = 4096 }
     in
     let r =
-      Runtime.run ~config ~mode:Runtime.Wall ~schedule:Schedule.default reg
+      serve_one ~config ~mode:Runtime.Wall ~schedule:Schedule.default reg
         requests
     in
     let ws =
@@ -800,7 +797,7 @@ let test_dual_drift_fault_injection () =
     mk_requests rng ~n:300 ~models:[| "m0" |] ~features:6 ~rate:200_000.0
   in
   let r =
-    Runtime.run ~mode:Runtime.Dual ~schedule:Schedule.default reg requests
+    serve_one ~mode:Runtime.Dual ~schedule:Schedule.default reg requests
   in
   let codes =
     List.map (fun d -> d.Tb_diag.Diagnostic.code)
@@ -828,42 +825,43 @@ let test_simulate_dual_determinism () =
     { Simulate.default_config with
       Simulate.num_requests = 300; mode = Runtime.Dual }
   in
-  let virtual_half r =
-    J.to_string ~indent:true (Simulate.report_to_json ~virtual_only:true r)
-  in
-  let rep1 = Simulate.run config models in
-  let rep2 = Simulate.run config models in
-  check_string "dual runs: virtual halves byte-identical" (virtual_half rep1)
-    (virtual_half rep2);
+  let virtual_json fr = Simulate.fleet_report_to_json ~virtual_only:true fr in
+  let rep1 = Simulate.run_fleet config models in
+  let rep2 = Simulate.run_fleet config models in
+  check_string "dual runs: virtual halves byte-identical"
+    (J.to_string ~indent:true (virtual_json rep1))
+    (J.to_string ~indent:true (virtual_json rep2));
   (* The virtual half must equal a pure virtual run's report everywhere
      except the config echo (which records the mode). *)
-  let vrep = Simulate.run { config with Simulate.mode = Runtime.Virtual } models in
-  let section r name =
-    J.to_string (J.member name (Simulate.report_to_json ~virtual_only:true r))
+  let vrep =
+    Simulate.run_fleet { config with Simulate.mode = Runtime.Virtual } models
   in
   List.iter
     (fun name ->
       check_string
         (Printf.sprintf "dual virtual %s == pure virtual %s" name name)
-        (section vrep name) (section rep1 name))
-    [ "metrics"; "queue"; "cache"; "compiles"; "per_model";
+        (J.to_string (J.member name (virtual_json vrep)))
+        (J.to_string (J.member name (virtual_json rep1))))
+    [ "metrics"; "shards"; "compiles"; "hydrations"; "per_model";
       "equivalence_failures" ];
-  (* The full dual report additionally carries both clocks. *)
-  let full = Simulate.report_to_json rep1 in
+  (* The full dual report additionally carries both clocks: the wall set
+     in the metrics, the drift in the shard's section. *)
+  let shard0 j = J.member "0" (J.member "shards" j) in
+  let full = Simulate.fleet_report_to_json rep1 in
   check_bool "dual report has a wall section" true
     (match J.member "wall" (J.member "metrics" full) with
     | J.Obj _ -> true
     | _ -> false);
-  (match J.member "drift" full with
+  (match J.member "drift" (shard0 full) with
   | J.List (_ :: _) -> ()
-  | _ -> Alcotest.fail "dual report missing drift section");
+  | _ -> Alcotest.fail "dual report missing the shard's drift section");
+  let absent name j =
+    match J.member name j with exception J.Parse_error _ -> true | _ -> false
+  in
   check_bool "virtual half omits wall" true
-    (match
-       J.member "wall"
-         (J.member "metrics" (Simulate.report_to_json ~virtual_only:true rep1))
-     with
-    | exception J.Parse_error _ -> true
-    | _ -> false)
+    (absent "wall" (J.member "metrics" (virtual_json rep1)));
+  check_bool "virtual half omits drift" true
+    (absent "drift" (shard0 (virtual_json rep1)))
 
 let suite =
   [

@@ -13,6 +13,7 @@ module Router = Tb_serve.Router
 module Runtime = Tb_serve.Runtime
 module Scheduler = Tb_serve.Scheduler
 module Simulate = Tb_serve.Simulate
+module J = Tb_util.Json
 
 (* ---------------- router ---------------- *)
 
@@ -158,7 +159,7 @@ let test_edf_preempts_in_engine () =
       }
     in
     let r =
-      Runtime.run ~config ~schedule:Schedule.default reg (edf_requests rng)
+      serve_one ~config ~schedule:Schedule.default reg (edf_requests rng)
     in
     check_int "all served" 3 r.Runtime.metrics.Metrics.completed;
     check_int "serve == jit" 0 r.Runtime.equivalence_failures;
@@ -192,7 +193,7 @@ let test_edf_slo_attainment () =
       }
     in
     let r =
-      Runtime.run ~config ~schedule:Schedule.default reg (edf_requests rng)
+      serve_one ~config ~schedule:Schedule.default reg (edf_requests rng)
     in
     match Metrics.slo_attainment r.Runtime.metrics "tight" with
     | Some a -> a
@@ -231,7 +232,7 @@ let test_graded_shed_prefers_loose () =
       shed_hi = 0.75;
     }
   in
-  let r = Runtime.run ~config ~schedule:Schedule.default reg requests in
+  let r = serve_one ~config ~schedule:Schedule.default reg requests in
   let m = r.Runtime.metrics in
   check_bool "ladder shed something" true (m.Metrics.shed_admission > 0);
   check_int "sheds are counted as rejects too" m.Metrics.arrivals
@@ -303,6 +304,11 @@ let fleet_models rng =
       })
     [ "alpha"; "beta"; "gamma"; "delta"; "epsilon" ]
 
+let fresh_dir () =
+  let f = Filename.temp_file "tb_shard_test" ".cache" in
+  Sys.remove f;
+  f
+
 let fleet_config ?cache_dir ~shards () =
   {
     Simulate.default_config with
@@ -327,6 +333,37 @@ let test_fleet_deterministic_and_equivalent () =
   in
   check_string "byte-identical fleet report" (report ()) (report ())
 
+(* A fleet of one is its shard: the merged view equals the lone shard's
+   section byte for byte — Metrics.merge of one snapshot is an exact
+   identity, down to the Kahan-summed means and the wall set. *)
+let test_fleet_of_one_equals_its_shard () =
+  List.iter
+    (fun mode ->
+      let rng = Prng.create 75 in
+      let models = fleet_models rng in
+      let config =
+        {
+          (fleet_config ~cache_dir:(fresh_dir ()) ~shards:1 ()) with
+          Simulate.mode;
+          cache_capacity = 2;
+        }
+      in
+      let report =
+        Simulate.fleet_report_to_json (Simulate.run_fleet config models)
+      in
+      let shard = J.member "0" (J.member "shards" report) in
+      check_bool "evictions made the disk tier answer" true
+        (J.to_int (J.member "hydrations" report) > 0);
+      List.iter
+        (fun field ->
+          check_string
+            (Printf.sprintf "%s: fleet %s == shard 0's"
+               (Runtime.mode_to_string mode) field)
+            (J.to_string (J.member field shard))
+            (J.to_string (J.member field report)))
+        [ "metrics"; "compiles"; "hydrations"; "equivalence_failures" ])
+    [ Runtime.Virtual; Runtime.Dual ]
+
 let test_fleet_covers_every_request () =
   let rng = Prng.create 72 in
   let models = fleet_models rng in
@@ -348,11 +385,6 @@ let test_fleet_covers_every_request () =
   in
   check_int "merged completions" shard_completed
     f.Runtime.fleet_metrics.Metrics.completed
-
-let fresh_dir () =
-  let f = Filename.temp_file "tb_shard_test" ".cache" in
-  Sys.remove f;
-  f
 
 let test_fleet_artifact_shipping () =
   (* A fleet restart over the shared artifact store: the second fleet's
@@ -435,6 +467,7 @@ let suite =
       test_graded_shed_prefers_loose;
     quick "metrics merge is exact" test_metrics_merge_exact;
     quick "fleet report byte-deterministic" test_fleet_deterministic_and_equivalent;
+    quick "fleet of one equals its shard" test_fleet_of_one_equals_its_shard;
     quick "fleet covers the whole trace" test_fleet_covers_every_request;
     quick "fleet warm restart ships artifacts" test_fleet_artifact_shipping;
     quick "reshard hydrates moved models without recompiling"
