@@ -626,6 +626,21 @@ let validate t =
       if sid >= lut_rows || sid < Layout.unused_marker then
         fail "A004" "slot %d shape id %d out of range" s sid)
     lay.Layout.shape_ids;
+  (* Every tile lane must read inside the row. The integer kernels load
+     the quantized row unchecked, and that row is as long as the plan's
+     feature_exp. *)
+  let row_len =
+    match lay.Layout.quant with
+    | Some spec -> Array.length spec.Layout.feature_exp
+    | None -> max_int
+  in
+  let features = lay.Layout.features in
+  for i = 0 to Array.length features - 1 do
+    let f = features.(i) in
+    if (f < 0 || f >= row_len) && lay.Layout.shape_ids.(i / nt) >= 0 then
+      fail "A004" "tile slot %d lane %d reads feature %d outside the row" (i / nt)
+        (i mod nt) f
+  done;
   let num_trees = lay.Layout.num_trees in
   if Array.length t.tree_class <> num_trees then
     fail "A004" "tree_class length %d != %d trees" (Array.length t.tree_class)

@@ -3,116 +3,153 @@ module Lower = Tb_lir.Lower
 module Pack = Tb_lir.Pack
 module Mir = Tb_mir.Mir
 module Schedule = Tb_hir.Schedule
+module BA = Bigarray.Array1
 
 type predictor = float array array -> float array array
+
+(* The kernels below allocate nothing: a walk returns the index of the
+   leaf value it reaches, never a boxed float; the recursive walks are
+   top-level functions, so no call builds a closure over its row; and a
+   jam advances its cursors in a buffer the runner allocates once per row
+   range. Without flambda a local helper or an inner [let rec] that
+   captures the row is a closure allocated on every call, which is why
+   the eight lanes of a tile step are written out by hand. *)
+
+(* ------------------------------------------------------------------ *)
+(* Tile step                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Child index (LUT entry) that tile slot [s] selects for [row].
+
+   Lane loads are unchecked. They stay in range because the step first
+   does two checked loads: [shape_ids.(s)] proves 0 <= s < slots, and
+   [lut.(sid)] proves the slot is a tile (sid >= 0). The threshold and
+   feature buffers hold exactly slots x tile_size entries — [Layout.build]
+   builds them so, and [Pack.validate] (A004) and [Lir_check] (L020) check
+   it — so every lane index s * nt + l is below their length. Row loads
+   stay checked: a short row raises [Invalid_argument], as the reference
+   walk does.
+
+   Tiles of size 8 (the default schedule's) compare in straight-line code,
+   the shape of Treebeard's vector compare + movemask: eight independent
+   lane bits ORed into the LUT index, each compare in value position so it
+   compiles branchless (setcc) like [Layout.comparison_bits]. Sizes 1-7
+   loop over the lanes. *)
+let tile_child (lay : Layout.t) s (row : float array) =
+  let lut_row = lay.Layout.lut.(lay.Layout.shape_ids.(s)) in
+  let thr = lay.Layout.thresholds and feat = lay.Layout.features in
+  let nt = lay.Layout.tile_size in
+  let i = s * nt in
+  if nt = 8 then begin
+    let x0 = row.(Array.unsafe_get feat i) in
+    let b0 = if x0 < Array.unsafe_get thr i then 1 else 0 in
+    let x1 = row.(Array.unsafe_get feat (i + 1)) in
+    let b1 = if x1 < Array.unsafe_get thr (i + 1) then 1 else 0 in
+    let x2 = row.(Array.unsafe_get feat (i + 2)) in
+    let b2 = if x2 < Array.unsafe_get thr (i + 2) then 1 else 0 in
+    let x3 = row.(Array.unsafe_get feat (i + 3)) in
+    let b3 = if x3 < Array.unsafe_get thr (i + 3) then 1 else 0 in
+    let x4 = row.(Array.unsafe_get feat (i + 4)) in
+    let b4 = if x4 < Array.unsafe_get thr (i + 4) then 1 else 0 in
+    let x5 = row.(Array.unsafe_get feat (i + 5)) in
+    let b5 = if x5 < Array.unsafe_get thr (i + 5) then 1 else 0 in
+    let x6 = row.(Array.unsafe_get feat (i + 6)) in
+    let b6 = if x6 < Array.unsafe_get thr (i + 6) then 1 else 0 in
+    let x7 = row.(Array.unsafe_get feat (i + 7)) in
+    let b7 = if x7 < Array.unsafe_get thr (i + 7) then 1 else 0 in
+    lut_row.((b0 lsl 7) lor (b1 lsl 6) lor (b2 lsl 5) lor (b3 lsl 4) lor (b4 lsl 3)
+             lor (b5 lsl 2) lor (b6 lsl 1) lor b7)
+  end
+  else begin
+    let bits = ref 0 in
+    for lane = 0 to nt - 1 do
+      let x = row.(Array.unsafe_get feat (i + lane)) in
+      let b = if x < Array.unsafe_get thr (i + lane) then 1 else 0 in
+      bits := !bits lor (b lsl (nt - 1 - lane))
+    done;
+    lut_row.(!bits)
+  end
+
+(* Array layout: a cursor is a slot local to the tree's slab; child c of
+   local slot s lives at s*(nt+1)+c+1. *)
+let step_array (lay : Layout.t) base local row =
+  (local * (lay.Layout.tile_size + 1)) + tile_child lay (base + local) row + 1
+
+(* Sparse layout: a cursor is an absolute tile slot; a negative value from
+   a step encodes the leaf index reached. *)
+let step_sparse (lay : Layout.t) s row =
+  let c = tile_child lay s row in
+  let p = lay.Layout.child_ptr.(s) in
+  if p >= 0 then p + c else -(-p - 1 + c) - 1
 
 (* ------------------------------------------------------------------ *)
 (* Single-walk kernels                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Array layout: cursor is a slot local to the tree's slab; child c of
-   local slot s lives at s*(nt+1)+c+1. *)
+(* A walk returns the index of its leaf value: lane 0 of the leaf slot in
+   the threshold buffer (array layout) or the leaf's index in the leaf
+   buffer (sparse layout). [leaf_store] picks the buffer the index is
+   into; the integer tier passes its narrow buffers. *)
+let leaf_store (lay : Layout.t) thr leaves =
+  match lay.Layout.kind with Layout.Array_kind -> thr | Layout.Sparse_kind -> leaves
 
-let step_array (lay : Layout.t) base local row =
+let rec walk_array_from (lay : Layout.t) base local row =
   let s = base + local in
-  let bits = Layout.comparison_bits lay s row in
-  let c = lay.Layout.lut.(lay.Layout.shape_ids.(s)).(bits) in
-  (local * (lay.Layout.tile_size + 1)) + c + 1
+  if lay.Layout.shape_ids.(s) = Layout.leaf_marker then s * lay.Layout.tile_size
+  else walk_array_from lay base (step_array lay base local row) row
 
-let walk_array_generic lay base row =
-  let rec go local =
-    let s = base + local in
-    if lay.Layout.shape_ids.(s) = Layout.leaf_marker then
-      lay.Layout.thresholds.(s * lay.Layout.tile_size)
-    else go (step_array lay base local row)
-  in
-  go 0
-
-let walk_array_unrolled lay base row ~depth =
+let walk_array_unrolled (lay : Layout.t) base row ~depth =
   (* No termination checks: the tree is padded to uniform depth. *)
   let local = ref 0 in
   for _ = 1 to depth do
     local := step_array lay base !local row
   done;
-  let s = base + !local in
-  lay.Layout.thresholds.(s * lay.Layout.tile_size)
+  (base + !local) * lay.Layout.tile_size
 
 let walk_array_peeled lay base row ~peel =
   (* The first [peel] steps cannot reach a leaf (min leaf depth), so they
-     run without leaf checks; the remainder is the generic loop. *)
+     run without leaf checks; the remainder is the loop walk. *)
   let local = ref 0 in
   for _ = 1 to peel do
     local := step_array lay base !local row
   done;
-  let rec go local =
-    let s = base + local in
-    if lay.Layout.shape_ids.(s) = Layout.leaf_marker then
-      lay.Layout.thresholds.(s * lay.Layout.tile_size)
-    else go (step_array lay base local row)
-  in
-  go !local
+  walk_array_from lay base !local row
 
-(* Sparse layout: cursor is an absolute tile slot; a negative value from a
-   step encodes the leaf index reached. *)
-
-let step_sparse (lay : Layout.t) s row =
-  let bits = Layout.comparison_bits lay s row in
-  let c = lay.Layout.lut.(lay.Layout.shape_ids.(s)).(bits) in
-  let p = lay.Layout.child_ptr.(s) in
-  if p >= 0 then p + c else -(-p - 1 + c) - 1
-
-let walk_sparse_generic lay root row =
-  if root < 0 then lay.Layout.leaf_values.(-root - 1)
-  else begin
-    let rec go s =
-      let next = step_sparse lay s row in
-      if next >= 0 then go next else lay.Layout.leaf_values.(-next - 1)
-    in
-    go root
-  end
+(* From a sparse cursor (a slot, or a negative leaf encoding) to its leaf. *)
+let rec walk_sparse_from lay s row =
+  if s < 0 then -s - 1 else walk_sparse_from lay (step_sparse lay s row) row
 
 let walk_sparse_unrolled lay root row ~depth =
-  if root < 0 then lay.Layout.leaf_values.(-root - 1)
+  (* Every path crosses exactly [depth] tiles, so [depth] steps land on a
+     leaf. *)
+  if root < 0 then -root - 1
   else begin
-    (* depth >= 1 tiles on every path; the first depth-1 steps always land
-       on tiles, the last one on a leaf. *)
     let s = ref root in
-    for _ = 1 to depth - 1 do
+    for _ = 1 to depth do
       s := step_sparse lay !s row
     done;
-    let last = step_sparse lay !s row in
-    lay.Layout.leaf_values.(-last - 1)
+    - !s - 1
   end
 
 let walk_sparse_peeled lay root row ~peel =
-  if root < 0 then lay.Layout.leaf_values.(-root - 1)
-  else begin
-    (* No walk can terminate before [peel] steps (peel = min leaf depth),
-       but the last peeled step may land exactly on a leaf. *)
-    let s = ref root in
-    for _ = 1 to peel do
-      if !s >= 0 then s := step_sparse lay !s row
-    done;
-    if !s < 0 then lay.Layout.leaf_values.(- !s - 1)
-    else begin
-      let rec go s =
-        let next = step_sparse lay s row in
-        if next >= 0 then go next else lay.Layout.leaf_values.(-next - 1)
-      in
-      go !s
-    end
-  end
+  (* No walk can terminate before [peel] steps (peel = min leaf depth),
+     but the last peeled step may land exactly on a leaf. *)
+  let s = ref root in
+  for _ = 1 to peel do
+    if !s >= 0 then s := step_sparse lay !s row
+  done;
+  walk_sparse_from lay !s row
 
 (* One tree's walk of one row, per the group's walk kind. *)
-let walk_fn (lay : Layout.t) (walk : Mir.walk_kind) tree =
+let walk_fn (lay : Layout.t) (walk : Mir.walk_kind) tree : float array -> int =
   let root = lay.Layout.tree_root.(tree) in
   match (lay.Layout.kind, walk) with
-  | Layout.Array_kind, Mir.Loop_walk -> fun row -> walk_array_generic lay root row
+  | Layout.Array_kind, Mir.Loop_walk -> fun row -> walk_array_from lay root 0 row
   | Layout.Array_kind, Mir.Unrolled_walk { depth } ->
     fun row -> walk_array_unrolled lay root row ~depth
   | Layout.Array_kind, Mir.Peeled_walk { peel } ->
     fun row -> walk_array_peeled lay root row ~peel
-  | Layout.Sparse_kind, Mir.Loop_walk -> fun row -> walk_sparse_generic lay root row
+  | Layout.Sparse_kind, Mir.Loop_walk -> fun row -> walk_sparse_from lay root row
   | Layout.Sparse_kind, Mir.Unrolled_walk { depth } ->
     fun row -> walk_sparse_unrolled lay root row ~depth
   | Layout.Sparse_kind, Mir.Peeled_walk { peel } ->
@@ -123,91 +160,110 @@ let walk_fn (lay : Layout.t) (walk : Mir.walk_kind) tree =
 (* ------------------------------------------------------------------ *)
 
 (* Jam [count] walks of one tree over consecutive rows (tree-at-a-time
-   order). Lockstep cursors; diverging walks retire individually. Cursors
-   use the sparse encoding for both layouts: array-layout locals are
-   non-negative, retirement is flagged via a parallel [value] store. *)
-let jam_rows_generic (lay : Layout.t) tree (rows : float array array) i0 count
-    (out : float array array) cls =
-  let cursors = Array.make count 0 in
-  let live = Array.make count true in
-  (match lay.Layout.kind with
+   order), their cursors advancing in lockstep in [cur] — the row range's
+   buffer, at least [count] long. Array-layout cursors are slab locals,
+   sparse ones slots; in both, a negative cursor marks a walk that has
+   added its leaf value and retired. *)
+let jam_rows_generic (lay : Layout.t) tree (cur : int array)
+    (rows : float array array) i0 count (out : float array array) cls =
+  let root = lay.Layout.tree_root.(tree) in
+  match lay.Layout.kind with
   | Layout.Array_kind ->
-    let base = lay.Layout.tree_root.(tree) in
+    let nt = lay.Layout.tile_size in
+    for j = 0 to count - 1 do
+      cur.(j) <- 0
+    done;
     let remaining = ref count in
     while !remaining > 0 do
       for j = 0 to count - 1 do
-        if live.(j) then begin
-          let row = rows.(i0 + j) in
-          let s = base + cursors.(j) in
+        let local = cur.(j) in
+        if local >= 0 then begin
+          let s = root + local in
           if lay.Layout.shape_ids.(s) = Layout.leaf_marker then begin
-            out.(i0 + j).(cls) <-
-              out.(i0 + j).(cls) +. lay.Layout.thresholds.(s * lay.Layout.tile_size);
-            live.(j) <- false;
+            let o = out.(i0 + j) in
+            o.(cls) <- o.(cls) +. lay.Layout.thresholds.(s * nt);
+            cur.(j) <- -1;
             decr remaining
           end
-          else cursors.(j) <- step_array lay base cursors.(j) row
+          else cur.(j) <- step_array lay root local rows.(i0 + j)
         end
       done
     done
   | Layout.Sparse_kind ->
-    let root = lay.Layout.tree_root.(tree) in
     if root < 0 then
       for j = 0 to count - 1 do
-        out.(i0 + j).(cls) <- out.(i0 + j).(cls) +. lay.Layout.leaf_values.(-root - 1)
+        let o = out.(i0 + j) in
+        o.(cls) <- o.(cls) +. lay.Layout.leaf_values.(-root - 1)
       done
     else begin
-      Array.fill cursors 0 count root;
+      for j = 0 to count - 1 do
+        cur.(j) <- root
+      done;
       let remaining = ref count in
       while !remaining > 0 do
         for j = 0 to count - 1 do
-          if live.(j) then begin
-            let next = step_sparse lay cursors.(j) rows.(i0 + j) in
-            if next >= 0 then cursors.(j) <- next
-            else begin
-              out.(i0 + j).(cls) <-
-                out.(i0 + j).(cls) +. lay.Layout.leaf_values.(-next - 1);
-              live.(j) <- false;
+          let s = cur.(j) in
+          if s >= 0 then begin
+            let next = step_sparse lay s rows.(i0 + j) in
+            cur.(j) <- next;
+            if next < 0 then begin
+              let o = out.(i0 + j) in
+              o.(cls) <- o.(cls) +. lay.Layout.leaf_values.(-next - 1);
               decr remaining
             end
           end
         done
       done
-    end)
+    end
 
-(* Jam with a uniform unrolled depth: pure lockstep, no liveness flags. *)
-let jam_rows_unrolled (lay : Layout.t) tree rows i0 count out cls ~depth =
+(* Jam with a uniform unrolled depth: pure lockstep, no retirement. *)
+let jam_rows_unrolled (lay : Layout.t) tree (cur : int array)
+    (rows : float array array) i0 count (out : float array array) cls ~depth =
+  let root = lay.Layout.tree_root.(tree) in
   match lay.Layout.kind with
   | Layout.Array_kind ->
-    let base = lay.Layout.tree_root.(tree) in
-    let cursors = Array.make count 0 in
+    for j = 0 to count - 1 do
+      cur.(j) <- 0
+    done;
     for _ = 1 to depth do
       for j = 0 to count - 1 do
-        cursors.(j) <- step_array lay base cursors.(j) rows.(i0 + j)
+        cur.(j) <- step_array lay root cur.(j) rows.(i0 + j)
       done
     done;
     for j = 0 to count - 1 do
-      let s = base + cursors.(j) in
-      out.(i0 + j).(cls) <-
-        out.(i0 + j).(cls) +. lay.Layout.thresholds.(s * lay.Layout.tile_size)
+      let o = out.(i0 + j) in
+      o.(cls) <-
+        o.(cls) +. lay.Layout.thresholds.((root + cur.(j)) * lay.Layout.tile_size)
     done
   | Layout.Sparse_kind ->
-    let root = lay.Layout.tree_root.(tree) in
     if root < 0 then
       for j = 0 to count - 1 do
-        out.(i0 + j).(cls) <- out.(i0 + j).(cls) +. lay.Layout.leaf_values.(-root - 1)
+        let o = out.(i0 + j) in
+        o.(cls) <- o.(cls) +. lay.Layout.leaf_values.(-root - 1)
       done
     else begin
-      let cursors = Array.make count root in
-      for _ = 1 to depth - 1 do
+      for j = 0 to count - 1 do
+        cur.(j) <- root
+      done;
+      for _ = 1 to depth do
         for j = 0 to count - 1 do
-          cursors.(j) <- step_sparse lay cursors.(j) rows.(i0 + j)
+          cur.(j) <- step_sparse lay cur.(j) rows.(i0 + j)
         done
       done;
       for j = 0 to count - 1 do
-        let last = step_sparse lay cursors.(j) rows.(i0 + j) in
-        out.(i0 + j).(cls) <- out.(i0 + j).(cls) +. lay.Layout.leaf_values.(-last - 1)
+        let o = out.(i0 + j) in
+        o.(cls) <- o.(cls) +. lay.Layout.leaf_values.(-cur.(j) - 1)
       done
     end
+
+let jam_fn (lay : Layout.t) (walk : Mir.walk_kind) tree =
+  match walk with
+  | Mir.Unrolled_walk { depth } ->
+    fun cur rows i0 count out cls ->
+      jam_rows_unrolled lay tree cur rows i0 count out cls ~depth
+  | Mir.Loop_walk | Mir.Peeled_walk _ ->
+    fun cur rows i0 count out cls ->
+      jam_rows_generic lay tree cur rows i0 count out cls
 
 (* ------------------------------------------------------------------ *)
 (* Narrow-walk kernels (quantized fast path)                           *)
@@ -223,216 +279,432 @@ let jam_rows_unrolled (lay : Layout.t) tree rows i0 count out cls ~depth =
    the row minimum (constantly false, exactly like comparing against
    -inf). Integer adds are exact, so tree order is irrelevant and the
    final dequantize reproduces Lower.reference_qpredict — and hence
-   Numeric.qpredict_raw — bitwise. The step/walk kernels are duplicated
-   per width because Bigarray loads are only single instructions when
-   the element kind is statically known. *)
+   Numeric.qpredict_raw — bitwise. The kernels are duplicated per width
+   because Bigarray loads are only single instructions when the element
+   kind is statically known; each mirrors its float counterpart above,
+   and a walk returns the index of its leaf value in [thr] (array
+   layout) or [leaves] (sparse layout). *)
 
-let nstep8 (lay : Layout.t) (thr : Layout.narrow8) (always : int array) s
-    (qrow : int array) =
-  (* Unsafe loads: slot/lane indices are exactly the ones Lir_check's
-     walk-program bounds pass proves in range, and [Layout.row_quantizer]
-     fixes the row length at the feature count the layout indexes by. *)
+(* The narrow {!tile_child}: the same checked slot loads ([always.(s)],
+   [shape_ids.(s)], [lut.(sid)]) before the same unchecked lane loads.
+   Here the row loads are unchecked too. The row comes from
+   [Layout.row_quantizer], so it is as long as the plan's [feature_exp];
+   [Pack.validate] (A004) rejects a tile lane whose feature id falls
+   outside it, and the lowering only emits feature ids of the model, whose
+   features the plan covers. *)
+let ntile_child8 (lay : Layout.t) (thr : Layout.narrow8)
+    (always : int array) s (qrow : int array) =
+  let a = always.(s) in
+  let lut_row = lay.Layout.lut.(lay.Layout.shape_ids.(s)) in
+  let feat = lay.Layout.features in
   let nt = lay.Layout.tile_size in
-  let features = lay.Layout.features in
-  let bits = ref always.(s) in
-  for lane = 0 to nt - 1 do
-    let i = (s * nt) + lane in
-    (* Comparison in value position: compiles branchless (setcc), like
-       [Layout.comparison_bits] — a branch per lane would mispredict on
-       ~half the routing decisions and stall every jammed chain. *)
-    let b =
-      if
-        Array.unsafe_get qrow (Array.unsafe_get features i)
-        < Bigarray.Array1.unsafe_get thr i
-      then 1
-      else 0
-    in
-    bits := !bits lor (b lsl (nt - 1 - lane))
-  done;
-  lay.Layout.lut.(lay.Layout.shape_ids.(s)).(!bits)
-
-let nwalk_array8 (lay : Layout.t) thr always base local0 qrow =
-  let fanout = lay.Layout.tile_size + 1 in
-  let rec go local =
-    let s = base + local in
-    if lay.Layout.shape_ids.(s) = Layout.leaf_marker then
-      Bigarray.Array1.get thr (s * lay.Layout.tile_size)
-    else go ((local * fanout) + nstep8 lay thr always s qrow + 1)
-  in
-  go local0
-
-let nwalk_sparse8 (lay : Layout.t) thr (leaves : Layout.narrow8) always s0 qrow =
-  if s0 < 0 then Bigarray.Array1.get leaves (-s0 - 1)
+  let i = s * nt in
+  if nt = 8 then begin
+    let x0 = Array.unsafe_get qrow (Array.unsafe_get feat i) in
+    let b0 = if x0 < BA.unsafe_get thr i then 1 else 0 in
+    let x1 = Array.unsafe_get qrow (Array.unsafe_get feat (i + 1)) in
+    let b1 = if x1 < BA.unsafe_get thr (i + 1) then 1 else 0 in
+    let x2 = Array.unsafe_get qrow (Array.unsafe_get feat (i + 2)) in
+    let b2 = if x2 < BA.unsafe_get thr (i + 2) then 1 else 0 in
+    let x3 = Array.unsafe_get qrow (Array.unsafe_get feat (i + 3)) in
+    let b3 = if x3 < BA.unsafe_get thr (i + 3) then 1 else 0 in
+    let x4 = Array.unsafe_get qrow (Array.unsafe_get feat (i + 4)) in
+    let b4 = if x4 < BA.unsafe_get thr (i + 4) then 1 else 0 in
+    let x5 = Array.unsafe_get qrow (Array.unsafe_get feat (i + 5)) in
+    let b5 = if x5 < BA.unsafe_get thr (i + 5) then 1 else 0 in
+    let x6 = Array.unsafe_get qrow (Array.unsafe_get feat (i + 6)) in
+    let b6 = if x6 < BA.unsafe_get thr (i + 6) then 1 else 0 in
+    let x7 = Array.unsafe_get qrow (Array.unsafe_get feat (i + 7)) in
+    let b7 = if x7 < BA.unsafe_get thr (i + 7) then 1 else 0 in
+    lut_row.(a lor (b0 lsl 7) lor (b1 lsl 6) lor (b2 lsl 5) lor (b3 lsl 4)
+             lor (b4 lsl 3) lor (b5 lsl 2) lor (b6 lsl 1) lor b7)
+  end
   else begin
-    let rec go s =
-      let c = nstep8 lay thr always s qrow in
-      let p = lay.Layout.child_ptr.(s) in
-      if p >= 0 then go (p + c) else Bigarray.Array1.get leaves (-p - 1 + c)
-    in
-    go s0
+    let bits = ref a in
+    for lane = 0 to nt - 1 do
+      let x = Array.unsafe_get qrow (Array.unsafe_get feat (i + lane)) in
+      let b = if x < BA.unsafe_get thr (i + lane) then 1 else 0 in
+      bits := !bits lor (b lsl (nt - 1 - lane))
+    done;
+    lut_row.(!bits)
   end
 
-let nwalk_array_unrolled8 (lay : Layout.t) thr always base qrow ~depth =
-  let fanout = lay.Layout.tile_size + 1 in
-  let local = ref 0 in
-  for _ = 1 to depth do
-    local := (!local * fanout) + nstep8 lay thr always (base + !local) qrow + 1
-  done;
-  Bigarray.Array1.get thr ((base + !local) * lay.Layout.tile_size)
-
-let nwalk_array_peeled8 (lay : Layout.t) thr always base qrow ~peel =
-  let fanout = lay.Layout.tile_size + 1 in
-  let local = ref 0 in
-  for _ = 1 to peel do
-    local := (!local * fanout) + nstep8 lay thr always (base + !local) qrow + 1
-  done;
-  nwalk_array8 lay thr always base !local qrow
+let nstep_array8 (lay : Layout.t) thr always base local qrow =
+  (local * (lay.Layout.tile_size + 1))
+  + ntile_child8 lay thr always (base + local) qrow
+  + 1
 
 let nstep_sparse8 (lay : Layout.t) thr always s qrow =
-  let c = nstep8 lay thr always s qrow in
+  let c = ntile_child8 lay thr always s qrow in
   let p = lay.Layout.child_ptr.(s) in
   if p >= 0 then p + c else -(-p - 1 + c) - 1
 
-let nwalk_sparse_unrolled8 (lay : Layout.t) thr (leaves : Layout.narrow8) always
-    root qrow ~depth =
-  if root < 0 then Bigarray.Array1.get leaves (-root - 1)
-  else begin
-    let s = ref root in
-    for _ = 1 to depth - 1 do
-      s := nstep_sparse8 lay thr always !s qrow
-    done;
-    let last = nstep_sparse8 lay thr always !s qrow in
-    Bigarray.Array1.get leaves (-last - 1)
-  end
+let rec nwalk_array_from8 (lay : Layout.t) thr always base local qrow =
+  let s = base + local in
+  if lay.Layout.shape_ids.(s) = Layout.leaf_marker then s * lay.Layout.tile_size
+  else
+    let next = nstep_array8 lay thr always base local qrow in
+    nwalk_array_from8 lay thr always base next qrow
 
-let nwalk_sparse_peeled8 (lay : Layout.t) thr (leaves : Layout.narrow8) always
-    root qrow ~peel =
-  if root < 0 then Bigarray.Array1.get leaves (-root - 1)
-  else begin
-    let s = ref root in
-    for _ = 1 to peel do
-      if !s >= 0 then s := nstep_sparse8 lay thr always !s qrow
-    done;
-    nwalk_sparse8 lay thr leaves always !s qrow
-  end
-
-let nstep16 (lay : Layout.t) (thr : Layout.narrow16) (always : int array) s
-    (qrow : int array) =
-  (* Same unsafe-load and branchless-compare notes as {!nstep8}. *)
-  let nt = lay.Layout.tile_size in
-  let features = lay.Layout.features in
-  let bits = ref always.(s) in
-  for lane = 0 to nt - 1 do
-    let i = (s * nt) + lane in
-    let b =
-      if
-        Array.unsafe_get qrow (Array.unsafe_get features i)
-        < Bigarray.Array1.unsafe_get thr i
-      then 1
-      else 0
-    in
-    bits := !bits lor (b lsl (nt - 1 - lane))
-  done;
-  lay.Layout.lut.(lay.Layout.shape_ids.(s)).(!bits)
-
-let nwalk_array16 (lay : Layout.t) thr always base local0 qrow =
-  let fanout = lay.Layout.tile_size + 1 in
-  let rec go local =
-    let s = base + local in
-    if lay.Layout.shape_ids.(s) = Layout.leaf_marker then
-      Bigarray.Array1.get thr (s * lay.Layout.tile_size)
-    else go ((local * fanout) + nstep16 lay thr always s qrow + 1)
-  in
-  go local0
-
-let nwalk_sparse16 (lay : Layout.t) thr (leaves : Layout.narrow16) always s0 qrow =
-  if s0 < 0 then Bigarray.Array1.get leaves (-s0 - 1)
-  else begin
-    let rec go s =
-      let c = nstep16 lay thr always s qrow in
-      let p = lay.Layout.child_ptr.(s) in
-      if p >= 0 then go (p + c) else Bigarray.Array1.get leaves (-p - 1 + c)
-    in
-    go s0
-  end
-
-let nwalk_array_unrolled16 (lay : Layout.t) thr always base qrow ~depth =
-  let fanout = lay.Layout.tile_size + 1 in
+let nwalk_array_unrolled8 (lay : Layout.t) thr always base qrow ~depth =
   let local = ref 0 in
   for _ = 1 to depth do
-    local := (!local * fanout) + nstep16 lay thr always (base + !local) qrow + 1
+    local := nstep_array8 lay thr always base !local qrow
   done;
-  Bigarray.Array1.get thr ((base + !local) * lay.Layout.tile_size)
+  (base + !local) * lay.Layout.tile_size
 
-let nwalk_array_peeled16 (lay : Layout.t) thr always base qrow ~peel =
-  let fanout = lay.Layout.tile_size + 1 in
+let nwalk_array_peeled8 lay thr always base qrow ~peel =
   let local = ref 0 in
   for _ = 1 to peel do
-    local := (!local * fanout) + nstep16 lay thr always (base + !local) qrow + 1
+    local := nstep_array8 lay thr always base !local qrow
   done;
-  nwalk_array16 lay thr always base !local qrow
+  nwalk_array_from8 lay thr always base !local qrow
 
-let nstep_sparse16 (lay : Layout.t) thr always s qrow =
-  let c = nstep16 lay thr always s qrow in
-  let p = lay.Layout.child_ptr.(s) in
-  if p >= 0 then p + c else -(-p - 1 + c) - 1
+let rec nwalk_sparse_from8 lay thr always s qrow =
+  if s < 0 then -s - 1
+  else nwalk_sparse_from8 lay thr always (nstep_sparse8 lay thr always s qrow) qrow
 
-let nwalk_sparse_unrolled16 (lay : Layout.t) thr (leaves : Layout.narrow16)
-    always root qrow ~depth =
-  if root < 0 then Bigarray.Array1.get leaves (-root - 1)
+let nwalk_sparse_unrolled8 lay thr always root qrow ~depth =
+  if root < 0 then -root - 1
   else begin
     let s = ref root in
-    for _ = 1 to depth - 1 do
-      s := nstep_sparse16 lay thr always !s qrow
+    for _ = 1 to depth do
+      s := nstep_sparse8 lay thr always !s qrow
     done;
-    let last = nstep_sparse16 lay thr always !s qrow in
-    Bigarray.Array1.get leaves (-last - 1)
+    - !s - 1
   end
 
-let nwalk_sparse_peeled16 (lay : Layout.t) thr (leaves : Layout.narrow16)
-    always root qrow ~peel =
-  if root < 0 then Bigarray.Array1.get leaves (-root - 1)
-  else begin
-    let s = ref root in
-    for _ = 1 to peel do
-      if !s >= 0 then s := nstep_sparse16 lay thr always !s qrow
-    done;
-    nwalk_sparse16 lay thr leaves always !s qrow
-  end
+let nwalk_sparse_peeled8 lay thr always root qrow ~peel =
+  let s = ref root in
+  for _ = 1 to peel do
+    if !s >= 0 then s := nstep_sparse8 lay thr always !s qrow
+  done;
+  nwalk_sparse_from8 lay thr always !s qrow
 
-(* One tree, one quantized row, per the group's walk kind — the narrow
-   mirror of {!walk_fn}. *)
-let nwalk_fn8 (lay : Layout.t) thr leaves always (walk : Mir.walk_kind) tree =
+let nwalk_fn8 (lay : Layout.t) thr always (walk : Mir.walk_kind) tree :
+    int array -> int =
   let root = lay.Layout.tree_root.(tree) in
   match (lay.Layout.kind, walk) with
   | Layout.Array_kind, Mir.Loop_walk ->
-    fun qrow -> nwalk_array8 lay thr always root 0 qrow
+    fun qrow -> nwalk_array_from8 lay thr always root 0 qrow
   | Layout.Array_kind, Mir.Unrolled_walk { depth } ->
     fun qrow -> nwalk_array_unrolled8 lay thr always root qrow ~depth
   | Layout.Array_kind, Mir.Peeled_walk { peel } ->
     fun qrow -> nwalk_array_peeled8 lay thr always root qrow ~peel
   | Layout.Sparse_kind, Mir.Loop_walk ->
-    fun qrow -> nwalk_sparse8 lay thr leaves always root qrow
+    fun qrow -> nwalk_sparse_from8 lay thr always root qrow
   | Layout.Sparse_kind, Mir.Unrolled_walk { depth } ->
-    fun qrow -> nwalk_sparse_unrolled8 lay thr leaves always root qrow ~depth
+    fun qrow -> nwalk_sparse_unrolled8 lay thr always root qrow ~depth
   | Layout.Sparse_kind, Mir.Peeled_walk { peel } ->
-    fun qrow -> nwalk_sparse_peeled8 lay thr leaves always root qrow ~peel
+    fun qrow -> nwalk_sparse_peeled8 lay thr always root qrow ~peel
 
-let nwalk_fn16 (lay : Layout.t) thr leaves always (walk : Mir.walk_kind) tree =
+let njam_generic8 (lay : Layout.t) thr (leaves : Layout.narrow8) always tree
+    (cur : int array) (qrows : int array array) i0 count (out : int array array) cls =
+  let root = lay.Layout.tree_root.(tree) in
+  match lay.Layout.kind with
+  | Layout.Array_kind ->
+    let nt = lay.Layout.tile_size in
+    for j = 0 to count - 1 do
+      cur.(j) <- 0
+    done;
+    let remaining = ref count in
+    while !remaining > 0 do
+      for j = 0 to count - 1 do
+        let local = cur.(j) in
+        if local >= 0 then begin
+          let s = root + local in
+          if lay.Layout.shape_ids.(s) = Layout.leaf_marker then begin
+            let o = out.(i0 + j) in
+            o.(cls) <- o.(cls) + BA.get thr (s * nt);
+            cur.(j) <- -1;
+            decr remaining
+          end
+          else cur.(j) <- nstep_array8 lay thr always root local qrows.(i0 + j)
+        end
+      done
+    done
+  | Layout.Sparse_kind ->
+    if root < 0 then
+      for j = 0 to count - 1 do
+        let o = out.(i0 + j) in
+        o.(cls) <- o.(cls) + BA.get leaves (-root - 1)
+      done
+    else begin
+      for j = 0 to count - 1 do
+        cur.(j) <- root
+      done;
+      let remaining = ref count in
+      while !remaining > 0 do
+        for j = 0 to count - 1 do
+          let s = cur.(j) in
+          if s >= 0 then begin
+            let next = nstep_sparse8 lay thr always s qrows.(i0 + j) in
+            cur.(j) <- next;
+            if next < 0 then begin
+              let o = out.(i0 + j) in
+              o.(cls) <- o.(cls) + BA.get leaves (-next - 1);
+              decr remaining
+            end
+          end
+        done
+      done
+    end
+
+let njam_unrolled8 (lay : Layout.t) thr (leaves : Layout.narrow8) always tree
+    (cur : int array) (qrows : int array array) i0 count (out : int array array) cls
+    ~depth =
+  let root = lay.Layout.tree_root.(tree) in
+  match lay.Layout.kind with
+  | Layout.Array_kind ->
+    for j = 0 to count - 1 do
+      cur.(j) <- 0
+    done;
+    for _ = 1 to depth do
+      for j = 0 to count - 1 do
+        cur.(j) <- nstep_array8 lay thr always root cur.(j) qrows.(i0 + j)
+      done
+    done;
+    for j = 0 to count - 1 do
+      let o = out.(i0 + j) in
+      o.(cls) <- o.(cls) + BA.get thr ((root + cur.(j)) * lay.Layout.tile_size)
+    done
+  | Layout.Sparse_kind ->
+    if root < 0 then
+      for j = 0 to count - 1 do
+        let o = out.(i0 + j) in
+        o.(cls) <- o.(cls) + BA.get leaves (-root - 1)
+      done
+    else begin
+      for j = 0 to count - 1 do
+        cur.(j) <- root
+      done;
+      for _ = 1 to depth do
+        for j = 0 to count - 1 do
+          cur.(j) <- nstep_sparse8 lay thr always cur.(j) qrows.(i0 + j)
+        done
+      done;
+      for j = 0 to count - 1 do
+        let o = out.(i0 + j) in
+        o.(cls) <- o.(cls) + BA.get leaves (-cur.(j) - 1)
+      done
+    end
+
+let njam_fn8 lay thr leaves always (walk : Mir.walk_kind) tree =
+  match walk with
+  | Mir.Unrolled_walk { depth } ->
+    fun cur qrows i0 count out cls ->
+      njam_unrolled8 lay thr leaves always tree cur qrows i0 count out cls ~depth
+  | Mir.Loop_walk | Mir.Peeled_walk _ ->
+    fun cur qrows i0 count out cls ->
+      njam_generic8 lay thr leaves always tree cur qrows i0 count out cls
+
+let ntile_child16 (lay : Layout.t) (thr : Layout.narrow16)
+    (always : int array) s (qrow : int array) =
+  (* Same checked slot loads and unchecked lane and row loads as
+     {!ntile_child8}. *)
+  let a = always.(s) in
+  let lut_row = lay.Layout.lut.(lay.Layout.shape_ids.(s)) in
+  let feat = lay.Layout.features in
+  let nt = lay.Layout.tile_size in
+  let i = s * nt in
+  if nt = 8 then begin
+    let x0 = Array.unsafe_get qrow (Array.unsafe_get feat i) in
+    let b0 = if x0 < BA.unsafe_get thr i then 1 else 0 in
+    let x1 = Array.unsafe_get qrow (Array.unsafe_get feat (i + 1)) in
+    let b1 = if x1 < BA.unsafe_get thr (i + 1) then 1 else 0 in
+    let x2 = Array.unsafe_get qrow (Array.unsafe_get feat (i + 2)) in
+    let b2 = if x2 < BA.unsafe_get thr (i + 2) then 1 else 0 in
+    let x3 = Array.unsafe_get qrow (Array.unsafe_get feat (i + 3)) in
+    let b3 = if x3 < BA.unsafe_get thr (i + 3) then 1 else 0 in
+    let x4 = Array.unsafe_get qrow (Array.unsafe_get feat (i + 4)) in
+    let b4 = if x4 < BA.unsafe_get thr (i + 4) then 1 else 0 in
+    let x5 = Array.unsafe_get qrow (Array.unsafe_get feat (i + 5)) in
+    let b5 = if x5 < BA.unsafe_get thr (i + 5) then 1 else 0 in
+    let x6 = Array.unsafe_get qrow (Array.unsafe_get feat (i + 6)) in
+    let b6 = if x6 < BA.unsafe_get thr (i + 6) then 1 else 0 in
+    let x7 = Array.unsafe_get qrow (Array.unsafe_get feat (i + 7)) in
+    let b7 = if x7 < BA.unsafe_get thr (i + 7) then 1 else 0 in
+    lut_row.(a lor (b0 lsl 7) lor (b1 lsl 6) lor (b2 lsl 5) lor (b3 lsl 4)
+             lor (b4 lsl 3) lor (b5 lsl 2) lor (b6 lsl 1) lor b7)
+  end
+  else begin
+    let bits = ref a in
+    for lane = 0 to nt - 1 do
+      let x = Array.unsafe_get qrow (Array.unsafe_get feat (i + lane)) in
+      let b = if x < BA.unsafe_get thr (i + lane) then 1 else 0 in
+      bits := !bits lor (b lsl (nt - 1 - lane))
+    done;
+    lut_row.(!bits)
+  end
+
+let nstep_array16 (lay : Layout.t) thr always base local qrow =
+  (local * (lay.Layout.tile_size + 1))
+  + ntile_child16 lay thr always (base + local) qrow
+  + 1
+
+let nstep_sparse16 (lay : Layout.t) thr always s qrow =
+  let c = ntile_child16 lay thr always s qrow in
+  let p = lay.Layout.child_ptr.(s) in
+  if p >= 0 then p + c else -(-p - 1 + c) - 1
+
+let rec nwalk_array_from16 (lay : Layout.t) thr always base local qrow =
+  let s = base + local in
+  if lay.Layout.shape_ids.(s) = Layout.leaf_marker then s * lay.Layout.tile_size
+  else
+    let next = nstep_array16 lay thr always base local qrow in
+    nwalk_array_from16 lay thr always base next qrow
+
+let nwalk_array_unrolled16 (lay : Layout.t) thr always base qrow ~depth =
+  let local = ref 0 in
+  for _ = 1 to depth do
+    local := nstep_array16 lay thr always base !local qrow
+  done;
+  (base + !local) * lay.Layout.tile_size
+
+let nwalk_array_peeled16 lay thr always base qrow ~peel =
+  let local = ref 0 in
+  for _ = 1 to peel do
+    local := nstep_array16 lay thr always base !local qrow
+  done;
+  nwalk_array_from16 lay thr always base !local qrow
+
+let rec nwalk_sparse_from16 lay thr always s qrow =
+  if s < 0 then -s - 1
+  else nwalk_sparse_from16 lay thr always (nstep_sparse16 lay thr always s qrow) qrow
+
+let nwalk_sparse_unrolled16 lay thr always root qrow ~depth =
+  if root < 0 then -root - 1
+  else begin
+    let s = ref root in
+    for _ = 1 to depth do
+      s := nstep_sparse16 lay thr always !s qrow
+    done;
+    - !s - 1
+  end
+
+let nwalk_sparse_peeled16 lay thr always root qrow ~peel =
+  let s = ref root in
+  for _ = 1 to peel do
+    if !s >= 0 then s := nstep_sparse16 lay thr always !s qrow
+  done;
+  nwalk_sparse_from16 lay thr always !s qrow
+
+let nwalk_fn16 (lay : Layout.t) thr always (walk : Mir.walk_kind) tree :
+    int array -> int =
   let root = lay.Layout.tree_root.(tree) in
   match (lay.Layout.kind, walk) with
   | Layout.Array_kind, Mir.Loop_walk ->
-    fun qrow -> nwalk_array16 lay thr always root 0 qrow
+    fun qrow -> nwalk_array_from16 lay thr always root 0 qrow
   | Layout.Array_kind, Mir.Unrolled_walk { depth } ->
     fun qrow -> nwalk_array_unrolled16 lay thr always root qrow ~depth
   | Layout.Array_kind, Mir.Peeled_walk { peel } ->
     fun qrow -> nwalk_array_peeled16 lay thr always root qrow ~peel
   | Layout.Sparse_kind, Mir.Loop_walk ->
-    fun qrow -> nwalk_sparse16 lay thr leaves always root qrow
+    fun qrow -> nwalk_sparse_from16 lay thr always root qrow
   | Layout.Sparse_kind, Mir.Unrolled_walk { depth } ->
-    fun qrow -> nwalk_sparse_unrolled16 lay thr leaves always root qrow ~depth
+    fun qrow -> nwalk_sparse_unrolled16 lay thr always root qrow ~depth
   | Layout.Sparse_kind, Mir.Peeled_walk { peel } ->
-    fun qrow -> nwalk_sparse_peeled16 lay thr leaves always root qrow ~peel
+    fun qrow -> nwalk_sparse_peeled16 lay thr always root qrow ~peel
+
+let njam_generic16 (lay : Layout.t) thr (leaves : Layout.narrow16) always tree
+    (cur : int array) (qrows : int array array) i0 count (out : int array array) cls =
+  let root = lay.Layout.tree_root.(tree) in
+  match lay.Layout.kind with
+  | Layout.Array_kind ->
+    let nt = lay.Layout.tile_size in
+    for j = 0 to count - 1 do
+      cur.(j) <- 0
+    done;
+    let remaining = ref count in
+    while !remaining > 0 do
+      for j = 0 to count - 1 do
+        let local = cur.(j) in
+        if local >= 0 then begin
+          let s = root + local in
+          if lay.Layout.shape_ids.(s) = Layout.leaf_marker then begin
+            let o = out.(i0 + j) in
+            o.(cls) <- o.(cls) + BA.get thr (s * nt);
+            cur.(j) <- -1;
+            decr remaining
+          end
+          else cur.(j) <- nstep_array16 lay thr always root local qrows.(i0 + j)
+        end
+      done
+    done
+  | Layout.Sparse_kind ->
+    if root < 0 then
+      for j = 0 to count - 1 do
+        let o = out.(i0 + j) in
+        o.(cls) <- o.(cls) + BA.get leaves (-root - 1)
+      done
+    else begin
+      for j = 0 to count - 1 do
+        cur.(j) <- root
+      done;
+      let remaining = ref count in
+      while !remaining > 0 do
+        for j = 0 to count - 1 do
+          let s = cur.(j) in
+          if s >= 0 then begin
+            let next = nstep_sparse16 lay thr always s qrows.(i0 + j) in
+            cur.(j) <- next;
+            if next < 0 then begin
+              let o = out.(i0 + j) in
+              o.(cls) <- o.(cls) + BA.get leaves (-next - 1);
+              decr remaining
+            end
+          end
+        done
+      done
+    end
+
+let njam_unrolled16 (lay : Layout.t) thr (leaves : Layout.narrow16) always tree
+    (cur : int array) (qrows : int array array) i0 count (out : int array array) cls
+    ~depth =
+  let root = lay.Layout.tree_root.(tree) in
+  match lay.Layout.kind with
+  | Layout.Array_kind ->
+    for j = 0 to count - 1 do
+      cur.(j) <- 0
+    done;
+    for _ = 1 to depth do
+      for j = 0 to count - 1 do
+        cur.(j) <- nstep_array16 lay thr always root cur.(j) qrows.(i0 + j)
+      done
+    done;
+    for j = 0 to count - 1 do
+      let o = out.(i0 + j) in
+      o.(cls) <- o.(cls) + BA.get thr ((root + cur.(j)) * lay.Layout.tile_size)
+    done
+  | Layout.Sparse_kind ->
+    if root < 0 then
+      for j = 0 to count - 1 do
+        let o = out.(i0 + j) in
+        o.(cls) <- o.(cls) + BA.get leaves (-root - 1)
+      done
+    else begin
+      for j = 0 to count - 1 do
+        cur.(j) <- root
+      done;
+      for _ = 1 to depth do
+        for j = 0 to count - 1 do
+          cur.(j) <- nstep_sparse16 lay thr always cur.(j) qrows.(i0 + j)
+        done
+      done;
+      for j = 0 to count - 1 do
+        let o = out.(i0 + j) in
+        o.(cls) <- o.(cls) + BA.get leaves (-cur.(j) - 1)
+      done
+    end
+
+let njam_fn16 lay thr leaves always (walk : Mir.walk_kind) tree =
+  match walk with
+  | Mir.Unrolled_walk { depth } ->
+    fun cur qrows i0 count out cls ->
+      njam_unrolled16 lay thr leaves always tree cur qrows i0 count out cls ~depth
+  | Mir.Loop_walk | Mir.Peeled_walk _ ->
+    fun cur qrows i0 count out cls ->
+      njam_generic16 lay thr leaves always tree cur qrows i0 count out cls
 
 (* ------------------------------------------------------------------ *)
 (* Resident-prefix walkers (quantized fast path)                       *)
@@ -446,12 +718,13 @@ let never_taken : int array -> int =
    immediates — no buffer loads until the walk leaves the resident
    prefix, where control falls through to [tail] (the narrow
    memory-phase walk from that cursor; array-kind cursors are slab
-   locals, sparse cursors the slot-or-negative-leaf encoding).
-   Thresholds bake exactly like {!Layout.narrow} encodes them (+inf
-   lanes as a constant OR-mask, -inf as a never-true sentinel), so the
-   prefix depth cannot change any prediction. *)
-let resident_walker (lay : Layout.t) ~k tree ~(tail : int -> int array -> int)
-    ~(leaf_get : int -> int) =
+   locals, sparse cursors the slot-or-negative-leaf encoding). Like the
+   other walks it returns a leaf-value index: sparse leaves inside the
+   prefix bake theirs as a constant. Thresholds bake exactly like
+   {!Layout.narrow} encodes them (+inf lanes as a constant OR-mask, -inf
+   as a never-true sentinel), so the prefix depth cannot change any
+   prediction. *)
+let resident_walker (lay : Layout.t) ~k tree ~(tail : int -> int array -> int) =
   let nt = lay.Layout.tile_size in
   let bake s (children : (int array -> int) array) =
     let lut_row = lay.Layout.lut.(lay.Layout.shape_ids.(s)) in
@@ -506,217 +779,18 @@ let resident_walker (lay : Layout.t) ~k tree ~(tail : int -> int array -> int)
               if not (List.mem c reach) then never_taken
               else if p >= 0 then build (p + c) (level + 1)
               else begin
-                let v = leaf_get (-p - 1 + c) in
-                fun _ -> v
+                let leaf = -p - 1 + c in
+                fun _ -> leaf
               end)
         in
         bake s children
       end
     in
     if root < 0 then begin
-      let v = leaf_get (-root - 1) in
-      fun _ -> v
+      let leaf = -root - 1 in
+      fun _ -> leaf
     end
     else build root 0
-
-(* ------------------------------------------------------------------ *)
-(* Narrow jammed kernels                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Lockstep row jamming over the narrow buffers — the integer mirror of
-   {!jam_rows_unrolled} / {!jam_rows_generic}. The jam is what buys the
-   quantized path the same memory-latency overlap the float kernels
-   get from interleaving. *)
-
-let njam_unrolled8 (lay : Layout.t) thr (leaves : Layout.narrow8) always tree
-    qrows i0 count (out : int array array) cls ~depth =
-  let nt = lay.Layout.tile_size in
-  match lay.Layout.kind with
-  | Layout.Array_kind ->
-    let fanout = nt + 1 in
-    let base = lay.Layout.tree_root.(tree) in
-    let cursors = Array.make count 0 in
-    for _ = 1 to depth do
-      for j = 0 to count - 1 do
-        cursors.(j) <-
-          (cursors.(j) * fanout)
-          + nstep8 lay thr always (base + cursors.(j)) qrows.(i0 + j)
-          + 1
-      done
-    done;
-    for j = 0 to count - 1 do
-      out.(i0 + j).(cls) <-
-        out.(i0 + j).(cls) + Bigarray.Array1.get thr ((base + cursors.(j)) * nt)
-    done
-  | Layout.Sparse_kind ->
-    let root = lay.Layout.tree_root.(tree) in
-    if root < 0 then begin
-      let v = Bigarray.Array1.get leaves (-root - 1) in
-      for j = 0 to count - 1 do
-        out.(i0 + j).(cls) <- out.(i0 + j).(cls) + v
-      done
-    end
-    else begin
-      let cursors = Array.make count root in
-      for _ = 1 to depth - 1 do
-        for j = 0 to count - 1 do
-          cursors.(j) <- nstep_sparse8 lay thr always cursors.(j) qrows.(i0 + j)
-        done
-      done;
-      for j = 0 to count - 1 do
-        let last = nstep_sparse8 lay thr always cursors.(j) qrows.(i0 + j) in
-        out.(i0 + j).(cls) <-
-          out.(i0 + j).(cls) + Bigarray.Array1.get leaves (-last - 1)
-      done
-    end
-
-let njam_generic8 (lay : Layout.t) thr (leaves : Layout.narrow8) always tree
-    qrows i0 count (out : int array array) cls =
-  let nt = lay.Layout.tile_size in
-  let cursors = Array.make count 0 in
-  let live = Array.make count true in
-  match lay.Layout.kind with
-  | Layout.Array_kind ->
-    let fanout = nt + 1 in
-    let base = lay.Layout.tree_root.(tree) in
-    let remaining = ref count in
-    while !remaining > 0 do
-      for j = 0 to count - 1 do
-        if live.(j) then begin
-          let s = base + cursors.(j) in
-          if lay.Layout.shape_ids.(s) = Layout.leaf_marker then begin
-            out.(i0 + j).(cls) <-
-              out.(i0 + j).(cls) + Bigarray.Array1.get thr (s * nt);
-            live.(j) <- false;
-            decr remaining
-          end
-          else
-            cursors.(j) <-
-              (cursors.(j) * fanout) + nstep8 lay thr always s qrows.(i0 + j) + 1
-        end
-      done
-    done
-  | Layout.Sparse_kind ->
-    let root = lay.Layout.tree_root.(tree) in
-    if root < 0 then begin
-      let v = Bigarray.Array1.get leaves (-root - 1) in
-      for j = 0 to count - 1 do
-        out.(i0 + j).(cls) <- out.(i0 + j).(cls) + v
-      done
-    end
-    else begin
-      Array.fill cursors 0 count root;
-      let remaining = ref count in
-      while !remaining > 0 do
-        for j = 0 to count - 1 do
-          if live.(j) then begin
-            let next = nstep_sparse8 lay thr always cursors.(j) qrows.(i0 + j) in
-            if next >= 0 then cursors.(j) <- next
-            else begin
-              out.(i0 + j).(cls) <-
-                out.(i0 + j).(cls) + Bigarray.Array1.get leaves (-next - 1);
-              live.(j) <- false;
-              decr remaining
-            end
-          end
-        done
-      done
-    end
-
-let njam_unrolled16 (lay : Layout.t) thr (leaves : Layout.narrow16) always tree
-    qrows i0 count (out : int array array) cls ~depth =
-  let nt = lay.Layout.tile_size in
-  match lay.Layout.kind with
-  | Layout.Array_kind ->
-    let fanout = nt + 1 in
-    let base = lay.Layout.tree_root.(tree) in
-    let cursors = Array.make count 0 in
-    for _ = 1 to depth do
-      for j = 0 to count - 1 do
-        cursors.(j) <-
-          (cursors.(j) * fanout)
-          + nstep16 lay thr always (base + cursors.(j)) qrows.(i0 + j)
-          + 1
-      done
-    done;
-    for j = 0 to count - 1 do
-      out.(i0 + j).(cls) <-
-        out.(i0 + j).(cls) + Bigarray.Array1.get thr ((base + cursors.(j)) * nt)
-    done
-  | Layout.Sparse_kind ->
-    let root = lay.Layout.tree_root.(tree) in
-    if root < 0 then begin
-      let v = Bigarray.Array1.get leaves (-root - 1) in
-      for j = 0 to count - 1 do
-        out.(i0 + j).(cls) <- out.(i0 + j).(cls) + v
-      done
-    end
-    else begin
-      let cursors = Array.make count root in
-      for _ = 1 to depth - 1 do
-        for j = 0 to count - 1 do
-          cursors.(j) <- nstep_sparse16 lay thr always cursors.(j) qrows.(i0 + j)
-        done
-      done;
-      for j = 0 to count - 1 do
-        let last = nstep_sparse16 lay thr always cursors.(j) qrows.(i0 + j) in
-        out.(i0 + j).(cls) <-
-          out.(i0 + j).(cls) + Bigarray.Array1.get leaves (-last - 1)
-      done
-    end
-
-let njam_generic16 (lay : Layout.t) thr (leaves : Layout.narrow16) always tree
-    qrows i0 count (out : int array array) cls =
-  let nt = lay.Layout.tile_size in
-  let cursors = Array.make count 0 in
-  let live = Array.make count true in
-  match lay.Layout.kind with
-  | Layout.Array_kind ->
-    let fanout = nt + 1 in
-    let base = lay.Layout.tree_root.(tree) in
-    let remaining = ref count in
-    while !remaining > 0 do
-      for j = 0 to count - 1 do
-        if live.(j) then begin
-          let s = base + cursors.(j) in
-          if lay.Layout.shape_ids.(s) = Layout.leaf_marker then begin
-            out.(i0 + j).(cls) <-
-              out.(i0 + j).(cls) + Bigarray.Array1.get thr (s * nt);
-            live.(j) <- false;
-            decr remaining
-          end
-          else
-            cursors.(j) <-
-              (cursors.(j) * fanout) + nstep16 lay thr always s qrows.(i0 + j) + 1
-        end
-      done
-    done
-  | Layout.Sparse_kind ->
-    let root = lay.Layout.tree_root.(tree) in
-    if root < 0 then begin
-      let v = Bigarray.Array1.get leaves (-root - 1) in
-      for j = 0 to count - 1 do
-        out.(i0 + j).(cls) <- out.(i0 + j).(cls) + v
-      done
-    end
-    else begin
-      Array.fill cursors 0 count root;
-      let remaining = ref count in
-      while !remaining > 0 do
-        for j = 0 to count - 1 do
-          if live.(j) then begin
-            let next = nstep_sparse16 lay thr always cursors.(j) qrows.(i0 + j) in
-            if next >= 0 then cursors.(j) <- next
-            else begin
-              out.(i0 + j).(cls) <-
-                out.(i0 + j).(cls) + Bigarray.Array1.get leaves (-next - 1);
-              live.(j) <- false;
-              decr remaining
-            end
-          end
-        done
-      done
-    end
 
 (* ------------------------------------------------------------------ *)
 (* Runner assembly                                                     *)
@@ -724,7 +798,7 @@ let njam_generic16 (lay : Layout.t) thr (leaves : Layout.narrow16) always tree
 
 (* A runner adds the predictions of rows[lo..hi) into out[lo..hi) (same
    indexing). Both tiers assemble theirs once, at instantiate time, so a
-   call only runs closures. *)
+   call only runs closures over one cursor buffer per row range. *)
 
 (* Every tree with its group and output class, in group order — the
    order in which each output cell accumulates its trees. *)
@@ -738,9 +812,16 @@ let trees_in_order (pk : Pack.t) =
 (* Tree-at-a-time: one runner per tree. A tree either walks the rows one
    by one ([per_row cls walk], over the tier's [walk_of] or, when given,
    its [resident] walker) or, in a group interleaved k > 1 ways, jams k
-   rows at a time through the tier's lockstep kernels. *)
-let assemble_runner (pk : Pack.t) ~per_row ?resident ~walk_of ~jam_unrolled
-    ~jam_generic () =
+   rows at a time through the tier's lockstep kernel [jam_of]. Each
+   row-range call allocates the jams' cursor buffer, as long as the
+   widest interleave: ranges may run on different domains at once, so no
+   buffer outlives its call. *)
+let assemble_runner (pk : Pack.t) ~per_row ?resident ~walk_of ~jam_of () =
+  let width =
+    Array.fold_left
+      (fun w (g : Pack.group) -> max w g.Pack.interleave)
+      1 pk.Pack.groups
+  in
   let runners =
     Array.map
       (fun ((g : Pack.group), tree, cls) ->
@@ -750,41 +831,51 @@ let assemble_runner (pk : Pack.t) ~per_row ?resident ~walk_of ~jam_unrolled
           let k = g.Pack.interleave in
           if k <= 1 then per_row cls (walk_of g.Pack.walk tree)
           else begin
-            let jam =
-              match g.Pack.walk with
-              | Mir.Unrolled_walk { depth } -> jam_unrolled tree ~depth
-              | Mir.Loop_walk | Mir.Peeled_walk _ -> jam_generic tree
-            in
-            fun rows out lo hi ->
+            let jam = jam_of g.Pack.walk tree in
+            fun cur rows out lo hi ->
               let i = ref lo in
               while !i < hi do
-                let count = min k (hi - !i) in
-                jam rows !i count out cls;
+                let count = if hi - !i < k then hi - !i else k in
+                jam cur rows !i count out cls;
                 i := !i + count
               done
           end)
       (trees_in_order pk)
   in
-  fun rows out lo hi -> Array.iter (fun r -> r rows out lo hi) runners
+  fun rows out lo hi ->
+    let cur = Array.make width 0 in
+    for t = 0 to Array.length runners - 1 do
+      runners.(t) cur rows out lo hi
+    done
 
-let float_per_row cls walk rows (out : float array array) lo hi =
+let float_per_row (vals : float array) cls walk _cur (rows : float array array)
+    (out : float array array) lo hi =
   for i = lo to hi - 1 do
-    out.(i).(cls) <- out.(i).(cls) +. walk rows.(i)
+    let o = out.(i) in
+    o.(cls) <- o.(cls) +. vals.(walk rows.(i))
   done
 
-let int_per_row cls walk qrows (out : int array array) lo hi =
+let int_per_row8 (vals : Layout.narrow8) cls walk _cur (qrows : int array array)
+    (out : int array array) lo hi =
   for i = lo to hi - 1 do
-    out.(i).(cls) <- out.(i).(cls) + walk qrows.(i)
+    let o = out.(i) in
+    o.(cls) <- o.(cls) + BA.get vals (walk qrows.(i))
+  done
+
+let int_per_row16 (vals : Layout.narrow16) cls walk _cur (qrows : int array array)
+    (out : int array array) lo hi =
+  for i = lo to hi - 1 do
+    let o = out.(i) in
+    o.(cls) <- o.(cls) + BA.get vals (walk qrows.(i))
   done
 
 let float_runner (pk : Pack.t) =
   let lay = pk.Pack.layout in
+  let vals = leaf_store lay lay.Layout.thresholds lay.Layout.leaf_values in
   match pk.Pack.loop_order with
   | Schedule.One_tree_at_a_time ->
-    assemble_runner pk ~per_row:float_per_row ~walk_of:(walk_fn lay)
-      ~jam_unrolled:(fun tree ~depth rows i0 count out cls ->
-        jam_rows_unrolled lay tree rows i0 count out cls ~depth)
-      ~jam_generic:(jam_rows_generic lay) ()
+    assemble_runner pk ~per_row:(float_per_row vals) ~walk_of:(walk_fn lay)
+      ~jam_of:(jam_fn lay) ()
   | Schedule.One_row_at_a_time ->
     (* Innermost loop over the trees. Tree-jamming on one row is a
        scheduling decision; walks of distinct trees are independent, so
@@ -794,63 +885,62 @@ let float_runner (pk : Pack.t) =
     let trees = trees_in_order pk in
     let classes = Array.map (fun (_, _, cls) -> cls) trees in
     let walks =
-      Array.map (fun ((g : Pack.group), tree, _) -> walk_fn lay g.Pack.walk tree) trees
+      Array.map
+        (fun ((g : Pack.group), tree, _) -> walk_fn lay g.Pack.walk tree)
+        trees
     in
-    fun rows out lo hi ->
+    fun (rows : float array array) (out : float array array) lo hi ->
       for i = lo to hi - 1 do
         let row = rows.(i) and o = out.(i) in
         for t = 0 to Array.length walks - 1 do
           let cls = classes.(t) in
-          o.(cls) <- o.(cls) +. walks.(t) row
+          o.(cls) <- o.(cls) +. vals.(walks.(t) row)
         done
       done
 
 (* Memory-only trees (k = 0) honor their group's walk kind and
    interleave (jammed rows, like the float path); resident trees bake
-   the prefix and fall through to the generic narrow walk from the exit
+   the prefix and fall through to the loop narrow walk from the exit
    cursor. The schedule's loop order is deliberately ignored: integer
    adds are exact, so tree-at-a-time — the cache-friendliest order — is
    always bitwise-identical. *)
 let quant_runner (pk : Pack.t) ~resident_k =
   let lay = pk.Pack.layout in
-  let assemble ~walk_of ~tail_of ~leaf_get ~jam_unrolled ~jam_generic =
+  let assemble ~per_row ~walk_of ~tail_of ~jam_of =
     let resident =
       if resident_k = 0 then None
       else
         Some
           (fun tree ->
-            resident_walker lay ~k:resident_k tree ~tail:(tail_of tree) ~leaf_get)
+            resident_walker lay ~k:resident_k tree ~tail:(tail_of tree))
     in
-    assemble_runner pk ~per_row:int_per_row ?resident ~walk_of ~jam_unrolled
-      ~jam_generic ()
+    assemble_runner pk ~per_row ?resident ~walk_of ~jam_of ()
   in
   match Layout.narrow lay with
   | Layout.Narrow8 { thr; leaves; always } ->
-    assemble ~walk_of:(nwalk_fn8 lay thr leaves always)
+    assemble
+      ~per_row:(int_per_row8 (leaf_store lay thr leaves))
+      ~walk_of:(nwalk_fn8 lay thr always)
       ~tail_of:(fun tree ->
         match lay.Layout.kind with
         | Layout.Array_kind ->
           let base = lay.Layout.tree_root.(tree) in
-          fun local qrow -> nwalk_array8 lay thr always base local qrow
+          fun local qrow -> nwalk_array_from8 lay thr always base local qrow
         | Layout.Sparse_kind ->
-          fun s qrow -> nwalk_sparse8 lay thr leaves always s qrow)
-      ~leaf_get:(fun i -> Bigarray.Array1.get leaves i)
-      ~jam_unrolled:(fun tree ~depth qrows i0 count out cls ->
-        njam_unrolled8 lay thr leaves always tree qrows i0 count out cls ~depth)
-      ~jam_generic:(njam_generic8 lay thr leaves always)
+          fun s qrow -> nwalk_sparse_from8 lay thr always s qrow)
+      ~jam_of:(njam_fn8 lay thr leaves always)
   | Layout.Narrow16 { thr; leaves; always } ->
-    assemble ~walk_of:(nwalk_fn16 lay thr leaves always)
+    assemble
+      ~per_row:(int_per_row16 (leaf_store lay thr leaves))
+      ~walk_of:(nwalk_fn16 lay thr always)
       ~tail_of:(fun tree ->
         match lay.Layout.kind with
         | Layout.Array_kind ->
           let base = lay.Layout.tree_root.(tree) in
-          fun local qrow -> nwalk_array16 lay thr always base local qrow
+          fun local qrow -> nwalk_array_from16 lay thr always base local qrow
         | Layout.Sparse_kind ->
-          fun s qrow -> nwalk_sparse16 lay thr leaves always s qrow)
-      ~leaf_get:(fun i -> Bigarray.Array1.get leaves i)
-      ~jam_unrolled:(fun tree ~depth qrows i0 count out cls ->
-        njam_unrolled16 lay thr leaves always tree qrows i0 count out cls ~depth)
-      ~jam_generic:(njam_generic16 lay thr leaves always)
+          fun s qrow -> nwalk_sparse_from16 lay thr always s qrow)
+      ~jam_of:(njam_fn16 lay thr leaves always)
 
 (* ------------------------------------------------------------------ *)
 (* Drivers                                                             *)
@@ -873,14 +963,13 @@ let parallel_run ~threads run rows out =
     |> Pool.run
 
 let instantiate_with ~threads (pk : Pack.t) =
+  let m = pk.Pack.num_outputs in
   match pk.Pack.layout.Layout.quant with
   | None ->
     let run = float_runner pk in
+    let base = pk.Pack.base_score in
     fun rows ->
-      let n = Array.length rows in
-      let out =
-        Array.init n (fun _ -> Array.make pk.Pack.num_outputs pk.Pack.base_score)
-      in
+      let out = Array.init (Array.length rows) (fun _ -> Array.make m base) in
       parallel_run ~threads run rows out;
       out
   | Some q ->
@@ -892,18 +981,24 @@ let instantiate_with ~threads (pk : Pack.t) =
        float-trick buffers comparison for comparison, and both sides'
        sums are the same integers far below 2^53. *)
     let resident_k =
-      match pk.Pack.quant with Some m -> m.Pack.resident_k | None -> 0
+      match pk.Pack.quant with Some qm -> qm.Pack.resident_k | None -> 0
     in
     let run = quant_runner pk ~resident_k in
     let quantize_row = Layout.row_quantizer q in
     let qbase = Layout.quantize_leaf_int q pk.Pack.base_score in
     let scale = Layout.dequant_scale q in
     fun rows ->
-      let n = Array.length rows in
       let qrows = Array.map quantize_row rows in
-      let acc = Array.init n (fun _ -> Array.make pk.Pack.num_outputs qbase) in
+      let acc = Array.init (Array.length rows) (fun _ -> Array.make m qbase) in
       parallel_run ~threads run qrows acc;
-      Array.map (fun o -> Array.map (fun v -> float_of_int v *. scale) o) acc
+      Array.map
+        (fun (a : int array) ->
+          let o = Array.make m 0.0 in
+          for c = 0 to m - 1 do
+            o.(c) <- float_of_int a.(c) *. scale
+          done;
+          o)
+        acc
 
 let instantiate_single_thread (pk : Pack.t) = instantiate_with ~threads:1 pk
 let instantiate (pk : Pack.t) = instantiate_with ~threads:pk.Pack.num_threads pk

@@ -29,9 +29,12 @@ val instantiate : Tb_lir.Pack.t -> predictor
     artifact — the cheap half of a compile, run on registry disk hits.
     The whole closure graph is built here, for both the float and the
     integer tier: one runner per tree with its walk kind, interleave and
-    (integer tier) resident prefix resolved. A call allocates its output
-    (and, on the integer tier, the quantized rows) and runs those
-    closures; it performs no compilation work. *)
+    (integer tier) resident prefix resolved. A call runs those closures
+    and performs no compilation work. It allocates its outputs (on the
+    integer tier also the quantized rows and their integer sums) and one
+    cursor buffer per row range, and nothing per tree: walks return leaf
+    indices rather than boxed floats, and the jammed walks of every tree
+    share the range's buffer. *)
 
 val instantiate_single_thread : Tb_lir.Pack.t -> predictor
 (** Same, ignoring the artifact's thread count (used by benchmarks that

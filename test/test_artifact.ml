@@ -448,6 +448,39 @@ let test_golden_quant_artifact_byte_stability () =
         (Bytes.compare fixture (Pack.encode repacked) = 0)
     end
 
+(* Tile lanes that read outside the row. The integer kernels load the
+   quantized row unchecked, so the decoder must reject such a pack rather
+   than instantiate it. Each mutant re-encodes with a fresh CRC, so only
+   the structural check can catch it; resident_k = 0 sends every walk
+   through those kernels. *)
+let root_feature_mutant file f =
+  let pk =
+    match Artifact.read_file (Filename.concat golden_dir file) with
+    | Error m -> Alcotest.failf "missing golden artifact (%s)" m
+    | Ok b -> (
+      match Pack.decode b with
+      | Ok pk -> pk
+      | Error e -> Alcotest.failf "%s: [%s] %s" file e.Pack.code e.Pack.message)
+  in
+  let lay = pk.Pack.layout in
+  let nt = lay.Layout.tile_size in
+  let root = lay.Layout.tree_root.(0) in
+  check_bool (file ^ ": tree 0's root is a tile") true
+    (root >= 0 && lay.Layout.shape_ids.(root) >= 0);
+  let features = Array.copy lay.Layout.features in
+  Array.fill features (root * nt) nt f;
+  {
+    pk with
+    Pack.layout = { lay with Layout.features };
+    quant = Option.map (fun q -> { q with Pack.resident_k = 0 }) pk.Pack.quant;
+  }
+
+let test_feature_range_mutants () =
+  expect_error "int16 root tile reads feature 1000000" "A004"
+    (Pack.encode (root_feature_mutant "abalone-int16.tbpack" 1_000_000));
+  expect_error "float root tile reads feature -1" "A004"
+    (Pack.encode (root_feature_mutant "abalone.tbpack" (-1)))
+
 let suite =
   [
     qcheck ~count:60
@@ -465,4 +498,5 @@ let suite =
     quick "golden artifact byte stability" test_golden_artifact_byte_stability;
     quick "golden quantized artifact byte stability"
       test_golden_quant_artifact_byte_stability;
+    quick "tile lane outside the row -> A004" test_feature_range_mutants;
   ]

@@ -60,9 +60,40 @@ let differential_property seed =
       (Schedule.to_string schedule)
   else true
 
-(* Deterministic sweep of the whole grid on one fixed forest: slower than
-   the random pairing above but guarantees every Table II point is hit at
-   least once per run. *)
+(* Every tile size 1-8 under both layouts, padded or not, interleaved or
+   not, in both loop orders. The Table II grid has no tile size 3, 5, 6 or
+   7, and pairs the array layout only with tile sizes below 4 and the
+   sparse layout only with 4 and up, so the JIT's lane loop (sizes other
+   than 8) and these layout/size pairs are checked bitwise only here. *)
+let tile_size_sweep =
+  List.concat_map
+    (fun tile_size ->
+      List.concat_map
+        (fun layout ->
+          List.concat_map
+            (fun pad_and_unroll ->
+              List.concat_map
+                (fun interleave ->
+                  List.map
+                    (fun loop_order ->
+                      {
+                        Schedule.scalar_baseline with
+                        tile_size;
+                        layout;
+                        pad_and_unroll;
+                        peel = pad_and_unroll;
+                        interleave;
+                        loop_order;
+                      })
+                    [ Schedule.One_tree_at_a_time; Schedule.One_row_at_a_time ])
+                [ 1; 4 ])
+            [ true; false ])
+        [ Schedule.Array_layout; Schedule.Sparse_layout ])
+    (List.init 8 (fun i -> i + 1))
+
+(* Deterministic sweep of the whole grid, plus the tile-size sweep, on
+   one fixed forest: slower than the random pairing above but guarantees
+   every Table II point is hit at least once per run. *)
 let test_full_grid_one_forest () =
   let rng = Prng.create 99 in
   let forest = Forest.random ~num_trees:7 ~max_depth:6 ~num_features:6 rng in
@@ -81,7 +112,7 @@ let test_full_grid_one_forest () =
       then Alcotest.failf "JIT <> Interp: %s" (Schedule.to_string schedule);
       if not (Array.for_all2 (fun a b -> arrays_close ~eps:1e-5 a b) jit reference)
       then Alcotest.failf "JIT <> reference: %s" (Schedule.to_string schedule))
-    Schedule.table2_grid
+    (Schedule.table2_grid @ tile_size_sweep)
 
 let suite =
   [

@@ -150,6 +150,45 @@ let test_jit_single_leaf_forest () =
       check_float "constant forest" 5.0 out.(0).(0))
     [ Schedule.scalar_baseline; Schedule.default ]
 
+(* A call allocates its outputs and one cursor buffer per row range, and
+   nothing per tree: walks return leaf indices instead of boxed floats,
+   build no closure over the row, and jams share the range's buffer. The
+   budget is a few words per row over the outputs, whatever the tree
+   count. *)
+let test_jit_allocation_per_call () =
+  let rng = Prng.create 16 in
+  let forest = Forest.random ~num_trees:64 ~num_features:6 rng in
+  let rows = random_rows rng 6 256 in
+  let budget = (Array.length rows * (Forest.num_outputs forest + 4)) + 256 in
+  let expected = Forest.predict_batch_raw forest rows in
+  List.iter
+    (fun (name, schedule) ->
+      let predict = jit_single_thread (Lower.lower forest schedule) in
+      ignore (predict rows);
+      let before = Gc.minor_words () in
+      let out = predict rows in
+      let words = Gc.minor_words () -. before in
+      check_bool
+        (Printf.sprintf "%s: %.0f minor words <= %d" name words budget)
+        true
+        (words <= float_of_int budget);
+      check_bool (name ^ ": equals the reference") true
+        (Array.for_all2 arrays_close out expected))
+    [
+      ("default", Schedule.default);
+      ("default, interleave 1", { Schedule.default with interleave = 1 });
+      ( "row-major",
+        { Schedule.default with loop_order = Schedule.One_row_at_a_time } );
+      ( "array layout, tile size 2, no padding",
+        {
+          Schedule.default with
+          layout = Schedule.Array_layout;
+          tile_size = 2;
+          pad_and_unroll = false;
+        } );
+      ("scalar baseline", Schedule.scalar_baseline);
+    ]
+
 (* The domain pool behind threaded predictors *)
 
 let test_pool_reraises_after_every_task () =
@@ -467,6 +506,7 @@ let suite =
     quick "jit parallel == sequential" test_jit_parallel_matches_sequential;
     quick "jit more threads than rows" test_jit_parallel_more_threads_than_rows;
     quick "jit constant forest" test_jit_single_leaf_forest;
+    quick "jit allocates nothing per tree" test_jit_allocation_per_call;
     quick "pool re-raises after every task" test_pool_reraises_after_every_task;
     quick "jit partition error reaches the caller"
       test_jit_partition_exception_reaches_caller;
