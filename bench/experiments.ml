@@ -1819,26 +1819,18 @@ let numeric () =
    decided purely by the structural findings (N001, N004). Regression
    models (abalone, year) certify and serve the quantized tier;
    classification models are kept in the table to show the N004
-   fallback. For certified widths the resident-prefix depth is also
-   swept on the wall clock (k = 0..3, pack-level API), next to the
-   cost model's autotuned choice. Timings interleave the float and
-   quantized predictors and keep the fastest of the alternating
-   repeats, so slow drift in the host's clock speed cancels out.
-   Writes BENCH_quant.json. *)
+   fallback. Timings interleave the float and quantized predictors and
+   keep the fastest of the alternating repeats, so slow drift in the
+   host's clock speed cancels out. Writes BENCH_quant.json. *)
 let quant () =
   let module Numeric = Tb_analysis.Numeric in
   let module Treebeard = Tb_core.Treebeard in
-  let module Lower = Tb_lir.Lower in
-  let module Pack = Tb_lir.Pack in
-  let module Jit = Tb_vm.Jit in
   let module J = Tb_util.Json in
-  heading
-    "Integer fast path (extension): float vs int16/int8 wall clock,\n\
-     register-resident prefix depth swept and autotuned";
+  heading "Integer fast path (extension): float vs int16/int8 wall clock";
   let t =
     Table.create
-      [ "Model"; "width"; "tier"; "tolerance"; "dev bound"; "k auto";
-        "k best"; "float us/row"; "quant us/row"; "speedup" ]
+      [ "Model"; "width"; "tier"; "tolerance"; "dev bound"; "float us/row";
+        "quant us/row"; "speedup" ]
   in
   let summary = ref [] in
   List.iter
@@ -1884,55 +1876,16 @@ let quant () =
           in
           let tier = Treebeard.tier_to_string compiled.Treebeard.tier in
           let wname = Numeric.width_to_string width in
-          let k_auto = compiled.Treebeard.resident_k in
-          (* Wall-clock sweep of the resident depth on the certified
-             lowering; k = 0 is the pure memory-phase quantized walk. *)
-          let sweep =
-            match compiled.Treebeard.certificate with
-            | None -> []
-            | Some cert ->
-              let lowered = compiled.Treebeard.lowered in
-              List.map
-                (fun k ->
-                  let pack =
-                    Pack.of_lower
-                      ~quant:
-                        {
-                          Pack.resident_k = k;
-                          dev_bound = Array.copy cert.Numeric.dev_bound;
-                          tolerance;
-                        }
-                      lowered
-                  in
-                  let predict = Jit.instantiate pack in
-                  let tf, tq =
-                    time_pair run_float (fun () -> ignore (predict rows))
-                  in
-                  (k, tf, tq))
-                [ 0; 1; 2; 3 ]
-          in
-          let t_float, t_quant, k_best =
-            match sweep with
-            | [] ->
-              (* Fallback row: both predictors run the float tier. *)
-              let tf, tq =
-                time_pair run_float (fun () ->
-                    ignore (Treebeard.predict_forest compiled rows))
-              in
-              (tf, tq, 0)
-            | sweep ->
-              List.fold_left
-                (fun (bf, bq, bk) (k, tf, tq) ->
-                  if tq < bq then (tf, tq, k) else (bf, bq, bk))
-                (infinity, infinity, 0) sweep
+          (* On a fallback row both predictors run the float tier. *)
+          let t_float, t_quant =
+            time_pair run_float (fun () ->
+                ignore (Treebeard.predict_forest compiled rows))
           in
           Table.add_row t
             [
               name; wname; tier;
               Printf.sprintf "%.2e" tolerance;
               Printf.sprintf "%.2e" dev_max;
-              string_of_int k_auto;
-              string_of_int k_best;
               Table.cell_f t_float;
               Table.cell_f t_quant;
               Table.cell_fx (t_float /. t_quant);
@@ -1943,26 +1896,12 @@ let quant () =
                 ("model", J.Str name);
                 ("width", J.Str wname);
                 ("tier", J.Str tier);
-                ("quantized", J.Bool (sweep <> []));
+                ("quantized", J.Bool (compiled.Treebeard.certificate <> None));
                 ("tolerance", J.Num tolerance);
                 ("dev_bound_max", J.Num dev_max);
-                ("resident_k_auto", J.Num (float_of_int k_auto));
-                ("resident_k_best", J.Num (float_of_int k_best));
                 ("float_us_per_row", J.Num t_float);
                 ("quant_us_per_row", J.Num t_quant);
                 ("speedup", J.Num (t_float /. t_quant));
-                ( "resident_sweep",
-                  J.List
-                    (List.map
-                       (fun (k, tf, tq) ->
-                         J.Obj
-                           [
-                             ("k", J.Num (float_of_int k));
-                             ("float_us_per_row", J.Num tf);
-                             ("quant_us_per_row", J.Num tq);
-                             ("speedup", J.Num (tf /. tq));
-                           ])
-                       sweep) );
                 ( "fallback_codes",
                   J.List
                     (List.filter_map

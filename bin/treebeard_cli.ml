@@ -62,12 +62,8 @@ let compile_cmd =
     List.iter
       (fun d -> print_endline (Tb_diag.Diagnostic.to_string d))
       compiled.Tb_core.Treebeard.precision_diags;
-    Printf.printf "precision: %s%s\n"
-      (Tb_core.Treebeard.tier_to_string compiled.Tb_core.Treebeard.tier)
-      (if compiled.Tb_core.Treebeard.resident_k > 0 then
-         Printf.sprintf " (resident prefix k=%d)"
-           compiled.Tb_core.Treebeard.resident_k
-       else "");
+    Printf.printf "precision: %s\n"
+      (Tb_core.Treebeard.tier_to_string compiled.Tb_core.Treebeard.tier);
     print_string (Tb_core.Treebeard.dump_ir compiled)
   in
   Cmd.v

@@ -67,23 +67,11 @@ let observe ~target ?(sample = 48) ?(min_time_s = 0.05) ?(min_iters = 3)
     (lowered : Lower.t) predict rows =
   let n = Array.length rows in
   if n = 0 then invalid_arg "Cost_check.observe: no rows";
-  let sample_rows = if n <= sample then rows else Array.sub rows 0 sample in
-  (* Mirror the autotuner: the prediction uses the same affine two-point
-     extrapolation as Perf.simulate (two cold nested sample prefixes, so
-     per-batch fixed costs aren't multiplied by the batch/sample ratio);
-     the full-batch instrumented run below stays cold — it is the ground
-     truth the extrapolation is judged against. *)
-  let ns = Array.length sample_rows in
+  (* Mirror the autotuner: the prediction is Perf.simulate's sampled
+     estimate; the full-batch instrumented run below stays cold — it is
+     the ground truth the extrapolation is judged against. *)
   let predicted_workload =
-    if ns = n then Profiler.profile ~target lowered sample_rows
-    else
-      (* Second point at 2x the sample (clamped to n): the marginal rate
-         below ~[sample] rows is still warm-up-contaminated, so a closer
-         pair would overstate the fitted slope. *)
-      let n2 = min n (2 * ns) in
-      let w1 = Profiler.profile ~target lowered sample_rows in
-      let w2 = Profiler.profile ~target lowered (Array.sub rows 0 n2) in
-      Profiler.extrapolate w1 w2 ~rows:n
+    Profiler.profile_sample ~target ~sample ~batch:n lowered rows
   in
   let predicted = Cost_model.estimate target predicted_workload in
   let measured_workload = Profiler.profile ~target lowered rows in

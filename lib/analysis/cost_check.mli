@@ -54,7 +54,7 @@ type observation = {
           sample-extrapolated workload *)
   predicted_workload : Tb_cpu.Cost_model.workload;
       (** sample run extrapolated to the full batch
-          ({!Tb_vm.Profiler.extrapolate}) *)
+          ({!Tb_vm.Profiler.profile_sample}) *)
   measured_workload : Tb_cpu.Cost_model.workload;
       (** instrumented run over the full batch — the event ground truth *)
   measured_s_per_row : float;

@@ -11,7 +11,7 @@ module Bits = struct
     let w = words n in
     Array.init w (fun i ->
         let remaining = n - (i * 63) in
-        if remaining >= 63 then max_int (* 63 ones *)
+        if remaining >= 63 then -1 (* all 63 bits; max_int has only 62 *)
         else (1 lsl remaining) - 1)
 
   let land_into dst src =

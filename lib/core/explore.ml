@@ -135,7 +135,7 @@ let check_champion ~target ?profiles ?sample ?(rivals = Cost_check.reduced_grid)
     let c, _ =
       Result.get_ok
         (Passman.run ~mode:No_verify ?profiles ~backend:`Threaded ~target
-           ~sample:rows (Float_tier []) forest schedule)
+           (Float_tier []) forest schedule)
     in
     let ds = Tb_analysis.Tbcheck.check_lowered c.Passman.lowered in
     if Tb_diag.Diagnostic.has_errors ds then

@@ -52,7 +52,6 @@ type compiled = {
   artifact : Pack.t;
   predict : float array array -> float array array;
   tier : tier;
-  resident_k : int;
   certificate : Numeric.certificate option;
   precision_diags : D.t list;
 }
@@ -64,26 +63,6 @@ let qspec_of_plan (p : Numeric.plan) =
     feature_exp = Array.copy p.Numeric.feature_exp;
     leaf_exp = p.Numeric.leaf_exp;
   }
-
-(* Resident-prefix depth cap: past a few levels the baked code grows
-   geometrically while the saved chain latency is already spent. *)
-let max_resident_k = 3
-
-let tune_resident_k ~target (lowered : Lower.t) sample =
-  let q =
-    match lowered.Lower.layout.Layout.quant with
-    | Some q -> q
-    | None -> invalid_arg "Passman: tuning resident depth on a float layout"
-  in
-  let probe =
-    if Array.length sample > 32 then Array.sub sample 0 32 else sample
-  in
-  if Array.length probe = 0 then 1
-  else
-    let w = Tb_vm.Profiler.profile ~target lowered probe in
-    Tb_cpu.Cost_model.tune_resident_k target w lowered.Lower.layout
-      ~walk_depth:lowered.Lower.walk_depth ~qbits:q.Layout.qbits
-      ~max_k:max_resident_k
 
 (* Fold-with-early-exit over the pipeline: each stage runs its pass, then
    (under [Verify_each]) its check, and appends a timed report; the first
@@ -158,8 +137,8 @@ let lower ?(mode = Verify_each) ?(batch_size = 1024) ?profiles forest schedule
   pipeline mode (fun r ->
       lower_stages r ~batch_size ?profiles forest schedule ())
 
-let run ~mode ?(batch_size = 1024) ?profiles ~backend ~target ~sample
-    resolution forest schedule =
+let run ~mode ?(batch_size = 1024) ?profiles ~backend ~target resolution
+    forest schedule =
   pipeline mode @@ fun r ->
   let assemble = lower_stages r ~batch_size ?profiles forest schedule in
   let resolution, lowered =
@@ -178,21 +157,19 @@ let run ~mode ?(batch_size = 1024) ?profiles ~backend ~target ~sample
       | [] -> (resolution, lowered)
       | findings -> (Float_tier (Validate.to_diagnostics findings), assemble ()))
   in
-  let resident_k, quant, certificate, precision_diags =
+  let quant, certificate, precision_diags =
     match resolution with
-    | Float_tier diags -> (0, None, None, diags)
+    | Float_tier diags -> (None, None, diags)
     | Quant_tier cert ->
-      let k =
-        stage r "lir:resident" (fun () -> tune_resident_k ~target lowered sample)
-      in
+      (* [resident_k] is an inert wire field: instantiate ignores it. *)
       let quant =
         {
-          Pack.resident_k = k;
+          Pack.resident_k = 0;
           dev_bound = Array.copy cert.Numeric.dev_bound;
           tolerance = cert.Numeric.plan.Numeric.tolerance;
         }
       in
-      (k, Some quant, Some cert, [])
+      (Some quant, Some cert, [])
   in
   let artifact =
     stage r "pack" (fun () ->
@@ -211,7 +188,6 @@ let run ~mode ?(batch_size = 1024) ?profiles ~backend ~target ~sample
     artifact;
     predict;
     tier = tier_of_resolution resolution;
-    resident_k;
     certificate;
     precision_diags;
   }
@@ -219,5 +195,5 @@ let run ~mode ?(batch_size = 1024) ?profiles ~backend ~target ~sample
 let compile ?(mode = Verify_each) ?batch_size ?profiles
     ?(schedule = Tb_hir.Schedule.default) forest =
   run ~mode ?batch_size ?profiles ~backend:`Threaded
-    ~target:Tb_cpu.Config.intel_rocket_lake ~sample:[||] (Float_tier [])
+    ~target:Tb_cpu.Config.intel_rocket_lake (Float_tier [])
     forest schedule

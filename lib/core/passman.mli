@@ -14,9 +14,9 @@
     (buffer closure), [validate:lir] (MIR ↔ layout buffers), [lir:walks]
     (interval dataflow over every walk variant), [validate:reg] (layout ↔
     register-IR walk programs), [lir:assemble]; then, in {!run},
-    [validate:quant] and [lir:resident] (quantized tier only), [pack] and
-    [instantiate]. The [validate:*] stages refute any divergence with a
-    concrete witness row (the T00x family).
+    [validate:quant] (quantized tier only), [pack] and [instantiate].
+    The [validate:*] stages refute any divergence with a concrete
+    witness row (the T00x family).
 
     Compilation fails — [Error report] — at the first stage with an
     [Error]-severity diagnostic; warnings and infos are carried
@@ -62,8 +62,6 @@ type compiled = {
   artifact : Tb_lir.Pack.t;  (** the pack [predict] was instantiated from *)
   predict : float array array -> float array array;
   tier : tier;  (** resolved precision tier *)
-  resident_k : int;
-      (** autotuned register-resident prefix depth (0 on the float tier) *)
   certificate : Tb_analysis.Numeric.certificate option;
       (** present iff [tier] is quantized *)
   precision_diags : Tb_diag.Diagnostic.t list;
@@ -73,14 +71,6 @@ type compiled = {
 
 val qspec_of_plan : Tb_analysis.Numeric.plan -> Tb_lir.Layout.qspec
 (** The layout-level quantization spec of a certified plan. *)
-
-val tune_resident_k :
-  target:Tb_cpu.Config.t -> Tb_lir.Lower.t -> float array array -> int
-(** Autotune the register-resident prefix depth of a quantized lowering
-    for a CPU target: profile the walk on (at most 32 of) the sample
-    rows and pick the depth the cost model scores cheapest
-    ({!Tb_cpu.Cost_model.tune_resident_k}), capped at 3 levels.
-    @raise Invalid_argument on a float lowering. *)
 
 val lower :
   ?mode:mode ->
@@ -99,7 +89,6 @@ val run :
   ?profiles:Tb_model.Model_stats.tree_profile array ->
   backend:[ `Threaded | `Single_thread ] ->
   target:Tb_cpu.Config.t ->
-  sample:float array array ->
   resolution ->
   Tb_model.Forest.t ->
   Tb_hir.Schedule.t ->
@@ -108,8 +97,8 @@ val run :
     the plan's quantized layout and {!Tb_analysis.Validate.check_quant}
     checks that lowering in every [mode]; a finding re-assembles the
     float program from the same stages, with the findings in
-    [precision_diags]. Otherwise the resident depth is tuned for
-    [target] on [sample]. [target] names the pack's metadata.
+    [precision_diags]. A quantized pack records [resident_k = 0]
+    ({!Tb_lir.Pack.quant}). [target] names the pack's metadata.
     Under [No_verify] the result is always [Ok]. *)
 
 val compile :

@@ -21,31 +21,7 @@ let simulate ~target ?threads ?batch ?(sample = 48) (lowered : Tb_lir.Lower.t) r
   let threads =
     Option.value threads ~default:lowered.Tb_lir.Lower.mir.Mir.num_threads
   in
-  let sample_rows = if n <= sample then rows else Array.sub rows 0 sample in
-  (* Event totals are affine in the row count: a fixed per-batch term
-     (compulsory misses; the per-pass model stream under tree-major order)
-     plus a per-row rate. Extrapolating from a single sample point folds
-     the fixed term into the rate and overstates misses by batch/sample;
-     fitting the line through two nested sample prefixes separates them. *)
-  let ns = Array.length sample_rows in
-  let w =
-    if batch = ns then Profiler.profile ~target lowered sample_rows
-    else
-      (* The second point sits at 2x the sample so the fitted slope is the
-         steady per-row rate: below ~[sample] rows the marginal miss rate is
-         still contaminated by warm-up transients. *)
-      let n2 = min n (2 * ns) in
-      if n2 <= ns then
-        (* Too few rows for a second point: prime the cache and fall back
-           to linear scaling of the steady-state pass. *)
-        Profiler.scale
-          (Profiler.profile ~target ~warm_start:true lowered sample_rows)
-          (float_of_int batch /. float_of_int ns)
-      else
-        let w1 = Profiler.profile ~target lowered sample_rows in
-        let w2 = Profiler.profile ~target lowered (Array.sub rows 0 n2) in
-        Profiler.extrapolate w1 w2 ~rows:batch
-  in
+  let w = Profiler.profile_sample ~target ~sample ~batch lowered rows in
   let breakdown = Cost_model.estimate target w in
   let cycles = Tb_cpu.Multicore.cycles target ~threads breakdown.Cost_model.cycles in
   let cycles =

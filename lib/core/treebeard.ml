@@ -28,7 +28,7 @@ let precision_to_string = function
 
 let width_of_bits = function `I8 -> Numeric.I8 | `I16 -> Numeric.I16
 let qspec_of_plan = Passman.qspec_of_plan
-let tune_resident_k = Passman.tune_resident_k
+let tune_resident_k ~target:_ _ _ = 0
 
 (* N002 (threshold collisions) does not refute the certificate: dead-zone
    rows may route differently from the float path, which the quantized
@@ -70,7 +70,6 @@ type t = Passman.compiled = {
   artifact : Tb_lir.Pack.t;
   predict : float array array -> float array array;
   tier : tier;
-  resident_k : int;
   certificate : Numeric.certificate option;
   precision_diags : D.t list;
 }
@@ -88,23 +87,23 @@ let make ?(plan = `Schedule Schedule.default) ?profiles ?training_rows
     | None ->
       Option.map (Tb_model.Model_stats.profile_forest forest) training_rows
   in
-  let sample =
-    match training_rows with
-    | Some rows when Array.length rows > 0 -> rows
-    | Some _ | None ->
-      (* No data provided: synthesize a neutral probe batch. *)
-      let rng = Tb_util.Prng.create 7 in
-      Array.init 48 (fun _ ->
-          Array.init forest.Forest.num_features (fun _ ->
-              Tb_util.Prng.gaussian rng))
-  in
   let schedule, target =
     match plan with
     | `Schedule s ->
-      (* The resident-depth autotune needs a machine model even under an
-         explicit schedule; default to the Intel testbed. *)
+      (* The pack's metadata names a target; an explicit schedule names
+         the Intel testbed. *)
       (s, Config.intel_rocket_lake)
     | `Auto target ->
+      let sample =
+        match training_rows with
+        | Some rows when Array.length rows > 0 -> rows
+        | Some _ | None ->
+          (* No data provided: synthesize a neutral probe batch. *)
+          let rng = Tb_util.Prng.create 7 in
+          Array.init 48 (fun _ ->
+              Array.init forest.Forest.num_features (fun _ ->
+                  Tb_util.Prng.gaussian rng))
+      in
       ((Explore.greedy ~target ?profiles forest sample).Explore.schedule, target)
   in
   let schedule =
@@ -112,7 +111,7 @@ let make ?(plan = `Schedule Schedule.default) ?profiles ?training_rows
     | `Threaded -> schedule
     | `Single_thread -> fst (Schedule.clamp_threads ~max_threads:1 schedule)
   in
-  Passman.run ~mode:No_verify ?profiles ~backend ~target ~sample
+  Passman.run ~mode:No_verify ?profiles ~backend ~target
     (resolve_precision ~precision forest)
     forest schedule
   |> Result.get_ok |> fst

@@ -71,7 +71,9 @@ val qspec_of_plan : Tb_analysis.Numeric.plan -> Tb_lir.Layout.qspec
 
 val tune_resident_k :
   target:Tb_cpu.Config.t -> Tb_lir.Lower.t -> float array array -> int
-(** {!Passman.tune_resident_k}. *)
+(** Always 0: the [resident_k] every quantized compile records
+    ({!Tb_lir.Pack.quant}), a field instantiate ignores. Kept with its
+    signature for existing callers that time it as a compile stage. *)
 
 type t = Passman.compiled = {
   forest : Tb_model.Forest.t;
@@ -80,7 +82,6 @@ type t = Passman.compiled = {
   artifact : Tb_lir.Pack.t;
   predict : float array array -> float array array;
   tier : tier;
-  resident_k : int;
   certificate : Tb_analysis.Numeric.certificate option;
   precision_diags : Tb_diag.Diagnostic.t list;
 }
@@ -102,13 +103,15 @@ val make :
       deserializes one first (see {!Tb_model.Serialize}).
     - [plan]: [`Schedule s] compiles exactly [s] (default
       {!Tb_hir.Schedule.default}); [`Auto target] runs the {!Explore}
-      greedy autotuner for the given CPU and compiles its champion.
+      greedy autotuner for the given CPU and compiles its champion. The
+      autotuner ranks candidate schedules with the simulated cost model
+      ({!Perf.simulate}); it does not time them.
     - [profiles]: leaf-probability estimates enabling probability-based
       tiling. When omitted but [training_rows] is given, profiles are
       derived from those rows ({!Tb_model.Model_stats.profile_forest}).
     - [training_rows]: representative input rows. Besides profiling,
-      [`Auto] measures candidate schedules on them (a synthetic Gaussian
-      probe batch is used when absent).
+      [`Auto] simulates candidate schedules on them (a synthetic
+      Gaussian probe batch is used when absent).
     - [backend]: [`Single_thread] clamps the schedule's row-loop
       parallelism to one thread ({!Tb_hir.Schedule.clamp_threads}) and
       builds the predictor with {!Tb_vm.Jit.instantiate_single_thread} — for
@@ -116,8 +119,7 @@ val make :
       Default [`Threaded] keeps the schedule's own [num_threads].
     - [precision]: [`Quantized r] compiles the integer fast path when the
       model certifies clean at [r.bits]/[r.tolerance] — layout buffers
-      rewritten to the certified fixed-point integers, a
-      register-resident prefix of autotuned depth, predictions
+      rewritten to the certified fixed-point integers, predictions
       bitwise-equal to {!Tb_analysis.Numeric.qpredict_raw}. The model
       is lowered once, and the quantized stage pair
       ({!Tb_analysis.Validate.check_quant}) runs on that lowering; any

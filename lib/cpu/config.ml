@@ -23,9 +23,6 @@ type t = {
   l2_size_bytes : int;
   l2_spill_penalty : float;
   nominal_mhz : float;
-  int_regs : int;
-  resident_step_latency : float;
-  resident_spill_penalty : float;
 }
 
 let us_of_cycles t cycles = cycles /. t.nominal_mhz
@@ -82,9 +79,6 @@ let intel_rocket_lake =
     l2_size_bytes = 512 * 1024;
     l2_spill_penalty = 1.5;
     nominal_mhz = 3500.0;
-    int_regs = 16;
-    resident_step_latency = 2.0;
-    resident_spill_penalty = 2.5;
   }
 
 let amd_ryzen7 =
@@ -113,11 +107,6 @@ let amd_ryzen7 =
     l2_size_bytes = 512 * 1024;
     l2_spill_penalty = 1.5;
     nominal_mhz = 3500.0;
-    int_regs = 16;
-    (* Zen 2's select/cmov chains are a touch slower, so the resident
-       prefix pays a slightly higher per-level latency there. *)
-    resident_step_latency = 2.5;
-    resident_spill_penalty = 2.5;
   }
 
 let targets = [ intel_rocket_lake; amd_ryzen7 ]

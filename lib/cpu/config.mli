@@ -44,18 +44,6 @@ type t = {
           simulator's service model) goes through {!us_of_cycles}, so a
           target's simulated clock is declared here, not hardcoded at the
           conversion sites *)
-  int_regs : int;
-      (** architectural integer registers a resident tree-top prefix can
-          occupy before spilling (the register-pressure budget of the
-          quantized fast path) *)
-  resident_step_latency : float;
-      (** serial cycles per register-resident walk level — compare +
-          select over baked immediates, replacing the memory-phase
-          load/LUT chain for the first [k] levels *)
-  resident_spill_penalty : float;
-      (** multiplier on the resident chain once a prefix's register
-          demand exceeds {!int_regs} (spilled thresholds reload from the
-          stack) *)
 }
 
 val us_of_cycles : t -> float -> float

@@ -104,100 +104,6 @@ let estimate (config : Config.t) w =
     backend_core;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Quantized fast path                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Registers a depth-[k] resident prefix keeps live: walk cursor and
-   scratch, the current tile's lane values, and one path-state register
-   per resident level. *)
-let resident_reg_demand ~tile_size ~k = 6 + tile_size + k
-
-(* Baked straight-line code per resident tile: per lane a compare against
-   an immediate plus a flag update, then the LUT dispatch ladder. *)
-let resident_code_bytes ~tile_size ~resident_tiles =
-  resident_tiles * ((12 * tile_size) + 16)
-
-let estimate_quant (config : Config.t) w ~qbits ~resident_k ~resident_steps
-    ~resident_tiles =
-  (* Narrower values touch fewer cache lines: thresholds and leaves are
-     roughly half the walk's data traffic and shrink from f32 to
-     [qbits], so scale the measured float-layout misses accordingly. *)
-  let value_scale = 0.5 +. (0.5 *. float_of_int qbits /. 32.0) in
-  let scale_misses s =
-    {
-      s with
-      Cache.misses =
-        int_of_float (Float.round (float_of_int s.Cache.misses *. value_scale));
-    }
-  in
-  let w =
-    {
-      w with
-      l1 = scale_misses w.l1;
-      model_bytes =
-        int_of_float (Float.round (float_of_int w.model_bytes *. value_scale));
-      code_bytes =
-        w.code_bytes
-        + resident_code_bytes ~tile_size:w.tile_size ~resident_tiles;
-    }
-  in
-  let b = estimate config w in
-  (* The first [resident_steps] of the serial chain run on the register
-     phase: replace their memory-chain latency with the (much shorter)
-     resident compare/select chain, spill-penalized past the register
-     budget. *)
-  let chain_latency =
-    sum_latency config
-      (Ops.dependency_chain ~layout:w.layout ~tile_size:w.tile_size
-         (Tile_step { leaf_check = true }))
-  in
-  let demand = resident_reg_demand ~tile_size:w.tile_size ~k:resident_k in
-  let step_latency =
-    if demand > config.Config.int_regs then
-      config.Config.resident_step_latency *. config.Config.resident_spill_penalty
-    else config.Config.resident_step_latency
-  in
-  let saved =
-    float_of_int resident_steps
-    *. Float.max 0.0 (chain_latency -. step_latency)
-    /. config.Config.ooo_walk_overlap
-  in
-  let chain_cycles =
-    (float_of_int w.critical_steps *. chain_latency /. config.Config.ooo_walk_overlap)
-    -. saved
-  in
-  let memory_and_stalls =
-    b.backend_memory +. b.bad_speculation +. b.frontend
-  in
-  let cycles = Float.max b.retiring chain_cycles +. memory_and_stalls in
-  {
-    b with
-    cycles;
-    backend_core = Float.max 0.0 (chain_cycles -. b.retiring);
-  }
-
-let tune_resident_k (config : Config.t) w (lay : Layout.t)
-    ~walk_depth ~qbits ~max_k =
-  let best = ref 0 and best_cycles = ref infinity in
-  for k = 0 to max_k do
-    let resident_steps =
-      Array.fold_left
-        (fun acc d -> acc + (w.rows * min k d))
-        0 walk_depth
-    in
-    let resident_tiles = Layout.resident_tiles lay ~k in
-    let b =
-      estimate_quant config w ~qbits ~resident_k:k ~resident_steps
-        ~resident_tiles
-    in
-    if b.cycles < !best_cycles -. 1e-9 then begin
-      best := k;
-      best_cycles := b.cycles
-    end
-  done;
-  !best
-
 let cycles_per_row b w =
   if w.rows = 0 then 0.0 else b.cycles /. float_of_int w.rows
 

@@ -42,34 +42,6 @@ type breakdown = {
 
 val estimate : Config.t -> workload -> breakdown
 
-val estimate_quant :
-  Config.t ->
-  workload ->
-  qbits:int ->
-  resident_k:int ->
-  resident_steps:int ->
-  resident_tiles:int ->
-  breakdown
-(** {!estimate} for the integer fast path: the float-layout workload's
-    misses and model bytes are rescaled for [qbits]-wide values, the baked
-    resident-prefix code is added to the I-cache footprint, and the first
-    [resident_steps] of the serial chain run at the target's
-    register-resident step latency (spill-penalized once the prefix's
-    register demand exceeds [int_regs]) instead of the memory-walk chain. *)
-
-val tune_resident_k :
-  Config.t ->
-  workload ->
-  Tb_lir.Layout.t ->
-  walk_depth:int array ->
-  qbits:int ->
-  max_k:int ->
-  int
-(** Autotune the resident-prefix depth: argmin of {!estimate_quant} cycles
-    over [k = 0..max_k], with per-tree resident steps capped by each
-    tree's walk depth and the code-size term fed from
-    {!Tb_lir.Layout.resident_tiles}. *)
-
 val cycles_per_row : breakdown -> workload -> float
 
 val time_per_row_us : ?ghz:float -> breakdown -> workload -> float

@@ -441,12 +441,13 @@ let quantize (q : qspec) t =
 
 (* The quantized float-trick buffers above stay authoritative — they are
    what [walk] (the reference semantics), the interpreter and the Pack
-   wire format consume. The narrow form re-expresses them at the plan's
-   actual width for the JIT's integer kernels: thresholds and leaves in
-   int8/int16 Bigarrays (2-8x less value traffic than the float64
-   buffers), quantized rows as int arrays. The only values a narrow
-   element cannot carry are the ±inf routing markers, so those are
-   re-encoded exactly:
+   wire format consume. The narrow form re-expresses them for the JIT's
+   integer kernels: thresholds and leaves in int16 Bigarrays (a quarter
+   of the float64 buffers' value traffic), quantized rows as int arrays.
+   int8 plans use the same int16 lanes — every int8 value and the int8
+   sentinel below fit — so one kernel family serves both widths. The
+   only values a narrow element cannot carry are the ±inf routing
+   markers, so those are re-encoded exactly:
 
    - [-inf] lanes (never true) store [-q_max - 1], the smallest value a
      quantized row can take — [qrow < -q_max - 1] is false for every
@@ -457,12 +458,8 @@ let quantize (q : qspec) t =
      0 bit) and set their lane's bit in the slot's [always] mask, which
      the narrow comparison ORs in. *)
 
-type narrow8 = (int, Bigarray.int8_signed_elt, Bigarray.c_layout) Bigarray.Array1.t
 type narrow16 = (int, Bigarray.int16_signed_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-type narrow =
-  | Narrow8 of { thr : narrow8; leaves : narrow8; always : int array }
-  | Narrow16 of { thr : narrow16; leaves : narrow16; always : int array }
+type narrow = { thr : narrow16; leaves : narrow16; always : int array }
 
 let narrow t =
   match t.quant with
@@ -490,26 +487,14 @@ let narrow t =
             else thr_i.(i) <- int_of_float x
           done)
       t.shape_ids;
-    let leaf_i = Array.map int_of_float t.leaf_values in
-    let fill kind a =
-      let b = Bigarray.Array1.create kind Bigarray.c_layout (Array.length a) in
-      Array.iteri (fun i v -> Bigarray.Array1.set b i v) a;
-      b
+    let lanes =
+      Bigarray.Array1.of_array Bigarray.int16_signed Bigarray.c_layout
     in
-    if q.qbits = 8 then
-      Narrow8
-        {
-          thr = fill Bigarray.int8_signed thr_i;
-          leaves = fill Bigarray.int8_signed leaf_i;
-          always;
-        }
-    else
-      Narrow16
-        {
-          thr = fill Bigarray.int16_signed thr_i;
-          leaves = fill Bigarray.int16_signed leaf_i;
-          always;
-        }
+    {
+      thr = lanes thr_i;
+      leaves = lanes (Array.map int_of_float t.leaf_values);
+      always;
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Accounting                                                          *)
@@ -530,40 +515,3 @@ let memory_bytes t =
     + (match t.kind with Sparse_kind -> 4 | Array_kind -> 0)
   in
   (slots * per_slot) + (value_bytes * Array.length t.leaf_values)
-
-let resident_tiles t ~k =
-  if k < 0 then invalid_arg "Layout.resident_tiles: negative depth";
-  let nt = t.tile_size in
-  let count = ref 0 in
-  let fanout = nt + 1 in
-  for tree = 0 to t.num_trees - 1 do
-    match t.kind with
-    | Array_kind ->
-      let base = t.tree_root.(tree) in
-      let rec go local level =
-        if level < k then begin
-          let s = base + local in
-          if t.shape_ids.(s) >= 0 then begin
-            incr count;
-            List.iter
-              (fun c -> go ((local * fanout) + c + 1) (level + 1))
-              (reachable_children t t.shape_ids.(s))
-          end
-        end
-      in
-      go 0 0
-    | Sparse_kind ->
-      let rec go s level =
-        if level < k then begin
-          incr count;
-          let p = t.child_ptr.(s) in
-          if p >= 0 then
-            List.iter
-              (fun c -> go (p + c) (level + 1))
-              (reachable_children t t.shape_ids.(s))
-        end
-      in
-      let r = t.tree_root.(tree) in
-      if r >= 0 then go r 0
-  done;
-  !count

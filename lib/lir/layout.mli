@@ -119,12 +119,6 @@ val memory_bytes : t -> int
 
 val num_slots : t -> int
 
-val reachable_children : t -> int -> int list
-(** Sorted distinct child exits shape [sid]'s LUT row can actually select;
-    the full [0..tile_size] range when the shape id is out of range
-    (conservative on corrupt layouts). Drives resident-prefix codegen and
-    the stride-facts analysis. *)
-
 (** {2 Quantization — the integer fast path's layout half} *)
 
 val quantize_scaled : q_max:int -> float -> int
@@ -170,29 +164,22 @@ val quantize : qspec -> t -> t
     routing-stable rows. @raise Invalid_argument if already quantized or
     [qbits] is not 8/16. *)
 
-type narrow8 = (int, Bigarray.int8_signed_elt, Bigarray.c_layout) Bigarray.Array1.t
 type narrow16 = (int, Bigarray.int16_signed_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-type narrow =
-  | Narrow8 of { thr : narrow8; leaves : narrow8; always : int array }
-  | Narrow16 of { thr : narrow16; leaves : narrow16; always : int array }
-      (** Materialized narrow execution form of a quantized layout:
-          thresholds and leaves at the plan's actual width (same
-          slot-major indexing as the float buffers), plus a per-slot
-          OR-mask of always-true lanes. The ±inf routing markers the
-          narrow elements cannot carry are re-encoded exactly: -inf
-          lanes store [-q_max - 1] (no quantized row is below it, so
-          the comparison is constantly false, as with -inf), and +inf
-          lanes store the same sentinel but set their bit in [always],
-          which the narrow comparison ORs into the LUT index. *)
+type narrow = { thr : narrow16; leaves : narrow16; always : int array }
+(** Materialized narrow execution form of a quantized layout: thresholds
+    and leaves in int16 lanes (same slot-major indexing as the float
+    buffers) for both plan widths — an int8 plan's values and sentinel
+    fit an int16 lane, so one kernel family walks either — plus a
+    per-slot OR-mask of always-true lanes. The ±inf routing markers the
+    narrow elements cannot carry are re-encoded exactly: -inf lanes
+    store [-q_max - 1] (no quantized row is below it, so the comparison
+    is constantly false, as with -inf), and +inf lanes store the same
+    sentinel but set their bit in [always], which the narrow comparison
+    ORs into the LUT index. *)
 
 val narrow : t -> narrow
 (** Materialize the narrow buffers of a quantized layout — what the
     JIT's integer kernels walk. Routing and results are bit-identical
     to {!walk} over the float-trick buffers.
     @raise Invalid_argument on a float layout. *)
-
-val resident_tiles : t -> k:int -> int
-(** Number of tile slots in the first [k] levels across all trees — the
-    working set a resident-prefix register phase keeps out of memory;
-    drives the cost model's register-pressure and code-size terms. *)

@@ -41,8 +41,11 @@ type meta = {
 
 type quant = {
   resident_k : int;
-      (** autotuned resident-prefix depth the artifact was compiled for
-          (0 = pure memory-phase walks) *)
+      (** inert: the depth of a register-resident tree-top prefix, which
+          the JIT no longer builds. New packs record 0; decode still
+          rejects a negative value (A004), and instantiate ignores the
+          field, so packs that differ only here predict bitwise alike.
+          Kept so the v2 wire format and its fixtures stay unchanged. *)
   dev_bound : float array;
       (** per output class: the certificate's proved N003 deviation bound
           between quantized and float predictions *)

@@ -158,105 +158,6 @@ let walk_program (lay : Layout.t) walk =
     invalid_arg
       ("Reg_codegen: generated invalid program: " ^ Tb_diag.Diagnostic.to_string d)
 
-(* ---------------- resident prefix (quantized fast path) ---------------- *)
-
-(* "Register Your Forests": the first [k] tile levels of a tree are
-   compiled to straight-line code with thresholds, shape ids and child
-   slots baked in as immediates — the register phase touches only the
-   row (via integer [Iload (Row, _)] reads of the quantized row) and the
-   LUT; below level [k] the program falls through to the ordinary
-   memory-phase walk, which resumes from whatever cursor the register
-   phase left in [r_state]. Quantized layouts only: the integer [Ige]
-   immediates require integer-valued thresholds. *)
-let resident_program (lay : Layout.t) ~k ~tree =
-  (match lay.Layout.quant with
-  | Some _ -> ()
-  | None -> invalid_arg "Reg_codegen.resident_program: layout is not quantized");
-  if k < 0 then invalid_arg "Reg_codegen.resident_program: negative prefix depth";
-  let nt = lay.Layout.tile_size in
-  let bit lane = 1 lsl (nt - 1 - lane) in
-  (* Children the LUT row can actually select; unreachable ladder arms
-     get dead code that still satisfies the definedness check. *)
-  let reachable sid = Layout.reachable_children lay sid in
-  let eval_bits s =
-    Iset (r_bits, Iconst 0)
-    :: List.concat
-         (List.init nt (fun lane ->
-              let thr = lay.Layout.thresholds.((s * nt) + lane) in
-              (* Infinite thresholds are constant predicates (dummy/hop/
-                 padding lanes): fold the bit instead of comparing. *)
-              if thr = infinity then
-                [ Iset (r_bits, Iadd_const (r_bits, bit lane)) ]
-              else if thr = neg_infinity then []
-              else
-                [
-                  Iset (r_scratch, Iconst lay.Layout.features.((s * nt) + lane));
-                  Iset (r_scratch, Iload (Row, r_scratch));
-                  If
-                    ( Ige (r_scratch, int_of_float thr),
-                      [],
-                      [ Iset (r_bits, Iadd_const (r_bits, bit lane)) ] );
-                ]))
-  in
-  let select sid =
-    [
-      Iset (r_lut, Iconst (sid lsl nt));
-      Iset (r_lut, Iadd (r_lut, r_bits));
-      Iset (r_child, Iload (Lut, r_lut));
-    ]
-  in
-  let dispatch sid gen_child =
-    let reach = reachable sid in
-    let arm c =
-      if List.mem c reach then gen_child c else [ Iset (r_state, Iconst 0) ]
-    in
-    let rec ladder c =
-      if c = 0 then arm 0 else [ If (Ige (r_child, c), arm c, ladder (c - 1)) ]
-    in
-    ladder nt
-  in
-  let body =
-    match lay.Layout.kind with
-    | Layout.Array_kind ->
-      let fanout = nt + 1 in
-      let base = lay.Layout.tree_root.(tree) in
-      let rec tile local level =
-        let s = base + local in
-        let sid = lay.Layout.shape_ids.(s) in
-        if level >= k || sid < 0 then [ Iset (r_state, Iconst local) ]
-        else
-          eval_bits s @ select sid
-          @ dispatch sid (fun c -> tile ((local * fanout) + c + 1) (level + 1))
-      in
-      tile 0 0 @ array_generic nt
-    | Layout.Sparse_kind ->
-      let root = lay.Layout.tree_root.(tree) in
-      if root < 0 then sparse_generic nt
-      else
-        let rec tile s level =
-          if level >= k then [ Iset (r_state, Iconst s) ]
-          else begin
-            let sid = lay.Layout.shape_ids.(s) in
-            let p = lay.Layout.child_ptr.(s) in
-            eval_bits s @ select sid
-            @ dispatch sid (fun c ->
-                  if p >= 0 then tile (p + c) (level + 1)
-                  else [ Iset (r_state, Iconst (p - c)) ])
-          end
-        in
-        tile root 0 @ sparse_generic nt
-  in
-  let program =
-    { tile_size = nt; layout = lay.Layout.kind; body; num_iregs; num_fregs;
-      num_vregs; lanes = 1 }
-  in
-  match check program with
-  | [] -> program
-  | d :: _ ->
-    invalid_arg
-      ("Reg_codegen.resident_program: generated invalid program: "
-      ^ Tb_diag.Diagnostic.to_string d)
-
 (* ---------------- unroll-and-jam ---------------- *)
 
 (* Jamming replicates the single-lane register file [lanes] times: lane l's

@@ -15,18 +15,6 @@ val all_variants : Layout.t -> Tb_mir.Mir.t -> (int * Reg_ir.walk_program) list
 (** One verified program per MIR group plan, keyed by group index.
     Ignores interleaving — each program is the single-lane walk body. *)
 
-val resident_program : Layout.t -> k:int -> tree:int -> Reg_ir.walk_program
-(** Resident-prefix walk for one tree of a {e quantized} layout: the
-    first [k] tile levels are unrolled to straight-line code with
-    thresholds, shapes and child slots baked in as immediates (the
-    register phase reads only the quantized row, via integer
-    [Iload (Row, _)], and the LUT); execution then falls through to the
-    ordinary checked memory-phase walk from the cursor left in the state
-    register. [k = 0] degenerates to the generic walk. Bitwise-equal to
-    the memory-only walk by construction — the differential suite pins
-    it. @raise Invalid_argument on a float layout, [k < 0], or if the
-    generated program fails verification. *)
-
 val jam_lanes : Reg_ir.walk_program -> lanes:int -> Reg_ir.walk_program
 (** Unroll-and-jam: replicate a single-lane program across [lanes] disjoint
     register windows (lane [l]'s register [r] becomes

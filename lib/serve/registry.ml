@@ -190,7 +190,7 @@ let compile t name resolution schedule =
   let src = Hashtbl.find t.sources name in
   let c, report =
     Passman.run ~mode:No_verify ?profiles:src.profiles ~backend:`Single_thread
-      ~target:t.target ~sample:src.sample_rows resolution src.forest schedule
+      ~target:t.target resolution src.forest schedule
     |> Result.get_ok
   in
   (* Service-time model: simulate on the rows the predictor actually

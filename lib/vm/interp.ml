@@ -45,9 +45,9 @@ let iload m buffer idx =
   | Lut -> m.lay.Layout.lut.(idx / m.lut_width).(idx mod m.lut_width)
   | Tree_roots -> m.lay.Layout.tree_root.(idx)
   | Row ->
-    (* Resident-prefix programs read the quantized row as integers; the
-       stored values are integer-valued floats (Layout.quantize_row), so
-       the truncation is exact. *)
+    (* An integer row load truncates; on a quantized row the stored
+       values are integer-valued floats (Layout.quantize_row), so the
+       truncation is exact. *)
     int_of_float m.row.(idx)
   | Thresholds | Leaf_values ->
     invalid_arg "Interp: integer load from a float buffer"

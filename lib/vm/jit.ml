@@ -271,19 +271,21 @@ let jam_fn (lay : Layout.t) (walk : Mir.walk_kind) tree =
 
 (* The quantized walk runs in the integer domain over the layout's
    materialized narrow buffers ({!Layout.narrow}): quantized rows are
-   int arrays, thresholds and leaves load from int8/int16 Bigarrays,
-   and per-class accumulators are ints. Routing replicates
+   int arrays, thresholds and leaves load from int16 Bigarrays, and
+   per-class accumulators are ints. Routing replicates
    [Layout.comparison_bits] bit for bit — finite thresholds compare as
    the very integers the float-trick buffers store, +inf marker lanes
    come from the slot's constant [always] mask, and -inf lanes store
    the row minimum (constantly false, exactly like comparing against
    -inf). Integer adds are exact, so tree order is irrelevant and the
    final dequantize reproduces Lower.reference_qpredict — and hence
-   Numeric.qpredict_raw — bitwise. The kernels are duplicated per width
-   because Bigarray loads are only single instructions when the element
-   kind is statically known; each mirrors its float counterpart above,
-   and a walk returns the index of its leaf value in [thr] (array
-   layout) or [leaves] (sparse layout). *)
+   Numeric.qpredict_raw — bitwise. One kernel family serves int8 and
+   int16 plans alike, because [Layout.narrow] widens int8 plans into the
+   same int16 lanes; a Bigarray load is a single instruction only when
+   the element kind is statically known, so the lanes have one fixed
+   kind. Each kernel mirrors its float counterpart above, and a walk
+   returns the index of its leaf value in [thr] (array layout) or
+   [leaves] (sparse layout). *)
 
 (* The narrow {!tile_child}: the same checked slot loads ([always.(s)],
    [shape_ids.(s)], [lut.(sid)]) before the same unchecked lane loads.
@@ -292,7 +294,7 @@ let jam_fn (lay : Layout.t) (walk : Mir.walk_kind) tree =
    [Pack.validate] (A004) rejects a tile lane whose feature id falls
    outside it, and the lowering only emits feature ids of the model, whose
    features the plan covers. *)
-let ntile_child8 (lay : Layout.t) (thr : Layout.narrow8)
+let ntile_child (lay : Layout.t) (thr : Layout.narrow16)
     (always : int array) s (qrow : int array) =
   let a = always.(s) in
   let lut_row = lay.Layout.lut.(lay.Layout.shape_ids.(s)) in
@@ -329,76 +331,76 @@ let ntile_child8 (lay : Layout.t) (thr : Layout.narrow8)
     lut_row.(!bits)
   end
 
-let nstep_array8 (lay : Layout.t) thr always base local qrow =
+let nstep_array (lay : Layout.t) thr always base local qrow =
   (local * (lay.Layout.tile_size + 1))
-  + ntile_child8 lay thr always (base + local) qrow
+  + ntile_child lay thr always (base + local) qrow
   + 1
 
-let nstep_sparse8 (lay : Layout.t) thr always s qrow =
-  let c = ntile_child8 lay thr always s qrow in
+let nstep_sparse (lay : Layout.t) thr always s qrow =
+  let c = ntile_child lay thr always s qrow in
   let p = lay.Layout.child_ptr.(s) in
   if p >= 0 then p + c else -(-p - 1 + c) - 1
 
-let rec nwalk_array_from8 (lay : Layout.t) thr always base local qrow =
+let rec nwalk_array_from (lay : Layout.t) thr always base local qrow =
   let s = base + local in
   if lay.Layout.shape_ids.(s) = Layout.leaf_marker then s * lay.Layout.tile_size
   else
-    let next = nstep_array8 lay thr always base local qrow in
-    nwalk_array_from8 lay thr always base next qrow
+    let next = nstep_array lay thr always base local qrow in
+    nwalk_array_from lay thr always base next qrow
 
-let nwalk_array_unrolled8 (lay : Layout.t) thr always base qrow ~depth =
+let nwalk_array_unrolled (lay : Layout.t) thr always base qrow ~depth =
   let local = ref 0 in
   for _ = 1 to depth do
-    local := nstep_array8 lay thr always base !local qrow
+    local := nstep_array lay thr always base !local qrow
   done;
   (base + !local) * lay.Layout.tile_size
 
-let nwalk_array_peeled8 lay thr always base qrow ~peel =
+let nwalk_array_peeled lay thr always base qrow ~peel =
   let local = ref 0 in
   for _ = 1 to peel do
-    local := nstep_array8 lay thr always base !local qrow
+    local := nstep_array lay thr always base !local qrow
   done;
-  nwalk_array_from8 lay thr always base !local qrow
+  nwalk_array_from lay thr always base !local qrow
 
-let rec nwalk_sparse_from8 lay thr always s qrow =
+let rec nwalk_sparse_from lay thr always s qrow =
   if s < 0 then -s - 1
-  else nwalk_sparse_from8 lay thr always (nstep_sparse8 lay thr always s qrow) qrow
+  else nwalk_sparse_from lay thr always (nstep_sparse lay thr always s qrow) qrow
 
-let nwalk_sparse_unrolled8 lay thr always root qrow ~depth =
+let nwalk_sparse_unrolled lay thr always root qrow ~depth =
   if root < 0 then -root - 1
   else begin
     let s = ref root in
     for _ = 1 to depth do
-      s := nstep_sparse8 lay thr always !s qrow
+      s := nstep_sparse lay thr always !s qrow
     done;
     - !s - 1
   end
 
-let nwalk_sparse_peeled8 lay thr always root qrow ~peel =
+let nwalk_sparse_peeled lay thr always root qrow ~peel =
   let s = ref root in
   for _ = 1 to peel do
-    if !s >= 0 then s := nstep_sparse8 lay thr always !s qrow
+    if !s >= 0 then s := nstep_sparse lay thr always !s qrow
   done;
-  nwalk_sparse_from8 lay thr always !s qrow
+  nwalk_sparse_from lay thr always !s qrow
 
-let nwalk_fn8 (lay : Layout.t) thr always (walk : Mir.walk_kind) tree :
+let nwalk_fn (lay : Layout.t) thr always (walk : Mir.walk_kind) tree :
     int array -> int =
   let root = lay.Layout.tree_root.(tree) in
   match (lay.Layout.kind, walk) with
   | Layout.Array_kind, Mir.Loop_walk ->
-    fun qrow -> nwalk_array_from8 lay thr always root 0 qrow
+    fun qrow -> nwalk_array_from lay thr always root 0 qrow
   | Layout.Array_kind, Mir.Unrolled_walk { depth } ->
-    fun qrow -> nwalk_array_unrolled8 lay thr always root qrow ~depth
+    fun qrow -> nwalk_array_unrolled lay thr always root qrow ~depth
   | Layout.Array_kind, Mir.Peeled_walk { peel } ->
-    fun qrow -> nwalk_array_peeled8 lay thr always root qrow ~peel
+    fun qrow -> nwalk_array_peeled lay thr always root qrow ~peel
   | Layout.Sparse_kind, Mir.Loop_walk ->
-    fun qrow -> nwalk_sparse_from8 lay thr always root qrow
+    fun qrow -> nwalk_sparse_from lay thr always root qrow
   | Layout.Sparse_kind, Mir.Unrolled_walk { depth } ->
-    fun qrow -> nwalk_sparse_unrolled8 lay thr always root qrow ~depth
+    fun qrow -> nwalk_sparse_unrolled lay thr always root qrow ~depth
   | Layout.Sparse_kind, Mir.Peeled_walk { peel } ->
-    fun qrow -> nwalk_sparse_peeled8 lay thr always root qrow ~peel
+    fun qrow -> nwalk_sparse_peeled lay thr always root qrow ~peel
 
-let njam_generic8 (lay : Layout.t) thr (leaves : Layout.narrow8) always tree
+let njam_generic (lay : Layout.t) thr (leaves : Layout.narrow16) always tree
     (cur : int array) (qrows : int array array) i0 count (out : int array array) cls =
   let root = lay.Layout.tree_root.(tree) in
   match lay.Layout.kind with
@@ -419,7 +421,7 @@ let njam_generic8 (lay : Layout.t) thr (leaves : Layout.narrow8) always tree
             cur.(j) <- -1;
             decr remaining
           end
-          else cur.(j) <- nstep_array8 lay thr always root local qrows.(i0 + j)
+          else cur.(j) <- nstep_array lay thr always root local qrows.(i0 + j)
         end
       done
     done
@@ -438,7 +440,7 @@ let njam_generic8 (lay : Layout.t) thr (leaves : Layout.narrow8) always tree
         for j = 0 to count - 1 do
           let s = cur.(j) in
           if s >= 0 then begin
-            let next = nstep_sparse8 lay thr always s qrows.(i0 + j) in
+            let next = nstep_sparse lay thr always s qrows.(i0 + j) in
             cur.(j) <- next;
             if next < 0 then begin
               let o = out.(i0 + j) in
@@ -450,7 +452,7 @@ let njam_generic8 (lay : Layout.t) thr (leaves : Layout.narrow8) always tree
       done
     end
 
-let njam_unrolled8 (lay : Layout.t) thr (leaves : Layout.narrow8) always tree
+let njam_unrolled (lay : Layout.t) thr (leaves : Layout.narrow16) always tree
     (cur : int array) (qrows : int array array) i0 count (out : int array array) cls
     ~depth =
   let root = lay.Layout.tree_root.(tree) in
@@ -461,7 +463,7 @@ let njam_unrolled8 (lay : Layout.t) thr (leaves : Layout.narrow8) always tree
     done;
     for _ = 1 to depth do
       for j = 0 to count - 1 do
-        cur.(j) <- nstep_array8 lay thr always root cur.(j) qrows.(i0 + j)
+        cur.(j) <- nstep_array lay thr always root cur.(j) qrows.(i0 + j)
       done
     done;
     for j = 0 to count - 1 do
@@ -480,7 +482,7 @@ let njam_unrolled8 (lay : Layout.t) thr (leaves : Layout.narrow8) always tree
       done;
       for _ = 1 to depth do
         for j = 0 to count - 1 do
-          cur.(j) <- nstep_sparse8 lay thr always cur.(j) qrows.(i0 + j)
+          cur.(j) <- nstep_sparse lay thr always cur.(j) qrows.(i0 + j)
         done
       done;
       for j = 0 to count - 1 do
@@ -489,308 +491,14 @@ let njam_unrolled8 (lay : Layout.t) thr (leaves : Layout.narrow8) always tree
       done
     end
 
-let njam_fn8 lay thr leaves always (walk : Mir.walk_kind) tree =
+let njam_fn lay thr leaves always (walk : Mir.walk_kind) tree =
   match walk with
   | Mir.Unrolled_walk { depth } ->
     fun cur qrows i0 count out cls ->
-      njam_unrolled8 lay thr leaves always tree cur qrows i0 count out cls ~depth
+      njam_unrolled lay thr leaves always tree cur qrows i0 count out cls ~depth
   | Mir.Loop_walk | Mir.Peeled_walk _ ->
     fun cur qrows i0 count out cls ->
-      njam_generic8 lay thr leaves always tree cur qrows i0 count out cls
-
-let ntile_child16 (lay : Layout.t) (thr : Layout.narrow16)
-    (always : int array) s (qrow : int array) =
-  (* Same checked slot loads and unchecked lane and row loads as
-     {!ntile_child8}. *)
-  let a = always.(s) in
-  let lut_row = lay.Layout.lut.(lay.Layout.shape_ids.(s)) in
-  let feat = lay.Layout.features in
-  let nt = lay.Layout.tile_size in
-  let i = s * nt in
-  if nt = 8 then begin
-    let x0 = Array.unsafe_get qrow (Array.unsafe_get feat i) in
-    let b0 = if x0 < BA.unsafe_get thr i then 1 else 0 in
-    let x1 = Array.unsafe_get qrow (Array.unsafe_get feat (i + 1)) in
-    let b1 = if x1 < BA.unsafe_get thr (i + 1) then 1 else 0 in
-    let x2 = Array.unsafe_get qrow (Array.unsafe_get feat (i + 2)) in
-    let b2 = if x2 < BA.unsafe_get thr (i + 2) then 1 else 0 in
-    let x3 = Array.unsafe_get qrow (Array.unsafe_get feat (i + 3)) in
-    let b3 = if x3 < BA.unsafe_get thr (i + 3) then 1 else 0 in
-    let x4 = Array.unsafe_get qrow (Array.unsafe_get feat (i + 4)) in
-    let b4 = if x4 < BA.unsafe_get thr (i + 4) then 1 else 0 in
-    let x5 = Array.unsafe_get qrow (Array.unsafe_get feat (i + 5)) in
-    let b5 = if x5 < BA.unsafe_get thr (i + 5) then 1 else 0 in
-    let x6 = Array.unsafe_get qrow (Array.unsafe_get feat (i + 6)) in
-    let b6 = if x6 < BA.unsafe_get thr (i + 6) then 1 else 0 in
-    let x7 = Array.unsafe_get qrow (Array.unsafe_get feat (i + 7)) in
-    let b7 = if x7 < BA.unsafe_get thr (i + 7) then 1 else 0 in
-    lut_row.(a lor (b0 lsl 7) lor (b1 lsl 6) lor (b2 lsl 5) lor (b3 lsl 4)
-             lor (b4 lsl 3) lor (b5 lsl 2) lor (b6 lsl 1) lor b7)
-  end
-  else begin
-    let bits = ref a in
-    for lane = 0 to nt - 1 do
-      let x = Array.unsafe_get qrow (Array.unsafe_get feat (i + lane)) in
-      let b = if x < BA.unsafe_get thr (i + lane) then 1 else 0 in
-      bits := !bits lor (b lsl (nt - 1 - lane))
-    done;
-    lut_row.(!bits)
-  end
-
-let nstep_array16 (lay : Layout.t) thr always base local qrow =
-  (local * (lay.Layout.tile_size + 1))
-  + ntile_child16 lay thr always (base + local) qrow
-  + 1
-
-let nstep_sparse16 (lay : Layout.t) thr always s qrow =
-  let c = ntile_child16 lay thr always s qrow in
-  let p = lay.Layout.child_ptr.(s) in
-  if p >= 0 then p + c else -(-p - 1 + c) - 1
-
-let rec nwalk_array_from16 (lay : Layout.t) thr always base local qrow =
-  let s = base + local in
-  if lay.Layout.shape_ids.(s) = Layout.leaf_marker then s * lay.Layout.tile_size
-  else
-    let next = nstep_array16 lay thr always base local qrow in
-    nwalk_array_from16 lay thr always base next qrow
-
-let nwalk_array_unrolled16 (lay : Layout.t) thr always base qrow ~depth =
-  let local = ref 0 in
-  for _ = 1 to depth do
-    local := nstep_array16 lay thr always base !local qrow
-  done;
-  (base + !local) * lay.Layout.tile_size
-
-let nwalk_array_peeled16 lay thr always base qrow ~peel =
-  let local = ref 0 in
-  for _ = 1 to peel do
-    local := nstep_array16 lay thr always base !local qrow
-  done;
-  nwalk_array_from16 lay thr always base !local qrow
-
-let rec nwalk_sparse_from16 lay thr always s qrow =
-  if s < 0 then -s - 1
-  else nwalk_sparse_from16 lay thr always (nstep_sparse16 lay thr always s qrow) qrow
-
-let nwalk_sparse_unrolled16 lay thr always root qrow ~depth =
-  if root < 0 then -root - 1
-  else begin
-    let s = ref root in
-    for _ = 1 to depth do
-      s := nstep_sparse16 lay thr always !s qrow
-    done;
-    - !s - 1
-  end
-
-let nwalk_sparse_peeled16 lay thr always root qrow ~peel =
-  let s = ref root in
-  for _ = 1 to peel do
-    if !s >= 0 then s := nstep_sparse16 lay thr always !s qrow
-  done;
-  nwalk_sparse_from16 lay thr always !s qrow
-
-let nwalk_fn16 (lay : Layout.t) thr always (walk : Mir.walk_kind) tree :
-    int array -> int =
-  let root = lay.Layout.tree_root.(tree) in
-  match (lay.Layout.kind, walk) with
-  | Layout.Array_kind, Mir.Loop_walk ->
-    fun qrow -> nwalk_array_from16 lay thr always root 0 qrow
-  | Layout.Array_kind, Mir.Unrolled_walk { depth } ->
-    fun qrow -> nwalk_array_unrolled16 lay thr always root qrow ~depth
-  | Layout.Array_kind, Mir.Peeled_walk { peel } ->
-    fun qrow -> nwalk_array_peeled16 lay thr always root qrow ~peel
-  | Layout.Sparse_kind, Mir.Loop_walk ->
-    fun qrow -> nwalk_sparse_from16 lay thr always root qrow
-  | Layout.Sparse_kind, Mir.Unrolled_walk { depth } ->
-    fun qrow -> nwalk_sparse_unrolled16 lay thr always root qrow ~depth
-  | Layout.Sparse_kind, Mir.Peeled_walk { peel } ->
-    fun qrow -> nwalk_sparse_peeled16 lay thr always root qrow ~peel
-
-let njam_generic16 (lay : Layout.t) thr (leaves : Layout.narrow16) always tree
-    (cur : int array) (qrows : int array array) i0 count (out : int array array) cls =
-  let root = lay.Layout.tree_root.(tree) in
-  match lay.Layout.kind with
-  | Layout.Array_kind ->
-    let nt = lay.Layout.tile_size in
-    for j = 0 to count - 1 do
-      cur.(j) <- 0
-    done;
-    let remaining = ref count in
-    while !remaining > 0 do
-      for j = 0 to count - 1 do
-        let local = cur.(j) in
-        if local >= 0 then begin
-          let s = root + local in
-          if lay.Layout.shape_ids.(s) = Layout.leaf_marker then begin
-            let o = out.(i0 + j) in
-            o.(cls) <- o.(cls) + BA.get thr (s * nt);
-            cur.(j) <- -1;
-            decr remaining
-          end
-          else cur.(j) <- nstep_array16 lay thr always root local qrows.(i0 + j)
-        end
-      done
-    done
-  | Layout.Sparse_kind ->
-    if root < 0 then
-      for j = 0 to count - 1 do
-        let o = out.(i0 + j) in
-        o.(cls) <- o.(cls) + BA.get leaves (-root - 1)
-      done
-    else begin
-      for j = 0 to count - 1 do
-        cur.(j) <- root
-      done;
-      let remaining = ref count in
-      while !remaining > 0 do
-        for j = 0 to count - 1 do
-          let s = cur.(j) in
-          if s >= 0 then begin
-            let next = nstep_sparse16 lay thr always s qrows.(i0 + j) in
-            cur.(j) <- next;
-            if next < 0 then begin
-              let o = out.(i0 + j) in
-              o.(cls) <- o.(cls) + BA.get leaves (-next - 1);
-              decr remaining
-            end
-          end
-        done
-      done
-    end
-
-let njam_unrolled16 (lay : Layout.t) thr (leaves : Layout.narrow16) always tree
-    (cur : int array) (qrows : int array array) i0 count (out : int array array) cls
-    ~depth =
-  let root = lay.Layout.tree_root.(tree) in
-  match lay.Layout.kind with
-  | Layout.Array_kind ->
-    for j = 0 to count - 1 do
-      cur.(j) <- 0
-    done;
-    for _ = 1 to depth do
-      for j = 0 to count - 1 do
-        cur.(j) <- nstep_array16 lay thr always root cur.(j) qrows.(i0 + j)
-      done
-    done;
-    for j = 0 to count - 1 do
-      let o = out.(i0 + j) in
-      o.(cls) <- o.(cls) + BA.get thr ((root + cur.(j)) * lay.Layout.tile_size)
-    done
-  | Layout.Sparse_kind ->
-    if root < 0 then
-      for j = 0 to count - 1 do
-        let o = out.(i0 + j) in
-        o.(cls) <- o.(cls) + BA.get leaves (-root - 1)
-      done
-    else begin
-      for j = 0 to count - 1 do
-        cur.(j) <- root
-      done;
-      for _ = 1 to depth do
-        for j = 0 to count - 1 do
-          cur.(j) <- nstep_sparse16 lay thr always cur.(j) qrows.(i0 + j)
-        done
-      done;
-      for j = 0 to count - 1 do
-        let o = out.(i0 + j) in
-        o.(cls) <- o.(cls) + BA.get leaves (-cur.(j) - 1)
-      done
-    end
-
-let njam_fn16 lay thr leaves always (walk : Mir.walk_kind) tree =
-  match walk with
-  | Mir.Unrolled_walk { depth } ->
-    fun cur qrows i0 count out cls ->
-      njam_unrolled16 lay thr leaves always tree cur qrows i0 count out cls ~depth
-  | Mir.Loop_walk | Mir.Peeled_walk _ ->
-    fun cur qrows i0 count out cls ->
-      njam_generic16 lay thr leaves always tree cur qrows i0 count out cls
-
-(* ------------------------------------------------------------------ *)
-(* Resident-prefix walkers (quantized fast path)                       *)
-(* ------------------------------------------------------------------ *)
-
-let never_taken : int array -> int =
- fun _ -> invalid_arg "Jit: resident dispatch reached an unreachable child"
-
-(* The top [k] tile levels of one tree become a closure tree with the
-   lane feature ids, integer thresholds and LUT row baked in as
-   immediates — no buffer loads until the walk leaves the resident
-   prefix, where control falls through to [tail] (the narrow
-   memory-phase walk from that cursor; array-kind cursors are slab
-   locals, sparse cursors the slot-or-negative-leaf encoding). Like the
-   other walks it returns a leaf-value index: sparse leaves inside the
-   prefix bake theirs as a constant. Thresholds bake exactly like
-   {!Layout.narrow} encodes them (+inf lanes as a constant OR-mask, -inf
-   as a never-true sentinel), so the prefix depth cannot change any
-   prediction. *)
-let resident_walker (lay : Layout.t) ~k tree ~(tail : int -> int array -> int) =
-  let nt = lay.Layout.tile_size in
-  let bake s (children : (int array -> int) array) =
-    let lut_row = lay.Layout.lut.(lay.Layout.shape_ids.(s)) in
-    let feats = Array.init nt (fun l -> lay.Layout.features.((s * nt) + l)) in
-    let always = ref 0 in
-    let thrs =
-      Array.init nt (fun l ->
-          let x = lay.Layout.thresholds.((s * nt) + l) in
-          if x = infinity then begin
-            always := !always lor (1 lsl (nt - 1 - l));
-            min_int
-          end
-          else if x = neg_infinity then min_int
-          else int_of_float x)
-    in
-    let always = !always in
-    fun (qrow : int array) ->
-      let bits = ref always in
-      for l = 0 to nt - 1 do
-        let b = if qrow.(feats.(l)) < thrs.(l) then 1 else 0 in
-        bits := !bits lor (b lsl (nt - 1 - l))
-      done;
-      children.(lut_row.(!bits)) qrow
-  in
-  match lay.Layout.kind with
-  | Layout.Array_kind ->
-    let fanout = nt + 1 in
-    let base = lay.Layout.tree_root.(tree) in
-    let rec build local level =
-      let s = base + local in
-      if level >= k || lay.Layout.shape_ids.(s) < 0 then tail local
-      else begin
-        let reach = Layout.reachable_children lay lay.Layout.shape_ids.(s) in
-        let children =
-          Array.init fanout (fun c ->
-              if List.mem c reach then build ((local * fanout) + c + 1) (level + 1)
-              else never_taken)
-        in
-        bake s children
-      end
-    in
-    build 0 0
-  | Layout.Sparse_kind ->
-    let root = lay.Layout.tree_root.(tree) in
-    let rec build s level =
-      if level >= k then tail s
-      else begin
-        let p = lay.Layout.child_ptr.(s) in
-        let reach = Layout.reachable_children lay lay.Layout.shape_ids.(s) in
-        let children =
-          Array.init (nt + 1) (fun c ->
-              if not (List.mem c reach) then never_taken
-              else if p >= 0 then build (p + c) (level + 1)
-              else begin
-                let leaf = -p - 1 + c in
-                fun _ -> leaf
-              end)
-        in
-        bake s children
-      end
-    in
-    if root < 0 then begin
-      let leaf = -root - 1 in
-      fun _ -> leaf
-    end
-    else build root 0
+      njam_generic lay thr leaves always tree cur qrows i0 count out cls
 
 (* ------------------------------------------------------------------ *)
 (* Runner assembly                                                     *)
@@ -810,13 +518,12 @@ let trees_in_order (pk : Pack.t) =
   |> Array.of_list
 
 (* Tree-at-a-time: one runner per tree. A tree either walks the rows one
-   by one ([per_row cls walk], over the tier's [walk_of] or, when given,
-   its [resident] walker) or, in a group interleaved k > 1 ways, jams k
-   rows at a time through the tier's lockstep kernel [jam_of]. Each
-   row-range call allocates the jams' cursor buffer, as long as the
-   widest interleave: ranges may run on different domains at once, so no
-   buffer outlives its call. *)
-let assemble_runner (pk : Pack.t) ~per_row ?resident ~walk_of ~jam_of () =
+   by one ([per_row cls walk], over the tier's [walk_of]) or, in a group
+   interleaved k > 1 ways, jams k rows at a time through the tier's
+   lockstep kernel [jam_of]. Each row-range call allocates the jams'
+   cursor buffer, as long as the widest interleave: ranges may run on
+   different domains at once, so no buffer outlives its call. *)
+let assemble_runner (pk : Pack.t) ~per_row ~walk_of ~jam_of =
   let width =
     Array.fold_left
       (fun w (g : Pack.group) -> max w g.Pack.interleave)
@@ -825,21 +532,18 @@ let assemble_runner (pk : Pack.t) ~per_row ?resident ~walk_of ~jam_of () =
   let runners =
     Array.map
       (fun ((g : Pack.group), tree, cls) ->
-        match resident with
-        | Some walker -> per_row cls (walker tree)
-        | None ->
-          let k = g.Pack.interleave in
-          if k <= 1 then per_row cls (walk_of g.Pack.walk tree)
-          else begin
-            let jam = jam_of g.Pack.walk tree in
-            fun cur rows out lo hi ->
-              let i = ref lo in
-              while !i < hi do
-                let count = if hi - !i < k then hi - !i else k in
-                jam cur rows !i count out cls;
-                i := !i + count
-              done
-          end)
+        let k = g.Pack.interleave in
+        if k <= 1 then per_row cls (walk_of g.Pack.walk tree)
+        else begin
+          let jam = jam_of g.Pack.walk tree in
+          fun cur rows out lo hi ->
+            let i = ref lo in
+            while !i < hi do
+              let count = if hi - !i < k then hi - !i else k in
+              jam cur rows !i count out cls;
+              i := !i + count
+            done
+        end)
       (trees_in_order pk)
   in
   fun rows out lo hi ->
@@ -855,14 +559,7 @@ let float_per_row (vals : float array) cls walk _cur (rows : float array array)
     o.(cls) <- o.(cls) +. vals.(walk rows.(i))
   done
 
-let int_per_row8 (vals : Layout.narrow8) cls walk _cur (qrows : int array array)
-    (out : int array array) lo hi =
-  for i = lo to hi - 1 do
-    let o = out.(i) in
-    o.(cls) <- o.(cls) + BA.get vals (walk qrows.(i))
-  done
-
-let int_per_row16 (vals : Layout.narrow16) cls walk _cur (qrows : int array array)
+let int_per_row (vals : Layout.narrow16) cls walk _cur (qrows : int array array)
     (out : int array array) lo hi =
   for i = lo to hi - 1 do
     let o = out.(i) in
@@ -875,7 +572,7 @@ let float_runner (pk : Pack.t) =
   match pk.Pack.loop_order with
   | Schedule.One_tree_at_a_time ->
     assemble_runner pk ~per_row:(float_per_row vals) ~walk_of:(walk_fn lay)
-      ~jam_of:(jam_fn lay) ()
+      ~jam_of:(jam_fn lay)
   | Schedule.One_row_at_a_time ->
     (* Innermost loop over the trees. Tree-jamming on one row is a
        scheduling decision; walks of distinct trees are independent, so
@@ -898,49 +595,17 @@ let float_runner (pk : Pack.t) =
         done
       done
 
-(* Memory-only trees (k = 0) honor their group's walk kind and
-   interleave (jammed rows, like the float path); resident trees bake
-   the prefix and fall through to the loop narrow walk from the exit
-   cursor. The schedule's loop order is deliberately ignored: integer
-   adds are exact, so tree-at-a-time — the cache-friendliest order — is
-   always bitwise-identical. *)
-let quant_runner (pk : Pack.t) ~resident_k =
+(* Every tree honors its group's walk kind and interleave (jammed rows,
+   like the float path). The schedule's loop order is deliberately
+   ignored: integer adds are exact, so tree-at-a-time — the
+   cache-friendliest order — is always bitwise-identical. *)
+let quant_runner (pk : Pack.t) =
   let lay = pk.Pack.layout in
-  let assemble ~per_row ~walk_of ~tail_of ~jam_of =
-    let resident =
-      if resident_k = 0 then None
-      else
-        Some
-          (fun tree ->
-            resident_walker lay ~k:resident_k tree ~tail:(tail_of tree))
-    in
-    assemble_runner pk ~per_row ?resident ~walk_of ~jam_of ()
-  in
-  match Layout.narrow lay with
-  | Layout.Narrow8 { thr; leaves; always } ->
-    assemble
-      ~per_row:(int_per_row8 (leaf_store lay thr leaves))
-      ~walk_of:(nwalk_fn8 lay thr always)
-      ~tail_of:(fun tree ->
-        match lay.Layout.kind with
-        | Layout.Array_kind ->
-          let base = lay.Layout.tree_root.(tree) in
-          fun local qrow -> nwalk_array_from8 lay thr always base local qrow
-        | Layout.Sparse_kind ->
-          fun s qrow -> nwalk_sparse_from8 lay thr always s qrow)
-      ~jam_of:(njam_fn8 lay thr leaves always)
-  | Layout.Narrow16 { thr; leaves; always } ->
-    assemble
-      ~per_row:(int_per_row16 (leaf_store lay thr leaves))
-      ~walk_of:(nwalk_fn16 lay thr always)
-      ~tail_of:(fun tree ->
-        match lay.Layout.kind with
-        | Layout.Array_kind ->
-          let base = lay.Layout.tree_root.(tree) in
-          fun local qrow -> nwalk_array_from16 lay thr always base local qrow
-        | Layout.Sparse_kind ->
-          fun s qrow -> nwalk_sparse_from16 lay thr always s qrow)
-      ~jam_of:(njam_fn16 lay thr leaves always)
+  let { Layout.thr; leaves; always } = Layout.narrow lay in
+  assemble_runner pk
+    ~per_row:(int_per_row (leaf_store lay thr leaves))
+    ~walk_of:(nwalk_fn lay thr always)
+    ~jam_of:(njam_fn lay thr leaves always)
 
 (* ------------------------------------------------------------------ *)
 (* Drivers                                                             *)
@@ -974,16 +639,12 @@ let instantiate_with ~threads (pk : Pack.t) =
       out
   | Some q ->
     (* Integer fast path: quantize the batch into int rows once, walk
-       the narrow buffers (with the resident prefix baked when k > 0)
-       accumulating int sums from the quantized base score, then
-       dequantize exactly. Must equal Lower.reference_qpredict — and
+       the narrow buffers accumulating int sums from the quantized base
+       score, then dequantize exactly. Must equal Lower.reference_qpredict — and
        hence Numeric.qpredict_raw — bit for bit: routing matches the
        float-trick buffers comparison for comparison, and both sides'
        sums are the same integers far below 2^53. *)
-    let resident_k =
-      match pk.Pack.quant with Some qm -> qm.Pack.resident_k | None -> 0
-    in
-    let run = quant_runner pk ~resident_k in
+    let run = quant_runner pk in
     let quantize_row = Layout.row_quantizer q in
     let qbase = Layout.quantize_leaf_int q pk.Pack.base_score in
     let scale = Layout.dequant_scale q in

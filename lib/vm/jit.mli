@@ -28,8 +28,8 @@ val instantiate : Tb_lir.Pack.t -> predictor
 (** Closure instantiation: build the specialized predictor from a packed
     artifact — the cheap half of a compile, run on registry disk hits.
     The whole closure graph is built here, for both the float and the
-    integer tier: one runner per tree with its walk kind, interleave and
-    (integer tier) resident prefix resolved. A call runs those closures
+    integer tier: one runner per tree with its walk kind and interleave
+    resolved. A call runs those closures
     and performs no compilation work. It allocates its outputs (on the
     integer tier also the quantized rows and their integer sums) and one
     cursor buffer per row range, and nothing per tree: walks return leaf

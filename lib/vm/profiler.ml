@@ -288,3 +288,30 @@ let scale (w : Cost_model.workload) factor =
         misses = s w.Cost_model.l1.Cache.misses;
       };
   }
+
+(* Event totals are affine in the row count: a fixed per-batch term
+   (compulsory misses; the per-pass model stream under tree-major order)
+   plus a per-row rate. Extrapolating from a single sample point folds
+   the fixed term into the rate and overstates misses by batch/sample;
+   fitting the line through two nested sample prefixes separates them. *)
+let profile_sample ~target ~sample ~batch (lp : Lower.t) rows =
+  let n = Array.length rows in
+  if n = 0 then invalid_arg "Profiler.profile_sample: no rows";
+  let ns = min n sample in
+  let sample_rows = Array.sub rows 0 ns in
+  if batch = ns then profile ~target lp sample_rows
+  else
+    (* The second point sits at 2x the sample so the fitted slope is the
+       steady per-row rate: below ~[sample] rows the marginal miss rate is
+       still contaminated by warm-up transients. *)
+    let n2 = min n (2 * ns) in
+    if n2 <= ns then
+      (* Too few rows for a second point: prime the cache and fall back
+         to linear scaling of the steady-state pass. *)
+      scale
+        (profile ~target ~warm_start:true lp sample_rows)
+        (float_of_int batch /. float_of_int ns)
+    else
+      let w1 = profile ~target lp sample_rows in
+      let w2 = profile ~target lp (Array.sub rows 0 n2) in
+      extrapolate w1 w2 ~rows:batch

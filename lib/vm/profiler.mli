@@ -50,3 +50,19 @@ val extrapolate :
     as [accesses - misses]; structural fields are taken from [w2].
 
     Raises [Invalid_argument] unless [1 <= w1.rows < w2.rows]. *)
+
+val profile_sample :
+  target:Tb_cpu.Config.t ->
+  sample:int ->
+  batch:int ->
+  Tb_lir.Lower.t ->
+  float array array ->
+  Tb_cpu.Cost_model.workload
+(** The workload of a [batch]-row run, estimated from the first [sample]
+    of [rows]: {!extrapolate} through cold profiles of the first
+    [sample] and the first [2 * sample] rows (clamped to the rows
+    given). A sample that is the whole batch is profiled as is; when
+    [rows] hold no second point, a [warm_start] profile of the sample is
+    {!scale}d instead. The one sampled estimate behind
+    {!Tb_core.Perf.simulate} and {!Tb_analysis.Cost_check.observe}.
+    @raise Invalid_argument on empty [rows]. *)

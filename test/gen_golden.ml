@@ -77,8 +77,9 @@ let () =
   Printf.printf "wrote %s (%d bytes, format v%d)\n" path (Bytes.length bytes)
     Tb_lir.Pack.format_version;
   (* And one golden *quantized* artifact: same model, int16 tier, fixed
-     resident depth and tolerance so the quant metadata block and the
-     narrow-layout serialization are pinned too. The plan comes from the
+     tolerance and resident_k (an inert wire field; the fixture records
+     2) so the quant metadata block and the narrow-layout serialization
+     are pinned too. The plan comes from the
      deterministic certifier, so the fixture is reproducible from the
      model cache alone. *)
   let cert = Tb_analysis.Numeric.certify ~width:Tb_analysis.Numeric.I16 forest in

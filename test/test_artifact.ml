@@ -451,8 +451,7 @@ let test_golden_quant_artifact_byte_stability () =
 (* Tile lanes that read outside the row. The integer kernels load the
    quantized row unchecked, so the decoder must reject such a pack rather
    than instantiate it. Each mutant re-encodes with a fresh CRC, so only
-   the structural check can catch it; resident_k = 0 sends every walk
-   through those kernels. *)
+   the structural check can catch it. *)
 let root_feature_mutant file f =
   let pk =
     match Artifact.read_file (Filename.concat golden_dir file) with
@@ -469,11 +468,7 @@ let root_feature_mutant file f =
     (root >= 0 && lay.Layout.shape_ids.(root) >= 0);
   let features = Array.copy lay.Layout.features in
   Array.fill features (root * nt) nt f;
-  {
-    pk with
-    Pack.layout = { lay with Layout.features };
-    quant = Option.map (fun q -> { q with Pack.resident_k = 0 }) pk.Pack.quant;
-  }
+  { pk with Pack.layout = { lay with Layout.features } }
 
 let test_feature_range_mutants () =
   expect_error "int16 root tile reads feature 1000000" "A004"

@@ -5,11 +5,11 @@
    ties, saturated inputs and dead zones included — because both sides
    quantize identically and integer addition commutes exactly. The
    properties here replay that contract at each layer: the quantized
-   lowering's reference evaluation, the packed-artifact JIT (memory-only
-   and register-resident prefix), and the Reg_ir resident programs under
-   the interpreter. Divergence from the *float* path is only allowed on
-   rows inside a rounding dead zone, and elsewhere must stay within the
-   certificate's proved deviation bound. *)
+   lowering's reference evaluation and the packed-artifact JIT, at int8
+   and int16, whatever the pack's inert [resident_k] field records.
+   Divergence from the *float* path is only allowed on rows inside a
+   rounding dead zone, and elsewhere must stay within the certificate's
+   proved deviation bound. *)
 
 open Helpers
 module Prng = Tb_util.Prng
@@ -19,9 +19,8 @@ module Schedule = Tb_hir.Schedule
 module Layout = Tb_lir.Layout
 module Lower = Tb_lir.Lower
 module Pack = Tb_lir.Pack
-module Reg_codegen = Tb_lir.Reg_codegen
 module Jit = Tb_vm.Jit
-module Interp = Tb_vm.Interp
+module Artifact = Tb_serve.Artifact
 module Numeric = Tb_analysis.Numeric
 module Validate = Tb_analysis.Validate
 module Treebeard = Tb_core.Treebeard
@@ -68,9 +67,13 @@ let probe_rows rng num_features =
    (N004) and collisions (N002) don't invalidate the bitwise contract or
    the proved dev_bound, so such models stay in the sample. A huge
    tolerance keeps N003 from firing and maximizes coverage. *)
-let certified_model rng =
+let certified_model ?width rng =
   let forest = Test_numeric.random_model rng in
-  let width = if Prng.int rng 2 = 0 then Numeric.I8 else Numeric.I16 in
+  let width =
+    match width with
+    | Some w -> w
+    | None -> if Prng.int rng 2 = 0 then Numeric.I8 else Numeric.I16
+  in
   let cert = Numeric.certify ~tolerance:1e12 ~width forest in
   if List.exists (fun d -> d.D.code = "N001") cert.Numeric.findings then None
   else Some (forest, cert)
@@ -96,52 +99,81 @@ let jit_bitwise_property seed =
           QCheck2.Test.fail_reportf
             "reference_qpredict diverged from qpredict_raw on row %d" i)
       rows;
-    (* ... and the JIT over the packed artifact, with and without a
-       register-resident prefix. *)
-    let instantiate k =
+    (* ... and the JIT over the packed artifact. *)
+    let got =
       Jit.instantiate_single_thread
-        (Pack.of_lower ~quant:(pack_quant cert k) lowered)
+        (Pack.of_lower ~quant:(pack_quant cert 0) lowered)
+        rows
     in
-    let got0 = instantiate 0 rows in
-    let got2 = instantiate 2 rows in
     Array.iteri
       (fun i w ->
-        if not (bitwise_eq got0.(i) w) then
-          QCheck2.Test.fail_reportf "memory-only quantized JIT diverged on row %d"
-            i;
-        if not (bitwise_eq got2.(i) w) then
-          QCheck2.Test.fail_reportf "resident-prefix JIT diverged on row %d" i)
+        if not (bitwise_eq got.(i) w) then
+          QCheck2.Test.fail_reportf "quantized JIT diverged on row %d" i)
       want;
     true
 
-let resident_interp_property seed =
-  let rng = Prng.create seed in
-  match certified_model rng with
-  | None -> true
-  | Some (forest, cert) ->
-    let schedule = grid.(Prng.int rng (Array.length grid)) in
-    let lowered =
-      Lower.lower ~quant:(qspec_of_plan cert.Numeric.plan) forest schedule
-    in
-    let lay = lowered.Lower.layout in
-    let spec = Option.get lay.Layout.quant in
-    let k = 1 + Prng.int rng 3 in
-    let rows = random_rows rng forest.Forest.num_features 6 in
-    let num_trees = Array.length lay.Layout.tree_root in
-    for tree = 0 to num_trees - 1 do
-      let p = Reg_codegen.resident_program lay ~k ~tree in
-      Array.iter
-        (fun row ->
-          let qrow = Layout.quantize_row spec row in
-          let got = Interp.run_walk p lowered ~tree ~row:qrow in
-          let want = Layout.walk lay ~tree qrow in
-          if bits got <> bits want then
-            QCheck2.Test.fail_reportf
-              "resident program (k=%d) diverged from Layout.walk on tree %d" k
-              tree)
-        rows
-    done;
-    true
+(* [resident_k] is an inert wire field: instantiate ignores it. Packs
+   that differ only in it predict bit for bit alike, and like
+   qpredict_raw, at both widths; the golden int16 fixture, which records
+   k = 2, predicts exactly like its k = 0 re-pack. *)
+let test_resident_k_inert () =
+  let rng = Prng.create 17 in
+  List.iter
+    (fun width ->
+      let rec certified () =
+        match certified_model ~width rng with
+        | Some c -> c
+        | None -> certified ()
+      in
+      for _ = 1 to 6 do
+        let forest, cert = certified () in
+        let qm = Numeric.quantize cert.Numeric.plan forest in
+        let schedule = grid.(Prng.int rng (Array.length grid)) in
+        let lowered =
+          Lower.lower ~quant:(qspec_of_plan cert.Numeric.plan) forest schedule
+        in
+        let rows = probe_rows rng forest.Forest.num_features in
+        let want = Array.map (Numeric.qpredict_raw qm) rows in
+        List.iter
+          (fun k ->
+            let got =
+              Jit.instantiate_single_thread
+                (Pack.of_lower ~quant:(pack_quant cert k) lowered)
+                rows
+            in
+            if not (Array.for_all2 bitwise_eq got want) then
+              Alcotest.failf "%s pack with resident_k = %d diverged from \
+                              qpredict_raw"
+                (Numeric.width_to_string width) k)
+          [ 0; 2; 3 ]
+      done)
+    [ Numeric.I8; Numeric.I16 ];
+  let decode b =
+    match Pack.decode b with
+    | Ok pk -> pk
+    | Error e -> Alcotest.failf "[%s] %s" e.Pack.code e.Pack.message
+  in
+  let golden =
+    match
+      Artifact.read_file
+        (Filename.concat Test_artifact.golden_dir "abalone-int16.tbpack")
+    with
+    | Error m -> Alcotest.failf "missing golden quant artifact (%s)" m
+    | Ok b -> decode b
+  in
+  let q = Option.get golden.Pack.quant in
+  check_int "golden fixture records k = 2" 2 q.Pack.resident_k;
+  let repacked =
+    decode
+      (Pack.encode
+         { golden with Pack.quant = Some { q with Pack.resident_k = 0 } })
+  in
+  let spec = Option.get golden.Pack.layout.Layout.quant in
+  let rows = probe_rows rng (Array.length spec.Layout.feature_exp) in
+  check_bool "golden k = 2 == its k = 0 re-pack (bitwise)" true
+    (Array.for_all2 bitwise_eq
+       (Jit.instantiate_single_thread golden rows)
+       (Jit.instantiate_single_thread repacked rows))
 
 (* Quantized-vs-float contract: outside every dead zone the dequantized
    output stays within the proved per-class deviation bound of the float
@@ -248,8 +280,6 @@ let test_make_int16 () =
     (t.Treebeard.certificate <> None);
   Alcotest.(check bool) "no fallback diagnostics" true
     (t.Treebeard.precision_diags = []);
-  Alcotest.(check bool) "resident depth within cap" true
-    (t.Treebeard.resident_k >= 0 && t.Treebeard.resident_k <= 3);
   let cert = Option.get t.Treebeard.certificate in
   let qm = Numeric.quantize cert.Numeric.plan forest in
   let rng = Prng.create 41 in
@@ -398,8 +428,7 @@ let one_pipeline_property seed =
   let checked =
     verified
       (Passman.run ~mode:Verify_each ~profiles ~backend:`Threaded
-         ~target:Tb_cpu.Config.intel_rocket_lake ~sample:rows resolution forest
-         schedule)
+         ~target:Tb_cpu.Config.intel_rocket_lake resolution forest schedule)
   in
   if made.Treebeard.tier <> `Int16 || checked.Passman.tier <> `Int16 then
     fail "int16 compile fell back to %s"
@@ -508,8 +537,7 @@ let test_refuted_lowering () =
   | Treebeard.Float_tier _ -> Alcotest.fail "finite stump did not certify");
   let c, _ =
     Passman.run ~mode:No_verify ~backend:`Single_thread
-      ~target:Tb_cpu.Config.intel_rocket_lake ~sample:[||] resolution marker
-      Schedule.default
+      ~target:Tb_cpu.Config.intel_rocket_lake resolution marker Schedule.default
     |> Result.get_ok
   in
   check_string "run fell back" "float"
@@ -544,10 +572,10 @@ let suite =
   [
     qcheck ~count:40 ~name:"quantized lowering+JIT == qpredict_raw (bitwise)"
       seed_gen jit_bitwise_property;
-    qcheck ~count:25 ~name:"resident Reg_ir programs == Layout.walk (bitwise)"
-      seed_gen resident_interp_property;
     qcheck ~count:40 ~name:"deviation bound honored outside dead zones"
       seed_gen deviation_contract_property;
+    quick "resident_k is inert: k in {0,2,3} and the golden k=2 pack agree"
+      test_resident_k_inert;
     quick "pack: quantized round-trip" test_pack_roundtrip;
     quick "pack: quant/layout mismatch raises" test_pack_mismatch_raises;
     quick "pack: float artifacts carry no quant block"

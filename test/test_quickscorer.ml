@@ -36,6 +36,35 @@ let test_qs_wide_trees () =
   let expected = Forest.predict_batch_raw forest rows in
   check_bool "multi-word masks" true (Array.for_all2 arrays_close out expected)
 
+let test_qs_bit62_leaves () =
+  (* Leaf 62 sits in bit 62 of mask word 0 and leaf 125 in bit 62 of
+     word 1, the top bit of a full 63-bit word. In a complete depth-7
+     tree whose depth-d nodes split feature d at 0.5, a row reaches leaf
+     i by setting feature d to bit (6 - d) of i; leaf i holds value i. *)
+  let rec complete d first =
+    if d = 7 then Tree.Leaf (float_of_int first)
+    else
+      Tree.Node
+        {
+          feature = d;
+          threshold = 0.5;
+          left = complete (d + 1) first;
+          right = complete (d + 1) (first + (1 lsl (6 - d)));
+        }
+  in
+  let forest = Forest.make ~task:Forest.Regression ~num_features:7 [| complete 0 0 |] in
+  check_int "128 leaves" 128 (Tree.num_leaves forest.Forest.trees.(0));
+  let row_to leaf = Array.init 7 (fun d -> float_of_int ((leaf lsr (6 - d)) land 1)) in
+  let leaves = [| 62; 125; 0; 63; 127 |] in
+  let out = Quickscorer.predict_batch (Quickscorer.compile forest) (Array.map row_to leaves) in
+  Array.iteri
+    (fun i leaf ->
+      check_float (Printf.sprintf "reference reaches leaf %d" leaf) (float_of_int leaf)
+        (Forest.predict_raw forest (row_to leaf)).(0);
+      check_float (Printf.sprintf "quickscorer scores leaf %d" leaf) (float_of_int leaf)
+        out.(i).(0))
+    leaves
+
 let test_qs_multiclass () =
   let rng = Prng.create 3 in
   let trees = Array.init 6 (fun _ -> Tree.random ~max_depth:5 ~num_features:4 rng) in
@@ -80,6 +109,7 @@ let suite =
   [
     qcheck ~name:"quickscorer == reference" seed_gen qs_equivalence_property;
     quick "wide trees need multi-word masks" test_qs_wide_trees;
+    quick "leaves 62 and 125: the top bit of a full mask word" test_qs_bit62_leaves;
     quick "multiclass" test_qs_multiclass;
     quick "false-node count bounds" test_qs_false_node_count_bounds;
     quick "work scales with model size" test_qs_work_scales_with_model;
