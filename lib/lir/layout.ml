@@ -362,7 +362,7 @@ let stride_facts t =
    semantics unchanged. *)
 let pow2 e = Float.ldexp 1.0 e
 
-let quantize_scaled ~q_max scaled =
+let[@inline] quantize_scaled ~q_max scaled =
   let v = Float.round scaled in
   if Float.is_nan v then 0
   else if v >= float_of_int q_max then q_max
@@ -402,7 +402,10 @@ let quantize_leaf_int (q : qspec) v =
    runs once per row per predict call), so the per-feature 2^e scales
    are hoisted out of the loop — [ldexp] per element costs as much as a
    tile step on wide-feature models. Unused features keep scale 0, which
-   doubles as the None marker ([pow2] never returns 0). *)
+   doubles as the None marker ([pow2] never returns 0). The row is filled
+   by a plain loop around the inlined [quantize_scaled], so no scaled
+   feature is boxed: a closure per element ([Array.init]) or an
+   out-of-line call that takes the float would box one per feature. *)
 let row_quantizer (q : qspec) =
   let nf = Array.length q.feature_exp in
   let scale = Array.make nf 0.0 in
@@ -411,9 +414,12 @@ let row_quantizer (q : qspec) =
     q.feature_exp;
   let q_max = q.q_max in
   fun (row : float array) ->
-    Array.init nf (fun f ->
-        let s = Array.unsafe_get scale f in
-        if s = 0.0 then 0 else quantize_scaled ~q_max (row.(f) *. s))
+    let qrow = Array.make nf 0 in
+    for f = 0 to nf - 1 do
+      let s = Array.unsafe_get scale f in
+      if s <> 0.0 then Array.unsafe_set qrow f (quantize_scaled ~q_max (row.(f) *. s))
+    done;
+    qrow
 
 let quantize (q : qspec) t =
   if t.quant <> None then invalid_arg "Layout.quantize: already quantized";

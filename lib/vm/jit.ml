@@ -265,6 +265,106 @@ let jam_fn (lay : Layout.t) (walk : Mir.walk_kind) tree =
     fun cur rows i0 count out cls ->
       jam_rows_generic lay tree cur rows i0 count out cls
 
+(* Jam the walks of one row over [count] trees of one group (row-at-a-time
+   order): lane j walks the tree at group position p0 + j, rooted at
+   [roots.(p0 + j)] and adding into class [classes.(p0 + j)] of the row's
+   output [o]. The lanes add their leaf values in lane order, which is
+   tree order, and only after the last walk has finished: every output
+   cell then still sums its trees in [trees_in_order], where adding each
+   value as its walk retired would reorder the float sum. A retired lane
+   keeps its leaf index i in its cursor as -i - 1. *)
+let jam_trees_generic (lay : Layout.t) (roots : int array) (classes : int array)
+    (cur : int array) (row : float array) (o : float array) p0 count =
+  match lay.Layout.kind with
+  | Layout.Array_kind ->
+    let nt = lay.Layout.tile_size in
+    for j = 0 to count - 1 do
+      cur.(j) <- 0
+    done;
+    let remaining = ref count in
+    while !remaining > 0 do
+      for j = 0 to count - 1 do
+        let local = cur.(j) in
+        if local >= 0 then begin
+          let base = roots.(p0 + j) in
+          let s = base + local in
+          if lay.Layout.shape_ids.(s) = Layout.leaf_marker then begin
+            cur.(j) <- -(s * nt) - 1;
+            decr remaining
+          end
+          else cur.(j) <- step_array lay base local row
+        end
+      done
+    done;
+    for j = 0 to count - 1 do
+      let cls = classes.(p0 + j) in
+      o.(cls) <- o.(cls) +. lay.Layout.thresholds.(-cur.(j) - 1)
+    done
+  | Layout.Sparse_kind ->
+    let remaining = ref 0 in
+    for j = 0 to count - 1 do
+      let root = roots.(p0 + j) in
+      cur.(j) <- root;
+      if root >= 0 then incr remaining
+    done;
+    while !remaining > 0 do
+      for j = 0 to count - 1 do
+        let s = cur.(j) in
+        if s >= 0 then begin
+          let next = step_sparse lay s row in
+          cur.(j) <- next;
+          if next < 0 then decr remaining
+        end
+      done
+    done;
+    for j = 0 to count - 1 do
+      let cls = classes.(p0 + j) in
+      o.(cls) <- o.(cls) +. lay.Layout.leaf_values.(-cur.(j) - 1)
+    done
+
+(* Tree jam of a uniform unrolled depth: pure lockstep. Every tree of an
+   unrolled group has all its leaves at [depth], so a sparse root that is
+   already a leaf only occurs with depth 0, where no lane steps. *)
+let jam_trees_unrolled (lay : Layout.t) (roots : int array) (classes : int array)
+    (cur : int array) (row : float array) (o : float array) p0 count ~depth =
+  match lay.Layout.kind with
+  | Layout.Array_kind ->
+    for j = 0 to count - 1 do
+      cur.(j) <- 0
+    done;
+    for _ = 1 to depth do
+      for j = 0 to count - 1 do
+        cur.(j) <- step_array lay roots.(p0 + j) cur.(j) row
+      done
+    done;
+    for j = 0 to count - 1 do
+      let cls = classes.(p0 + j) in
+      o.(cls) <-
+        o.(cls)
+        +. lay.Layout.thresholds.((roots.(p0 + j) + cur.(j)) * lay.Layout.tile_size)
+    done
+  | Layout.Sparse_kind ->
+    for j = 0 to count - 1 do
+      cur.(j) <- roots.(p0 + j)
+    done;
+    for _ = 1 to depth do
+      for j = 0 to count - 1 do
+        cur.(j) <- step_sparse lay cur.(j) row
+      done
+    done;
+    for j = 0 to count - 1 do
+      let cls = classes.(p0 + j) in
+      o.(cls) <- o.(cls) +. lay.Layout.leaf_values.(-cur.(j) - 1)
+    done
+
+let tree_jam_fn (lay : Layout.t) (walk : Mir.walk_kind) roots classes =
+  match walk with
+  | Mir.Unrolled_walk { depth } ->
+    fun cur row o p0 count ->
+      jam_trees_unrolled lay roots classes cur row o p0 count ~depth
+  | Mir.Loop_walk | Mir.Peeled_walk _ ->
+    fun cur row o p0 count -> jam_trees_generic lay roots classes cur row o p0 count
+
 (* ------------------------------------------------------------------ *)
 (* Narrow-walk kernels (quantized fast path)                           *)
 (* ------------------------------------------------------------------ *)
@@ -500,6 +600,97 @@ let njam_fn lay thr leaves always (walk : Mir.walk_kind) tree =
     fun cur qrows i0 count out cls ->
       njam_generic lay thr leaves always tree cur qrows i0 count out cls
 
+let njam_trees_generic (lay : Layout.t) thr (leaves : Layout.narrow16) always
+    (roots : int array) (classes : int array) (cur : int array) (qrow : int array)
+    (o : int array) p0 count =
+  match lay.Layout.kind with
+  | Layout.Array_kind ->
+    let nt = lay.Layout.tile_size in
+    for j = 0 to count - 1 do
+      cur.(j) <- 0
+    done;
+    let remaining = ref count in
+    while !remaining > 0 do
+      for j = 0 to count - 1 do
+        let local = cur.(j) in
+        if local >= 0 then begin
+          let base = roots.(p0 + j) in
+          let s = base + local in
+          if lay.Layout.shape_ids.(s) = Layout.leaf_marker then begin
+            cur.(j) <- -(s * nt) - 1;
+            decr remaining
+          end
+          else cur.(j) <- nstep_array lay thr always base local qrow
+        end
+      done
+    done;
+    for j = 0 to count - 1 do
+      let cls = classes.(p0 + j) in
+      o.(cls) <- o.(cls) + BA.get thr (-cur.(j) - 1)
+    done
+  | Layout.Sparse_kind ->
+    let remaining = ref 0 in
+    for j = 0 to count - 1 do
+      let root = roots.(p0 + j) in
+      cur.(j) <- root;
+      if root >= 0 then incr remaining
+    done;
+    while !remaining > 0 do
+      for j = 0 to count - 1 do
+        let s = cur.(j) in
+        if s >= 0 then begin
+          let next = nstep_sparse lay thr always s qrow in
+          cur.(j) <- next;
+          if next < 0 then decr remaining
+        end
+      done
+    done;
+    for j = 0 to count - 1 do
+      let cls = classes.(p0 + j) in
+      o.(cls) <- o.(cls) + BA.get leaves (-cur.(j) - 1)
+    done
+
+let njam_trees_unrolled (lay : Layout.t) thr (leaves : Layout.narrow16) always
+    (roots : int array) (classes : int array) (cur : int array) (qrow : int array)
+    (o : int array) p0 count ~depth =
+  match lay.Layout.kind with
+  | Layout.Array_kind ->
+    for j = 0 to count - 1 do
+      cur.(j) <- 0
+    done;
+    for _ = 1 to depth do
+      for j = 0 to count - 1 do
+        cur.(j) <- nstep_array lay thr always roots.(p0 + j) cur.(j) qrow
+      done
+    done;
+    for j = 0 to count - 1 do
+      let cls = classes.(p0 + j) in
+      o.(cls) <-
+        o.(cls) + BA.get thr ((roots.(p0 + j) + cur.(j)) * lay.Layout.tile_size)
+    done
+  | Layout.Sparse_kind ->
+    for j = 0 to count - 1 do
+      cur.(j) <- roots.(p0 + j)
+    done;
+    for _ = 1 to depth do
+      for j = 0 to count - 1 do
+        cur.(j) <- nstep_sparse lay thr always cur.(j) qrow
+      done
+    done;
+    for j = 0 to count - 1 do
+      let cls = classes.(p0 + j) in
+      o.(cls) <- o.(cls) + BA.get leaves (-cur.(j) - 1)
+    done
+
+let ntree_jam_fn lay thr leaves always (walk : Mir.walk_kind) roots classes =
+  match walk with
+  | Mir.Unrolled_walk { depth } ->
+    fun cur qrow o p0 count ->
+      njam_trees_unrolled lay thr leaves always roots classes cur qrow o p0 count ~depth
+  | Mir.Loop_walk | Mir.Peeled_walk _ ->
+    fun cur qrow o p0 count ->
+      njam_trees_generic lay thr leaves always roots classes cur qrow o p0 count
+
 (* ------------------------------------------------------------------ *)
 (* Runner assembly                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -517,19 +708,31 @@ let trees_in_order (pk : Pack.t) =
          |> List.map (fun tree -> (g, tree, pk.Pack.tree_class.(tree))))
   |> Array.of_list
 
-(* Tree-at-a-time: one runner per tree. A tree either walks the rows one
-   by one ([per_row cls walk], over the tier's [walk_of]) or, in a group
-   interleaved k > 1 ways, jams k rows at a time through the tier's
-   lockstep kernel [jam_of]. Each row-range call allocates the jams'
-   cursor buffer, as long as the widest interleave: ranges may run on
-   different domains at once, so no buffer outlives its call. *)
-let assemble_runner (pk : Pack.t) ~per_row ~walk_of ~jam_of =
+(* The one runner of both tiers. A group interleaved k ways jams k walks
+   in lockstep along one of two axes, chosen per row range:
+   - row jams (tree-at-a-time): one runner per tree, which walks the rows
+     one by one ([per_row cls walk], over the tier's [walk_of]) or, when
+     k > 1, k rows at a time through the tier's lockstep kernel [jam_of];
+   - tree jams (row-at-a-time): row by row, each group walks its trees k
+     at a time through the tier's [tree_jam_of] kernel, or one by one
+     through the same [per_row] runners when k = 1 (a 1-lane jam costs
+     more than a plain walk).
+   A range shorter than the widest interleave runs tree jams: its row
+   jams would be narrower than the schedule asked for, and a 1-row range
+   would walk every tree as one serial chain of dependent loads. So does
+   every range when [row_major] (the float tier's row-at-a-time
+   schedules); every other range runs row jams. Both axes add each
+   output cell's trees in [trees_in_order], so a row's margins do not
+   depend on the range it runs in. Each row-range call allocates the
+   jams' cursor buffer, as long as the widest interleave: ranges may run
+   on different domains at once, so no buffer outlives its call. *)
+let assemble_runner (pk : Pack.t) ~row_major ~per_row ~walk_of ~jam_of ~tree_jam_of =
   let width =
     Array.fold_left
       (fun w (g : Pack.group) -> max w g.Pack.interleave)
       1 pk.Pack.groups
   in
-  let runners =
+  let row_jams =
     Array.map
       (fun ((g : Pack.group), tree, cls) ->
         let k = g.Pack.interleave in
@@ -546,11 +749,47 @@ let assemble_runner (pk : Pack.t) ~per_row ~walk_of ~jam_of =
         end)
       (trees_in_order pk)
   in
+  let tree_jams =
+    Array.map
+      (fun (g : Pack.group) ->
+        let pos = g.Pack.positions and k = g.Pack.interleave in
+        let cls = Array.get pk.Pack.tree_class in
+        if k <= 1 then begin
+          let walks =
+            Array.map (fun tree -> per_row (cls tree) (walk_of g.Pack.walk tree)) pos
+          in
+          fun cur rows out i ->
+            for t = 0 to Array.length walks - 1 do
+              walks.(t) cur rows out i (i + 1)
+            done
+        end
+        else begin
+          let roots = Array.map (Array.get pk.Pack.layout.Layout.tree_root) pos in
+          let jam = tree_jam_of g.Pack.walk roots (Array.map cls pos) in
+          let n = Array.length pos in
+          fun cur rows out i ->
+            let row = rows.(i) and o = out.(i) in
+            let p = ref 0 in
+            while !p < n do
+              let count = if n - !p < k then n - !p else k in
+              jam cur row o !p count;
+              p := !p + count
+            done
+        end)
+      pk.Pack.groups
+  in
   fun rows out lo hi ->
     let cur = Array.make width 0 in
-    for t = 0 to Array.length runners - 1 do
-      runners.(t) cur rows out lo hi
-    done
+    if row_major || hi - lo < width then
+      for i = lo to hi - 1 do
+        for g = 0 to Array.length tree_jams - 1 do
+          tree_jams.(g) cur rows out i
+        done
+      done
+    else
+      for t = 0 to Array.length row_jams - 1 do
+        row_jams.(t) cur rows out lo hi
+      done
 
 let float_per_row (vals : float array) cls walk _cur (rows : float array array)
     (out : float array array) lo hi =
@@ -568,44 +807,23 @@ let int_per_row (vals : Layout.narrow16) cls walk _cur (qrows : int array array)
 
 let float_runner (pk : Pack.t) =
   let lay = pk.Pack.layout in
-  let vals = leaf_store lay lay.Layout.thresholds lay.Layout.leaf_values in
-  match pk.Pack.loop_order with
-  | Schedule.One_tree_at_a_time ->
-    assemble_runner pk ~per_row:(float_per_row vals) ~walk_of:(walk_fn lay)
-      ~jam_of:(jam_fn lay)
-  | Schedule.One_row_at_a_time ->
-    (* Innermost loop over the trees. Tree-jamming on one row is a
-       scheduling decision; walks of distinct trees are independent, so
-       executing them back to back is semantically identical. The
-       profiler models the jam's ILP effect; here we just follow group
-       order. *)
-    let trees = trees_in_order pk in
-    let classes = Array.map (fun (_, _, cls) -> cls) trees in
-    let walks =
-      Array.map
-        (fun ((g : Pack.group), tree, _) -> walk_fn lay g.Pack.walk tree)
-        trees
-    in
-    fun (rows : float array array) (out : float array array) lo hi ->
-      for i = lo to hi - 1 do
-        let row = rows.(i) and o = out.(i) in
-        for t = 0 to Array.length walks - 1 do
-          let cls = classes.(t) in
-          o.(cls) <- o.(cls) +. vals.(walks.(t) row)
-        done
-      done
+  assemble_runner pk
+    ~row_major:(pk.Pack.loop_order = Schedule.One_row_at_a_time)
+    ~per_row:(float_per_row (leaf_store lay lay.Layout.thresholds lay.Layout.leaf_values))
+    ~walk_of:(walk_fn lay) ~jam_of:(jam_fn lay) ~tree_jam_of:(tree_jam_fn lay)
 
-(* Every tree honors its group's walk kind and interleave (jammed rows,
-   like the float path). The schedule's loop order is deliberately
-   ignored: integer adds are exact, so tree-at-a-time — the
+(* Every tree honors its group's walk kind and interleave. The schedule's
+   loop order is deliberately ignored on ranges as wide as the widest
+   interleave: integer adds are exact, so tree-at-a-time — the
    cache-friendliest order — is always bitwise-identical. *)
 let quant_runner (pk : Pack.t) =
   let lay = pk.Pack.layout in
   let { Layout.thr; leaves; always } = Layout.narrow lay in
-  assemble_runner pk
+  assemble_runner pk ~row_major:false
     ~per_row:(int_per_row (leaf_store lay thr leaves))
     ~walk_of:(nwalk_fn lay thr always)
     ~jam_of:(njam_fn lay thr leaves always)
+    ~tree_jam_of:(ntree_jam_fn lay thr leaves always)
 
 (* ------------------------------------------------------------------ *)
 (* Drivers                                                             *)

@@ -91,9 +91,20 @@ let tile_size_sweep =
         [ Schedule.Array_layout; Schedule.Sparse_layout ])
     (List.init 8 (fun i -> i + 1))
 
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
 (* Deterministic sweep of the whole grid, plus the tile-size sweep, on
    one fixed forest: slower than the random pairing above but guarantees
-   every Table II point is hit at least once per run. *)
+   every Table II point is hit at least once per run. The 12 rows are
+   also predicted in 1-, 2- and 3-row calls, which are shorter than most
+   interleaves and so run tree jams: each call must equal Interp
+   bitwise, and give every row the margins it got in the 12-row call
+   (serving's equivalence gate relies on a row's margins not depending on
+   the batch it arrives in). *)
 let test_full_grid_one_forest () =
   let rng = Prng.create 99 in
   let forest = Forest.random ~num_trees:7 ~max_depth:6 ~num_features:6 rng in
@@ -102,16 +113,32 @@ let test_full_grid_one_forest () =
   List.iter
     (fun schedule ->
       let lp = Lower.lower forest schedule in
-      let jit = jit lp rows in
-      let interp = Interp.compile lp rows in
+      let predict = jit lp and interp = Interp.compile lp in
+      let full = predict rows in
       if
         not
           (Array.for_all2
              (fun a b -> Array.for_all2 Float.equal a b)
-             jit interp)
+             full (interp rows))
       then Alcotest.failf "JIT <> Interp: %s" (Schedule.to_string schedule);
-      if not (Array.for_all2 (fun a b -> arrays_close ~eps:1e-5 a b) jit reference)
-      then Alcotest.failf "JIT <> reference: %s" (Schedule.to_string schedule))
+      if not (Array.for_all2 (fun a b -> arrays_close ~eps:1e-5 a b) full reference)
+      then Alcotest.failf "JIT <> reference: %s" (Schedule.to_string schedule);
+      List.iter
+        (fun b ->
+          for c = 0 to (Array.length rows / b) - 1 do
+            let batch = Array.sub rows (c * b) b in
+            let got = predict batch in
+            if not (Array.for_all2 same_bits got (interp batch)) then
+              Alcotest.failf "JIT <> Interp on a %d-row call: %s" b
+                (Schedule.to_string schedule);
+            Array.iteri
+              (fun j margins ->
+                if not (same_bits margins full.((c * b) + j)) then
+                  Alcotest.failf "row %d: %d-row call <> 12-row call: %s"
+                    ((c * b) + j) b (Schedule.to_string schedule))
+              got
+          done)
+        [ 1; 2; 3 ])
     (Schedule.table2_grid @ tile_size_sweep)
 
 let suite =

@@ -99,16 +99,18 @@ let jit_bitwise_property seed =
           QCheck2.Test.fail_reportf
             "reference_qpredict diverged from qpredict_raw on row %d" i)
       rows;
-    (* ... and the JIT over the packed artifact. *)
-    let got =
-      Jit.instantiate_single_thread
-        (Pack.of_lower ~quant:(pack_quant cert 0) lowered)
-        rows
+    (* ... and the JIT over the packed artifact, on the whole batch and on
+       every row alone (a 1-row call runs tree jams). *)
+    let predict =
+      Jit.instantiate_single_thread (Pack.of_lower ~quant:(pack_quant cert 0) lowered)
     in
+    let got = predict rows in
     Array.iteri
       (fun i w ->
         if not (bitwise_eq got.(i) w) then
-          QCheck2.Test.fail_reportf "quantized JIT diverged on row %d" i)
+          QCheck2.Test.fail_reportf "quantized JIT diverged on row %d" i;
+        if not (bitwise_eq (predict [| rows.(i) |]).(0) w) then
+          QCheck2.Test.fail_reportf "quantized JIT diverged on row %d called alone" i)
       want;
     true
 

@@ -154,26 +154,33 @@ let test_jit_single_leaf_forest () =
    nothing per tree: walks return leaf indices instead of boxed floats,
    build no closure over the row, and jams share the range's buffer. The
    budget is a few words per row over the outputs, whatever the tree
-   count. *)
+   count. The 256-row calls run row jams, except on the row-major
+   schedule; the 1- and 3-row calls are shorter than the default
+   interleave and run tree jams. *)
 let test_jit_allocation_per_call () =
   let rng = Prng.create 16 in
   let forest = Forest.random ~num_trees:64 ~num_features:6 rng in
-  let rows = random_rows rng 6 256 in
-  let budget = (Array.length rows * (Forest.num_outputs forest + 4)) + 256 in
-  let expected = Forest.predict_batch_raw forest rows in
+  let all_rows = random_rows rng 6 256 in
   List.iter
     (fun (name, schedule) ->
       let predict = jit_single_thread (Lower.lower forest schedule) in
-      ignore (predict rows);
-      let before = Gc.minor_words () in
-      let out = predict rows in
-      let words = Gc.minor_words () -. before in
-      check_bool
-        (Printf.sprintf "%s: %.0f minor words <= %d" name words budget)
-        true
-        (words <= float_of_int budget);
-      check_bool (name ^ ": equals the reference") true
-        (Array.for_all2 arrays_close out expected))
+      List.iter
+        (fun n ->
+          let rows = Array.sub all_rows 0 n in
+          let budget = (n * (Forest.num_outputs forest + 4)) + 256 in
+          ignore (predict rows);
+          let before = Gc.minor_words () in
+          let out = predict rows in
+          let words = Gc.minor_words () -. before in
+          check_bool
+            (Printf.sprintf "%s, %d rows: %.0f minor words <= %d" name n words budget)
+            true
+            (words <= float_of_int budget);
+          check_bool
+            (Printf.sprintf "%s, %d rows: equals the reference" name n)
+            true
+            (Array.for_all2 arrays_close out (Forest.predict_batch_raw forest rows)))
+        [ 256; 1; 3 ])
     [
       ("default", Schedule.default);
       ("default, interleave 1", { Schedule.default with interleave = 1 });
