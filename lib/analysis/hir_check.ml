@@ -171,6 +171,7 @@ let check_lut lut =
         (err ~code:"H010" ~path "LUT row has %d entries, expected 2^%d = %d"
            (Array.length row) nt width)
     else
+      let idx = Shape.index shape in
       for bits = 0 to width - 1 do
         let c = row.(bits) in
         if c < 0 || c >= exits then
@@ -179,7 +180,7 @@ let check_lut lut =
                "entry for bits %#x is %d, outside the shape's %d exits" bits c
                exits)
         else begin
-          let expect = Shape.navigate shape ~tile_size:nt ~bits in
+          let expect = Shape.navigate_index idx ~tile_size:nt ~bits in
           if c <> expect then
             add
               (err ~code:"H010" ~path

@@ -20,8 +20,9 @@ let create ~tile_size =
 let tile_size t = t.tile_size
 
 let compute_row t shape =
+  let idx = Shape.index shape in
   Array.init (1 lsl t.tile_size) (fun bits ->
-      Shape.navigate shape ~tile_size:t.tile_size ~bits)
+      Shape.navigate_index idx ~tile_size:t.tile_size ~bits)
 
 let shape_id t shape =
   match Hashtbl.find_opt t.ids shape with

@@ -3,7 +3,9 @@
     [LUT : (tile shape, comparison bitmask) -> child index]. Shape IDs are
     assigned on demand per registry; the table rows are computed statically
     (at compile time) by exhaustively navigating each shape under every
-    possible bitmask, so the generated walk needs one load per step. *)
+    possible bitmask, so the generated walk needs one load per step. A row
+    indexes its shape once ({!Shape.index}) and navigates all [2^tile_size]
+    masks over that index, at most [tile_size] steps each. *)
 
 type t
 

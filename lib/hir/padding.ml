@@ -82,9 +82,9 @@ let dummy_tile (t : T.t) inner =
 let static_rchildren info children =
   if Array.length info.node_ids = 0 then [| children.(0) |] else children
 
-let pad_to_depth (t : T.t) ~depth:target =
-  let current = T.depth t in
-  if target < current then invalid_arg "Padding.pad_to_depth: target too small";
+(* Pad every reachable leaf down to [target], which is at least the
+   tree's depth. *)
+let pad_leaves (t : T.t) ~target =
   let rec pad r d =
     match r with
     | RLeaf v ->
@@ -103,12 +103,14 @@ let pad_to_depth (t : T.t) ~depth:target =
   in
   of_rnode t (pad (to_rnode t) 0)
 
+let pad_to_depth t ~depth =
+  if depth < T.depth t then invalid_arg "Padding.pad_to_depth: target too small";
+  pad_leaves t ~target:depth
+
 let imbalance t =
-  match T.leaf_depths t with
-  | [] -> 0
-  | depths ->
-    let ds = List.map fst depths in
-    List.fold_left max 0 ds - List.fold_left min max_int ds
+  let lo, hi = T.depth_range t in
+  hi - lo
 
 let pad_to_uniform_depth t =
-  if T.is_uniform_depth t then t else pad_to_depth t ~depth:(T.depth t)
+  let lo, hi = T.depth_range t in
+  if lo = hi then t else pad_leaves t ~target:hi

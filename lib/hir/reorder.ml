@@ -8,7 +8,9 @@ type group = {
 let reorder trees =
   let keyed =
     Array.mapi
-      (fun i t -> ((Tiled_tree.is_uniform_depth t, Tiled_tree.depth t), i))
+      (fun i t ->
+        let lo, hi = Tiled_tree.depth_range t in
+        ((lo = hi, hi), i))
       trees
   in
   let tbl = Hashtbl.create 16 in

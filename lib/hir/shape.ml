@@ -11,53 +11,48 @@ let rec depth (Node (l, r)) =
   1 + max (side l) (side r)
 
 (* Indexed form: nodes numbered in level order; child entries are either a
-   node index (>= 0) or an exit slot encoded as [-1 - slot], with exit slots
+   node index (>= 1) or an exit slot encoded as [-1 - slot], with exit slots
    numbered left to right (DFS preorder collection order). *)
-type indexed = { left : int array; right : int array }
+type index = { left : int array; right : int array }
 
 let index shape =
   let n = size shape in
-  (* Level-order ids: BFS over the shape. *)
-  let queue = Queue.create () in
-  let id_of = Hashtbl.create 16 in
-  (* Physical identity is unreliable for structurally equal subtrees, so
-     carry (shape, path) pairs; the path uniquely names a position. *)
-  let next_id = ref 0 in
-  Queue.add (shape, []) queue;
-  while not (Queue.is_empty queue) do
-    let Node (l, r), path = Queue.pop queue in
-    let id = !next_id in
-    incr next_id;
-    Hashtbl.replace id_of path id;
-    (match l with Some s -> Queue.add (s, 0 :: path) queue | None -> ());
-    (match r with Some s -> Queue.add (s, 1 :: path) queue | None -> ())
-  done;
+  (* BFS with the id array as its queue: node [i]'s present children take
+     the next free ids. Sub-shapes are kept by position, so structurally
+     equal subtrees get distinct ids. 0 marks an exit until the DFS below
+     numbers it; no child can be node 0, the root. *)
+  let nodes = Array.make n shape in
   let left = Array.make n 0 and right = Array.make n 0 in
-  (* DFS preorder to number exits left-to-right, and fill child entries via
-     paths. *)
-  let exit_count = ref 0 in
-  let rec dfs (Node (l, r)) path =
-    let my_id = Hashtbl.find id_of path in
-    (match l with
-    | Some s ->
-      left.(my_id) <- Hashtbl.find id_of (0 :: path);
-      dfs s (0 :: path)
-    | None ->
-      left.(my_id) <- -1 - !exit_count;
-      incr exit_count);
-    match r with
-    | Some s ->
-      right.(my_id) <- Hashtbl.find id_of (1 :: path);
-      dfs s (1 :: path)
-    | None ->
-      right.(my_id) <- -1 - !exit_count;
-      incr exit_count
+  let next = ref 1 in
+  for i = 0 to n - 1 do
+    let (Node (l, r)) = nodes.(i) in
+    let push side = function
+      | None -> ()
+      | Some s ->
+        nodes.(!next) <- s;
+        side.(i) <- !next;
+        incr next
+    in
+    push left l;
+    push right r
+  done;
+  (* DFS preorder, left before right, numbers the exits left to right. *)
+  let exits = ref 0 in
+  let rec dfs i =
+    let side a =
+      if a.(i) > 0 then dfs a.(i)
+      else begin
+        a.(i) <- -1 - !exits;
+        incr exits
+      end
+    in
+    side left;
+    side right
   in
-  dfs shape [];
+  dfs 0;
   { left; right }
 
-let navigate shape ~tile_size ~bits =
-  let idx = index shape in
+let navigate_index idx ~tile_size ~bits =
   let rec go i =
     if i < 0 then -1 - i
     else begin
@@ -66,6 +61,8 @@ let navigate shape ~tile_size ~bits =
     end
   in
   go 0
+
+let navigate shape ~tile_size ~bits = navigate_index (index shape) ~tile_size ~bits
 
 let enumerate ~max_size =
   (* shapes_of n: all shapes with exactly n nodes. *)

@@ -28,11 +28,24 @@ val num_exits : t -> int
 val depth : t -> int
 (** Longest node chain, counted in nodes (a singleton has depth 1). *)
 
+type index
+(** A shape's level-order numbering: for each node, its left and right
+    child as a node id or an exit slot. *)
+
+val index : t -> index
+(** Number the nodes with one BFS and the exits with one DFS; linear in the
+    shape's size. Build it once per shape and navigate every bitmask over
+    it ({!Lut} builds each row this way). *)
+
+val navigate_index : index -> tile_size:int -> bits:int -> int
+(** [navigate_index idx ~tile_size ~bits] walks the indexed shape from node
+    0 guided by the comparison bitmask and returns the index of the exit
+    reached, in at most [size] steps. Bits of absent node positions are
+    ignored (don't-care), so any value on dummy lanes is safe. *)
+
 val navigate : t -> tile_size:int -> bits:int -> int
-(** [navigate shape ~tile_size ~bits] walks the shape from node 0 guided by
-    the comparison bitmask and returns the index of the exit reached.
-    Bits of absent node positions are ignored (don't-care), so any value on
-    dummy lanes is safe. *)
+(** [navigate shape] is [navigate_index (index shape)]: one bitmask,
+    indexing the shape anew. *)
 
 val enumerate : max_size:int -> t list
 (** All shapes with 1..max_size nodes (Catalan-many per size). Used by the

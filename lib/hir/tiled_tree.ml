@@ -18,33 +18,34 @@ type t = {
   source_leaves : int;
 }
 
-(* Intra-tile level-order node ids, following only in-tile edges. *)
-let level_order_ids (it : Itree.t) (tiling : Tiling.t) tile_id =
-  let root = Tiling.tile_root it tiling tile_id in
-  let queue = Queue.create () in
-  Queue.add root queue;
-  let acc = ref [] in
-  while not (Queue.is_empty queue) do
-    let n = Queue.pop queue in
-    acc := n :: !acc;
-    let push c =
-      if (not (Itree.is_leaf it c)) && tiling.Tiling.tile_of_node.(c) = tile_id
-      then Queue.add c queue
-    in
-    push it.Itree.left.(n);
-    push it.Itree.right.(n)
+let in_tile (it : Itree.t) (tiling : Tiling.t) tile_id n =
+  (not (Itree.is_leaf it n)) && tiling.Tiling.tile_of_node.(n) = tile_id
+
+(* Intra-tile level-order node ids, following only in-tile edges; the id
+   array is the BFS queue. *)
+let level_order_ids (it : Itree.t) (tiling : Tiling.t) tile_id root =
+  let ids = Array.make tiling.Tiling.tile_size root in
+  let count = ref 1 in
+  let push c =
+    if in_tile it tiling tile_id c then begin
+      ids.(!count) <- c;
+      incr count
+    end
+  in
+  let i = ref 0 in
+  while !i < !count do
+    push it.Itree.left.(ids.(!i));
+    push it.Itree.right.(ids.(!i));
+    incr i
   done;
-  Array.of_list (List.rev !acc)
+  Array.sub ids 0 !count
 
 (* Shape of the tile plus its exits' tree nodes in left-to-right order. *)
 let shape_and_exits (it : Itree.t) (tiling : Tiling.t) tile_id root =
-  let in_tile n =
-    (not (Itree.is_leaf it n)) && tiling.Tiling.tile_of_node.(n) = tile_id
-  in
   let exits = ref [] in
   let rec build n =
     let side c =
-      if in_tile c then Some (build c)
+      if in_tile it tiling tile_id c then Some (build c)
       else begin
         exits := c :: !exits;
         None
@@ -59,6 +60,27 @@ let shape_and_exits (it : Itree.t) (tiling : Tiling.t) tile_id root =
   let shape = build root in
   (shape, Array.of_list (List.rev !exits))
 
+(* One pass over the ownership map finds every tile's root: its node whose
+   parent lies in another tile (or the tree root). A tile with two roots is
+   disconnected and rejected, as [Tiling.tile_root] would. Also counts the
+   source leaves. *)
+let tile_roots (it : Itree.t) (tiling : Tiling.t) =
+  let roots = Array.make tiling.Tiling.num_tiles (-1) in
+  let leaves = ref 0 in
+  for n = 0 to it.Itree.num_nodes - 1 do
+    if Itree.is_leaf it n then incr leaves
+    else begin
+      let tid = tiling.Tiling.tile_of_node.(n) in
+      let p = it.Itree.parent.(n) in
+      if p < 0 || tiling.Tiling.tile_of_node.(p) <> tid then begin
+        if roots.(tid) >= 0 then
+          invalid_arg "Tiled_tree.create: disconnected tile";
+        roots.(tid) <- n
+      end
+    end
+  done;
+  (roots, !leaves)
+
 let create lut (it : Itree.t) (tiling : Tiling.t) =
   let tile_size = tiling.Tiling.tile_size in
   if Lut.tile_size lut <> tile_size then
@@ -71,78 +93,53 @@ let create lut (it : Itree.t) (tiling : Tiling.t) =
       source_leaves = 1;
     }
   else begin
+    let roots, source_leaves = tile_roots it tiling in
     (* Output order: BFS over tiles-and-leaves from the root tile, so the
        root is node 0 and siblings are contiguous (the sparse layout relies
-       on sibling contiguity). *)
-    let node_index = Hashtbl.create 64 in
-    (* keys: [`T tile_id] or [`L tree_node_id] *)
-    let order = ref [] in
-    let next = ref 0 in
-    let queue = Queue.create () in
-    let enqueue key =
-      if not (Hashtbl.mem node_index key) then begin
-        Hashtbl.add node_index key !next;
-        incr next;
-        order := key :: !order;
-        Queue.add key queue
-      end
+       on sibling contiguity). [order] is the queue, holding each output
+       node's source node: a leaf, or the root of its tile. Every tile being
+       connected, a tile's exits are leaves and the roots of other tiles,
+       each reached once, so an exit's output index is the queue slot it
+       takes. Shapes are interned in this order. *)
+    let order = Array.make it.Itree.num_nodes (-1) in
+    order.(0) <- roots.(0);
+    let queued = ref 1 in
+    let enqueue e =
+      order.(!queued) <- e;
+      incr queued;
+      !queued - 1
     in
-    enqueue (`T 0);
-    while not (Queue.is_empty queue) do
-      match Queue.pop queue with
-      | `L _ -> ()
-      | `T tid ->
-        let root = Tiling.tile_root it tiling tid in
-        let _, exits = shape_and_exits it tiling tid root in
-        Array.iter
-          (fun e ->
-            if Itree.is_leaf it e then enqueue (`L e)
-            else enqueue (`T tiling.Tiling.tile_of_node.(e)))
-          exits
+    let tile_at root =
+      let tid = tiling.Tiling.tile_of_node.(root) in
+      let node_ids = level_order_ids it tiling tid root in
+      let shape, exits = shape_and_exits it tiling tid root in
+      let features = Array.make tile_size 0 in
+      let thresholds = Array.make tile_size infinity in
+      Array.iteri
+        (fun lane n ->
+          features.(lane) <- it.Itree.feature.(n);
+          thresholds.(lane) <- it.Itree.threshold.(n))
+        node_ids;
+      let shape_id = Lut.shape_id lut shape in
+      Tile
+        {
+          node_ids;
+          features;
+          thresholds;
+          shape;
+          shape_id;
+          children = Array.map enqueue exits;
+        }
+    in
+    let nodes = Array.make it.Itree.num_nodes (Leaf 0.0) in
+    let i = ref 0 in
+    while !i < !queued do
+      let n = order.(!i) in
+      nodes.(!i) <-
+        (if Itree.is_leaf it n then Leaf it.Itree.value.(n) else tile_at n);
+      incr i
     done;
-    let keys = Array.of_list (List.rev !order) in
-    let nodes =
-      Array.map
-        (function
-          | `L leaf_id -> Leaf it.Itree.value.(leaf_id)
-          | `T tid ->
-            let root = Tiling.tile_root it tiling tid in
-            let node_ids = level_order_ids it tiling tid in
-            let shape, exits = shape_and_exits it tiling tid root in
-            let features = Array.make tile_size 0 in
-            let thresholds = Array.make tile_size infinity in
-            Array.iteri
-              (fun lane n ->
-                features.(lane) <- it.Itree.feature.(n);
-                thresholds.(lane) <- it.Itree.threshold.(n))
-              node_ids;
-            let children =
-              Array.map
-                (fun e ->
-                  let key =
-                    if Itree.is_leaf it e then `L e
-                    else `T tiling.Tiling.tile_of_node.(e)
-                  in
-                  Hashtbl.find node_index key)
-                exits
-            in
-            Tile
-              {
-                node_ids;
-                features;
-                thresholds;
-                shape;
-                shape_id = Lut.shape_id lut shape;
-                children;
-              })
-        keys
-    in
-    {
-      tile_size;
-      nodes;
-      lut;
-      source_leaves = Tb_model.Tree.num_leaves (Itree.to_tree it);
-    }
+    { tile_size; nodes = Array.sub nodes 0 !queued; lut; source_leaves }
   end
 
 let comparison_bits t (tile : tile) row =
@@ -196,10 +193,26 @@ let leaf_depths t =
   go 0 0;
   !acc
 
-let depth t = List.fold_left (fun m (d, _) -> max m d) 0 (leaf_depths t)
+let depth_range t =
+  let lo = ref max_int and hi = ref 0 in
+  let rec go i d =
+    match t.nodes.(i) with
+    | Leaf _ ->
+      if d < !lo then lo := d;
+      if d > !hi then hi := d
+    | Tile tile ->
+      (* [static_children] without the copy: a dummy tile's exit 0. *)
+      let reachable = if is_dummy tile then 1 else Array.length tile.children in
+      for k = 0 to reachable - 1 do
+        go tile.children.(k) (d + 1)
+      done
+  in
+  go 0 0;
+  (!lo, !hi)
 
-let min_leaf_depth t =
-  List.fold_left (fun m (d, _) -> min m d) max_int (leaf_depths t)
+let depth t = snd (depth_range t)
+
+let min_leaf_depth t = fst (depth_range t)
 
 let num_tiles t =
   Array.fold_left
@@ -236,6 +249,5 @@ let structure_key t =
   Buffer.contents buf
 
 let is_uniform_depth t =
-  match leaf_depths t with
-  | [] -> true
-  | (d0, _) :: rest -> List.for_all (fun (d, _) -> d = d0) rest
+  let lo, hi = depth_range t in
+  lo = hi

@@ -60,6 +60,10 @@ val depth : t -> int
 val min_leaf_depth : t -> int
 (** Number of tiles traversed to the shallowest leaf. *)
 
+val depth_range : t -> int * int
+(** [(min_leaf_depth t, depth t)] from one walk over the reachable leaves,
+    allocating no list. *)
+
 val num_tiles : t -> int
 (** Number of internal (tile) nodes, including dummy padding tiles. *)
 

@@ -12,6 +12,7 @@ module Padding = Tb_hir.Padding
 module Reorder = Tb_hir.Reorder
 module Schedule = Tb_hir.Schedule
 module Program = Tb_hir.Program
+module Hir_check = Tb_analysis.Hir_check
 
 (* ------------------------------------------------------------------ *)
 (* Shapes and LUT                                                      *)
@@ -103,6 +104,24 @@ let test_navigate_exhaustive_chains_size8 () =
           (Shape.navigate shape ~tile_size ~bits)
       done)
     [ left_chain 8; right_chain 8 ]
+
+let test_lut_exhaustive_size8 () =
+  (* Every shape of 1..8 nodes (2 055 of them) in one tile-size-8
+     registry: each whole LUT row equals the reference under all 256
+     masks. *)
+  let tile_size = 8 in
+  let lut = Lut.create ~tile_size in
+  let shapes = Shape.enumerate ~max_size:tile_size in
+  check_int "shapes of <= 8 nodes" 2055 (List.length shapes);
+  List.iter
+    (fun shape ->
+      let shape_id = Lut.shape_id lut shape in
+      Alcotest.(check (array int))
+        (Printf.sprintf "row of %s" (Shape.to_string shape))
+        (Array.init (1 lsl tile_size) (fun bits ->
+             reference_navigate shape ~tile_size ~bits))
+        (Lut.row lut ~shape_id))
+    shapes
 
 let test_navigate_paper_example () =
   (* Figure 5's first tile shape is the left chain (nodes 0-1-2 down the
@@ -348,6 +367,56 @@ let tiled_walk_equivalence_property ~probabilistic ~pad seed =
     (fun row -> floats_close (Tree.predict tree row) (Tiled_tree.walk tiled row))
     rows
   || QCheck2.Test.fail_reportf "tiled walk diverges (nt=%d pad=%b)" tile_size pad
+
+let tiled_tree_construction_property seed =
+  (* [Tiled_tree.create] under all four tilings: the HIR checks find
+     nothing, each tile's lane 0 is the node [Tiling.tile_root] names, and
+     the tiled walk returns the source tree's leaf. *)
+  let rng = Prng.create seed in
+  let num_features = 6 in
+  let tree = Tree.random ~max_depth:8 ~num_features rng in
+  let it = Itree.of_tree tree in
+  let tile_size = 1 + Prng.int rng 8 in
+  let node_probs =
+    Itree.node_probs it ~leaf_probs:(random_leaf_probs rng (Tree.num_leaves tree))
+  in
+  let rows = random_rows rng num_features 32 in
+  List.for_all
+    (fun (name, tiling) ->
+      let fail fmt =
+        QCheck2.Test.fail_reportf ("%s tiling, nt=%d: " ^^ fmt) name tile_size
+      in
+      let tiled = Tiled_tree.create (Lut.create ~tile_size) it tiling in
+      (match
+         Hir_check.check_tree_against_source tree tiled
+         @ Hir_check.check_tiled_tree ~num_features tiled
+       with
+      | [] -> ()
+      | d :: _ -> fail "%s" (Tb_diag.Diagnostic.to_string d));
+      Array.iter
+        (function
+          | Tiled_tree.Leaf _ -> ()
+          | Tiled_tree.Tile tile ->
+            let lane0 = tile.Tiled_tree.node_ids.(0) in
+            let root =
+              Tiling.tile_root it tiling tiling.Tiling.tile_of_node.(lane0)
+            in
+            if lane0 <> root then
+              fail "tile lane 0 is node %d, its tile's root is %d" lane0 root)
+        tiled.Tiled_tree.nodes;
+      Array.iter
+        (fun row ->
+          if not (Float.equal (Tree.predict tree row) (Tiled_tree.walk tiled row))
+          then fail "tiled walk diverges")
+        rows;
+      true)
+    [
+      ("basic", Tiling.basic it ~tile_size);
+      ("probability", Tiling.probability_based it ~node_probs ~tile_size);
+      ( "optimal-probability",
+        Tiling.optimal_probability_based it ~node_probs ~tile_size );
+      ("min-max-depth", Tiling.min_max_depth it ~tile_size);
+    ]
 
 let test_tiled_tree_scalar_depth () =
   (* Tile size 1: tiled depth equals binary depth (in tiles = nodes+1 on
@@ -610,4 +679,7 @@ let suite =
     quick "schedule validation" test_schedule_validate;
     quick "table2 grid sane" test_table2_grid_sane;
     quick "leaf-biased trees use Algorithm 1" test_leaf_biased_trees_get_probability_tiling;
+    quick "lut rows exhaustive (size<=8)" test_lut_exhaustive_size8;
+    qcheck ~name:"tiled tree construction (four tilings)" seed_gen
+      tiled_tree_construction_property;
   ]
