@@ -54,13 +54,19 @@ let int_range arr =
       ( Array.fold_left min max_int arr,
         Array.fold_left max min_int arr )
 
+(* The join stops once it reaches top, which absorbs every later join. *)
 let cg_of_array arr =
-  if Array.length arr = 0 then Congruence.top
-  else
-    Array.fold_left
-      (fun acc v -> Congruence.join acc (Congruence.const v))
-      (Congruence.const arr.(0))
-      arr
+  let n = Array.length arr in
+  let rec go acc i =
+    if i = n || Congruence.is_top acc then acc
+    else go (Congruence.join acc (Congruence.const arr.(i))) (i + 1)
+  in
+  if n = 0 then Congruence.top else go (Congruence.const arr.(0)) 1
+
+let buffers =
+  [ Reg_ir.Thresholds; Reg_ir.Feature_ids; Reg_ir.Shape_ids;
+    Reg_ir.Child_ptrs; Reg_ir.Leaf_values; Reg_ir.Lut;
+    Reg_ir.Tree_roots; Reg_ir.Row ]
 
 let env_of_layout ~num_features (lay : Layout.t) =
   let nt = lay.Layout.tile_size in
@@ -85,7 +91,7 @@ let env_of_layout ~num_features (lay : Layout.t) =
           acc row)
       None lay.Layout.lut
   in
-  let content = function
+  let content_of = function
     | Reg_ir.Feature_ids -> int_range lay.Layout.features
     | Reg_ir.Shape_ids -> int_range lay.Layout.shape_ids
     | Reg_ir.Child_ptrs -> int_range lay.Layout.child_ptr
@@ -93,17 +99,24 @@ let env_of_layout ~num_features (lay : Layout.t) =
     | Reg_ir.Lut -> lut_range
     | Reg_ir.Thresholds | Reg_ir.Leaf_values | Reg_ir.Row -> None
   in
-  let content_cg = function
+  let cg_of = function
     | Reg_ir.Feature_ids -> cg_of_array lay.Layout.features
     | Reg_ir.Shape_ids -> cg_of_array lay.Layout.shape_ids
     | Reg_ir.Child_ptrs -> cg_of_array lay.Layout.child_ptr
     | Reg_ir.Tree_roots -> cg_of_array lay.Layout.tree_root
     | Reg_ir.Lut ->
       Array.fold_left
-        (fun acc row -> Congruence.join acc (cg_of_array row))
+        (fun acc row ->
+          if Congruence.is_top acc then acc
+          else Congruence.join acc (cg_of_array row))
         (Congruence.const 0) lay.Layout.lut
     | Reg_ir.Thresholds | Reg_ir.Leaf_values | Reg_ir.Row -> Congruence.top
   in
+  (* Computed once per buffer: the walk analysis asks at every load of
+     every abstract iteration. *)
+  let per_buffer = List.map (fun b -> (b, (content_of b, cg_of b))) buffers in
+  let content b = fst (List.assq b per_buffer) in
+  let content_cg b = snd (List.assq b per_buffer) in
   let facts = Layout.stride_facts lay in
   (* Widening thresholds (satellite of the relational upgrade): landmarks
      a loop-variant index can genuinely be bounded by — buffer extents and
@@ -121,9 +134,7 @@ let env_of_layout ~num_features (lay : Layout.t) =
         match content b with
         | Some (a, z) -> add a; add z
         | None -> ())
-      [ Reg_ir.Thresholds; Reg_ir.Feature_ids; Reg_ir.Shape_ids;
-        Reg_ir.Child_ptrs; Reg_ir.Leaf_values; Reg_ir.Lut;
-        Reg_ir.Tree_roots; Reg_ir.Row ];
+      buffers;
     (match facts.Layout.tile_advance with
     | Some (a, z) -> add a; add z
     | None -> ());
@@ -790,30 +801,32 @@ let check_layout ~num_features (lay : Layout.t) =
          slots);
   (* LUT rows (L024). *)
   let width = 1 lsl nt in
+  (* Paths are formatted only for a finding. *)
+  let row_path sid = [ Printf.sprintf "lut row %d" sid ] in
+  let slot_path s = [ Printf.sprintf "slot %d" s ] in
+  let tree_path i = [ Printf.sprintf "tree %d" i ] in
   Array.iteri
     (fun sid row ->
-      let path = [ Printf.sprintf "lut row %d" sid ] in
       if Array.length row <> width then
         add
-          (err ~code:"L024" ~path "row has %d entries, expected 2^%d = %d"
-             (Array.length row) nt width)
+          (err ~code:"L024" ~path:(row_path sid)
+             "row has %d entries, expected 2^%d = %d" (Array.length row) nt
+             width)
       else
         Array.iteri
           (fun bits c ->
             if c < 0 || c > nt then
               add
-                (err ~code:"L024" ~path
+                (err ~code:"L024" ~path:(row_path sid)
                    "entry for bits %#x is %d, outside the 0..%d child range"
                    bits c nt))
           row)
     lay.Layout.lut;
   (* Reachable (distinct) child indices per LUT row, clamped to sane
      values so a corrupt row doesn't crash the closure walk below. *)
+  let children = Layout.lut_children lay in
   let row_children sid =
-    if sid < 0 || sid >= rows then []
-    else
-      List.sort_uniq compare (Array.to_list lay.Layout.lut.(sid))
-      |> List.filter (fun c -> c >= 0 && c <= nt)
+    if sid < 0 || sid >= rows then [] else children.(sid)
   in
   let is_tile s =
     match lay.Layout.kind with
@@ -822,20 +835,21 @@ let check_layout ~num_features (lay : Layout.t) =
   in
   (* Per-slot shape ids and feature ids. *)
   for s = 0 to slots - 1 do
-    let path = [ Printf.sprintf "slot %d" s ] in
     let sid = lay.Layout.shape_ids.(s) in
     (match lay.Layout.kind with
     | Layout.Array_kind ->
       if sid < Layout.unused_marker then
-        add (err ~code:"L024" ~path "shape id %d is not a valid marker" sid)
+        add
+          (err ~code:"L024" ~path:(slot_path s)
+             "shape id %d is not a valid marker" sid)
       else if sid >= rows then
         add
-          (err ~code:"L024" ~path "shape id %d references one of %d LUT rows"
-             sid rows)
+          (err ~code:"L024" ~path:(slot_path s)
+             "shape id %d references one of %d LUT rows" sid rows)
     | Layout.Sparse_kind ->
       if sid < 0 || sid >= rows then
         add
-          (err ~code:"L024" ~path
+          (err ~code:"L024" ~path:(slot_path s)
              "shape id %d outside the %d LUT rows (sparse slots are always \
               tiles)"
              sid rows));
@@ -844,7 +858,7 @@ let check_layout ~num_features (lay : Layout.t) =
         let f = lay.Layout.features.((s * nt) + lane) in
         if f < 0 || f >= num_features then
           add
-            (err ~code:"L021" ~path
+            (err ~code:"L021" ~path:(slot_path s)
                "lane %d reads feature %d outside the model's %d features" lane
                f num_features)
       done
@@ -861,17 +875,18 @@ let check_layout ~num_features (lay : Layout.t) =
       if i + 1 < n_trees then lay.Layout.tree_root.(i + 1) else slots
     in
     for i = 0 to n_trees - 1 do
-      let path = [ Printf.sprintf "tree %d" i ] in
       let base = lay.Layout.tree_root.(i) in
       let stop = slab_end i in
       if base < 0 || base >= slots || base > stop then
         add
-          (err ~code:"L022" ~path
+          (err ~code:"L022" ~path:(tree_path i)
              "slab [%d, %d) is not a valid slot range (layout has %d slots)"
              base stop slots)
       else begin
         if lay.Layout.shape_ids.(base) = Layout.unused_marker then
-          add (err ~code:"L022" ~path "root slot %d was never allocated" base);
+          add
+            (err ~code:"L022" ~path:(tree_path i)
+               "root slot %d was never allocated" base);
         for s = base to stop - 1 do
           let sid = lay.Layout.shape_ids.(s) in
           if sid >= 0 then begin
@@ -879,16 +894,15 @@ let check_layout ~num_features (lay : Layout.t) =
             List.iter
               (fun c ->
                 let target = base + (local * (nt + 1)) + c + 1 in
-                let spath = [ Printf.sprintf "tree %d" i; Printf.sprintf "slot %d" s ] in
                 if target >= stop then
                   add
-                    (err ~code:"L020" ~path:spath
+                    (err ~code:"L020" ~path:(tree_path i @ slot_path s)
                        "child %d at slot %d escapes the tree's slab [%d, %d)"
                        c target base stop)
                 else if lay.Layout.shape_ids.(target) = Layout.unused_marker
                 then
                   add
-                    (err ~code:"L020" ~path:spath
+                    (err ~code:"L020" ~path:(tree_path i @ slot_path s)
                        "child %d points to unallocated slot %d" c target))
               (row_children sid)
           end
@@ -899,30 +913,27 @@ let check_layout ~num_features (lay : Layout.t) =
     let num_leaves = Array.length lay.Layout.leaf_values in
     Array.iteri
       (fun i r ->
-        let path = [ Printf.sprintf "tree %d" i ] in
         if r >= 0 then begin
           if r >= slots then
             add
-              (err ~code:"L022" ~path "root slot %d outside the %d slots" r
-                 slots)
+              (err ~code:"L022" ~path:(tree_path i)
+                 "root slot %d outside the %d slots" r slots)
         end
         else if -r - 1 >= num_leaves then
           add
-            (err ~code:"L022" ~path
+            (err ~code:"L022" ~path:(tree_path i)
                "single-leaf root index %d outside the %d leaf values" (-r - 1)
                num_leaves))
       lay.Layout.tree_root;
     if cptr_ok then
       for s = 0 to slots - 1 do
-        let path = [ Printf.sprintf "slot %d" s ] in
         let cp = lay.Layout.child_ptr.(s) in
-        let children = row_children lay.Layout.shape_ids.(s) in
         List.iter
           (fun c ->
             if cp >= 0 then begin
               if cp + c >= slots then
                 add
-                  (err ~code:"L020" ~path
+                  (err ~code:"L020" ~path:(slot_path s)
                      "child %d at slot %d outside the %d slots" c (cp + c)
                      slots)
             end
@@ -930,11 +941,11 @@ let check_layout ~num_features (lay : Layout.t) =
               let leaf = -cp - 1 + c in
               if leaf >= num_leaves then
                 add
-                  (err ~code:"L023" ~path
+                  (err ~code:"L023" ~path:(slot_path s)
                      "child %d reads leaf %d outside the %d leaf values" c leaf
                      num_leaves)
             end)
-          children
+          (row_children lay.Layout.shape_ids.(s))
       done);
   List.rev !ds
 

@@ -96,6 +96,14 @@ val check_variant :
     joint non-relational analysis) and a proved partition yields per-lane
     analysis plus the [L014] lanes-independent fact. *)
 
+val check_walks :
+  ?relational:bool -> env -> Tb_lir.Layout.t -> Tb_mir.Mir.t ->
+  Tb_diag.Diagnostic.t list
+(** {!check_variant} over every generated walk variant
+    ({!Tb_lir.Reg_codegen.jammed_variants}, i.e. each group's program at
+    its schedule's interleave factor). Structurally identical programs
+    are analyzed once and their findings re-prefixed per variant. *)
+
 val check_layout : num_features:int -> Tb_lir.Layout.t -> Tb_diag.Diagnostic.t list
 (** Model-buffer closure: slot-major array sizes and LUT rows well-formed
     ([L020]/[L024]), tree roots valid ([L022]), every reachable tile
@@ -106,6 +114,4 @@ val check_layout : num_features:int -> Tb_lir.Layout.t -> Tb_diag.Diagnostic.t l
 val check :
   ?relational:bool -> num_features:int ->
   Tb_lir.Layout.t -> Tb_mir.Mir.t -> Tb_diag.Diagnostic.t list
-(** [check_layout] plus {!check_variant} over every generated walk variant
-    ({!Tb_lir.Reg_codegen.jammed_variants}, i.e. each group's program at
-    its schedule's interleave factor). *)
+(** {!check_layout} plus {!check_walks}. *)

@@ -117,10 +117,9 @@ let lower_stages r ~batch_size ?profiles forest schedule =
   in
   validate "validate:lir" (fun () -> Validate.check_lir hir mir layout);
   stage r "lir:walks" ignore ~check:(fun () ->
-      let env = Lir_check.env_of_layout ~num_features layout in
-      Tb_lir.Reg_codegen.jammed_variants layout mir
-      |> List.concat_map (fun (i, prog) ->
-             Lir_check.check_variant env ~variant:i prog));
+      Lir_check.check_walks
+        (Lir_check.env_of_layout ~num_features layout)
+        layout mir);
   validate "validate:reg" (fun () -> Validate.check_reg hir mir layout);
   fun ?quant () ->
     stage r "lir:assemble" (fun () -> Lower.assemble ?quant hir mir layout)

@@ -315,27 +315,31 @@ type stride_facts = {
   leaf_advance : (int * int) option;
 }
 
-(* Children a LUT row can actually select, restricted to the valid child
-   range. An out-of-range shape id (corrupt layout) degrades to the full
-   child range so the facts stay conservative — the closure check (L02x)
-   reports the corruption separately. *)
-let reachable_children t sid =
+let lut_children t =
   let nt = t.tile_size in
-  let full = List.init (nt + 1) Fun.id in
-  if sid < 0 || sid >= Array.length t.lut then full
-  else
-    let row = t.lut.(sid) in
-    let cs =
-      Array.to_list row |> List.filter (fun c -> c >= 0 && c <= nt)
-      |> List.sort_uniq compare
-    in
-    if cs = [] then full else cs
+  let all = List.init (nt + 1) Fun.id in
+  Array.map
+    (fun row ->
+      let hit = Array.make (nt + 1) false in
+      Array.iter (fun c -> if c >= 0 && c <= nt then hit.(c) <- true) row;
+      List.filter (fun c -> hit.(c)) all)
+    t.lut
 
 let stride_facts t =
   match t.kind with
   | Array_kind ->
     { lane_stride = t.tile_size; tile_advance = None; leaf_advance = None }
   | Sparse_kind ->
+    let children = lut_children t in
+    let full = List.init (t.tile_size + 1) Fun.id in
+    (* An out-of-range shape id or a row with no valid entry (corrupt
+       layout) degrades to the full child range so the facts stay
+       conservative — the closure check (L02x) reports the corruption
+       separately. *)
+    let reachable sid =
+      if sid < 0 || sid >= Array.length children then full
+      else match children.(sid) with [] -> full | cs -> cs
+    in
     let tile = ref None and leaf = ref None in
     let widen r v =
       match !r with
@@ -344,7 +348,7 @@ let stride_facts t =
     in
     Array.iteri
       (fun s cp ->
-        let children = reachable_children t t.shape_ids.(s) in
+        let children = reachable t.shape_ids.(s) in
         if cp >= 0 then List.iter (fun c -> widen tile (cp + c)) children
         else List.iter (fun c -> widen leaf (-cp - 1 + c)) children)
       t.child_ptr;

@@ -105,6 +105,12 @@ type stride_facts = {
           children. *)
 }
 
+val lut_children : t -> int list array
+(** For each LUT row, the distinct entries within the child range
+    [0, tile_size], in increasing order: the children a slot of that
+    shape can select. One pass over the LUT; callers index the table by
+    each slot's shape id. *)
+
 val stride_facts : t -> stride_facts
 (** Relational facts about the layout's index arithmetic, consumed by
     [Lir_check]'s congruence/interval product to discharge

@@ -15,10 +15,16 @@ let num_outputs_of_task = function
   | Regression | Binary_logistic -> 1
   | Multiclass k -> k
 
+let rec features_within n = function
+  | Tree.Leaf _ -> true
+  | Tree.Node { feature; left; right; _ } ->
+    feature >= 0 && feature < n && features_within n left
+    && features_within n right
+
 let make ?(name = "forest") ?(base_score = 0.0) ~task ~num_features trees =
   Array.iter
     (fun tree ->
-      if Tree.max_feature tree >= num_features then
+      if not (features_within num_features tree) then
         invalid_arg "Forest.make: feature index out of range")
     trees;
   (match task with

@@ -21,8 +21,8 @@ type t = {
 val make :
   ?name:string -> ?base_score:float -> task:task -> num_features:int ->
   Tree.t array -> t
-(** Build a forest, checking that every referenced feature index is within
-    [num_features] and that multiclass forests have a whole number of
+(** Build a forest, checking that every referenced feature index lies in
+    [0, num_features) and that multiclass forests have a whole number of
     rounds. @raise Invalid_argument otherwise. *)
 
 val num_outputs : t -> int

@@ -4,6 +4,7 @@ module Tree = Tb_model.Tree
 module Forest = Tb_model.Forest
 module Serialize = Tb_model.Serialize
 module Model_stats = Tb_model.Model_stats
+module J = Tb_util.Json
 
 let leaf v = Tree.Leaf v
 
@@ -63,10 +64,17 @@ let test_leaf_index_counts_all_leaves () =
 (* Forest *)
 
 let test_forest_rejects_bad_features () =
-  check_bool "raises" true
-    (match Forest.make ~task:Forest.Regression ~num_features:1 [| small_tree |] with
+  let rejects ~num_features trees =
+    match Forest.make ~task:Forest.Regression ~num_features trees with
     | exception Invalid_argument _ -> true
-    | _ -> false)
+    | _ -> false
+  in
+  check_bool "raises" true (rejects ~num_features:1 [| small_tree |]);
+  check_bool "id past num_features" true
+    (rejects ~num_features:2 [| node 2 0.5 (leaf 1.0) (leaf 2.0) |]);
+  check_bool "negative id" true
+    (rejects ~num_features:2
+       [| node 0 0.5 (leaf 1.0) (node (-1) 0.0 (leaf 2.0) (leaf 3.0)) |])
 
 let test_forest_rejects_bad_multiclass () =
   let trees = Array.make 5 (leaf 0.0) in
@@ -160,6 +168,75 @@ let test_serialize_file_roundtrip () =
       let f' = Serialize.of_file path in
       check_int "trees" 3 (Array.length f'.Forest.trees))
 
+(* Prints [j] as another writer might: members shuffled, whitespace
+   between tokens, some keys spelled with a \u escape, some whole
+   numbers spelled as floats (3e0, 3.0), and fields the reader must
+   skip — unknown keys, node keys inside leaf objects, and duplicate
+   keys after the first (which wins). *)
+let noisy_json rng j =
+  let buf = Buffer.create 4096 in
+  let ws () = Buffer.add_string buf [| ""; ""; " "; "\n  "; "\t"; "\r\n" |].(Prng.int rng 6) in
+  let junk () =
+    match Prng.int rng 4 with
+    | 0 -> J.Obj [ ("a", J.List [ J.Num 1.5; J.Str "q\"\\/\n\xc3\xa9" ]); ("b", J.Null) ]
+    | 1 -> J.List [ J.Bool true; J.Obj []; J.List []; J.Bool false ]
+    | 2 -> J.Str "esc \"aped\" \\ \b\012\r\t \x01"
+    | _ -> J.Num (-1e-300)
+  in
+  let key k =
+    if k <> "" && Prng.int rng 4 = 0 then
+      Printf.bprintf buf "\"\\u%04x%s\"" (Char.code k.[0])
+        (String.sub k 1 (String.length k - 1))
+    else Buffer.add_string buf (J.to_string (J.Str k))
+  in
+  let rec go v =
+    ws ();
+    (match v with
+    | J.Obj fields ->
+      let extra =
+        (if Prng.int rng 3 = 0 then [ ("unknown", junk ()) ] else [])
+        @
+        if List.mem_assoc "leaf" fields && Prng.int rng 3 = 0 then
+          [ (Prng.choose rng [| "feature"; "threshold"; "left"; "right" |], junk ()) ]
+        else []
+      in
+      let members = Array.of_list (fields @ extra) in
+      Prng.shuffle rng members;
+      let dups =
+        if fields <> [] && Prng.int rng 4 = 0 then
+          [ (fst (Prng.choose rng (Array.of_list fields)), junk ()) ]
+        else []
+      in
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i (k, x) ->
+          if i > 0 then Buffer.add_char buf ',';
+          ws ();
+          key k;
+          ws ();
+          Buffer.add_char buf ':';
+          go x)
+        (Array.to_list members @ dups);
+      ws ();
+      Buffer.add_char buf '}'
+    | J.List items ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i x ->
+          if i > 0 then Buffer.add_char buf ',';
+          go x)
+        items;
+      ws ();
+      Buffer.add_char buf ']'
+    | J.Num f when Float.is_integer f && Float.abs f < 1e15 && Prng.int rng 3 = 0 ->
+      Buffer.add_string buf
+        (if Prng.bool rng then Printf.sprintf "%.0fe0" f else Printf.sprintf "%.1f" f)
+    | scalar -> Buffer.add_string buf (J.to_string scalar));
+    ws ()
+  in
+  go j;
+  Buffer.contents buf
+
 (* Serialization must preserve thresholds and leaf values to the bit:
    the quantization certifier proves bounds about the exact IEEE-754
    constants of the model, so a printer that drops low mantissa bits
@@ -184,13 +261,15 @@ let bits_preserving_roundtrip seed =
         (build (depth - 1))
         (build (depth - 1))
   in
+  let trees = Array.init (1 + Prng.int rng 4) (fun _ -> build 4) in
   let forest =
     Forest.make ~name:"bits"
       ~base_score:(adversarial_float ())
-      ~task:Forest.Regression ~num_features:3
-      (Array.init (1 + Prng.int rng 4) (fun _ -> build 4))
+      ~task:
+        (if Array.length trees mod 2 = 0 && Prng.bool rng then Forest.Multiclass 2
+         else Forest.Regression)
+      ~num_features:3 trees
   in
-  let forest' = Serialize.of_string (Serialize.to_string forest) in
   let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
   let rec same_tree a b =
     match (a, b) with
@@ -200,24 +279,80 @@ let bits_preserving_roundtrip seed =
       f = f' && same_bits t t' && same_tree l l' && same_tree r r'
     | _ -> false
   in
-  if not (same_bits forest.Forest.base_score forest'.Forest.base_score) then
-    QCheck2.Test.fail_reportf "base_score drifted: %h -> %h"
-      forest.Forest.base_score forest'.Forest.base_score;
-  Array.iteri
-    (fun i t ->
-      if not (same_tree t forest'.Forest.trees.(i)) then
-        QCheck2.Test.fail_reportf
-          "tree %d: some threshold or leaf changed bit pattern across \
-           serialization"
-          i)
-    forest.Forest.trees;
+  let same_forest what (f : Forest.t) (f' : Forest.t) =
+    if f.name <> f'.name || f.task <> f'.task || f.num_features <> f'.num_features
+       || Array.length f.trees <> Array.length f'.trees
+    then QCheck2.Test.fail_reportf "%s: header or tree count differs" what;
+    if not (same_bits f.base_score f'.base_score) then
+      QCheck2.Test.fail_reportf "%s: base_score drifted: %h -> %h" what
+        f.base_score f'.base_score;
+    Array.iteri
+      (fun i t ->
+        if not (same_tree t f'.trees.(i)) then
+          QCheck2.Test.fail_reportf
+            "%s: tree %d: some threshold or leaf changed bit pattern" what i)
+      f.trees
+  in
+  same_forest "round trip" forest (Serialize.of_string (Serialize.to_string forest));
+  (* Another writer's spelling of the same model reads to the same bits,
+     and the DOM-free reader agrees with the DOM oracle. *)
+  let noisy = noisy_json rng (Serialize.forest_to_json forest) in
+  let read = Serialize.of_string noisy in
+  same_forest "noisy vs oracle"
+    (Serialize.forest_of_json (J.of_string noisy))
+    read;
+  same_forest "noisy round trip" forest read;
   true
 
+(* Every rejected model file raises [Parse_error] and nothing else, from
+   the reader and from the DOM oracle alike. *)
 let test_serialize_rejects_garbage () =
-  check_bool "raises" true
-    (match Serialize.of_string "{\"nope\": 1}" with
-    | exception Tb_util.Json.Parse_error _ -> true
-    | _ -> false)
+  let rejects what s =
+    List.iter
+      (fun (reader, read) ->
+        match read s with
+        | exception J.Parse_error _ -> ()
+        | exception e ->
+          Alcotest.failf "%s (%s): %s instead of Parse_error" what reader
+            (Printexc.to_string e)
+        | _ -> Alcotest.failf "%s (%s): accepted %S" what reader s)
+      [
+        ("of_string", Serialize.of_string);
+        ("oracle", fun s -> Serialize.forest_of_json (J.of_string s));
+      ]
+  in
+  rejects "unknown schema" "{\"nope\": 1}";
+  let model ?(task = {|"regression"|}) ?(feature = "0") ?trees () =
+    Printf.sprintf
+      {|{"name":"g","task":%s,"num_features":2,"base_score":0,"trees":%s}|}
+      task
+      (match trees with
+      | Some t -> t
+      | None ->
+        Printf.sprintf
+          {|[{"feature":%s,"threshold":0.5,"left":{"leaf":1},"right":{"leaf":2}}]|}
+          feature)
+  in
+  let good = model () in
+  check_int "well-formed model reads" 1
+    (Array.length (Serialize.of_string good).Forest.trees);
+  for i = 0 to String.length good - 1 do
+    rejects (Printf.sprintf "prefix of %d bytes" i) (String.sub good 0 i)
+  done;
+  rejects "string feature" (model ~feature:{|"3"|} ());
+  rejects "fractional feature" (model ~feature:"1.5" ());
+  rejects "negative feature" (model ~feature:"-1" ());
+  rejects "feature past num_features" (model ~feature:"2" ());
+  rejects "nested feature past num_features"
+    (model
+       ~trees:
+         {|[{"feature":0,"threshold":0.5,"left":{"leaf":1},"right":{"feature":2,"threshold":0,"left":{"leaf":2},"right":{"leaf":3}}}]|}
+       ());
+  rejects "trees object" (model ~trees:"{}" ());
+  rejects "unknown task" (model ~task:{|"x"|} ());
+  rejects "one class" (model ~task:{|{"multiclass":1}|} ());
+  rejects "partial multiclass round" (model ~task:{|{"multiclass":2}|} ());
+  rejects "node without right" (model ~trees:{|[{"feature":0,"threshold":0.5,"left":{"leaf":1}}]|} ())
 
 (* Model statistics *)
 

@@ -125,7 +125,9 @@ let test_json_parse_errors () =
       match Json.of_string s with
       | exception Json.Parse_error _ -> ()
       | _ -> Alcotest.failf "expected parse error for %S" s)
-    [ "{"; "[1,"; "tru"; "\"unterminated"; "1 2"; "{\"a\" 1}"; "" ]
+    [ "{"; "[1,"; "tru"; "\"unterminated"; "1 2"; "{\"a\" 1}"; "";
+      "{,}"; "[1,]"; "{\"a\":1,}"; "[1 2]"; "{\"a\":1 \"b\":2}"; "{\"a\"}";
+      "-"; "1e"; "nul"; "]"; "\"\\x\""; "\"\\u12\""; "\"\\"; "{\"k\\u0\":1}" ]
 
 let test_json_indent_parses () =
   let j = Json.Obj [ ("xs", Json.List [ Json.Num 1.0; Json.Num 2.0 ]) ] in
