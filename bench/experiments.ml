@@ -1276,9 +1276,8 @@ let serve () =
    relational one (congruence/stride domain + per-lane alias analysis),
    per model over the full Table II schedule grid. Model-independent of
    any host clock — the census counts diagnostics, not cycles. Writes
-   BENCH_lint.json (both censuses + per-model summary) and
-   lint_census_baseline.json (the relational census, the file CI diffs
-   against). *)
+   BENCH_lint.json (both censuses + per-model summary); the CI baseline
+   is the lint gate's to write. *)
 let lint () =
   let module Census = Tb_analysis.Census in
   let module J = Tb_util.Json in
@@ -1303,7 +1302,7 @@ let lint () =
       let b = load name in
       let forest = b.entry.Zoo.forest in
       let nf = forest.Forest.num_features in
-      let t0 = Unix.gettimeofday () in
+      let t0 = Tb_util.Timer.now () in
       let rows_b = ref [] and rows_a = ref [] in
       List.iter
         (fun s ->
@@ -1316,10 +1315,12 @@ let lint () =
           in
           let sched = Schedule.to_string s in
           rows_b :=
-            Census.row_of_diags ~model:name ~schedule:sched (run false)
+            Census.row_of_diags ~family:Census.lir_family ~model:name
+              ~schedule:sched (run false)
             :: !rows_b;
           rows_a :=
-            Census.row_of_diags ~model:name ~schedule:sched (run true)
+            Census.row_of_diags ~family:Census.lir_family ~model:name
+              ~schedule:sched (run true)
             :: !rows_a)
         Schedule.table2_grid;
       let rows_b = List.rev !rows_b and rows_a = List.rev !rows_a in
@@ -1370,7 +1371,7 @@ let lint () =
       after := !after @ rows_a;
       Printf.printf "[lint] %s: %d schedules in %.1fs\n%!" name
         (List.length rows_a)
-        (Unix.gettimeofday () -. t0))
+        (Tb_util.Timer.now () -. t0))
     all_names;
   Table.print t;
   let json =
@@ -1385,16 +1386,13 @@ let lint () =
   output_string oc (J.to_string ~indent:true json);
   output_string oc "\n";
   close_out oc;
-  Census.to_file "lint_census_baseline.json" !after;
-  Printf.printf "report: BENCH_lint.json\n";
-  Printf.printf "baseline: lint_census_baseline.json\n"
+  Printf.printf "report: BENCH_lint.json\n"
 
 (* Translation validation: validator wall-clock and summary sizes per
    (model, schedule) over the reduced representative grid — the cost
    that justifies keeping the validate:* stages on by default in
    Passman's Verify_each — plus the T00x census. Writes
-   BENCH_validate.json and validate_census_baseline.json (the file CI
-   diffs against). *)
+   BENCH_validate.json; the CI baseline is the validate gate's to write. *)
 let validate () =
   let module Census = Tb_analysis.Census in
   let module Validate = Tb_analysis.Validate in
@@ -1426,9 +1424,10 @@ let validate () =
           | exception Invalid_argument _ -> ()
           | lay ->
             incr scheds;
-            let t0 = Unix.gettimeofday () in
-            let fs = Validate.check_all hir mir lay in
-            let ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
+            let fs, dt =
+              Tb_util.Timer.time_once (fun () -> Validate.check_all hir mir lay)
+            in
+            let ms = 1000.0 *. dt in
             total_ms := !total_ms +. ms;
             (* Summary sizes: per-tree path counts of the HIR form (equal
                across stages when validation passes). *)
@@ -1519,9 +1518,7 @@ let validate () =
   output_string oc (J.to_string ~indent:true json);
   output_string oc "\n";
   close_out oc;
-  Census.to_file "validate_census_baseline.json" census;
-  Printf.printf "report: BENCH_validate.json\n";
-  Printf.printf "baseline: validate_census_baseline.json\n"
+  Printf.printf "report: BENCH_validate.json\n"
 
 (* Packed predictor artifacts: what a warm restart actually buys. Per zoo
    model, measure the cold path (lower + pack + instantiate), each codec
@@ -1703,8 +1700,8 @@ let artifacts () =
    and a concrete replay — the quantized integer path against the
    Neumaier float reference on test rows, reporting the measured
    deviation on routing-stable rows next to the proved bound (the
-   soundness claim, measured). Writes BENCH_numeric.json and
-   numeric_census_baseline.json (the file CI diffs against). *)
+   soundness claim, measured). Writes BENCH_numeric.json; the CI baseline
+   is the quantcheck gate's to write. *)
 let numeric () =
   let module Census = Tb_analysis.Census in
   let module Numeric = Tb_analysis.Numeric in
@@ -1726,9 +1723,10 @@ let numeric () =
       let rows = Array.sub b.rows_1024 0 256 in
       List.iter
         (fun width ->
-          let t0 = Unix.gettimeofday () in
-          let cert = Numeric.certify ~width forest in
-          let certify_us = 1e6 *. (Unix.gettimeofday () -. t0) in
+          let cert, dt =
+            Tb_util.Timer.time_once (fun () -> Numeric.certify ~width forest)
+          in
+          let certify_us = 1e6 *. dt in
           let wname = Numeric.width_to_string width in
           let row =
             Census.row_of_diags ~family:Census.numeric_family ~model:name
@@ -1808,9 +1806,7 @@ let numeric () =
   output_string oc (J.to_string ~indent:true json);
   output_string oc "\n";
   close_out oc;
-  Census.to_file "numeric_census_baseline.json" census;
-  Printf.printf "report: BENCH_numeric.json\n";
-  Printf.printf "baseline: numeric_census_baseline.json\n"
+  Printf.printf "report: BENCH_numeric.json\n"
 
 (* Extension: the integer fast path, measured. For each (model, width)
    the certificate is computed at the default tolerance first; the

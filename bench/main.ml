@@ -3,121 +3,20 @@
    Usage:
      dune exec bench/main.exe                 # run every experiment
      dune exec bench/main.exe -- fig8a fig10  # selected experiments
-     dune exec bench/main.exe -- bechamel     # Bechamel wall-clock suite only
 
    Each experiment regenerates one table/figure of the paper (see
-   DESIGN.md's experiment index). The Bechamel suite complements the
-   simulated numbers with real OCaml wall-clock measurements — one
-   Bechamel test per reproduced table/figure, each timing the kernel that
-   experiment exercises. *)
-
-module Schedule = Tb_hir.Schedule
-
-let bechamel_suite () =
-  let open Bechamel in
-  let b = Context.load "higgs" in
-  let forest = b.Context.entry.Tb_gbt.Zoo.forest in
-  let rows = Array.sub b.Context.rows_1024 0 256 in
-  let compile schedule =
-    Tb_core.Treebeard.make ~plan:(`Schedule schedule)
-      ~profiles:b.Context.profiles (`Forest forest)
-  in
-  let predict compiled () =
-    ignore (Tb_core.Treebeard.predict_forest compiled rows)
-  in
-  let scalar = compile Schedule.scalar_baseline in
-  let tree_major =
-    compile { Schedule.scalar_baseline with loop_order = Schedule.One_tree_at_a_time }
-  in
-  let tiled =
-    compile { Schedule.default with interleave = 1; pad_and_unroll = false; peel = false }
-  in
-  let unrolled = compile { Schedule.default with interleave = 1 } in
-  let interleaved = compile Schedule.default in
-  let prob = compile { Schedule.default with tiling = Schedule.Probability_based } in
-  let array_layout = compile { Schedule.default with layout = Schedule.Array_layout } in
-  let sparse_layout = compile { Schedule.default with layout = Schedule.Sparse_layout } in
-  let parallel = compile (Schedule.with_threads Schedule.default 4) in
-  let small_batch = Array.sub rows 0 64 in
-  let xgb = Tb_baselines.Xgboost.compile forest in
-  let tl = Tb_baselines.Treelite.compile forest in
-  let profile_rows = Array.sub rows 0 64 in
-  let tests =
-    [
-      Test.make ~name:"table1.leaf-profiling"
-        (Staged.stage (fun () ->
-             ignore (Tb_model.Model_stats.profile_forest forest profile_rows)));
-      Test.make ~name:"table2.grid-validation"
-        (Staged.stage (fun () ->
-             List.iter (fun s -> ignore (Schedule.validate s)) Schedule.table2_grid));
-      Test.make ~name:"fig3.coverage-cdf"
-        (Staged.stage (fun () ->
-             ignore (Tb_model.Model_stats.coverage_cdf forest profile_rows ~f:0.9)));
-      Test.make ~name:"fig7a.tb-scalar-baseline" (Staged.stage (predict scalar));
-      Test.make ~name:"fig7a.tb-optimized" (Staged.stage (predict interleaved));
-      Test.make ~name:"fig7b.tb-parallel-4-domains" (Staged.stage (predict parallel));
-      Test.make ~name:"fig8a.xgboost-style"
-        (Staged.stage (fun () ->
-             ignore (Tb_baselines.Xgboost.predict_batch xgb Tb_baselines.Xgboost.V15 rows)));
-      Test.make ~name:"fig8a.treelite-style"
-        (Staged.stage (fun () -> ignore (Tb_baselines.Treelite.predict_batch tl rows)));
-      Test.make ~name:"fig9.tb-batch-64"
-        (Staged.stage (fun () ->
-             ignore (Tb_core.Treebeard.predict_forest interleaved small_batch)));
-      Test.make ~name:"fig10.xgboost-v09-style"
-        (Staged.stage (fun () ->
-             ignore (Tb_baselines.Xgboost.predict_batch xgb Tb_baselines.Xgboost.V09 rows)));
-      Test.make ~name:"fig11a.basic-tiling" (Staged.stage (predict tiled));
-      Test.make ~name:"fig11a.probability-tiling" (Staged.stage (predict prob));
-      Test.make ~name:"fig11b.unrolled" (Staged.stage (predict unrolled));
-      Test.make ~name:"fig11b.interleaved" (Staged.stage (predict interleaved));
-      Test.make ~name:"fig12.tb-batch-256" (Staged.stage (predict interleaved));
-      Test.make ~name:"fig13.scaling-kernel" (Staged.stage (predict parallel));
-      Test.make ~name:"sec5b.array-layout" (Staged.stage (predict array_layout));
-      Test.make ~name:"sec5b.sparse-layout" (Staged.stage (predict sparse_layout));
-      Test.make ~name:"sec6e.one-tree-scalar" (Staged.stage (predict tree_major));
-    ]
-  in
-  Context.heading
-    "Bechamel wall-clock suite: one test per reproduced table/figure\n\
-     (real OCaml-backend timings on higgs, batch 256)";
-  let grouped = Test.make_grouped ~name:"tb" tests in
-  let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.4) ~kde:None () in
-  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] grouped in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| "run" |] in
-  let res = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let table = Tb_util.Table.create [ "kernel"; "time per call" ] in
-  let entries =
-    Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) res []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  List.iter
-    (fun (name, ols) ->
-      let cell =
-        match Analyze.OLS.estimates ols with
-        | Some (e :: _) ->
-          if e > 1e6 then Printf.sprintf "%.2f ms" (e /. 1e6)
-          else Printf.sprintf "%.1f us" (e /. 1e3)
-        | Some [] | None -> "n/a"
-      in
-      Tb_util.Table.add_row table [ name; cell ])
-    entries;
-  Tb_util.Table.print table
+   DESIGN.md's experiment index). *)
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let run_one name =
-    if name = "bechamel" then bechamel_suite ()
-    else
-      match List.assoc_opt name Experiments.all_experiments with
-      | Some f -> f ()
-      | None ->
-        Printf.eprintf "unknown experiment %S; available: %s bechamel\n" name
-          (String.concat " " (List.map fst Experiments.all_experiments));
-        exit 1
+    match List.assoc_opt name Experiments.all_experiments with
+    | Some f -> f ()
+    | None ->
+      Printf.eprintf "unknown experiment %S; available: %s\n" name
+        (String.concat " " (List.map fst Experiments.all_experiments));
+      exit 1
   in
   match args with
-  | [] ->
-    List.iter (fun (_, f) -> f ()) Experiments.all_experiments;
-    bechamel_suite ()
+  | [] -> List.iter (fun (_, f) -> f ()) Experiments.all_experiments
   | names -> List.iter run_one names

@@ -1,9 +1,10 @@
-(* Shared Cmdliner terms for the treebeard subcommands.
+(* Shared Cmdliner terms for the treebeard subcommands, and the run loop
+   the three census gates (lint, validate, quantcheck) share.
 
-   lint, calibrate and serve-sim grew the same flag vocabulary
-   independently (--model/--zoo selection, --strict exit-status policy,
-   --grid sweeps, -o JSON report output, the schedule/target flags); this
-   module is the single definition each subcommand composes from. *)
+   The subcommands grew the same flag vocabulary independently
+   (--model/--zoo selection, --strict exit-status policy, --grid sweeps,
+   -o JSON report output, the schedule/target flags); this module is the
+   single definition each subcommand composes from. *)
 
 open Cmdliner
 module Schedule = Tb_hir.Schedule
@@ -331,3 +332,118 @@ let schedule_term =
     $ (const build $ tile_size $ tiling $ loop_order $ interleave $ unroll
       $ layout $ threads)
     $ schedule_file)
+
+(* ---------------- census gates ---------------- *)
+
+(* lint, validate and quantcheck each compute findings per (model, cell)
+   over --model FILE or --zoo, count one census family per cell, and
+   close by writing --census and diffing --census-baseline. A gate keeps
+   what differs: how a cell is computed, its grid, its -o report and its
+   exit rule. *)
+
+module D = Tb_diag.Diagnostic
+module Census = Tb_analysis.Census
+
+type gate = {
+  family : Census.family;
+  models : unit -> (string * Tb_model.Forest.t) list;
+      (* loads the zoo or the --model file; exits 2 when neither is given *)
+  verbose : bool;
+  census_out : string option;
+  census_baseline : string option;
+  mutable rows : Census.row list;  (* newest first *)
+  mutable errors : int;
+  mutable warnings : int;
+}
+
+let gate_term ~cmd ~family ~zoo_doc ~verbose_doc ~census_doc ~baseline_doc =
+  let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:verbose_doc) in
+  let census_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "census" ] ~docv:"FILE" ~doc:census_doc)
+  in
+  let census_baseline =
+    Arg.(
+      value
+      & opt (some file) None
+      & info [ "census-baseline" ] ~docv:"FILE" ~doc:baseline_doc)
+  in
+  let make zoo model verbose census_out census_baseline =
+    let models () =
+      match (zoo, model) with
+      | true, _ ->
+        List.map
+          (fun (s : Tb_gbt.Zoo.spec) ->
+            let e = Tb_gbt.Zoo.get s.Tb_gbt.Zoo.name in
+            (s.Tb_gbt.Zoo.name, e.Tb_gbt.Zoo.forest))
+          Tb_gbt.Zoo.specs
+      | false, Some path -> [ (path, Tb_model.Serialize.of_file path) ]
+      | false, None ->
+        prerr_endline (cmd ^ ": pass --model FILE or --zoo");
+        exit 2
+    in
+    { family; models; verbose; census_out; census_baseline; rows = [];
+      errors = 0; warnings = 0 }
+  in
+  Term.(
+    const make $ zoo_flag ~doc:zoo_doc $ model_opt_arg $ verbose $ census_out
+    $ census_baseline)
+
+(* Count one cell's findings into the census and the tallies. *)
+let count_cell g ~model ~cell ds =
+  g.rows <-
+    Census.row_of_diags ~family:g.family ~model ~schedule:cell ds :: g.rows;
+  g.errors <- g.errors + List.length (D.errors ds);
+  g.warnings <-
+    g.warnings + List.length (List.filter (fun d -> d.D.severity = D.Warning) ds)
+
+(* Count a cell, print its ok|warn|FAIL line and its findings (infos only
+   under --verbose). *)
+let report_cell g ~model ~cell ds =
+  count_cell g ~model ~cell ds;
+  let verdict =
+    if D.has_errors ds then "FAIL"
+    else if List.exists (fun d -> d.D.severity = D.Warning) ds then "warn"
+    else "ok"
+  in
+  Printf.printf "%-12s %-55s %s\n" model cell verdict;
+  List.iter
+    (fun d ->
+      if g.verbose || d.D.severity <> D.Info then
+        Printf.printf "  %s\n" (D.to_string d))
+    ds
+
+(* Print the census totals, write --census, diff --census-baseline, and
+   return whether the census regressed. The baseline is read before the
+   census is written, so one path given for both still diffs against the
+   old file. *)
+let close_census g =
+  let census = List.rev g.rows in
+  if g.census_out <> None || g.census_baseline <> None then begin
+    Printf.printf "census totals:\n";
+    List.iter
+      (fun (c, n) -> Printf.printf "  %-6s %d\n" c n)
+      (Census.totals ~family:g.family census)
+  end;
+  let baseline =
+    Option.map (fun path -> (path, Census.of_file path)) g.census_baseline
+  in
+  Option.iter
+    (fun path ->
+      Census.to_file path census;
+      Printf.printf "census          : %s (%d rows)\n" path (List.length census))
+    g.census_out;
+  match baseline with
+  | None -> false
+  | Some (path, baseline) -> (
+    match Census.diff ~family:g.family ~baseline census with
+    | [] ->
+      Printf.printf "census baseline : ok (no regression vs %s)\n" path;
+      false
+    | problems ->
+      Printf.printf "census baseline : %d regression(s) vs %s\n"
+        (List.length problems) path;
+      List.iter (fun p -> Printf.printf "  %s\n" p) problems;
+      true)

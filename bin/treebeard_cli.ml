@@ -37,12 +37,12 @@ let train_cmd =
       & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Output path (default <name>.json).")
   in
   let run benchmark out =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Tb_util.Timer.now () in
     let entry = Tb_gbt.Zoo.get benchmark in
     let path = Option.value out ~default:(benchmark ^ ".json") in
     Tb_model.Serialize.to_file path entry.Tb_gbt.Zoo.forest;
     Printf.printf "trained/loaded %s in %.1fs: %d trees, depth %d -> %s\n" benchmark
-      (Unix.gettimeofday () -. t0)
+      (Tb_util.Timer.now () -. t0)
       (Array.length entry.Tb_gbt.Zoo.forest.Tb_model.Forest.trees)
       (Tb_model.Forest.max_depth entry.Tb_gbt.Zoo.forest)
       path
@@ -147,7 +147,7 @@ let explore_cmd =
           Array.init forest.Tb_model.Forest.num_features (fun _ ->
               Tb_util.Prng.gaussian rng))
     in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Tb_util.Timer.now () in
     let result =
       if exhaustive then Tb_core.Explore.exhaustive ~target forest rows
       else Tb_core.Explore.greedy ~target forest rows
@@ -164,7 +164,7 @@ let explore_cmd =
       /. result.Tb_core.Explore.perf.Tb_core.Perf.cycles_per_row);
     Printf.printf "search          : %d schedules in %.1fs\n"
       result.Tb_core.Explore.evaluated
-      (Unix.gettimeofday () -. t0);
+      (Tb_util.Timer.now () -. t0);
     match save with
     | None -> ()
     | Some path ->
@@ -178,12 +178,19 @@ let explore_cmd =
 (* ---------------- lint ---------------- *)
 
 let lint_cmd =
-  let model = Cli_common.model_opt_arg in
-  let zoo =
-    Cli_common.zoo_flag
-      ~doc:
+  let module Passman = Tb_core.Passman in
+  let gate =
+    Cli_common.gate_term ~cmd:"lint" ~family:Tb_analysis.Census.lir_family
+      ~zoo_doc:
         "Lint every benchmark model in the zoo (training/loading them from \
          the cache as needed)."
+      ~verbose_doc:"Print every finding, including infos."
+      ~census_doc:
+        "Write a warning census (per model x schedule counts of \
+         L010..L014) to FILE as JSON."
+      ~baseline_doc:
+        "Diff this run's census against a checked-in baseline census; any \
+         L010/L013 finding or L011/L012 count regression fails the run."
   in
   let grid =
     Cli_common.grid_flag
@@ -201,50 +208,11 @@ let lint_cmd =
     Cli_common.strict_flag
       ~doc:"Treat warnings as errors for the exit status."
   in
-  let verbose =
-    Arg.(
-      value & flag
-      & info [ "v"; "verbose" ] ~doc:"Print every finding, including infos.")
-  in
-  let census_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "census" ] ~docv:"FILE"
-          ~doc:"Write a warning census (per model x schedule counts of \
-                L010..L014) to FILE as JSON.")
-  in
-  let census_baseline =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "census-baseline" ] ~docv:"FILE"
-          ~doc:"Diff this run's census against a checked-in baseline \
-                census; any L010/L013 finding or L011/L012 count \
-                regression fails the run.")
-  in
-  let run model zoo grid schedule batch strict verbose census_out
-      census_baseline =
-    let module D = Tb_diag.Diagnostic in
-    let module Passman = Tb_core.Passman in
-    let module Census = Tb_analysis.Census in
-    let models =
-      match (zoo, model) with
-      | true, _ ->
-        List.map
-          (fun s ->
-            let e = Tb_gbt.Zoo.get s.Tb_gbt.Zoo.name in
-            (s.Tb_gbt.Zoo.name, e.Tb_gbt.Zoo.forest))
-          Tb_gbt.Zoo.specs
-      | false, Some path -> [ (path, Tb_model.Serialize.of_file path) ]
-      | false, None ->
-        prerr_endline "lint: pass --model FILE or --zoo"; exit 2
-    in
+  let run (g : Cli_common.gate) grid schedule batch strict =
+    let models = g.models () in
     let schedules =
       if grid then Schedule.table2_grid else [ schedule ]
     in
-    let errors = ref 0 and warnings = ref 0 in
-    let census = ref [] in
     List.iter
       (fun (name, forest) ->
         List.iter
@@ -253,91 +221,46 @@ let lint_cmd =
               match Passman.lower ~batch_size:batch forest schedule with
               | Ok (_, r) | Error r -> r
             in
-            let ds = Passman.diagnostics report in
-            census :=
-              Census.row_of_diags ~model:name
-                ~schedule:(Schedule.to_string schedule) ds
-              :: !census;
-            let n_err = List.length (D.errors ds) in
-            let n_warn =
-              List.length
-                (List.filter (fun d -> d.D.severity = D.Warning) ds)
-            in
-            errors := !errors + n_err;
-            warnings := !warnings + n_warn;
-            let verdict =
-              if n_err > 0 then "FAIL"
-              else if n_warn > 0 then "warn"
-              else "ok"
-            in
-            Printf.printf "%-12s %-55s %s\n" name
-              (Schedule.to_string schedule)
-              verdict;
-            let shown =
-              if verbose then ds
-              else List.filter (fun d -> d.D.severity <> D.Info) ds
-            in
-            List.iter (fun d -> Printf.printf "  %s\n" (D.to_string d)) shown)
+            Cli_common.report_cell g ~model:name
+              ~cell:(Schedule.to_string schedule)
+              (Passman.diagnostics report))
           schedules)
       models;
     Printf.printf "lint: %d model(s) x %d schedule(s): %d error(s), %d warning(s)\n"
-      (List.length models) (List.length schedules) !errors !warnings;
-    let census = List.rev !census in
-    if census_out <> None || census_baseline <> None then begin
-      Printf.printf "census totals:\n";
-      List.iter
-        (fun (c, n) -> Printf.printf "  %-6s %d\n" c n)
-        (Census.totals census)
-    end;
-    (match census_out with
-    | None -> ()
-    | Some path ->
-      Census.to_file path census;
-      Printf.printf "census          : %s (%d rows)\n" path
-        (List.length census));
-    let census_regressed =
-      match census_baseline with
-      | None -> false
-      | Some path -> (
-        match Census.diff ~baseline:(Census.of_file path) census with
-        | [] ->
-          Printf.printf "census baseline : ok (no regression vs %s)\n" path;
-          false
-        | problems ->
-          Printf.printf "census baseline : %d regression(s) vs %s\n"
-            (List.length problems) path;
-          List.iter (fun p -> Printf.printf "  %s\n" p) problems;
-          true)
-    in
-    if !errors > 0 || census_regressed || (strict && !warnings > 0) then
-      exit 1
+      (List.length models) (List.length schedules) g.errors g.warnings;
+    let regressed = Cli_common.close_census g in
+    if g.errors > 0 || regressed || (strict && g.warnings > 0) then exit 1
   in
   Cmd.v
     (Cmd.info "lint"
        ~doc:"Statically verify models through the tbcheck pipeline \
              (schedule legality, tiling/LUT/padding, loop-nest and race \
              checks, layout closure and walk-program bounds)")
-    Term.(
-      const run $ model $ zoo $ grid $ schedule_term $ batch $ strict
-      $ verbose $ census_out $ census_baseline)
+    Term.(const run $ gate $ grid $ schedule_term $ batch $ strict)
 
 (* ---------------- validate ---------------- *)
 
 let validate_cmd =
   let module D = Tb_diag.Diagnostic in
-  let module Census = Tb_analysis.Census in
   let module Validate = Tb_analysis.Validate in
   let module Cost_check = Tb_analysis.Cost_check in
   let module Program = Tb_hir.Program in
   let module Mir = Tb_mir.Mir in
   let module Layout = Tb_lir.Layout in
   let module Json = Tb_util.Json in
-  let model = Cli_common.model_opt_arg in
-  let zoo =
-    Cli_common.zoo_flag
-      ~doc:
+  let gate =
+    Cli_common.gate_term ~cmd:"validate"
+      ~family:Tb_analysis.Census.validate_family
+      ~zoo_doc:
         "Validate every benchmark model in the zoo (training/loading them \
          from the cache as needed)."
+      ~verbose_doc:"Print every finding, including infos."
+      ~census_doc:
+        "Write a T001..T004 census (per model x schedule counts) to FILE as \
+         JSON."
+      ~baseline_doc:
+        "Diff this run's census against a checked-in baseline; any T004 \
+         finding or T001..T003 count regression fails the run."
   in
   let grid =
     Cli_common.grid_flag
@@ -364,108 +287,46 @@ let validate_cmd =
     Cli_common.strict_flag
       ~doc:"Treat warnings as errors for the exit status."
   in
-  let verbose =
-    Arg.(
-      value & flag
-      & info [ "v"; "verbose" ] ~doc:"Print every finding, including infos.")
-  in
   let out =
     Cli_common.out_arg
       ~doc:"Write the per-(model, schedule) findings report as JSON."
   in
-  let census_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "census" ] ~docv:"FILE"
-          ~doc:"Write a T001..T004 census (per model x schedule counts) to \
-                FILE as JSON.")
-  in
-  let census_baseline =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "census-baseline" ] ~docv:"FILE"
-          ~doc:"Diff this run's census against a checked-in baseline; any \
-                T004 finding or T001..T003 count regression fails the \
-                run.")
-  in
-  let run model zoo grid stage strict verbose out census_out census_baseline =
-    let models =
-      match (zoo, model) with
-      | true, _ ->
-        List.map
-          (fun (s : Tb_gbt.Zoo.spec) ->
-            let e = Tb_gbt.Zoo.get s.Tb_gbt.Zoo.name in
-            (s.Tb_gbt.Zoo.name, e.Tb_gbt.Zoo.forest))
-          Tb_gbt.Zoo.specs
-      | false, Some path -> [ (path, Tb_model.Serialize.of_file path) ]
-      | false, None ->
-        prerr_endline "validate: pass --model FILE or --zoo"; exit 2
-    in
+  let run (g : Cli_common.gate) grid stage strict out =
+    let models = g.models () in
     let schedules =
       if grid then Schedule.table2_grid else Cost_check.reduced_grid
     in
-    let errors = ref 0 and warnings = ref 0 in
-    let census = ref [] and cells = ref [] in
+    let cells = ref [] in
     List.iter
       (fun (name, forest) ->
         List.iter
           (fun schedule ->
-            let findings =
-              let hir = Program.build forest schedule in
-              let mir = Mir.lower hir in
-              match Layout.build hir with
-              | exception Invalid_argument msg ->
-                (* Slab cap on degenerate array-layout points: nothing to
-                   validate below MIR. *)
-                Printf.printf "%-12s %-55s skip (%s)\n" name
-                  (Schedule.to_string schedule) msg;
-                None
-              | lay ->
-                Some
-                  (match stage with
-                  | `All -> Validate.check_all hir mir lay
-                  | `Hir -> Validate.check_hir hir
-                  | `Mir -> Validate.check_mir hir mir
-                  | `Lir -> Validate.check_lir hir mir lay
-                  | `Reg -> Validate.check_reg hir mir lay)
-            in
-            match findings with
-            | None -> ()
-            | Some fs ->
-              let ds = Validate.to_diagnostics fs in
-              census :=
-                Census.row_of_diags ~family:Census.validate_family ~model:name
-                  ~schedule:(Schedule.to_string schedule) ds
-                :: !census;
+            let hir = Program.build forest schedule in
+            let mir = Mir.lower hir in
+            match Layout.build hir with
+            | exception Invalid_argument msg ->
+              (* Slab cap on degenerate array-layout points: nothing to
+                 validate below MIR. *)
+              Printf.printf "%-12s %-55s skip (%s)\n" name
+                (Schedule.to_string schedule) msg
+            | lay ->
+              let fs =
+                match stage with
+                | `All -> Validate.check_all hir mir lay
+                | `Hir -> Validate.check_hir hir
+                | `Mir -> Validate.check_mir hir mir
+                | `Lir -> Validate.check_lir hir mir lay
+                | `Reg -> Validate.check_reg hir mir lay
+              in
               cells := (name, schedule, fs) :: !cells;
-              let n_err = List.length (D.errors ds) in
-              let n_warn =
-                List.length
-                  (List.filter (fun d -> d.D.severity = D.Warning) ds)
-              in
-              errors := !errors + n_err;
-              warnings := !warnings + n_warn;
-              let verdict =
-                if n_err > 0 then "FAIL"
-                else if n_warn > 0 then "warn"
-                else "ok"
-              in
-              Printf.printf "%-12s %-55s %s\n" name
-                (Schedule.to_string schedule)
-                verdict;
-              let shown =
-                if verbose then ds
-                else List.filter (fun d -> d.D.severity <> D.Info) ds
-              in
-              List.iter (fun d -> Printf.printf "  %s\n" (D.to_string d)) shown)
+              Cli_common.report_cell g ~model:name
+                ~cell:(Schedule.to_string schedule)
+                (Validate.to_diagnostics fs))
           schedules)
       models;
     Printf.printf
       "validate: %d model(s) x %d schedule(s): %d error(s), %d warning(s)\n"
-      (List.length models) (List.length schedules) !errors !warnings;
-    let census = List.rev !census in
+      (List.length models) (List.length schedules) g.errors g.warnings;
     (match out with
     | None -> ()
     | Some path ->
@@ -503,37 +364,8 @@ let validate_cmd =
       Cli_common.write_report path
         (Json.Obj [ ("cells", Json.List (List.rev_map cell_json !cells)) ]);
       Printf.printf "report          : %s\n" path);
-    if census_out <> None || census_baseline <> None then begin
-      Printf.printf "census totals:\n";
-      List.iter
-        (fun (c, n) -> Printf.printf "  %-6s %d\n" c n)
-        (Census.totals ~family:Census.validate_family census)
-    end;
-    (match census_out with
-    | None -> ()
-    | Some path ->
-      Census.to_file path census;
-      Printf.printf "census          : %s (%d rows)\n" path
-        (List.length census));
-    let census_regressed =
-      match census_baseline with
-      | None -> false
-      | Some path -> (
-        match
-          Census.diff ~family:Census.validate_family
-            ~baseline:(Census.of_file path) census
-        with
-        | [] ->
-          Printf.printf "census baseline : ok (no regression vs %s)\n" path;
-          false
-        | problems ->
-          Printf.printf "census baseline : %d regression(s) vs %s\n"
-            (List.length problems) path;
-          List.iter (fun p -> Printf.printf "  %s\n" p) problems;
-          true)
-    in
-    if !errors > 0 || census_regressed || (strict && !warnings > 0) then
-      exit 1
+    let regressed = Cli_common.close_census g in
+    if g.errors > 0 || regressed || (strict && g.warnings > 0) then exit 1
   in
   Cmd.v
     (Cmd.info "validate"
@@ -543,30 +375,32 @@ let validate_cmd =
           kinds, LIR layout buffers, register-IR walk programs) are \
           compared pairwise, and any divergence is refuted with a \
           concrete witness row (T001..T004)")
-    Term.(
-      const run $ model $ zoo $ grid $ stage $ strict $ verbose $ out
-      $ census_out $ census_baseline)
+    Term.(const run $ gate $ grid $ stage $ strict $ out)
 
 (* ---------------- quantcheck ---------------- *)
 
 let quantcheck_cmd =
   let module D = Tb_diag.Diagnostic in
-  let module Census = Tb_analysis.Census in
   let module Numeric = Tb_analysis.Numeric in
   let module Json = Tb_util.Json in
-  let model = Cli_common.model_opt_arg in
-  let zoo =
-    Cli_common.zoo_flag
-      ~doc:
+  let gate =
+    Cli_common.gate_term ~cmd:"quantcheck"
+      ~family:Tb_analysis.Census.numeric_family
+      ~zoo_doc:
         "Certify every benchmark model in the zoo (training/loading them \
          from the cache as needed)."
+      ~verbose_doc:"Also print per-feature scales and per-class bounds."
+      ~census_doc:
+        "Write an N001..N004 census (per model x width counts) to FILE as \
+         JSON."
+      ~baseline_doc:
+        "Diff this run's census against a checked-in baseline; any per-cell \
+         N00x count growth fails the run."
   in
   let grid =
     Cli_common.grid_flag
       ~doc:"Certify at both widths (int8 and int16) instead of just --bits."
   in
-  let bits = Cli_common.bits_arg in
-  let tolerance = Cli_common.tolerance_arg in
   let strict =
     Cli_common.strict_flag
       ~doc:
@@ -574,49 +408,14 @@ let quantcheck_cmd =
          given, only on a census regression (the baseline records the \
          findings a model is known not to certify away)."
   in
-  let verbose =
-    Arg.(
-      value & flag
-      & info [ "v"; "verbose" ]
-          ~doc:"Also print per-feature scales and per-class bounds.")
-  in
   let out =
     Cli_common.out_arg
       ~doc:"Write the per-(model, width) certificates as a JSON report."
   in
-  let census_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "census" ] ~docv:"FILE"
-          ~doc:"Write an N001..N004 census (per model x width counts) to \
-                FILE as JSON.")
-  in
-  let census_baseline =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "census-baseline" ] ~docv:"FILE"
-          ~doc:"Diff this run's census against a checked-in baseline; any \
-                per-cell N00x count growth fails the run.")
-  in
-  let run model zoo grid bits tolerance strict verbose out census_out
-      census_baseline =
-    let models =
-      match (zoo, model) with
-      | true, _ ->
-        List.map
-          (fun (s : Tb_gbt.Zoo.spec) ->
-            let e = Tb_gbt.Zoo.get s.Tb_gbt.Zoo.name in
-            (s.Tb_gbt.Zoo.name, e.Tb_gbt.Zoo.forest))
-          Tb_gbt.Zoo.specs
-      | false, Some path -> [ (path, Tb_model.Serialize.of_file path) ]
-      | false, None ->
-        prerr_endline "quantcheck: pass --model FILE or --zoo"; exit 2
-    in
+  let run (g : Cli_common.gate) grid bits tolerance strict out =
+    let models = g.models () in
     let widths = if grid then [ Numeric.I8; Numeric.I16 ] else [ bits ] in
-    let warnings = ref 0 in
-    let census = ref [] and certs = ref [] in
+    let certs = ref [] in
     List.iter
       (fun (name, forest) ->
         List.iter
@@ -624,18 +423,15 @@ let quantcheck_cmd =
             let cert = Numeric.certify ~tolerance ~width forest in
             let wname = Numeric.width_to_string width in
             certs := cert :: !certs;
-            census :=
-              Census.row_of_diags ~family:Census.numeric_family ~model:name
-                ~schedule:wname cert.Numeric.findings
-              :: !census;
-            let n = List.length cert.Numeric.findings in
-            warnings := !warnings + n;
+            (* Every N00x finding is a warning. *)
+            Cli_common.count_cell g ~model:name ~cell:wname
+              cert.Numeric.findings;
             Printf.printf "%-12s %-6s %s\n" name wname
-              (if n = 0 then "certified" else "refuted");
+              (if cert.Numeric.findings = [] then "certified" else "refuted");
             List.iter
               (fun d -> Printf.printf "  %s\n" (D.to_string d))
               cert.Numeric.findings;
-            if verbose then begin
+            if g.verbose then begin
               Printf.printf "  leaf scale 2^%d, tolerance %g\n"
                 cert.Numeric.plan.Numeric.leaf_exp tolerance;
               Array.iteri
@@ -654,8 +450,7 @@ let quantcheck_cmd =
     in
     Printf.printf
       "quantcheck: %d model(s) x %d width(s): %d certified, %d finding(s)\n"
-      (List.length models) (List.length widths) certified !warnings;
-    let census = List.rev !census in
+      (List.length models) (List.length widths) certified g.warnings;
     (match out with
     | None -> ()
     | Some path ->
@@ -666,39 +461,11 @@ let quantcheck_cmd =
                Json.List (List.rev_map Numeric.report_to_json !certs) );
            ]);
       Printf.printf "report          : %s\n" path);
-    if census_out <> None || census_baseline <> None then begin
-      Printf.printf "census totals:\n";
-      List.iter
-        (fun (c, n) -> Printf.printf "  %-6s %d\n" c n)
-        (Census.totals ~family:Census.numeric_family census)
-    end;
-    (match census_out with
-    | None -> ()
-    | Some path ->
-      Census.to_file path census;
-      Printf.printf "census          : %s (%d rows)\n" path
-        (List.length census));
-    let census_regressed =
-      match census_baseline with
-      | None -> false
-      | Some path -> (
-        match
-          Census.diff ~family:Census.numeric_family
-            ~baseline:(Census.of_file path) census
-        with
-        | [] ->
-          Printf.printf "census baseline : ok (no regression vs %s)\n" path;
-          false
-        | problems ->
-          Printf.printf "census baseline : %d regression(s) vs %s\n"
-            (List.length problems) path;
-          List.iter (fun p -> Printf.printf "  %s\n" p) problems;
-          true)
-    in
+    let regressed = Cli_common.close_census g in
     let strict_failed =
-      strict && census_baseline = None && !warnings > 0
+      strict && g.census_baseline = None && g.warnings > 0
     in
-    if census_regressed || strict_failed then exit 1
+    if regressed || strict_failed then exit 1
   in
   Cmd.v
     (Cmd.info "quantcheck"
@@ -709,8 +476,8 @@ let quantcheck_cmd =
           overflow, threshold-collision, tolerance and argmax-flip risks \
           (N001..N004)")
     Term.(
-      const run $ model $ zoo $ grid $ bits $ tolerance $ strict $ verbose
-      $ out $ census_out $ census_baseline)
+      const run $ gate $ grid $ Cli_common.bits_arg $ Cli_common.tolerance_arg
+      $ strict $ out)
 
 (* ---------------- calibrate ---------------- *)
 

@@ -23,32 +23,12 @@ let widths p =
    range diagnostics (L001). *)
 let stmt_lanes w s =
   let acc = ref [] in
-  let add lane = if not (List.mem lane !acc) then acc := lane :: !acc in
-  let ir r = add (r / w.wi) in
-  let fr r = add (r / w.wf) in
-  let vr r = add (r / w.wv) in
-  let iexpr = function
-    | Iconst _ -> ()
-    | Imov a | Imul_const (a, _) | Iadd_const (a, _) | Iload (_, a) -> ir a
-    | Iadd (a, b) | Isub (a, b) -> ir a; ir b
-    | Movemask v -> vr v
+  let touch width r =
+    let lane = r / width in
+    if not (List.mem lane !acc) then acc := lane :: !acc;
+    r
   in
-  let fexpr = function Fload (_, a) -> ir a in
-  let vexpr = function
-    | Vload_f (_, a) | Vload_i (_, a) -> ir a
-    | Gather (_, v) -> vr v
-    | Vcmp_lt (a, b) -> vr a; vr b
-  in
-  let cond = function Ige (r, _) | Ieq_load (_, r, _) -> ir r in
-  let rec stmt = function
-    | Iset (r, e) -> ir r; iexpr e
-    | Fset (r, e) -> fr r; fexpr e
-    | Vset (r, e) -> vr r; vexpr e
-    | While (c, b) -> cond c; List.iter stmt b
-    | If (c, t, e) -> cond c; List.iter stmt t; List.iter stmt e
-    | Repeat (_, b) -> List.iter stmt b
-  in
-  stmt s;
+  ignore (map_regs ~ir:(touch w.wi) ~fr:(touch w.wf) ~vr:(touch w.wv) s);
   List.sort compare !acc
 
 type result = {
@@ -111,37 +91,11 @@ let project (p : walk_program) ~lane =
   if p.lanes <= 1 then p
   else begin
     let w = widths p in
-    let ir r = r - (lane * w.wi) in
-    let fr r = r - (lane * w.wf) in
-    let vr r = r - (lane * w.wv) in
-    let iexpr = function
-      | Iconst c -> Iconst c
-      | Imov a -> Imov (ir a)
-      | Iadd (a, b) -> Iadd (ir a, ir b)
-      | Imul_const (a, c) -> Imul_const (ir a, c)
-      | Iadd_const (a, c) -> Iadd_const (ir a, c)
-      | Isub (a, b) -> Isub (ir a, ir b)
-      | Iload (b, a) -> Iload (b, ir a)
-      | Movemask v -> Movemask (vr v)
-    in
-    let fexpr = function Fload (b, a) -> Fload (b, ir a) in
-    let vexpr = function
-      | Vload_f (b, a) -> Vload_f (b, ir a)
-      | Vload_i (b, a) -> Vload_i (b, ir a)
-      | Gather (b, v) -> Gather (b, vr v)
-      | Vcmp_lt (a, b) -> Vcmp_lt (vr a, vr b)
-    in
-    let cond = function
-      | Ige (r, c) -> Ige (ir r, c)
-      | Ieq_load (b, r, c) -> Ieq_load (b, ir r, c)
-    in
-    let rec rename = function
-      | Iset (r, e) -> Iset (ir r, iexpr e)
-      | Fset (r, e) -> Fset (fr r, fexpr e)
-      | Vset (r, e) -> Vset (vr r, vexpr e)
-      | While (c, b) -> While (cond c, List.map rename b)
-      | If (c, t, e) -> If (cond c, List.map rename t, List.map rename e)
-      | Repeat (n, b) -> Repeat (n, List.map rename b)
+    let rename =
+      map_regs
+        ~ir:(fun r -> r - (lane * w.wi))
+        ~fr:(fun r -> r - (lane * w.wf))
+        ~vr:(fun r -> r - (lane * w.wv))
     in
     let rec keep stmts =
       List.filter_map

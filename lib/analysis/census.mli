@@ -1,12 +1,14 @@
 (** Warning census for a diagnostic family.
 
     A census is a list of per-(model, schedule) rows counting one
-    diagnostic family's codes in a lint or validate run. It is the
-    measurable surface of an analysis: [treebeard lint --census] writes
-    one for the walk-bounds family, [treebeard validate --census] for the
-    translation-validation family, the bench [lint]/[validate]
-    experiments record them, and CI diffs the current census against a
-    checked-in baseline so a precision regression fails the build. *)
+    diagnostic family's codes in a gate run. It is the measurable
+    surface of an analysis: [treebeard lint --census] writes one for the
+    walk-bounds family, [treebeard validate --census] for the
+    translation-validation family and [treebeard quantcheck --census]
+    for the quantization-certification family. CI diffs the current
+    census against a checked-in baseline so a precision regression fails
+    the build; running the gate with [--census] pointed at the baseline
+    regenerates it. *)
 
 type family = {
   family_name : string;
@@ -24,8 +26,8 @@ val lir_family : family
     [L011]/[L012] soft, [L014] a fact. *)
 
 val validate_family : family
-(** The translation-validation family: codes [T001..T004]; [T004] hard,
-    [T001..T003] soft. *)
+(** The translation-validation family: codes [T001..T005]; [T004]/[T005]
+    hard, [T001..T003] soft. *)
 
 val numeric_family : family
 (** The quantization-certification family: codes [N001..N004], all soft —
@@ -39,10 +41,6 @@ val family_of_code : string -> family option
 (** The unique family tracking [code], if any (schedule/HIR/MIR/… codes
     have no census family). *)
 
-val codes : string list
-(** Tracked codes of {!lir_family}, in column order (the census's
-    original single family; kept for compatibility). *)
-
 type row = {
   model : string;
   schedule : string;  (** [Schedule.to_string] form *)
@@ -52,15 +50,14 @@ type row = {
 type t = row list
 
 val row_of_diags :
-  ?family:family ->
+  family:family ->
   model:string -> schedule:string -> Tb_diag.Diagnostic.t list -> row
-(** Count the tracked codes in one run's diagnostics (default family:
-    {!lir_family}). *)
+(** Count the family's tracked codes in one run's diagnostics. *)
 
 val get : row -> string -> int
 (** Count for one code, 0 when absent. *)
 
-val totals : ?family:family -> t -> (string * int) list
+val totals : family:family -> t -> (string * int) list
 (** Per-code totals over all rows, in the family's code order. *)
 
 val to_json : t -> Tb_util.Json.t
@@ -70,9 +67,10 @@ val of_json : Tb_util.Json.t -> t
 val to_file : string -> t -> unit
 val of_file : string -> t
 
-val diff : ?family:family -> baseline:t -> t -> string list
+val diff : family:family -> baseline:t -> t -> string list
 (** Regression check for CI. Empty result = acceptable. Reported as
     problems: any [hard]-code count in [current] (never acceptable,
     baseline or not); a [soft]-code count in a cell exceeding the same
-    cell in [baseline]; cells present on one side only. Fact codes are
-    not diffed. Default family: {!lir_family}. *)
+    cell in [baseline]; a cell missing from [baseline] with a non-zero
+    [soft] count; a [baseline] cell missing from [current]. Fact codes
+    are not diffed. *)

@@ -667,98 +667,6 @@ let summarize_reg ?num_features p lay ~tree =
   summarize_reg_c (new_cache ()) ?num_features p lay ~tree
 
 (* ------------------------------------------------------------------ *)
-(* Jam-lane projection                                                 *)
-(* ------------------------------------------------------------------ *)
-
-exception Projection of string
-
-(* Generic register renaming over a statement. *)
-let rec map_regs_stmt ~ir ~fr ~vr stmt =
-  let iexpr = function
-    | Reg_ir.Iconst c -> Reg_ir.Iconst c
-    | Reg_ir.Imov a -> Reg_ir.Imov (ir a)
-    | Reg_ir.Iadd (a, b) -> Reg_ir.Iadd (ir a, ir b)
-    | Reg_ir.Imul_const (a, c) -> Reg_ir.Imul_const (ir a, c)
-    | Reg_ir.Iadd_const (a, c) -> Reg_ir.Iadd_const (ir a, c)
-    | Reg_ir.Isub (a, b) -> Reg_ir.Isub (ir a, ir b)
-    | Reg_ir.Iload (b, a) -> Reg_ir.Iload (b, ir a)
-    | Reg_ir.Movemask v -> Reg_ir.Movemask (vr v)
-  in
-  let fexpr = function Reg_ir.Fload (b, a) -> Reg_ir.Fload (b, ir a) in
-  let vexpr = function
-    | Reg_ir.Vload_f (b, a) -> Reg_ir.Vload_f (b, ir a)
-    | Reg_ir.Vload_i (b, a) -> Reg_ir.Vload_i (b, ir a)
-    | Reg_ir.Gather (b, v) -> Reg_ir.Gather (b, vr v)
-    | Reg_ir.Vcmp_lt (a, b) -> Reg_ir.Vcmp_lt (vr a, vr b)
-  in
-  let cond = function
-    | Reg_ir.Ige (r, c) -> Reg_ir.Ige (ir r, c)
-    | Reg_ir.Ieq_load (b, r, c) -> Reg_ir.Ieq_load (b, ir r, c)
-  in
-  match stmt with
-  | Reg_ir.Iset (r, e) -> Reg_ir.Iset (ir r, iexpr e)
-  | Reg_ir.Fset (r, e) -> Reg_ir.Fset (fr r, fexpr e)
-  | Reg_ir.Vset (r, e) -> Reg_ir.Vset (vr r, vexpr e)
-  | Reg_ir.While (c, b) ->
-    Reg_ir.While (cond c, List.map (map_regs_stmt ~ir ~fr ~vr) b)
-  | Reg_ir.If (c, t, e) ->
-    Reg_ir.If
-      (cond c, List.map (map_regs_stmt ~ir ~fr ~vr) t,
-       List.map (map_regs_stmt ~ir ~fr ~vr) e)
-  | Reg_ir.Repeat (n, b) ->
-    Reg_ir.Repeat (n, List.map (map_regs_stmt ~ir ~fr ~vr) b)
-
-(* The single lane a (non-Repeat) statement's registers all live in, per
-   the jam window convention; raises on a cross-window statement. *)
-let stmt_lane ~wi ~wf ~wv stmt =
-  let lane = ref (-1) in
-  let touch width r =
-    let l = if width = 0 then 0 else r / width in
-    if !lane = -1 then lane := l
-    else if !lane <> l then raise (Projection "statement spans lane windows")
-  in
-  (* Reuse the renamer as a traversal: record, return unchanged. *)
-  ignore
-    (map_regs_stmt
-       ~ir:(fun r -> touch wi r; r)
-       ~fr:(fun r -> touch wf r; r)
-       ~vr:(fun r -> touch wv r; r)
-       stmt);
-  !lane
-
-let project_lane (p : Reg_ir.walk_program) ~lane =
-  let wi = Reg_ir.lane_width p in
-  let wf = Reg_ir.lane_fwidth p in
-  let wv = Reg_ir.lane_vwidth p in
-  let rebase =
-    map_regs_stmt
-      ~ir:(fun r -> r - (lane * wi))
-      ~fr:(fun r -> r - (lane * wf))
-      ~vr:(fun r -> r - (lane * wv))
-  in
-  let rec proj stmts =
-    List.filter_map
-      (fun s ->
-        match s with
-        | Reg_ir.Repeat (n, body) -> Some (Reg_ir.Repeat (n, proj body))
-        | _ ->
-          let l = stmt_lane ~wi ~wf ~wv s in
-          if l = lane then Some (rebase s) else None)
-      stmts
-  in
-  try
-    Ok
-      {
-        p with
-        Reg_ir.body = proj p.Reg_ir.body;
-        num_iregs = wi;
-        num_fregs = wf;
-        num_vregs = wv;
-        lanes = 1;
-      }
-  with Projection msg -> Error msg
-
-(* ------------------------------------------------------------------ *)
 (* Cross-stage comparison                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -784,8 +692,11 @@ type finding = {
 
 let pair_string (a, b) = Printf.sprintf "%s<->%s" (stage_name a) (stage_name b)
 
-let compare_summaries ?(max_findings = 4) ~num_features ~pair ~tree ~replay a b
-    =
+(* Findings reported per tree and stage pair; the rest of a divergence is
+   the same bug seen again. *)
+let max_findings = 4
+
+let compare_summaries ~num_features ~pair ~tree ~replay a b =
   if equal_summaries a b then []
   else
     let a = coalesce a and b = coalesce b in
@@ -1043,12 +954,13 @@ let check_reg (hir : Program.t) (mir : M.t) (lay : Layout.t) =
         match List.assoc_opt gi variants with
         | None -> ()
         | Some expected ->
+          let collision = (Alias.check p).Alias.diags in
           for lane = 0 to p.Reg_ir.lanes - 1 do
             let problem =
-              match project_lane p ~lane with
-              | Error msg -> Some msg
-              | Ok q ->
-                if q = expected then None
+              match collision with
+              | d :: _ -> Some d.D.message
+              | [] ->
+                if Alias.project p ~lane = expected then None
                 else Some "lane projection is not the group walk program"
             in
             match problem with

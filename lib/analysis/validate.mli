@@ -113,7 +113,6 @@ type finding = {
 }
 
 val compare_summaries :
-  ?max_findings:int ->
   num_features:int ->
   pair:stage * stage ->
   tree:int ->
@@ -124,7 +123,8 @@ val compare_summaries :
 (** Compare two adjacent forms' summaries for one tree. [replay] runs a
     form concretely on a witness row (it may raise; an exception on one
     side with a value on the other is a confirmed divergence). Returns
-    [[]] iff the summaries agree (after {!coalesce}). *)
+    [[]] iff the summaries agree (after {!coalesce}), and at most 4
+    findings otherwise. *)
 
 val to_diagnostics : finding list -> Tb_diag.Diagnostic.t list
 

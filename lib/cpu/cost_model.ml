@@ -106,5 +106,3 @@ let estimate (config : Config.t) w =
 
 let cycles_per_row b w =
   if w.rows = 0 then 0.0 else b.cycles /. float_of_int w.rows
-
-let time_per_row_us ?(ghz = 3.5) b w = cycles_per_row b w /. (ghz *. 1000.0)

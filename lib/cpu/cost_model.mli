@@ -43,7 +43,3 @@ type breakdown = {
 val estimate : Config.t -> workload -> breakdown
 
 val cycles_per_row : breakdown -> workload -> float
-
-val time_per_row_us : ?ghz:float -> breakdown -> workload -> float
-(** Convert to microseconds per row at a clock rate (default 3.5 GHz) —
-    used when printing paper-style "mean µs per row" numbers. *)

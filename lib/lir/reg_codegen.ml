@@ -167,39 +167,10 @@ let walk_program (lay : Layout.t) walk =
    the instruction-level mixing unroll-and-jam exists for — while control
    flow (While/If), whose condition is lane-private, stays per-lane. *)
 let rename_stmt ~lane =
-  let ir r = (lane * num_iregs) + r in
-  let fr r = (lane * num_fregs) + r in
-  let vr r = (lane * num_vregs) + r in
-  let iexpr = function
-    | Iconst c -> Iconst c
-    | Imov a -> Imov (ir a)
-    | Iadd (a, b) -> Iadd (ir a, ir b)
-    | Imul_const (a, c) -> Imul_const (ir a, c)
-    | Iadd_const (a, c) -> Iadd_const (ir a, c)
-    | Isub (a, b) -> Isub (ir a, ir b)
-    | Iload (b, a) -> Iload (b, ir a)
-    | Movemask v -> Movemask (vr v)
-  in
-  let fexpr = function Fload (b, a) -> Fload (b, ir a) in
-  let vexpr = function
-    | Vload_f (b, a) -> Vload_f (b, ir a)
-    | Vload_i (b, a) -> Vload_i (b, ir a)
-    | Gather (b, v) -> Gather (b, vr v)
-    | Vcmp_lt (a, b) -> Vcmp_lt (vr a, vr b)
-  in
-  let cond = function
-    | Ige (r, c) -> Ige (ir r, c)
-    | Ieq_load (b, r, c) -> Ieq_load (b, ir r, c)
-  in
-  let rec stmt = function
-    | Iset (r, e) -> Iset (ir r, iexpr e)
-    | Fset (r, e) -> Fset (fr r, fexpr e)
-    | Vset (r, e) -> Vset (vr r, vexpr e)
-    | While (c, b) -> While (cond c, List.map stmt b)
-    | If (c, t, e) -> If (cond c, List.map stmt t, List.map stmt e)
-    | Repeat (n, b) -> Repeat (n, List.map stmt b)
-  in
-  stmt
+  map_regs
+    ~ir:(fun r -> (lane * num_iregs) + r)
+    ~fr:(fun r -> (lane * num_fregs) + r)
+    ~vr:(fun r -> (lane * num_vregs) + r)
 
 let rec jam_stmts ~lanes stmts =
   List.concat_map

@@ -63,6 +63,40 @@ let lane_width p = p.num_iregs / max 1 p.lanes
 let lane_fwidth p = p.num_fregs / max 1 p.lanes
 let lane_vwidth p = p.num_vregs / max 1 p.lanes
 
+(* The one register renamer: every register operand of a statement,
+   nested bodies included, goes through the map of its file. Jamming,
+   lane projection and the lane-ownership visitor are all built on it. *)
+let rec map_regs ~ir ~fr ~vr stmt =
+  let iexpr = function
+    | Iconst c -> Iconst c
+    | Imov a -> Imov (ir a)
+    | Iadd (a, b) -> Iadd (ir a, ir b)
+    | Imul_const (a, c) -> Imul_const (ir a, c)
+    | Iadd_const (a, c) -> Iadd_const (ir a, c)
+    | Isub (a, b) -> Isub (ir a, ir b)
+    | Iload (b, a) -> Iload (b, ir a)
+    | Movemask v -> Movemask (vr v)
+  in
+  let fexpr = function Fload (b, a) -> Fload (b, ir a) in
+  let vexpr = function
+    | Vload_f (b, a) -> Vload_f (b, ir a)
+    | Vload_i (b, a) -> Vload_i (b, ir a)
+    | Gather (b, v) -> Gather (b, vr v)
+    | Vcmp_lt (a, b) -> Vcmp_lt (vr a, vr b)
+  in
+  let cond = function
+    | Ige (r, c) -> Ige (ir r, c)
+    | Ieq_load (b, r, c) -> Ieq_load (b, ir r, c)
+  in
+  let body = List.map (map_regs ~ir ~fr ~vr) in
+  match stmt with
+  | Iset (r, e) -> Iset (ir r, iexpr e)
+  | Fset (r, e) -> Fset (fr r, fexpr e)
+  | Vset (r, e) -> Vset (vr r, vexpr e)
+  | While (c, b) -> While (cond c, body b)
+  | If (c, t, e) -> If (cond c, body t, body e)
+  | Repeat (n, b) -> Repeat (n, body b)
+
 (* ------------------------------------------------------------------ *)
 (* Verifier                                                            *)
 (* ------------------------------------------------------------------ *)

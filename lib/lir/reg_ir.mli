@@ -87,6 +87,14 @@ val lane_width : walk_program -> int
 val lane_fwidth : walk_program -> int
 val lane_vwidth : walk_program -> int
 
+val map_regs :
+  ir:(ireg -> ireg) -> fr:(freg -> freg) -> vr:(vreg -> vreg) -> stmt -> stmt
+(** Rename every register operand of a statement, recursing into
+    [While]/[If]/[Repeat] bodies: int registers through [ir], float
+    registers through [fr], vector registers through [vr]. Identity maps
+    that record their argument make it a register visitor (operands are
+    visited in no specified order). *)
+
 val check : walk_program -> Tb_diag.Diagnostic.t list
 (** Register-discipline verification with structured diagnostics: register
     indices within the declared files ([L001]), every register assigned

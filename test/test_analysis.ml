@@ -684,12 +684,100 @@ let test_registry_codes_and_families () =
       ("A003", None); ("Z999", None);
     ]
 
+(* The baseline policy the CI census gates rely on, for every family:
+   hard codes fail in any row, baseline or not; soft counts fail when
+   they grow and pass when they fall; a row missing from the baseline
+   fails only with a soft count; a baseline row missing from the census
+   fails; fact codes are counted by [totals] and never diffed; and the
+   wire format round-trips. *)
+let test_census_gate_policy () =
+  let module Census = Tb_analysis.Census in
+  let row ?(model = "m") counts = { Census.model; schedule = "s"; counts } in
+  List.iter
+    (fun (f : Census.family) ->
+      let what w = Printf.sprintf "%s: %s" f.Census.family_name w in
+      let passes w ~baseline current =
+        Alcotest.(check (list string))
+          (what w) []
+          (Census.diff ~family:f ~baseline current)
+      in
+      let fails w ~baseline current =
+        check_bool (what w) true (Census.diff ~family:f ~baseline current <> [])
+      in
+      List.iter
+        (fun c ->
+          fails (c ^ " held in a baseline row") ~baseline:[ row [ (c, 1) ] ]
+            [ row [ (c, 1) ] ];
+          fails (c ^ " in a row missing from the baseline") ~baseline:[]
+            [ row [ (c, 1) ] ])
+        f.Census.hard;
+      List.iter
+        (fun c ->
+          fails (c ^ " grown") ~baseline:[ row [ (c, 1) ] ] [ row [ (c, 2) ] ];
+          passes (c ^ " fallen") ~baseline:[ row [ (c, 2) ] ] [ row [ (c, 1) ] ];
+          fails (c ^ " in a row missing from the baseline") ~baseline:[]
+            [ row [ (c, 1) ] ])
+        f.Census.soft;
+      let facts =
+        List.filter
+          (fun c -> not (List.mem c f.Census.hard || List.mem c f.Census.soft))
+          f.Census.codes
+      in
+      List.iter
+        (fun c ->
+          passes (c ^ " grown (a fact)") ~baseline:[ row [] ] [ row [ (c, 5) ] ];
+          passes (c ^ " in a row missing from the baseline (a fact)")
+            ~baseline:[] [ row [ (c, 5) ] ])
+        facts;
+      passes "a clean row missing from the baseline" ~baseline:[] [ row [] ];
+      fails "a baseline row missing from the census"
+        ~baseline:[ row []; row ~model:"gone" [] ]
+        [ row [] ];
+      (* row_of_diags counts the family's codes in column order and drops
+         zeros and foreign codes. *)
+      let d code = D.warningf ~level:D.Lir ~code ~path:[] "finding" in
+      let last = List.nth f.Census.codes (List.length f.Census.codes - 1) in
+      let first = List.hd f.Census.codes in
+      let counted =
+        Census.row_of_diags ~family:f ~model:"m" ~schedule:"s"
+          [ d last; d "S001"; d first; d last ]
+      in
+      Alcotest.(check (list (pair string int)))
+        (what "row_of_diags") [ (first, 1); (last, 2) ] counted.Census.counts;
+      (* totals sum every tracked code, facts included, in column order. *)
+      let census =
+        [
+          row ~model:"a" (List.mapi (fun i c -> (c, i + 1)) f.Census.codes);
+          row ~model:"b" [ (last, 10) ];
+        ]
+      in
+      Alcotest.(check (list (pair string int)))
+        (what "totals")
+        (List.mapi
+           (fun i c -> (c, i + 1 + if c = last then 10 else 0))
+           f.Census.codes)
+        (Census.totals ~family:f census);
+      check_bool (what "JSON round trip") true
+        (Census.of_json (Census.to_json census) = census))
+    Census.all_families;
+  (* The fact branch above must run: L014 is the lir family's proof fact. *)
+  Alcotest.(check (list string))
+    "lir facts" [ "L014" ]
+    (List.filter
+       (fun c ->
+         not
+           (List.mem c Census.lir_family.Census.hard
+           || List.mem c Census.lir_family.Census.soft))
+       Census.lir_family.Census.codes)
+
 let suite =
   [
     quick "verified pipeline accepts the default schedule"
       test_passman_default_clean;
     quick "code registry unique + census family coverage"
       test_registry_codes_and_families;
+    quick "census gate policy: diff, totals, row counts, JSON round trip"
+      test_census_gate_policy;
     quick "verified pipeline == unverified lowering"
       test_passman_matches_unverified_lower;
     qcheck ~count:50 ~name:"pipeline lint-clean on random models x schedules"
