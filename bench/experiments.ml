@@ -692,79 +692,6 @@ let ext_dp () =
     [ "abalone"; "airline-ohe"; "covtype"; "higgs" ];
   Table.print t
 
-(* Cost-model calibration (the C0xx lint): how well the simulated ranking
-   tracks the closure JIT's wall clock on this machine, over the reduced
-   schedule grid. Writes the structured report to calibration.json. *)
-let calibrate () =
-  let module Cost_check = Tb_analysis.Cost_check in
-  let module D = Tb_diag.Diagnostic in
-  heading
-    "Cost-model calibration: Kendall-tau and top-k regret of the simulated\n\
-     ranking vs JIT wall clock (reduced grid, Intel model). Findings are\n\
-     C001 rank / C002 events / C003 stall attribution";
-  let t =
-    Table.create
-      [ "benchmark"; "tau"; "regret"; "champion (predicted)"; "measured best";
-        "C001"; "C002"; "C003" ]
-  in
-  let count code r =
-    List.length
-      (List.filter (fun d -> d.D.code = code) r.Cost_check.findings)
-  in
-  let reports =
-    List.map
-      (fun name ->
-        let b = load name in
-        let rows = Array.sub b.rows_1024 0 256 in
-        let compile schedule =
-          match
-            Tb_core.Passman.compile ~batch_size:(Array.length rows)
-              ~profiles:b.profiles ~schedule b.entry.Zoo.forest
-          with
-          | Ok (c, _) -> Ok (c.Tb_core.Passman.lowered, c.Tb_core.Passman.predict)
-          | Error report -> Error (D.summary (Tb_core.Passman.diagnostics report))
-        in
-        let r =
-          Cost_check.calibrate ~target:intel ~compile ~name
-            ~grid:Cost_check.reduced_grid rows
-        in
-        Table.add_row t
-          [
-            name;
-            Printf.sprintf "%.3f" r.Cost_check.tau;
-            Printf.sprintf "%.1f%%" (100.0 *. r.Cost_check.regret);
-            Schedule.to_string
-              r.Cost_check.observations.(r.Cost_check.champion).Cost_check.schedule;
-            Schedule.to_string
-              r.Cost_check.observations.(r.Cost_check.measured_best).Cost_check.schedule;
-            string_of_int (count "C001" r);
-            string_of_int (count "C002" r);
-            string_of_int (count "C003" r);
-          ];
-        r)
-      [ "abalone"; "letter"; "higgs" ]
-  in
-  Table.print t;
-  List.iter
-    (fun r ->
-      List.iter
-        (fun d -> Printf.printf "  %s\n" (D.to_string d))
-        r.Cost_check.findings)
-    reports;
-  let json =
-    Tb_util.Json.Obj
-      [
-        ("target", Tb_util.Json.Str intel.Config.name);
-        ( "reports",
-          Tb_util.Json.List (List.map Cost_check.report_to_json reports) );
-      ]
-  in
-  let oc = open_out "calibration.json" in
-  output_string oc (Tb_util.Json.to_string ~indent:true json);
-  output_string oc "\n";
-  close_out oc;
-  Printf.printf "report: calibration.json\n"
-
 (* Serving runtime: dynamic-batching policy sweep (throughput vs tail
    latency) and eviction-policy comparison under cache pressure. Sweeps 1
    and 2 come from the deterministic virtual clock, so those tables are
@@ -1271,122 +1198,6 @@ let serve () =
   output_string oc "\n";
   close_out oc;
   Printf.printf "report: BENCH_serve.json\n"
-
-(* Warning census: the legacy interval-only walk-bounds analysis vs the
-   relational one (congruence/stride domain + per-lane alias analysis),
-   per model over the full Table II schedule grid. Model-independent of
-   any host clock — the census counts diagnostics, not cycles. Writes
-   BENCH_lint.json (both censuses + per-model summary); the CI baseline
-   is the lint gate's to write. *)
-let lint () =
-  let module Census = Tb_analysis.Census in
-  let module J = Tb_util.Json in
-  let contains_sub s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
-  heading
-    "Lint census: legacy interval analysis vs relational\n\
-     (congruence + alias) analysis, zoo x Table II grid";
-  let before = ref [] and after = ref [] in
-  let t =
-    Table.create
-      [ "Model"; "scheds"; "L011 leg"; "L011 rel"; "sparse leg";
-        "sparse rel"; "sparse drop"; "L012 leg"; "L012 rel"; "L013";
-        "L014" ]
-  in
-  let summary_rows = ref [] in
-  List.iter
-    (fun name ->
-      let b = load name in
-      let forest = b.entry.Zoo.forest in
-      let nf = forest.Forest.num_features in
-      let t0 = Tb_util.Timer.now () in
-      let rows_b = ref [] and rows_a = ref [] in
-      List.iter
-        (fun s ->
-          (* No profiles: matches the CI lint job, which compiles without
-             training-set statistics. *)
-          let lp = Lower.lower forest s in
-          let run rel =
-            Tb_analysis.Lir_check.check ~relational:rel ~num_features:nf
-              lp.Lower.layout lp.Lower.mir
-          in
-          let sched = Schedule.to_string s in
-          rows_b :=
-            Census.row_of_diags ~family:Census.lir_family ~model:name
-              ~schedule:sched (run false)
-            :: !rows_b;
-          rows_a :=
-            Census.row_of_diags ~family:Census.lir_family ~model:name
-              ~schedule:sched (run true)
-            :: !rows_a)
-        Schedule.table2_grid;
-      let rows_b = List.rev !rows_b and rows_a = List.rev !rows_a in
-      let count ?(sparse_only = false) code rows =
-        List.fold_left
-          (fun acc (r : Census.row) ->
-            if (not sparse_only) || contains_sub r.Census.schedule "sparse"
-            then acc + Census.get r code
-            else acc)
-          0 rows
-      in
-      let l011_b = count "L011" rows_b and l011_a = count "L011" rows_a in
-      let sp_b = count ~sparse_only:true "L011" rows_b in
-      let sp_a = count ~sparse_only:true "L011" rows_a in
-      let drop =
-        if sp_b = 0 then 0.0
-        else 100.0 *. (1.0 -. (float_of_int sp_a /. float_of_int sp_b))
-      in
-      let l012_b = count "L012" rows_b and l012_a = count "L012" rows_a in
-      let l013 = count "L013" rows_a and l014 = count "L014" rows_a in
-      Table.add_row t
-        [
-          name;
-          string_of_int (List.length rows_a);
-          string_of_int l011_b; string_of_int l011_a;
-          string_of_int sp_b; string_of_int sp_a;
-          Printf.sprintf "%.1f%%" drop;
-          string_of_int l012_b; string_of_int l012_a;
-          string_of_int l013; string_of_int l014;
-        ];
-      summary_rows :=
-        J.Obj
-          [
-            ("model", J.Str name);
-            ("schedules", J.Num (float_of_int (List.length rows_a)));
-            ("l011_legacy", J.Num (float_of_int l011_b));
-            ("l011_relational", J.Num (float_of_int l011_a));
-            ("sparse_l011_legacy", J.Num (float_of_int sp_b));
-            ("sparse_l011_relational", J.Num (float_of_int sp_a));
-            ("sparse_l011_drop_pct", J.Num drop);
-            ("l012_legacy", J.Num (float_of_int l012_b));
-            ("l012_relational", J.Num (float_of_int l012_a));
-            ("l013", J.Num (float_of_int l013));
-            ("l014", J.Num (float_of_int l014));
-          ]
-        :: !summary_rows;
-      before := !before @ rows_b;
-      after := !after @ rows_a;
-      Printf.printf "[lint] %s: %d schedules in %.1fs\n%!" name
-        (List.length rows_a)
-        (Tb_util.Timer.now () -. t0))
-    all_names;
-  Table.print t;
-  let json =
-    J.Obj
-      [
-        ("summary", J.List (List.rev !summary_rows));
-        ("before", Census.to_json !before);
-        ("after", Census.to_json !after);
-      ]
-  in
-  let oc = open_out "BENCH_lint.json" in
-  output_string oc (J.to_string ~indent:true json);
-  output_string oc "\n";
-  close_out oc;
-  Printf.printf "report: BENCH_lint.json\n"
 
 (* Translation validation: validator wall-clock and summary sizes per
    (model, schedule) over the reduced representative grid — the cost
@@ -1939,10 +1750,8 @@ let all_experiments =
     ("ext_qs", ext_qs);
     ("ext_dp", ext_dp);
     ("wallclock", wallclock);
-    ("calibrate", calibrate);
     ("serve", serve);
     ("artifacts", artifacts);
-    ("lint", lint);
     ("validate", validate);
     ("numeric", numeric);
     ("quant", quant);

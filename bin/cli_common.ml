@@ -10,6 +10,18 @@ open Cmdliner
 module Schedule = Tb_hir.Schedule
 module Config = Tb_cpu.Config
 
+(* Every JSON file the CLI reads (model, schedule, census baseline,
+   XGBoost dump) goes through here. A file that cannot be read or parsed
+   is a command-line error like a missing one: one line naming the file,
+   exit status 124. *)
+let read_input read path =
+  try read path with
+  | Tb_util.Json.Parse_error msg | Sys_error msg ->
+    Printf.eprintf "treebeard: %s: %s\n" path msg;
+    exit Cmd.Exit.cli_error
+
+let read_model path = read_input Tb_model.Serialize.of_file path
+
 let model_arg =
   Arg.(
     required
@@ -325,7 +337,7 @@ let schedule_term =
   in
   let finish schedule = function
     | None -> schedule
-    | Some path -> Schedule.of_file path
+    | Some path -> read_input Schedule.of_file path
   in
   Term.(
     const finish
@@ -350,7 +362,7 @@ type gate = {
       (* loads the zoo or the --model file; exits 2 when neither is given *)
   verbose : bool;
   census_out : string option;
-  census_baseline : string option;
+  baseline : (string * Census.t) option;
   mutable rows : Census.row list;  (* newest first *)
   mutable errors : int;
   mutable warnings : int;
@@ -379,13 +391,20 @@ let gate_term ~cmd ~family ~zoo_doc ~verbose_doc ~census_doc ~baseline_doc =
             let e = Tb_gbt.Zoo.get s.Tb_gbt.Zoo.name in
             (s.Tb_gbt.Zoo.name, e.Tb_gbt.Zoo.forest))
           Tb_gbt.Zoo.specs
-      | false, Some path -> [ (path, Tb_model.Serialize.of_file path) ]
+      | false, Some path -> [ (path, read_model path) ]
       | false, None ->
         prerr_endline (cmd ^ ": pass --model FILE or --zoo");
         exit 2
     in
-    { family; models; verbose; census_out; census_baseline; rows = [];
-      errors = 0; warnings = 0 }
+    (* Read before any cell runs, and so before --census is written: one
+       path given for both still diffs against the old file. *)
+    let baseline =
+      Option.map
+        (fun path -> (path, read_input Census.of_file path))
+        census_baseline
+    in
+    { family; models; verbose; census_out; baseline; rows = []; errors = 0;
+      warnings = 0 }
   in
   Term.(
     const make $ zoo_flag ~doc:zoo_doc $ model_opt_arg $ verbose $ census_out
@@ -416,26 +435,21 @@ let report_cell g ~model ~cell ds =
     ds
 
 (* Print the census totals, write --census, diff --census-baseline, and
-   return whether the census regressed. The baseline is read before the
-   census is written, so one path given for both still diffs against the
-   old file. *)
+   return whether the census regressed. *)
 let close_census g =
   let census = List.rev g.rows in
-  if g.census_out <> None || g.census_baseline <> None then begin
+  if g.census_out <> None || g.baseline <> None then begin
     Printf.printf "census totals:\n";
     List.iter
       (fun (c, n) -> Printf.printf "  %-6s %d\n" c n)
       (Census.totals ~family:g.family census)
   end;
-  let baseline =
-    Option.map (fun path -> (path, Census.of_file path)) g.census_baseline
-  in
   Option.iter
     (fun path ->
       Census.to_file path census;
       Printf.printf "census          : %s (%d rows)\n" path (List.length census))
     g.census_out;
-  match baseline with
+  match g.baseline with
   | None -> false
   | Some (path, baseline) -> (
     match Census.diff ~family:g.family ~baseline census with

@@ -57,7 +57,7 @@ let compile_cmd =
     let precision = Cli_common.with_tolerance tolerance precision in
     let compiled =
       Tb_core.Treebeard.make ~plan:(`Schedule schedule) ~precision
-        (`File model)
+        (`Forest (Cli_common.read_model model))
     in
     List.iter
       (fun d -> print_endline (Tb_diag.Diagnostic.to_string d))
@@ -87,7 +87,7 @@ let predict_cmd =
   in
   let run model schedule batch backend precision tolerance =
     let precision = Cli_common.with_tolerance tolerance precision in
-    let forest = Tb_model.Serialize.of_file model in
+    let forest = Cli_common.read_model model in
     let predict, tier =
       match backend with
       | `Jit ->
@@ -140,7 +140,7 @@ let explore_cmd =
       & info [ "save" ] ~docv:"FILE" ~doc:"Write the best schedule as JSON.")
   in
   let run model target exhaustive save =
-    let forest = Tb_model.Serialize.of_file model in
+    let forest = Cli_common.read_model model in
     let rng = Tb_util.Prng.create 7 in
     let rows =
       Array.init 256 (fun _ ->
@@ -462,9 +462,7 @@ let quantcheck_cmd =
            ]);
       Printf.printf "report          : %s\n" path);
     let regressed = Cli_common.close_census g in
-    let strict_failed =
-      strict && g.census_baseline = None && g.warnings > 0
-    in
+    let strict_failed = strict && g.baseline = None && g.warnings > 0 in
     if regressed || strict_failed then exit 1
   in
   Cmd.v
@@ -570,7 +568,7 @@ let calibrate_cmd =
             (s.Tb_gbt.Zoo.name, e.Tb_gbt.Zoo.forest, Some profiles, rows))
           Tb_gbt.Zoo.specs
       | false, Some path ->
-        let forest = Tb_model.Serialize.of_file path in
+        let forest = Cli_common.read_model path in
         let rng = Tb_util.Prng.create 7 in
         let rows =
           Array.init batch (fun _ ->
@@ -963,7 +961,11 @@ let import_cmd =
       & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Output model path.")
   in
   let run dump out =
-    let forest = Tb_model.Xgb_import.of_dump_file dump in
+    let forest =
+      Cli_common.read_input
+        (fun path -> Tb_model.Xgb_import.of_dump_file path)
+        dump
+    in
     Tb_model.Serialize.to_file out forest;
     Printf.printf "imported %d trees (max depth %d, %d features) -> %s\n"
       (Array.length forest.Tb_model.Forest.trees)

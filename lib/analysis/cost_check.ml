@@ -6,7 +6,7 @@ module Lower = Tb_lir.Lower
 module Config = Tb_cpu.Config
 module Cost_model = Tb_cpu.Cost_model
 module Cache = Tb_cpu.Cache
-module Profiler = Tb_vm.Profiler
+module Profiler = Tb_cpu.Profiler
 module Jit = Tb_vm.Jit
 module Timer = Tb_util.Timer
 module Stats = Tb_util.Stats

@@ -1,5 +1,5 @@
 (** Cost-model calibration: cross-validate {!Tb_cpu.Cost_model} against
-    the dynamic event counts {!Tb_vm.Profiler} actually observes and the
+    the dynamic event counts {!Tb_cpu.Profiler} actually observes and the
     wall clock of the JIT backend, over a grid of schedules.
 
     The whole Table II search ({!Tb_core.Explore}) is only as good as the
@@ -54,7 +54,7 @@ type observation = {
           sample-extrapolated workload *)
   predicted_workload : Tb_cpu.Cost_model.workload;
       (** sample run extrapolated to the full batch
-          ({!Tb_vm.Profiler.profile_sample}) *)
+          ({!Tb_cpu.Profiler.profile_sample}) *)
   measured_workload : Tb_cpu.Cost_model.workload;
       (** instrumented run over the full batch — the event ground truth *)
   measured_s_per_row : float;

@@ -118,11 +118,11 @@ let env_of_layout ~num_features (lay : Layout.t) =
   let content b = fst (List.assq b per_buffer) in
   let content_cg b = snd (List.assq b per_buffer) in
   let facts = Layout.stride_facts lay in
-  (* Widening thresholds (satellite of the relational upgrade): landmarks
-     a loop-variant index can genuinely be bounded by — buffer extents and
-     content bounds, the layout's advance ranges, and the small constants
-     the codegen uses. A bounded cursor now stops at the nearest landmark
-     instead of degrading every neighbour to ±inf via [hull]. *)
+  (* Widening thresholds: landmarks a loop-variant index can genuinely be
+     bounded by — buffer extents and content bounds, the layout's advance
+     ranges, and the small constants the codegen uses. A bounded cursor
+     stops at the nearest landmark instead of degrading every neighbour
+     to ±inf via [hull]. *)
   let widen_thresholds =
     let acc = ref [ -1.0; 0.0; 1.0; float_of_int nt;
                     float_of_int ((1 lsl nt) - 1) ] in
@@ -240,8 +240,7 @@ let join_state a b =
 
 (* Widening-with-thresholds: an escaping bound jumps to the nearest
    landmark in the given direction, or to infinity once landmarks run
-   out. [thresholds] is sorted ascending; the empty array degenerates to
-   the classic infinite widening. *)
+   out. [thresholds] is sorted ascending. *)
 let widen_interval ~thresholds prev next =
   let lo =
     if next.lo >= prev.lo then next.lo
@@ -324,8 +323,7 @@ let join_opt a b =
 (* The forward dataflow                                                *)
 (* ------------------------------------------------------------------ *)
 
-let analyze_program ?(path = []) ?(relational = true) env
-    (p : Reg_ir.walk_program) =
+let analyze_program ?(path = []) env (p : Reg_ir.walk_program) =
   let diags = ref [] in
   let dedup = Hashtbl.create 64 in
   let emit ~report d =
@@ -412,10 +410,8 @@ let analyze_program ?(path = []) ?(relational = true) env
        before judging (e.g. a lane index that is a multiple of tile_size
        cannot reach extent - 1, only extent - tile_size). *)
     let idx =
-      if relational then
-        { lo = Congruence.tighten_lo cg idx.lo;
-          hi = Congruence.tighten_hi cg idx.hi }
-      else idx
+      { lo = Congruence.tighten_lo cg idx.lo;
+        hi = Congruence.tighten_hi cg idx.hi }
     in
     if idx.lo > idx.hi then ( (* congruence class empty in range *) )
     else begin
@@ -461,40 +457,34 @@ let analyze_program ?(path = []) ?(relational = true) env
         | None -> None)
       | _ -> None
     in
-    if not relational then iv
-    else
-      match pair a b with
-      | Some iv -> iv
-      | None -> ( match pair b a with Some iv -> iv | None -> iv)
+    match pair a b with
+    | Some iv -> iv
+    | None -> ( match pair b a with Some iv -> iv | None -> iv)
   in
   let relational_sub a b iv =
-    if not relational then iv
-    else
-      match (a.org, b.org) with
-      | Ocptr s, Ochild s' when s = s' && a.iv.hi < 0.0 && child_in_row b -> (
-        match env.leaf_advance with
-        | Some (lmin, lmax) ->
-          (* state = cptr - child; the later leaf fetch reads
-             leaf_values[-state - 1] = -cptr - 1 + child, which the
-             layout bounds as [lmin, lmax] — so state is in
-             [-lmax - 1, -lmin - 1]. *)
-          meet iv (-lmax - 1, -lmin - 1)
-        | None -> iv)
-      | _ -> iv
+    match (a.org, b.org) with
+    | Ocptr s, Ochild s' when s = s' && a.iv.hi < 0.0 && child_in_row b -> (
+      match env.leaf_advance with
+      | Some (lmin, lmax) ->
+        (* state = cptr - child; the later leaf fetch reads
+           leaf_values[-state - 1] = -cptr - 1 + child, which the
+           layout bounds as [lmin, lmax] — so state is in
+           [-lmax - 1, -lmin - 1]. *)
+        meet iv (-lmax - 1, -lmin - 1)
+      | None -> iv)
+    | _ -> iv
   in
   let load_origin buf idx_a =
-    if not relational then Onone
-    else
-      match buf with
-      | Reg_ir.Shape_ids -> (
-        match idx_a.sym with Some s -> Oshape s | None -> Onone)
-      | Reg_ir.Child_ptrs -> (
-        match idx_a.sym with Some s -> Ocptr s | None -> Onone)
-      | Reg_ir.Lut -> (
-        match idx_a.org with
-        | Olutbase s | Olutrow s -> Ochild s
-        | _ -> Onone)
-      | _ -> Onone
+    match buf with
+    | Reg_ir.Shape_ids -> (
+      match idx_a.sym with Some s -> Oshape s | None -> Onone)
+    | Reg_ir.Child_ptrs -> (
+      match idx_a.sym with Some s -> Ocptr s | None -> Onone)
+    | Reg_ir.Lut -> (
+      match idx_a.org with
+      | Olutbase s | Olutrow s -> Ochild s
+      | _ -> Onone)
+    | _ -> Onone
   in
   let eval_iexpr ~report pth st = function
     | Reg_ir.Iconst c -> av ~cg:(Congruence.const c) (const c)
@@ -509,14 +499,12 @@ let analyze_program ?(path = []) ?(relational = true) env
       let a = read_a ~report pth ra st and b = read_a ~report pth rb st in
       let iv = relational_add a b (iadd a.iv b.iv) in
       let org =
-        if not relational then Onone
-        else
-          match (a.org, b.org) with
-          | Olutbase s, _ when within b.iv ~lo:0 ~hi:((1 lsl nt) - 1) ->
-            Olutrow s
-          | _, Olutbase s when within a.iv ~lo:0 ~hi:((1 lsl nt) - 1) ->
-            Olutrow s
-          | _ -> Onone
+        match (a.org, b.org) with
+        | Olutbase s, _ when within b.iv ~lo:0 ~hi:((1 lsl nt) - 1) ->
+          Olutrow s
+        | _, Olutbase s when within a.iv ~lo:0 ~hi:((1 lsl nt) - 1) ->
+          Olutrow s
+        | _ -> Onone
       in
       av ~cg:(Congruence.add a.cg b.cg) ~org iv
     | Reg_ir.Isub (ra, rb) ->
@@ -526,9 +514,9 @@ let analyze_program ?(path = []) ?(relational = true) env
     | Reg_ir.Imul_const (r, c) ->
       let a = read_a ~report pth r st in
       let org =
-        if relational && a.org <> Onone && c = 1 lsl nt then
-          match a.org with Oshape s -> Olutbase s | _ -> Onone
-        else Onone
+        match a.org with
+        | Oshape s when c = 1 lsl nt -> Olutbase s
+        | _ -> Onone
       in
       av ~cg:(Congruence.mul_const c a.cg) ~org (imul_const a.iv c)
     | Reg_ir.Iadd_const (r, c) ->
@@ -540,9 +528,7 @@ let analyze_program ?(path = []) ?(relational = true) env
         err ~report ~code:"L003" pth "integer load from float buffer %s"
           (buffer_name buf);
       check_bounds ~cg:a.cg ~report pth buf ~width:1 a.iv;
-      av
-        ~cg:(if relational then env.content_cg buf else Congruence.top)
-        ~org:(load_origin buf a) (content_iv buf)
+      av ~cg:(env.content_cg buf) ~org:(load_origin buf a) (content_iv buf)
     | Reg_ir.Movemask v -> (
       match read_v ~report pth v st with
       | Vint _ -> av { lo = 0.0; hi = float_of_int ((1 lsl nt) - 1) }
@@ -624,15 +610,13 @@ let analyze_program ?(path = []) ?(relational = true) env
           else { a.iv with hi = min a.iv.hi (float_of_int (c - 1)) }
         in
         let iv =
-          if relational then
-            { lo = Congruence.tighten_lo a.cg iv.lo;
-              hi = Congruence.tighten_hi a.cg iv.hi }
-          else iv
+          { lo = Congruence.tighten_lo a.cg iv.lo;
+            hi = Congruence.tighten_hi a.cg iv.hi }
         in
         if iv.lo > iv.hi then None else Some (set_i st r (Iv { a with iv })))
     | _ -> Some st
   in
-  let thresholds = if relational then env.widen_thresholds else [||] in
+  let thresholds = env.widen_thresholds in
   let sub pth seg = pth @ [ seg ] in
   let rec exec_stmts ~report pth st stmts =
     let _, st =
@@ -720,9 +704,7 @@ let analyze_program ?(path = []) ?(relational = true) env
   let init =
     let ir = Array.make (max p.Reg_ir.num_iregs 0) Ibot in
     let roots () =
-      av ~cg:(if relational then env.content_cg Reg_ir.Tree_roots
-              else Congruence.top)
-        (content_iv Reg_ir.Tree_roots)
+      av ~cg:(env.content_cg Reg_ir.Tree_roots) (content_iv Reg_ir.Tree_roots)
     in
     let state0 () =
       match p.Reg_ir.layout with
@@ -762,8 +744,7 @@ let analyze_program ?(path = []) ?(relational = true) env
   in
   (List.rev !diags, facts)
 
-let check_program ?path ?relational env p =
-  fst (analyze_program ?path ?relational env p)
+let check_program ?path env p = fst (analyze_program ?path env p)
 
 (* ------------------------------------------------------------------ *)
 (* Layout closure                                                      *)
@@ -955,16 +936,18 @@ let check_layout ~num_features (lay : Layout.t) =
 
 let reprefix seg d = { d with D.path = seg :: d.D.path }
 
-let check_variant_raw ~relational env (prog : Reg_ir.walk_program) =
-  if not relational || prog.Reg_ir.lanes <= 1 then
-    check_program ~relational env prog
+let check_variant_raw env (prog : Reg_ir.walk_program) =
+  if prog.Reg_ir.lanes <= 1 then check_program env prog
   else begin
     let al = Alias.check prog in
     if al.Alias.diags <> [] then
       (* Lane partition refuted: the jammed register windows collide, so a
-         per-lane analysis would be unsound. Report the collisions and
-         fall back to the joint (widened) analysis for bounds facts. *)
-      al.Alias.diags @ check_program ~relational:false env prog
+         per-lane projection would drop the cross-lane reads. Report the
+         collisions and analyze the joint program instead. The full
+         domains stay sound there: the dataflow follows the program as
+         written, every lane's registers in one state, and only the
+         per-lane projection needs a proved partition. *)
+      al.Alias.diags @ check_program env prog
     else begin
       (* Lanes proved independent: analyze each lane's projection with
          full precision. Lane l's projection is register-identical to
@@ -972,16 +955,14 @@ let check_variant_raw ~relational env (prog : Reg_ir.walk_program) =
          reported once rather than once per lane; any lane that differs
          (it cannot, unless projection is broken) is reported under its
          own path. *)
-      let ds0 = check_program ~relational env (Alias.project prog ~lane:0) in
+      let ds0 = check_program env (Alias.project prog ~lane:0) in
       let extra =
         List.concat
           (List.init
              (prog.Reg_ir.lanes - 1)
              (fun k ->
                let lane = k + 1 in
-               let dsl =
-                 check_program ~relational env (Alias.project prog ~lane)
-               in
+               let dsl = check_program env (Alias.project prog ~lane) in
                if dsl = ds0 then []
                else
                  List.map
@@ -999,12 +980,12 @@ let check_variant_raw ~relational env (prog : Reg_ir.walk_program) =
     end
   end
 
-let check_variant ?(relational = true) env ~variant prog =
+let check_variant env ~variant prog =
   List.map
     (reprefix (Printf.sprintf "variant %d" variant))
-    (check_variant_raw ~relational env prog)
+    (check_variant_raw env prog)
 
-let check_walks ?(relational = true) env (lay : Layout.t) (mir : Mir.t) =
+let check_walks env (lay : Layout.t) (mir : Mir.t) =
   (* Walk programs depend only on (walk kind, interleave), so on wide
      models with many uniform groups most variants are structurally
      identical — analyze each distinct program once and re-prefix the
@@ -1016,12 +997,12 @@ let check_walks ?(relational = true) env (lay : Layout.t) (mir : Mir.t) =
            match Hashtbl.find_opt cache prog with
            | Some ds -> ds
            | None ->
-             let ds = check_variant_raw ~relational env prog in
+             let ds = check_variant_raw env prog in
              Hashtbl.replace cache prog ds;
              ds
          in
          List.map (reprefix (Printf.sprintf "variant %d" i)) ds)
 
-let check ?(relational = true) ~num_features (lay : Layout.t) (mir : Mir.t) =
+let check ~num_features (lay : Layout.t) (mir : Mir.t) =
   let env = env_of_layout ~num_features lay in
-  check_layout ~num_features lay @ check_walks ~relational env lay mir
+  check_layout ~num_features lay @ check_walks env lay mir

@@ -59,8 +59,8 @@ val env_of_layout : num_features:int -> Tb_lir.Layout.t -> env
     actual layout arrays. *)
 
 val check_program :
-  ?path:string list -> ?relational:bool ->
-  env -> Tb_lir.Reg_ir.walk_program -> Tb_diag.Diagnostic.t list
+  ?path:string list -> env -> Tb_lir.Reg_ir.walk_program ->
+  Tb_diag.Diagnostic.t list
 (** Forward dataflow over the program: register discipline
     ([L001]..[L004] as in {!Tb_lir.Reg_ir.check}), load/store typing against
     buffer element kinds ([L003]), and a bounds verdict for every buffer
@@ -68,17 +68,10 @@ val check_program :
     and congruence classes ([Ige] on both arms); [While] bodies run to a
     threshold-widened fixpoint before one reporting pass; [Repeat] bodies
     are executed abstractly [n] times. Duplicate findings at one program
-    point are deduplicated.
-
-    [relational] (default true) enables the congruence domain, provenance
-    pairing against the layout's advance facts, and
-    widening-with-thresholds; [relational:false] is the PR-1 interval
-    analysis (plain intervals, infinite widening) kept as the census
-    baseline. *)
+    point are deduplicated. *)
 
 val analyze_program :
-  ?path:string list -> ?relational:bool ->
-  env -> Tb_lir.Reg_ir.walk_program ->
+  ?path:string list -> env -> Tb_lir.Reg_ir.walk_program ->
   Tb_diag.Diagnostic.t list * (Tb_lir.Reg_ir.buffer * interval) list
 (** Like {!check_program}, additionally returning per-buffer access facts:
     for each buffer, the hull of every access's index range (vector
@@ -87,18 +80,16 @@ val analyze_program :
     against these hulls. *)
 
 val check_variant :
-  ?relational:bool -> env -> variant:int ->
-  Tb_lir.Reg_ir.walk_program -> Tb_diag.Diagnostic.t list
+  env -> variant:int -> Tb_lir.Reg_ir.walk_program -> Tb_diag.Diagnostic.t list
 (** Analyze one (possibly jammed) walk variant, findings prefixed with
     [variant N]. Single-lane programs go straight to {!check_program};
     multi-lane programs first get their register partition verified by
-    {!Alias.check} — collisions are reported as [L013] (falling back to a
-    joint non-relational analysis) and a proved partition yields per-lane
+    {!Alias.check} — collisions are reported as [L013] (falling back to an
+    analysis of the joint program) and a proved partition yields per-lane
     analysis plus the [L014] lanes-independent fact. *)
 
 val check_walks :
-  ?relational:bool -> env -> Tb_lir.Layout.t -> Tb_mir.Mir.t ->
-  Tb_diag.Diagnostic.t list
+  env -> Tb_lir.Layout.t -> Tb_mir.Mir.t -> Tb_diag.Diagnostic.t list
 (** {!check_variant} over every generated walk variant
     ({!Tb_lir.Reg_codegen.jammed_variants}, i.e. each group's program at
     its schedule's interleave factor). Structurally identical programs
@@ -112,6 +103,6 @@ val check_layout : num_features:int -> Tb_lir.Layout.t -> Tb_diag.Diagnostic.t l
     ([L021]). *)
 
 val check :
-  ?relational:bool -> num_features:int ->
-  Tb_lir.Layout.t -> Tb_mir.Mir.t -> Tb_diag.Diagnostic.t list
+  num_features:int -> Tb_lir.Layout.t -> Tb_mir.Mir.t ->
+  Tb_diag.Diagnostic.t list
 (** {!check_layout} plus {!check_walks}. *)

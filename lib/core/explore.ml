@@ -112,38 +112,3 @@ let greedy ~target ?profiles ?sample ?threads forest rows =
   match !current_perf with
   | None -> invalid_arg "Explore.greedy: no feasible schedule"
   | Some perf -> { schedule = !current; perf; evaluated = !evaluated }
-
-(* ---------------- post-search calibration guard ---------------- *)
-
-module Cost_check = Tb_analysis.Cost_check
-
-let check_champion ~target ?profiles ?sample ?(rivals = Cost_check.reduced_grid)
-    ?tol forest rows result =
-  (* Re-rank the champion against the rival set with the measured side of
-     the calibration lint (full-batch instrumented counts + JIT wall
-     clock); a C001 finding means the simulated search picked a schedule
-     real execution disagrees with. Rivals compile through the verified
-     pipeline so a miscompiled candidate can't masquerade as "faster". *)
-  let grid =
-    result.schedule
-    :: List.filter (fun s -> s <> result.schedule) rivals
-  in
-  let compile schedule =
-    (* One whole-program Tbcheck per rival instead of Passman's
-       Verify_each: the guard needs "no miscompile", not the per-pass
-       translation validation that would dominate its run time. *)
-    let c, _ =
-      Result.get_ok
-        (Passman.run ~mode:No_verify ?profiles ~backend:`Threaded ~target
-           (Float_tier []) forest schedule)
-    in
-    let ds = Tb_analysis.Tbcheck.check_lowered c.Passman.lowered in
-    if Tb_diag.Diagnostic.has_errors ds then
-      Error (Tb_diag.Diagnostic.summary ds)
-    else Ok (c.Passman.lowered, c.Passman.predict)
-  in
-  let report =
-    Cost_check.calibrate ~target ?tol ?sample ~compile
-      ~name:"champion-guard" ~grid rows
-  in
-  (report, List.filter (fun d -> d.Tb_diag.Diagnostic.code = "C001") report.Cost_check.findings)

@@ -47,22 +47,3 @@ val evaluate :
   float array array ->
   Perf.t
 (** Score one schedule (compile + simulate). *)
-
-val check_champion :
-  target:Tb_cpu.Config.t ->
-  ?profiles:Tb_model.Model_stats.tree_profile array ->
-  ?sample:int ->
-  ?rivals:Tb_hir.Schedule.t list ->
-  ?tol:Tb_analysis.Cost_check.tolerance ->
-  Tb_model.Forest.t ->
-  float array array ->
-  result ->
-  Tb_analysis.Cost_check.report * Tb_diag.Diagnostic.t list
-(** Optional post-search guard: run the cost-model calibration lint
-    ({!Tb_analysis.Cost_check}) over the search champion plus a rival set
-    (default {!Tb_analysis.Cost_check.reduced_grid}), verifying every
-    candidate with {!Tb_analysis.Tbcheck.check_lowered} so a miscompiled
-    rival can't masquerade as faster, and return the report together with
-    the [C001] findings that concern the ranking. An empty second
-    component means measured execution agrees the champion belongs in the
-    measured top-k. *)

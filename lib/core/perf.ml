@@ -1,5 +1,5 @@
 module Cost_model = Tb_cpu.Cost_model
-module Profiler = Tb_vm.Profiler
+module Profiler = Tb_cpu.Profiler
 module Mir = Tb_mir.Mir
 
 type t = {

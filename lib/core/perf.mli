@@ -1,6 +1,6 @@
 (** Simulated performance of a compiled program on a CPU target.
 
-    Combines the instrumented execution ({!Tb_vm.Profiler}), the pipeline
+    Combines the instrumented execution ({!Tb_cpu.Profiler}), the pipeline
     cost model ({!Tb_cpu.Cost_model}) and the multicore scaling model into
     one call. All figure-generating benchmarks go through this module. *)
 

@@ -76,7 +76,3 @@ let reset t =
 let reset_stats t =
   t.accesses <- 0;
   t.hits <- 0
-
-let miss_rate t =
-  if t.accesses = 0 then 0.0
-  else float_of_int (t.accesses - t.hits) /. float_of_int t.accesses

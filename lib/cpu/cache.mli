@@ -29,5 +29,3 @@ val reset : t -> unit
 val reset_stats : t -> unit
 (** Zero the hit/miss counters but keep the cached lines — used to measure
     steady-state miss rates after a warm-up pass. *)
-
-val miss_rate : t -> float

@@ -4,9 +4,6 @@ module Ops = Tb_lir.Ops
 module Mir = Tb_mir.Mir
 module Schedule = Tb_hir.Schedule
 module Reorder = Tb_hir.Reorder
-module Cache = Tb_cpu.Cache
-module Config = Tb_cpu.Config
-module Cost_model = Tb_cpu.Cost_model
 
 type state = {
   lay : Layout.t;

@@ -1,5 +1,5 @@
 (** Instrumented execution: runs the lowered program over a row sample and
-    produces the exact dynamic event counts ({!Tb_cpu.Cost_model.workload})
+    produces the exact dynamic event counts ({!Cost_model.workload})
     the cost model consumes.
 
     The profiler mirrors the JIT's iteration structure — loop order,
@@ -11,11 +11,11 @@
     space. *)
 
 val profile :
-  target:Tb_cpu.Config.t ->
+  target:Config.t ->
   ?warm_start:bool ->
   Tb_lir.Lower.t ->
   float array array ->
-  Tb_cpu.Cost_model.workload
+  Cost_model.workload
 (** [profile ~target lowered rows] — [rows] is typically a modest sample
     (48–256 rows); use {!scale} to extrapolate to a full batch.
 
@@ -25,15 +25,15 @@ val profile :
     whenever the result will be {!scale}d up to a larger batch, where
     compulsory misses would otherwise be extrapolated linearly. *)
 
-val scale : Tb_cpu.Cost_model.workload -> float -> Tb_cpu.Cost_model.workload
+val scale : Cost_model.workload -> float -> Cost_model.workload
 (** Scale all extensive counts by a factor (event rates are linear in the
     number of rows once the cache is warm). *)
 
 val extrapolate :
-  Tb_cpu.Cost_model.workload ->
-  Tb_cpu.Cost_model.workload ->
+  Cost_model.workload ->
+  Cost_model.workload ->
   rows:int ->
-  Tb_cpu.Cost_model.workload
+  Cost_model.workload
 (** [extrapolate w1 w2 ~rows] — affine two-point extrapolation from two
     cold profiles of the same program over nested row prefixes
     ([w1.rows < w2.rows]).
@@ -52,12 +52,12 @@ val extrapolate :
     Raises [Invalid_argument] unless [1 <= w1.rows < w2.rows]. *)
 
 val profile_sample :
-  target:Tb_cpu.Config.t ->
+  target:Config.t ->
   sample:int ->
   batch:int ->
   Tb_lir.Lower.t ->
   float array array ->
-  Tb_cpu.Cost_model.workload
+  Cost_model.workload
 (** The workload of a [batch]-row run, estimated from the first [sample]
     of [rows]: {!extrapolate} through cold profiles of the first
     [sample] and the first [2 * sample] rows (clamped to the rows

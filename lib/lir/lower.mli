@@ -3,7 +3,7 @@
     The result bundles everything a backend needs: the laid-out model
     buffers, the loop-nest plan, per-tree aggregation classes and the walk
     op templates. {!Tb_vm.Jit} turns it into executable code;
-    {!Tb_vm.Profiler} executes it while counting events. *)
+    {!Tb_cpu.Profiler} executes it while counting events. *)
 
 type t = {
   hir : Tb_hir.Program.t;

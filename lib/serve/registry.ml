@@ -55,7 +55,6 @@ type t = {
      survived from a previous process. *)
   compiled_keys : (string, unit) Hashtbl.t;
   mutable foreign_hydrations : int;
-  mutable gc_removed : int;
   mutable clamps : (string * string) list;
   mutable artifact_errors : (string * string) list;
   (* Per-(model, precision request) memo of the certification gate: the
@@ -90,7 +89,6 @@ let create ?(target = Config.intel_rocket_lake) ?(policy = Policy.Lru)
     hydrations = 0;
     compiled_keys = Hashtbl.create 8;
     foreign_hydrations = 0;
-    gc_removed = 0;
     clamps = [];
     artifact_errors = [];
     resolutions = Hashtbl.create 8;
@@ -337,9 +335,7 @@ let compiled ?(precision = `Float) t ~model ~schedule =
         | Error m -> artifact_error t model ("save: " ^ m));
         match t.cache_max_bytes with
         | None -> ()
-        | Some max_bytes ->
-          let r = Artifact.gc store ~max_bytes in
-          t.gc_removed <- t.gc_removed + r.Artifact.removed));
+        | Some max_bytes -> ignore (Artifact.gc store ~max_bytes)));
       ignore (Policy.put t.cache k c);
       (c, `Compile))
 
@@ -420,7 +416,6 @@ let cache_dir t = Option.map Artifact.dir t.store
 let compile_count t = t.compiles
 let hydration_count t = t.hydrations
 let foreign_hydration_count t = t.foreign_hydrations
-let gc_removed_count t = t.gc_removed
 let clamp_warnings t = t.clamps
 let artifact_errors t = t.artifact_errors
 let precision_fallbacks t = t.precision_fallbacks

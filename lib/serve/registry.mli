@@ -187,9 +187,6 @@ val foreign_hydration_count : t -> int
     previous process (warm restart). Evidence that artifact shipping, not
     recompilation, satisfied the dispatch. *)
 
-val gc_removed_count : t -> int
-(** Artifacts evicted by the [cache_max_bytes] garbage collector. *)
-
 val clamp_warnings : t -> (string * string) list
 (** [(model, warning)] for every schedule whose [num_threads] the
     registry normalized away, newest first. *)

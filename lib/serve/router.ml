@@ -59,7 +59,6 @@ let create ?vnodes policy ~shards =
 let policy_of t = t.policy
 let vnodes t = t.vnodes
 let shard_ids t = Array.to_list t.live
-let num_shards t = Array.length t.live
 
 let route t model =
   match t.policy with

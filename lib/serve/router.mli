@@ -48,8 +48,6 @@ val vnodes : t -> int
 val shard_ids : t -> int list
 (** Live shard ids, ascending. *)
 
-val num_shards : t -> int
-
 val route : t -> string -> int
 (** The live shard id serving this model. Pure. *)
 

@@ -23,7 +23,6 @@ module D = Tb_diag.Diagnostic
 module Hir_check = Tb_analysis.Hir_check
 module Mir_check = Tb_analysis.Mir_check
 module Lir_check = Tb_analysis.Lir_check
-module Tbcheck = Tb_analysis.Tbcheck
 module Validate = Tb_analysis.Validate
 module Passman = Tb_core.Passman
 
@@ -171,18 +170,6 @@ let test_trained_model_clean () =
       { Schedule.default with layout = Schedule.Array_layout; tile_size = 3 };
       Schedule.with_threads Schedule.default 4;
     ]
-
-let test_tbcheck_lowered_clean_and_sorted () =
-  let rng = Prng.create 15 in
-  let forest = Forest.random ~num_trees:5 ~max_depth:6 ~num_features:4 rng in
-  let lp = Lower.lower forest Schedule.default in
-  let ds = Tbcheck.check_lowered lp in
-  check_no_errors "check_lowered" ds;
-  let rec sorted = function
-    | a :: (b :: _ as rest) -> D.compare a b <= 0 && sorted rest
-    | _ -> true
-  in
-  check_bool "sorted most-severe-first" true (sorted ds)
 
 (* --- negative tests: seeded mutations, one distinct code each --- *)
 
@@ -442,7 +429,7 @@ let test_congruence_domain () =
   check_bool "tightening can empty an interval" true
     (C.tighten_lo j 3.0 > C.tighten_hi j 7.0)
 
-(* --- relational vs legacy on real sparse walks --- *)
+(* --- the relational analysis on real sparse walks --- *)
 
 let sparse_loop_schedule =
   {
@@ -454,25 +441,22 @@ let sparse_loop_schedule =
     layout = Schedule.Sparse_layout;
   }
 
+(* Intervals alone would warn L011 on this loop: the largest child pointer
+   plus the largest LUT child overshoots the slot arrays. Pairing each
+   pointer with its own slot's children against the layout's advance
+   range discharges every one of them. *)
 let test_relational_discharges_sparse_l011 () =
   let rng = Prng.create 31 in
   let forest = Forest.random ~num_trees:6 ~max_depth:6 ~num_features:5 rng in
   let lp = Lower.lower forest sparse_loop_schedule in
-  let run rel =
-    Lir_check.check ~relational:rel ~num_features:5 lp.Lower.layout
-      lp.Lower.mir
+  let l011 =
+    List.filter
+      (fun d -> d.D.code = "L011")
+      (Lir_check.check ~num_features:5 lp.Lower.layout lp.Lower.mir)
   in
-  let l011 ds = List.filter (fun d -> d.D.code = "L011") ds in
-  let legacy = l011 (run false) and relational = l011 (run true) in
   check_bool
-    (Printf.sprintf "legacy interval analysis warns on the sparse loop (%d)"
-       (List.length legacy))
-    true
-    (legacy <> []);
-  check_bool
-    (Printf.sprintf "relational analysis discharges them all, kept: [%s]"
-       (show relational))
-    true (relational = [])
+    (Printf.sprintf "no L011 on the sparse loop, kept: [%s]" (show l011))
+    true (l011 = [])
 
 let test_jam_analysis_does_not_multiply_findings () =
   (* Per-lane analysis of a jammed variant must report exactly the
@@ -482,13 +466,12 @@ let test_jam_analysis_does_not_multiply_findings () =
   let forest = Forest.random ~num_trees:8 ~max_depth:5 ~num_features:5 rng in
   let jam_schedule = { sparse_loop_schedule with Schedule.interleave = 4 } in
   let count code ds = List.length (List.filter (fun d -> d.D.code = code) ds) in
-  let run schedule rel =
+  let run schedule =
     let lp = Lower.lower forest schedule in
-    Lir_check.check ~relational:rel ~num_features:5 lp.Lower.layout
-      lp.Lower.mir
+    Lir_check.check ~num_features:5 lp.Lower.layout lp.Lower.mir
   in
-  let single = run sparse_loop_schedule true in
-  let jammed = run jam_schedule true in
+  let single = run sparse_loop_schedule in
+  let jammed = run jam_schedule in
   check_bool "jammed variants prove lane independence" true
     (count "L014" jammed > 0);
   check_int "no lane collisions" 0 (count "L013" jammed);
@@ -497,13 +480,7 @@ let test_jam_analysis_does_not_multiply_findings () =
       check_int
         (Printf.sprintf "%s count matches the single-lane analysis" code)
         (count code single) (count code jammed))
-    [ "L010"; "L011"; "L012" ];
-  (* The legacy joint analysis, by contrast, loses precision on the jammed
-     register file: it can only report at least as many findings. *)
-  let legacy_jammed = run jam_schedule false in
-  check_bool "legacy joint analysis is no more precise" true
-    (count "L011" legacy_jammed + count "L012" legacy_jammed
-     >= count "L011" jammed + count "L012" jammed)
+    [ "L010"; "L011"; "L012" ]
 
 (* --- translation validation (T00x) --- *)
 
@@ -786,8 +763,6 @@ let suite =
       seed_gen walk_programs_verify_property;
     quick "Table II grid lints clean" test_table2_grid_clean;
     quick "trained GBT model lints clean" test_trained_model_clean;
-    quick "tbcheck on a lowered program: clean and sorted"
-      test_tbcheck_lowered_clean_and_sorted;
     quick "mutation: leaf inside a tile -> H003" test_mutated_tiling_leaf_in_tile;
     quick "mutation: unassigned internal -> H001"
       test_mutated_tiling_unassigned_internal;

@@ -231,24 +231,6 @@ let test_calibrate_end_to_end () =
           && (String.sub s i 11 = "kendall-tau" || find (i + 1)) in
       find 0))
 
-let test_explore_champion_guard () =
-  let forest = small_forest 41 in
-  let rows = random_rows (Prng.create 42) 6 64 in
-  let result = Tb_core.Explore.greedy ~target forest rows in
-  let rivals = [ Schedule.scalar_baseline; Schedule.default ] in
-  let report, c001 =
-    Tb_core.Explore.check_champion ~target ~sample:16 ~rivals ~tol:loose
-      forest rows result
-  in
-  check_bool "champion observed" true
-    (Array.exists
-       (fun (o : Cost_check.observation) ->
-         o.schedule = result.Tb_core.Explore.schedule)
-       report.Cost_check.observations);
-  check_bool "rivals observed" true
-    (Array.length report.Cost_check.observations >= List.length rivals);
-  check_bool "loose tolerance raises no rank findings" true (c001 = [])
-
 let test_reduced_grid_is_valid () =
   check_bool "non-trivial" true (List.length Cost_check.reduced_grid >= 12);
   List.iter
@@ -277,6 +259,5 @@ let suite =
     quick "check rejects empty input" test_check_rejects_empty;
     quick "observe fills every field" test_observe_fields;
     quick "calibrate end to end with skips" test_calibrate_end_to_end;
-    quick "explore champion guard" test_explore_champion_guard;
     quick "reduced grid is valid" test_reduced_grid_is_valid;
   ]

@@ -17,7 +17,7 @@ module Reorder = Tb_hir.Reorder
 module Schedule = Tb_hir.Schedule
 module Lower = Tb_lir.Lower
 module Jit = Tb_vm.Jit
-module Profiler = Tb_vm.Profiler
+module Profiler = Tb_cpu.Profiler
 module Config = Tb_cpu.Config
 module Cost_model = Tb_cpu.Cost_model
 

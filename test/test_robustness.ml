@@ -9,7 +9,7 @@ module Schedule = Tb_hir.Schedule
 module Layout = Tb_lir.Layout
 module Lower = Tb_lir.Lower
 module Jit = Tb_vm.Jit
-module Profiler = Tb_vm.Profiler
+module Profiler = Tb_cpu.Profiler
 module Config = Tb_cpu.Config
 module Cost_model = Tb_cpu.Cost_model
 module Cache = Tb_cpu.Cache

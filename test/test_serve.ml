@@ -315,8 +315,8 @@ let test_warm_start_misses () =
   let lowered = Tb_lir.Lower.lower forest Schedule.default in
   let rows = random_rows rng 8 48 in
   let target = Tb_cpu.Config.intel_rocket_lake in
-  let cold = Tb_vm.Profiler.profile ~target lowered rows in
-  let warm = Tb_vm.Profiler.profile ~target ~warm_start:true lowered rows in
+  let cold = Tb_cpu.Profiler.profile ~target lowered rows in
+  let warm = Tb_cpu.Profiler.profile ~target ~warm_start:true lowered rows in
   let misses (w : Tb_cpu.Cost_model.workload) = w.Tb_cpu.Cost_model.l1.Tb_cpu.Cache.misses in
   check_bool
     (Printf.sprintf "warm misses %d <= cold misses %d" (misses warm)

@@ -5,11 +5,10 @@
    pass can reach. The harness replays real executions against those
    claims: the Reg_ir interpreter is instrumented (Interp.compile ~trace)
    to log every concrete buffer access, and each logged index must lie
-   inside the hull the analysis proved for that group's program — under
-   both the legacy interval analysis and the relational
-   congruence/stride one. A concrete access outside the hull would be an
-   unsoundness in the abstract domains, the kind of bug the census
-   numbers cannot see.
+   inside the hull the analysis proved for that group's program. A
+   concrete access outside the hull would be an unsoundness in the
+   abstract domains (intervals, congruences, provenance), the kind of bug
+   the census numbers cannot see.
 
    The seeded-mutation tests are the negative half: falsify the facts the
    relational analysis relies on (corrupt a child pointer so the layout's
@@ -57,37 +56,28 @@ let soundness_property seed =
   let env = Lir_check.env_of_layout ~num_features lp.Lower.layout in
   let hulls =
     List.map
-      (fun (g, p) ->
-        ( g,
-          List.map
-            (fun rel ->
-              (rel, snd (Lir_check.analyze_program ~relational:rel env p)))
-            [ true; false ] ))
+      (fun (g, p) -> (g, snd (Lir_check.analyze_program env p)))
       (Reg_codegen.all_variants lp.Lower.layout lp.Lower.mir)
   in
   let violation = ref None in
   let trace ~group buffer idx =
     if !violation = None then
-      List.iter
-        (fun (rel, facts) ->
-          match List.assoc_opt buffer facts with
-          | Some { Lir_check.lo; hi }
-            when float_of_int idx >= lo && float_of_int idx <= hi -> ()
-          | Some { Lir_check.lo; hi } ->
-            violation :=
-              Some
-                (Printf.sprintf
-                   "group %d: %s access at %d outside proved hull [%g, %g] \
-                    (relational=%b)"
-                   group (Reg_ir.buffer_name buffer) idx lo hi rel)
-          | None ->
-            violation :=
-              Some
-                (Printf.sprintf
-                   "group %d: %s access at %d but the analysis recorded no \
-                    fact for that buffer (relational=%b)"
-                   group (Reg_ir.buffer_name buffer) idx rel))
-        (List.assoc group hulls)
+      match List.assoc_opt buffer (List.assoc group hulls) with
+      | Some { Lir_check.lo; hi }
+        when float_of_int idx >= lo && float_of_int idx <= hi -> ()
+      | Some { Lir_check.lo; hi } ->
+        violation :=
+          Some
+            (Printf.sprintf "group %d: %s access at %d outside proved hull \
+                             [%g, %g]"
+               group (Reg_ir.buffer_name buffer) idx lo hi)
+      | None ->
+        violation :=
+          Some
+            (Printf.sprintf
+               "group %d: %s access at %d but the analysis recorded no fact \
+                for that buffer"
+               group (Reg_ir.buffer_name buffer) idx)
   in
   ignore (Interp.compile ~trace lp rows);
   match !violation with
@@ -109,8 +99,7 @@ let test_full_grid_replay () =
       let env = Lir_check.env_of_layout ~num_features lp.Lower.layout in
       let hulls =
         List.map
-          (fun (g, p) ->
-            (g, snd (Lir_check.analyze_program ~relational:true env p)))
+          (fun (g, p) -> (g, snd (Lir_check.analyze_program env p)))
           (Reg_codegen.all_variants lp.Lower.layout lp.Lower.mir)
       in
       let trace ~group buffer idx =

@@ -9,7 +9,7 @@ module Pack = Tb_lir.Pack
 module Jit = Tb_vm.Jit
 module Pool = Tb_vm.Pool
 module Numeric = Tb_analysis.Numeric
-module Profiler = Tb_vm.Profiler
+module Profiler = Tb_cpu.Profiler
 module Config = Tb_cpu.Config
 module Cost_model = Tb_cpu.Cost_model
 module Cache = Tb_cpu.Cache
