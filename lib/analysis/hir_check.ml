@@ -11,7 +11,20 @@ module Forest = Tb_model.Forest
 
 let err ~code ~path fmt = D.errorf ~level:D.Hir ~code ~path fmt
 
-let prefix seg ds = List.map (fun d -> { d with D.path = seg :: d.D.path }) ds
+(* Diagnostic paths are built only when a finding is added: formatting one
+   for every node, tile and tree up front costs more than the checks. *)
+let node_path n = [ Printf.sprintf "node %d" n ]
+let tile_path tid = [ Printf.sprintf "tile %d" tid ]
+let tile_node_path i = [ Printf.sprintf "tile node %d" i ]
+let tree_path i = [ Printf.sprintf "tree %d" i ]
+let shape_path id = [ Printf.sprintf "shape %d" id ]
+let group_path gi = [ Printf.sprintf "group %d" gi ]
+
+let prefix_tree i = function
+  | [] -> []
+  | ds ->
+    let seg = tree_path i in
+    List.map (fun d -> { d with D.path = seg @ d.D.path }) ds
 
 (* ------------------------------------------------------------------ *)
 (* Schedule legality                                                   *)
@@ -78,17 +91,16 @@ let tiling_core (it : Itree.t) ~tile_size ~(tile_of_node : int array) ~num_tiles
   let add d = ds := d :: !ds in
   (* Partitioning (H001) + leaf separation (H003). *)
   for n = 0 to it.Itree.num_nodes - 1 do
-    let path = [ Printf.sprintf "node %d" n ] in
     if Itree.is_leaf it n then begin
       if tile_of_node.(n) <> -1 then
         add
-          (err ~code:"H003" ~path "leaf node %d assigned to tile %d" n
-             tile_of_node.(n))
+          (err ~code:"H003" ~path:(node_path n)
+             "leaf node %d assigned to tile %d" n tile_of_node.(n))
     end
     else if tile_of_node.(n) < 0 || tile_of_node.(n) >= num_tiles then
       add
-        (err ~code:"H001" ~path "internal node %d not in any tile (owner %d)"
-           n tile_of_node.(n))
+        (err ~code:"H001" ~path:(node_path n)
+           "internal node %d not in any tile (owner %d)" n tile_of_node.(n))
   done;
   (* Group internal nodes per tile. *)
   let members = Array.make (max num_tiles 1) [] in
@@ -98,14 +110,15 @@ let tiling_core (it : Itree.t) ~tile_size ~(tile_of_node : int array) ~num_tiles
     then members.(tile_of_node.(n)) <- n :: members.(tile_of_node.(n))
   done;
   for tid = 0 to num_tiles - 1 do
-    let path = [ Printf.sprintf "tile %d" tid ] in
     let nodes = members.(tid) in
     let size = List.length nodes in
-    if nodes = [] then add (err ~code:"H001" ~path "tile %d is empty" tid)
+    if nodes = [] then
+      add (err ~code:"H001" ~path:(tile_path tid) "tile %d is empty" tid)
     else begin
       if size > tile_size then
         add
-          (err ~code:"H001" ~path "tile %d has %d nodes, exceeding tile size %d"
+          (err ~code:"H001" ~path:(tile_path tid)
+             "tile %d has %d nodes, exceeding tile size %d"
              tid size tile_size);
       (* Connectedness (H002): exactly one member's parent lies outside. *)
       let roots =
@@ -119,7 +132,7 @@ let tiling_core (it : Itree.t) ~tile_size ~(tile_of_node : int array) ~num_tiles
       | [ _ ] -> ()
       | rs ->
         add
-          (err ~code:"H002" ~path
+          (err ~code:"H002" ~path:(tile_path tid)
              "tile %d is not a connected subtree (%d external-parent nodes)"
              tid (List.length rs)));
       (* Maximal tiling (H004): an under-full tile may not have an internal
@@ -136,7 +149,7 @@ let tiling_core (it : Itree.t) ~tile_size ~(tile_of_node : int array) ~num_tiles
         match offender with
         | Some n ->
           add
-            (err ~code:"H004" ~path
+            (err ~code:"H004" ~path:(tile_path tid)
                "tile %d is under-full (%d < %d) but node %d has an internal \
                 out-edge"
                tid size tile_size n)
@@ -162,28 +175,28 @@ let check_lut lut =
   let width = 1 lsl nt in
   let rows = Lut.table lut in
   for id = 0 to Lut.num_shapes lut - 1 do
-    let path = [ Printf.sprintf "shape %d" id ] in
     let shape = Lut.shape_of_id lut id in
     let exits = Shape.num_exits shape in
     let row = rows.(id) in
     if Array.length row <> width then
       add
-        (err ~code:"H010" ~path "LUT row has %d entries, expected 2^%d = %d"
-           (Array.length row) nt width)
+        (err ~code:"H010" ~path:(shape_path id)
+           "LUT row has %d entries, expected 2^%d = %d" (Array.length row) nt
+           width)
     else
       let idx = Shape.index shape in
       for bits = 0 to width - 1 do
         let c = row.(bits) in
         if c < 0 || c >= exits then
           add
-            (err ~code:"H010" ~path
+            (err ~code:"H010" ~path:(shape_path id)
                "entry for bits %#x is %d, outside the shape's %d exits" bits c
                exits)
         else begin
           let expect = Shape.navigate_index idx ~tile_size:nt ~bits in
           if c <> expect then
             add
-              (err ~code:"H010" ~path
+              (err ~code:"H010" ~path:(shape_path id)
                  "entry for bits %#x is %d but navigating the shape reaches \
                   exit %d"
                  bits c expect)
@@ -209,13 +222,12 @@ let check_tiled_tree ?num_features (t : Tiled_tree.t) =
         match node with
         | Tiled_tree.Leaf _ -> ()
         | Tiled_tree.Tile tile ->
-          let path = [ Printf.sprintf "tile node %d" i ] in
           if
             Array.length tile.Tiled_tree.features <> nt
             || Array.length tile.Tiled_tree.thresholds <> nt
           then
             add
-              (err ~code:"H030" ~path
+              (err ~code:"H030" ~path:(tile_node_path i)
                  "lane arrays have %d/%d entries, expected tile size %d"
                  (Array.length tile.Tiled_tree.features)
                  (Array.length tile.Tiled_tree.thresholds)
@@ -223,12 +235,12 @@ let check_tiled_tree ?num_features (t : Tiled_tree.t) =
           let shape_size = Shape.size tile.Tiled_tree.shape in
           if shape_size > nt then
             add
-              (err ~code:"H030" ~path "shape has %d nodes, exceeding tile size %d"
-                 shape_size nt);
+              (err ~code:"H030" ~path:(tile_node_path i)
+                 "shape has %d nodes, exceeding tile size %d" shape_size nt);
           let exits = Shape.num_exits tile.Tiled_tree.shape in
           if Array.length tile.Tiled_tree.children <> exits then
             add
-              (err ~code:"H030" ~path
+              (err ~code:"H030" ~path:(tile_node_path i)
                  "tile has %d children but its shape has %d exits"
                  (Array.length tile.Tiled_tree.children)
                  exits);
@@ -237,7 +249,7 @@ let check_tiled_tree ?num_features (t : Tiled_tree.t) =
             || tile.Tiled_tree.shape_id >= Lut.num_shapes t.Tiled_tree.lut
           then
             add
-              (err ~code:"H030" ~path
+              (err ~code:"H030" ~path:(tile_node_path i)
                  "shape id %d outside the LUT registry (%d shapes)"
                  tile.Tiled_tree.shape_id
                  (Lut.num_shapes t.Tiled_tree.lut))
@@ -248,22 +260,25 @@ let check_tiled_tree ?num_features (t : Tiled_tree.t) =
                  tile.Tiled_tree.shape)
           then
             add
-              (err ~code:"H030" ~path
+              (err ~code:"H030" ~path:(tile_node_path i)
                  "shape id %d does not resolve to the tile's shape in the LUT"
                  tile.Tiled_tree.shape_id);
           Array.iter
             (fun c ->
               if c < 0 || c >= n then
                 add
-                  (err ~code:"H030" ~path "child index %d outside nodes array" c)
+                  (err ~code:"H030" ~path:(tile_node_path i)
+                     "child index %d outside nodes array" c)
               else if c = i then
-                add (err ~code:"H030" ~path "tile is its own child")
+                add
+                  (err ~code:"H030" ~path:(tile_node_path i)
+                     "tile is its own child")
               else refs.(c) <- refs.(c) + 1)
             tile.Tiled_tree.children;
           let k = Array.length tile.Tiled_tree.node_ids in
           if k > shape_size then
             add
-              (err ~code:"H030" ~path
+              (err ~code:"H030" ~path:(tile_node_path i)
                  "tile carries %d source nodes but its shape has only %d" k
                  shape_size);
           (* Padding well-formedness (H020): lanes past the real nodes must
@@ -275,7 +290,7 @@ let check_tiled_tree ?num_features (t : Tiled_tree.t) =
               || tile.Tiled_tree.thresholds.(lane) <> infinity
             then
               add
-                (err ~code:"H020" ~path
+                (err ~code:"H020" ~path:(tile_node_path i)
                    "padding lane %d is not the dummy predicate \
                     (feature 0 < +inf): feature %d < %g"
                    lane
@@ -290,7 +305,7 @@ let check_tiled_tree ?num_features (t : Tiled_tree.t) =
                   | Tiled_tree.Leaf _ -> ()
                   | Tiled_tree.Tile _ ->
                     add
-                      (err ~code:"H020" ~path
+                      (err ~code:"H020" ~path:(tile_node_path i)
                          "dummy tile exit %d leads to a tile; only exit 0 \
                           may continue the walk"
                          j))
@@ -303,7 +318,7 @@ let check_tiled_tree ?num_features (t : Tiled_tree.t) =
                 let f = tile.Tiled_tree.features.(lane) in
                 if f < 0 || f >= nf then
                   add
-                    (err ~code:"H031" ~path
+                    (err ~code:"H031" ~path:(tile_node_path i)
                        "lane %d reads feature %d outside the model's %d \
                         features"
                        lane f nf)
@@ -318,7 +333,7 @@ let check_tiled_tree ?num_features (t : Tiled_tree.t) =
       if refs.(i) <> 1 then
         add
           (err ~code:"H030"
-             ~path:[ Printf.sprintf "node %d" i ]
+             ~path:(node_path i)
              "node has %d parent edges, expected exactly 1" refs.(i))
     done;
     List.rev !ds
@@ -398,16 +413,15 @@ let check_tree_against_source (source : Tree.t) (t : Tiled_tree.t) =
           Hashtbl.add tids i tid;
           Array.iter
             (fun nid ->
-              let path = [ Printf.sprintf "tile node %d" i ] in
               if nid < 0 || nid >= it.Itree.num_nodes then
                 add
-                  (err ~code:"H032" ~path
+                  (err ~code:"H032" ~path:(tile_node_path i)
                      "tile references source node %d, outside the tree's %d \
                       nodes"
                      nid it.Itree.num_nodes)
               else if tile_of_node.(nid) <> -1 then
                 add
-                  (err ~code:"H001" ~path
+                  (err ~code:"H001" ~path:(tile_node_path i)
                      "source node %d claimed by two tiles" nid)
               else tile_of_node.(nid) <- tid)
             tile.Tiled_tree.node_ids
@@ -433,7 +447,6 @@ let check_tree_against_source (source : Tree.t) (t : Tiled_tree.t) =
         | Tiled_tree.Leaf _ -> ()
         | Tiled_tree.Tile tile ->
           if not (Tiled_tree.is_dummy tile) then begin
-            let path = [ Printf.sprintf "tile node %d" i ] in
             let tid = Hashtbl.find tids i in
             let ok_ids =
               Array.for_all
@@ -446,7 +459,7 @@ let check_tree_against_source (source : Tree.t) (t : Tiled_tree.t) =
               let lo = reconstructed_level_order it ~tile_of_node ~tid root in
               if lo <> tile.Tiled_tree.node_ids then
                 add
-                  (err ~code:"H032" ~path
+                  (err ~code:"H032" ~path:(tile_node_path i)
                      "lane order does not match the intra-tile level order \
                       of the source nodes")
               else begin
@@ -461,7 +474,7 @@ let check_tree_against_source (source : Tree.t) (t : Tiled_tree.t) =
                             <> it.Itree.threshold.(nid))
                     then
                       add
-                        (err ~code:"H032" ~path
+                        (err ~code:"H032" ~path:(tile_node_path i)
                            "lane %d is (feature %d < %g) but source node %d \
                             is (feature %d < %g)"
                            lane
@@ -478,7 +491,7 @@ let check_tree_against_source (source : Tree.t) (t : Tiled_tree.t) =
                 in
                 if not (Shape.equal shape tile.Tiled_tree.shape) then
                   add
-                    (err ~code:"H032" ~path
+                    (err ~code:"H032" ~path:(tile_node_path i)
                        "tile shape %s does not match the source structure %s"
                        (Shape.to_string tile.Tiled_tree.shape)
                        (Shape.to_string shape))
@@ -501,7 +514,7 @@ let check_tree_against_source (source : Tree.t) (t : Tiled_tree.t) =
                              && child.Tiled_tree.node_ids.(0) = e' -> ()
                       | _ ->
                         add
-                          (err ~code:"H032" ~path
+                          (err ~code:"H032" ~path:(tile_node_path i)
                              "exit %d does not lead to source node %d's \
                               subtree"
                              j e))
@@ -534,45 +547,43 @@ let check_program (p : Program.t) =
   let seen = Array.make (max src_trees 1) false in
   Array.iteri
     (fun i (e : Program.tree_entry) ->
-      let path = [ Printf.sprintf "tree %d" i ] in
       let oi = e.Program.original_index in
       if oi < 0 || oi >= src_trees then
         add
-          (err ~code:"H040" ~path
+          (err ~code:"H040" ~path:(tree_path i)
              "original_index %d outside the forest's %d trees" oi src_trees)
       else if seen.(oi) then
         add
-          (err ~code:"H040" ~path "original_index %d appears more than once" oi)
+          (err ~code:"H040" ~path:(tree_path i)
+             "original_index %d appears more than once" oi)
       else seen.(oi) <- true)
     p.Program.trees;
   (* Per-tree structural and model-consistency checks. *)
   Array.iteri
     (fun i (e : Program.tree_entry) ->
-      let seg = Printf.sprintf "tree %d" i in
       let tt = e.Program.tiled in
       if tt.Tiled_tree.tile_size <> p.Program.schedule.Schedule.tile_size then
         add
-          (err ~code:"H030" ~path:[ seg ]
+          (err ~code:"H030" ~path:(tree_path i)
              "tiled with tile size %d but the schedule says %d"
              tt.Tiled_tree.tile_size p.Program.schedule.Schedule.tile_size);
-      addl (prefix seg (check_tiled_tree ~num_features:nf tt));
+      addl (prefix_tree i (check_tiled_tree ~num_features:nf tt));
       let oi = e.Program.original_index in
       if oi >= 0 && oi < src_trees then
         addl
-          (prefix seg
+          (prefix_tree i
              (check_tree_against_source p.Program.forest.Forest.trees.(oi) tt)))
     p.Program.trees;
   (* Groups: exact cover of tree positions (H040) + honest claims (H041). *)
   let covered = Array.make (max num_trees 1) 0 in
   List.iteri
     (fun gi (g : Reorder.group) ->
-      let path = [ Printf.sprintf "group %d" gi ] in
       Array.iter
         (fun pos ->
           if pos < 0 || pos >= num_trees then
             add
-              (err ~code:"H040" ~path "position %d outside the %d trees" pos
-                 num_trees)
+              (err ~code:"H040" ~path:(group_path gi)
+                 "position %d outside the %d trees" pos num_trees)
           else covered.(pos) <- covered.(pos) + 1)
         g.Reorder.positions;
       let depths =
@@ -590,13 +601,13 @@ let check_program (p : Program.t) =
               let tt = p.Program.trees.(pos).Program.tiled in
               if not (Tiled_tree.is_uniform_depth tt) then
                 add
-                  (err ~code:"H041" ~path
+                  (err ~code:"H041" ~path:(group_path gi)
                      "claimed uniform but tree at position %d has leaves at \
                       different depths"
                      pos)
               else if Tiled_tree.depth tt <> g.Reorder.walk_depth then
                 add
-                  (err ~code:"H041" ~path
+                  (err ~code:"H041" ~path:(group_path gi)
                      "claimed uniform depth %d but tree at position %d has \
                       depth %d"
                      g.Reorder.walk_depth pos (Tiled_tree.depth tt))
@@ -605,7 +616,7 @@ let check_program (p : Program.t) =
       end
       else if depths <> [] && g.Reorder.walk_depth <> max_depth then
         add
-          (err ~code:"H041" ~path
+          (err ~code:"H041" ~path:(group_path gi)
              "walk_depth %d differs from the group's max tiled depth %d"
              g.Reorder.walk_depth max_depth);
       if g.Reorder.shared_structure then begin
@@ -623,7 +634,7 @@ let check_program (p : Program.t) =
         | k0 :: rest ->
           if not (List.for_all (String.equal k0) rest) then
             add
-              (err ~code:"H041" ~path
+              (err ~code:"H041" ~path:(group_path gi)
                  "claimed shared structure but structure keys differ")
       end)
     p.Program.groups;
@@ -631,7 +642,7 @@ let check_program (p : Program.t) =
     if covered.(pos) <> 1 then
       add
         (err ~code:"H040"
-           ~path:[ Printf.sprintf "tree %d" pos ]
+           ~path:(tree_path pos)
            "tree position covered by %d groups, expected exactly 1"
            covered.(pos))
   done;

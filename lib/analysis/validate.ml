@@ -12,13 +12,13 @@
 
    The key cost control is the LUT-row decision structure: rather than
    enumerating all 2^tile_size comparison bitmasks at every tile, each
-   LUT row is compiled once (memoized by physical row identity, which
-   {!Tb_hir.Lut} shares across HIR and LIR) into a reduced binary
-   decision tree over lanes, collapsing branches the table does not
-   distinguish. For a well-formed tile the reduced tree tests exactly
-   the lanes on the navigation path, so the number of summary paths
-   equals the source tree's leaf count; corrupt tables merely cause
-   more (still sound) splits. *)
+   LUT row is compiled once (memoized under its shape id and checked by
+   physical row identity, which {!Tb_hir.Lut} shares across HIR and
+   LIR) into a reduced binary decision tree over lanes, collapsing
+   branches the table does not distinguish. For a well-formed tile the
+   reduced tree tests exactly the lanes on the navigation path, so the
+   number of summary paths equals the source tree's leaf count; corrupt
+   tables merely cause more (still sound) splits. *)
 
 module D = Tb_diag.Diagnostic
 module Tree = Tb_model.Tree
@@ -280,19 +280,28 @@ let build_dtree (row : int array) nt =
   in
   build 0 0
 
-(* Memoized by physical row identity: HIR and LIR share row storage
-   ({!Lut.table} keeps the registry's arrays), while a mutated copy is a
-   distinct key — essential for the seeded-miscompile tests. *)
-type dcache = (int array * dtree) list ref
+(* Indexed by shape id, so a lookup is one array access, and checked by
+   physical row identity inside the slot: HIR and LIR share row storage
+   ({!Lut.table} keeps the registry's arrays), while a mutated copy under
+   the same shape id is a distinct entry — essential for the
+   seeded-miscompile tests. Callers pass a bounds-checked [sid >= 0]. *)
+type dcache = { mutable slots : (int array * dtree) list array }
 
-let new_cache () : dcache = ref []
+let new_cache () = { slots = [||] }
 
-let dtree_for (cache : dcache) row nt =
-  match List.find_opt (fun (r, _) -> r == row) !cache with
+let dtree_for cache ~sid row nt =
+  let n = Array.length cache.slots in
+  if sid >= n then begin
+    let grown = Array.make (max (sid + 1) (2 * n)) [] in
+    Array.blit cache.slots 0 grown 0 n;
+    cache.slots <- grown
+  end;
+  let entries = cache.slots.(sid) in
+  match List.find_opt (fun (r, _) -> r == row) entries with
   | Some (_, dt) -> dt
   | None ->
     let dt = build_dtree row nt in
-    cache := (row, dt) :: !cache;
+    cache.slots.(sid) <- (row, dt) :: entries;
     dt
 
 (* Walk a decision structure, refining the box at each tested lane. *)
@@ -363,7 +372,7 @@ let summarize_tiled (cache : dcache) (walk : M.walk_kind) (t : T.t) =
         | _ ->
           (match Lut.row t.T.lut ~shape_id:tile.T.shape_id with
           | row when Array.length row = 1 lsl nt ->
-            split_dtree (dtree_for cache row nt) box
+            split_dtree (dtree_for cache ~sid:tile.T.shape_id row nt) box
               ~lane_feature:(fun l -> tile.T.features.(l))
               ~lane_threshold:(fun l -> tile.T.thresholds.(l))
               ~emit:(fun box c ->
@@ -393,7 +402,7 @@ let summarize_layout_c (cache : dcache) (lay : Layout.t) ~tree =
       if Array.length row <> 1 lsl nt then
         push_stuck box (Printf.sprintf "malformed LUT row %d" sid)
       else
-        split_dtree (dtree_for cache row nt) box
+        split_dtree (dtree_for cache ~sid row nt) box
           ~lane_feature:(fun l -> lay.Layout.features.((s * nt) + l))
           ~lane_threshold:(fun l -> lay.Layout.thresholds.((s * nt) + l))
           ~emit
@@ -630,7 +639,7 @@ let summarize_reg_c (cache : dcache) ?num_features (p : Reg_ir.walk_program)
               (* The fork: each distinct child the row can select becomes
                  its own execution path with the correspondingly refined
                  box. *)
-              split_dtree (dtree_for cache row nt) st.sbox
+              split_dtree (dtree_for cache ~sid row nt) st.sbox
                 ~lane_feature:(fun l -> fst lanes.(l))
                 ~lane_threshold:(fun l -> snd lanes.(l))
                 ~emit:(fun box c ->

@@ -26,11 +26,14 @@
 
     Cost: summarization is per-tree (never per-forest-product) and
     linear in the number of source leaves — the LUT child table of each
-    tile is first compiled (memoized per physical row) into a reduced
-    decision structure that only splits on lanes the table actually
-    consults, so padding lanes and dummy/hop tiles add no paths. This
-    keeps the validator cheap enough to run inside
-    {!Tb_core.Passman}'s [Verify_each] mode by default. *)
+    tile is first compiled into a reduced decision structure that only
+    splits on lanes the table actually consults, so padding lanes and
+    dummy/hop tiles add no paths. Each check call memoizes those
+    structures in an array indexed by shape id, so finding a tile's
+    structure is O(1); inside a slot the row is still checked by
+    physical identity, so a mutated row copy under the same shape id
+    gets its own structure. This keeps the validator cheap enough to run
+    inside {!Tb_core.Passman}'s [Verify_each] mode by default. *)
 
 type interval = { feature : int; lo : float; hi : float }
 (** Half-open constraint [lo <= x_feature < hi]; [lo] may be

@@ -95,31 +95,59 @@ let error_to_diagnostic e =
 (* CRC32 (IEEE 802.3, reflected)                                       *)
 (* ------------------------------------------------------------------ *)
 
-let crc_table =
+(* Slice-by-8 on native ints: table [k] holds each byte's CRC followed by
+   [k] zero bytes, so the main loop folds eight bytes per step through
+   eight independent lookups. Every table index is a byte, and the range
+   check up front covers every buffer read, so both kinds of access skip
+   their bounds checks. *)
+let crc_tables =
   lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+    (let t0 =
+       Array.init 256 (fun n ->
+           let c = ref n in
+           for _ = 0 to 7 do
+             c :=
+               if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1)
+               else !c lsr 1
+           done;
+           !c)
+     in
+     let tables = Array.make 8 t0 in
+     for k = 1 to 7 do
+       tables.(k) <-
+         Array.map (fun v -> (v lsr 8) lxor t0.(v land 0xFF)) tables.(k - 1)
+     done;
+     tables)
+
+let[@inline] tab (t : int array) i = Array.unsafe_get t i
+let[@inline] byte buf i = Char.code (Bytes.unsafe_get buf i)
 
 let crc32 buf ~pos ~len =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  for i = pos to pos + len - 1 do
-    let idx =
-      Int32.to_int
-        (Int32.logand
-           (Int32.logxor !c (Int32.of_int (Char.code (Bytes.get buf i))))
-           0xFFl)
-    in
-    c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8)
+  if pos < 0 || len < 0 || pos > Bytes.length buf - len then
+    invalid_arg "Pack.crc32";
+  let t = Lazy.force crc_tables in
+  let t0 = t.(0) and t1 = t.(1) and t2 = t.(2) and t3 = t.(3) in
+  let t4 = t.(4) and t5 = t.(5) and t6 = t.(6) and t7 = t.(7) in
+  let c = ref 0xFFFF_FFFF in
+  let stop8 = pos + (len land lnot 7) in
+  let j = ref pos in
+  while !j < stop8 do
+    let i = !j and x = !c in
+    c :=
+      tab t7 ((x lxor byte buf i) land 0xFF)
+      lxor tab t6 (((x lsr 8) lxor byte buf (i + 1)) land 0xFF)
+      lxor tab t5 (((x lsr 16) lxor byte buf (i + 2)) land 0xFF)
+      lxor tab t4 ((x lsr 24) lxor byte buf (i + 3))
+      lxor tab t3 (byte buf (i + 4))
+      lxor tab t2 (byte buf (i + 5))
+      lxor tab t1 (byte buf (i + 6))
+      lxor tab t0 (byte buf (i + 7));
+    j := i + 8
   done;
-  Int32.logxor !c 0xFFFFFFFFl
+  for i = stop8 to pos + len - 1 do
+    c := tab t0 ((!c lxor byte buf i) land 0xFF) lxor (!c lsr 8)
+  done;
+  Int32.of_int (!c lxor 0xFFFF_FFFF)
 
 (* ------------------------------------------------------------------ *)
 (* Writer                                                              *)

@@ -116,8 +116,10 @@ val equal : t -> t -> bool
     round-trip property [decode (encode p) = Ok p] is tested with this. *)
 
 val crc32 : bytes -> pos:int -> len:int -> int32
-(** The checksum used by the format (IEEE 802.3 polynomial, reflected) —
-    exposed for tests that craft adversarial artifacts. *)
+(** The checksum used by the format (CRC-32/IEEE 802.3, reflected) over
+    [len] bytes from [pos] — exposed for tests that craft adversarial
+    artifacts.
+    @raise Invalid_argument if the range is not inside the buffer. *)
 
 val size_bytes : t -> int
 (** Encoded size in bytes (header + all blocks); encodes internally. *)

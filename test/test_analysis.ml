@@ -33,6 +33,16 @@ let check_has_code c ds =
   if not (has_code c ds) then
     Alcotest.failf "expected a %s finding, got: [%s]" c (show ds)
 
+(* The paths of every finding with code [c], in report order: pins where a
+   finding points, not only that it fires. *)
+let check_code_paths c paths ds =
+  check_has_code c ds;
+  Alcotest.(check (list (list string)))
+    (c ^ " paths") paths
+    (List.filter_map
+       (fun d -> if d.D.code = c then Some d.D.path else None)
+       ds)
+
 let check_no_errors what ds =
   if D.has_errors ds then
     Alcotest.failf "%s: unexpected errors: [%s]" what (show (D.errors ds))
@@ -198,7 +208,7 @@ let test_mutated_tiling_leaf_in_tile () =
     if Itree.is_leaf it i && !leaf < 0 then leaf := i
   done;
   tile_of_node.(!leaf) <- 0;
-  check_has_code "H003"
+  check_code_paths "H003" [ [ "node 2" ] ]
     (Hir_check.check_tiling it { t with Tiling.tile_of_node })
 
 let test_mutated_tiling_unassigned_internal () =
@@ -206,7 +216,7 @@ let test_mutated_tiling_unassigned_internal () =
   let t = Tiling.basic it ~tile_size:2 in
   let tile_of_node = Array.copy t.Tiling.tile_of_node in
   tile_of_node.(node_with_feature it 3) <- -1;
-  check_has_code "H001"
+  check_code_paths "H001" [ [ "node 6" ]; [ "tile 1" ] ]
     (Hir_check.check_tiling it { t with Tiling.tile_of_node })
 
 let test_mutated_tiling_disconnected_tile () =
@@ -218,7 +228,7 @@ let test_mutated_tiling_disconnected_tile () =
   tile_of_node.(node_with_feature it 1) <- 0;
   tile_of_node.(node_with_feature it 2) <- 1;
   tile_of_node.(node_with_feature it 3) <- 1;
-  check_has_code "H002"
+  check_code_paths "H002" [ [ "tile 1" ] ]
     (Hir_check.check_tiling it { Tiling.tile_size = 2; tile_of_node; num_tiles = 2 })
 
 let test_mutated_tiling_not_maximal () =
@@ -230,7 +240,7 @@ let test_mutated_tiling_not_maximal () =
   tile_of_node.(node_with_feature it 1) <- 1;
   tile_of_node.(node_with_feature it 2) <- 1;
   tile_of_node.(node_with_feature it 3) <- 2;
-  check_has_code "H004"
+  check_code_paths "H004" [ [ "tile 0" ] ]
     (Hir_check.check_tiling it { Tiling.tile_size = 3; tile_of_node; num_tiles = 3 })
 
 let test_mutated_lut_entry () =
@@ -240,7 +250,44 @@ let test_mutated_lut_entry () =
   in
   let id = Lut.shape_id lut shape in
   (Lut.table lut).(id).(0) <- 99;
-  check_has_code "H010" (Hir_check.check_lut lut)
+  check_code_paths "H010" [ [ "shape 0" ] ] (Hir_check.check_lut lut)
+
+(* A corrupted lane threshold in a built program: the H032 finding comes
+   from [check_tree_against_source], so its path is the tree segment that
+   [check_program] prefixes onto the tile's own. *)
+let test_mutated_program_lane_threshold () =
+  let rng = Prng.create 19 in
+  let forest = Forest.random ~num_trees:4 ~max_depth:5 ~num_features:4 rng in
+  let hir = Program.build forest Schedule.default in
+  check_no_errors "unmutated program" (Hir_check.check_program hir);
+  let module T = Tb_hir.Tiled_tree in
+  (* The first real tile below the root of a tree other than the first. *)
+  let target =
+    List.find_map
+      (fun i ->
+        let nodes = hir.Program.trees.(i).Program.tiled.T.nodes in
+        List.find_map
+          (fun j ->
+            match nodes.(j) with
+            | T.Tile tile when not (T.is_dummy tile) -> Some (i, j, tile)
+            | _ -> None)
+          (List.init (Array.length nodes - 1) (fun j -> j + 1)))
+      (List.init (Array.length hir.Program.trees - 1) (fun i -> i + 1))
+  in
+  match target with
+  | None -> Alcotest.fail "no real tile below a root"
+  | Some (i, j, tile) ->
+    let entry = hir.Program.trees.(i) in
+    let nodes = Array.copy entry.Program.tiled.T.nodes in
+    let thresholds = Array.copy tile.T.thresholds in
+    thresholds.(0) <- thresholds.(0) +. 1.0;
+    nodes.(j) <- T.Tile { tile with T.thresholds };
+    let trees = Array.copy hir.Program.trees in
+    trees.(i) <-
+      { entry with Program.tiled = { entry.Program.tiled with T.nodes } };
+    check_code_paths "H032"
+      [ [ Printf.sprintf "tree %d" i; Printf.sprintf "tile node %d" j ] ]
+      (Hir_check.check_program { hir with Program.trees })
 
 let test_illegal_schedule_fields () =
   check_has_code "S002"
@@ -770,6 +817,8 @@ let suite =
       test_mutated_tiling_disconnected_tile;
     quick "mutation: non-maximal tiling -> H004" test_mutated_tiling_not_maximal;
     quick "mutation: corrupted LUT entry -> H010" test_mutated_lut_entry;
+    quick "mutation: corrupted lane threshold -> H032 at tree/tile node"
+      test_mutated_program_lane_threshold;
     quick "illegal schedule fields -> S00x" test_illegal_schedule_fields;
     quick "pass manager stops at an illegal schedule"
       test_passman_stops_at_bad_schedule;

@@ -153,6 +153,48 @@ let test_fuzz_checksum_and_truncation () =
   Bytes.set_int32_le b 12 (Pack.crc32 b ~pos:16 ~len:(n - 17));
   expect_error "shrunk declared length" "A004" b
 
+(* CRC-32/IEEE one bit at a time, with no table: the reference the
+   table-driven [Pack.crc32] must agree with. *)
+let reference_crc32 buf ~pos ~len =
+  let c = ref 0xFFFF_FFFF in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code (Bytes.get buf i);
+    for _ = 1 to 8 do
+      c := if !c land 1 = 1 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+    done
+  done;
+  Int32.of_int (!c lxor 0xFFFF_FFFF)
+
+let test_crc32_known_answer_and_range () =
+  let check_crc = Alcotest.(check int32) in
+  check_crc "CRC-32 check value" 0xCBF43926l
+    (Pack.crc32 (Bytes.of_string "123456789") ~pos:0 ~len:9);
+  check_crc "same bytes at an offset" 0xCBF43926l
+    (Pack.crc32 (Bytes.of_string "xx123456789y") ~pos:2 ~len:9);
+  check_crc "empty range" 0l (Pack.crc32 (Bytes.create 4) ~pos:4 ~len:0);
+  let buf = Bytes.make 16 'a' in
+  List.iter
+    (fun (pos, len) ->
+      match Pack.crc32 buf ~pos ~len with
+      | _ -> Alcotest.failf "crc32 accepted pos %d len %d on 16 bytes" pos len
+      | exception Invalid_argument _ -> ())
+    [ (-1, 4); (0, -1); (0, 17); (9, 8); (17, 0); (max_int, 2) ]
+
+(* Random buffers, unaligned starts and lengths 0..100, so both the
+   eight-byte loop and the bytewise tail run. *)
+let crc32_reference_property seed =
+  let rng = Prng.create seed in
+  let pos = Prng.int rng 16 and len = Prng.int rng 101 in
+  let buf =
+    Bytes.init (pos + len + Prng.int rng 8) (fun _ ->
+        Char.chr (Prng.int rng 256))
+  in
+  let want = reference_crc32 buf ~pos ~len in
+  let got = Pack.crc32 buf ~pos ~len in
+  Int32.equal want got
+  || QCheck2.Test.fail_reportf "pos %d len %d: crc32 %08lx, reference %08lx"
+       pos len got want
+
 (* Seeded mutation storm: decode must be total — every mutant yields a
    structured A00x error or (only when the mutation misses every checked
    byte, which cannot happen for single-bit flips) a valid pack; it never
@@ -483,6 +525,9 @@ let suite =
       seed_gen roundtrip_property;
     quick "fuzz: magic, version, reserved header" test_fuzz_magic_and_version;
     quick "fuzz: checksum + truncation" test_fuzz_checksum_and_truncation;
+    quick "crc32: check value, range checks" test_crc32_known_answer_and_range;
+    qcheck ~count:300 ~name:"crc32 == bitwise reference (unaligned, short)"
+      seed_gen crc32_reference_property;
     qcheck ~count:200 ~name:"fuzz storm: decode is total, errors structured"
       seed_gen fuzz_storm_property;
     quick "warm restart: zero recompiles, bitwise predictions"
