@@ -1201,7 +1201,7 @@ let serve () =
 
 (* Translation validation: validator wall-clock and summary sizes per
    (model, schedule) over the reduced representative grid — the cost
-   that justifies keeping the validate:* stages on by default in
+   that justifies keeping the validate stage on by default in
    Passman's Verify_each — plus the T00x census. Writes
    BENCH_validate.json; the CI baseline is the validate gate's to write. *)
 let validate () =
@@ -1241,7 +1241,7 @@ let validate () =
             let ms = 1000.0 *. dt in
             total_ms := !total_ms +. ms;
             (* Summary sizes: per-tree path counts of the HIR form (equal
-               across stages when validation passes). *)
+               to the source tree's when validation passes). *)
             let cell_paths = ref 0 and cell_max = ref 0 in
             Array.iter
               (fun (e : Program.tree_entry) ->
@@ -1483,8 +1483,7 @@ let artifacts () =
     (Registry.compile_count warm_reg)
     (Registry.hydration_count warm_reg);
   let min_speedup = List.fold_left min infinity !speedups in
-  Printf.printf "minimum hydrate-vs-cold speedup: %.1fx (target >= 5x)\n"
-    min_speedup;
+  Printf.printf "minimum hydrate-vs-cold speedup: %.1fx\n" min_speedup;
   let json =
     J.Obj
       [

@@ -278,9 +278,9 @@ let validate_cmd =
           `All
       & info [ "stage" ] ~docv:"STAGE"
           ~doc:
-            "Restrict validation to one cross-stage pair: hir \
-             (source<->HIR), mir (HIR<->walk kinds), lir (MIR<->layout \
-             buffers), reg (layout<->register IR + jam projection), or \
+            "Restrict validation to one compiled form, each compared with \
+             its source tree: hir (tiled trees), mir (walk kinds), lir \
+             (layout buffers), reg (register IR + jam projection), or \
              all.")
   in
   let strict =
@@ -373,8 +373,8 @@ let validate_cmd =
          "Translation-validate the lowering pipeline: symbolic per-tree \
           path summaries of each compiled form (HIR tiled trees, MIR walk \
           kinds, LIR layout buffers, register-IR walk programs) are \
-          compared pairwise, and any divergence is refuted with a \
-          concrete witness row (T001..T004)")
+          compared with the source tree's, and any divergence is refuted \
+          with a concrete witness row (T001..T004)")
     Term.(const run $ gate $ grid $ stage $ strict $ out)
 
 (* ---------------- quantcheck ---------------- *)

@@ -63,21 +63,24 @@
       cache misses diverges from the registry's modeled compile cost
       beyond tolerance
     - [T001] translation-validation partition mismatch: a feature-space
-      region reachable in one compiled form has no corresponding path in
-      the adjacent form's summary ({!Tb_analysis.Validate}); the finding
-      carries a witness row inside the disagreeing box
-    - [T002] translation-validation leaf-value mismatch: two adjacent
-      forms agree on a path's feature box but claim different leaf
-      contributions, yet concrete replay at the witness row did not
+      region where the source tree has a leaf but the compiled form has
+      neither a path nor a stuck box ({!Tb_analysis.Validate}); the
+      finding carries a witness row inside the uncovered box. A jammed
+      lane that is not a window renaming of its group's program is a
+      [T001] too, with no witness
+    - [T002] translation-validation leaf-value mismatch: the source tree
+      and a compiled form claim different leaf contributions on
+      overlapping boxes, yet concrete replay at the witness row did not
       diverge (symbolic-summary imprecision — investigate, not fatal)
-    - [T003] translation-validation unreachable-region introduced: a
-      lowered form executes (or gets stuck) on a region the earlier form
-      proves unreachable, e.g. a walk stepping out of bounds or running
-      out of fuel on a corrupt layout
-    - [T004] witness-confirmed miscompile: the cross-stage summaries
-      disagree on a region AND concretely replaying both forms on the
-      witness row (midpoint of the disagreeing box) produced diverging
-      predictions — an error-severity member of the family
+    - [T003] translation-validation stuck region: a compiled form gets
+      stuck where the source tree has a leaf, e.g. a walk stepping out
+      of bounds, breaking its peel/unroll contract or running out of
+      fuel on a corrupt layout
+    - [T004] witness-confirmed miscompile: a compiled form's summary
+      disagrees with its source tree's on a region AND concretely
+      replaying both on the witness row (midpoint of the disagreeing
+      box) produced diverging predictions — an error-severity member of
+      the family
     - [T005] quantized-path divergence: the quantized LIR layout's
       reference evaluation disagrees {e bitwise} with the certified
       integer evaluator ([Numeric.qpredict_raw]) on a probe row — a

@@ -1,11 +1,9 @@
 (** HIR static analyses: tiling validity, LUT totality, padding
     well-formedness, tiled-tree/model consistency and schedule legality.
 
-    These are the checks that used to live only in the test suite (qcheck
-    properties over {!Tb_hir.Tiling.check_valid}) or nowhere at all; they
-    now run inside the compilation pipeline via {!Tb_core.Passman}. All
-    findings are {!Tb_diag.Diagnostic.t} values; see the code registry
-    there. *)
+    They run inside the compilation pipeline via {!Tb_core.Passman}, and
+    the tests check tilings with {!check_tiling} too. All findings are
+    {!Tb_diag.Diagnostic.t} values; see the code registry there. *)
 
 val check_schedule :
   ?batch_size:int -> ?cores:int -> Tb_hir.Schedule.t -> Tb_diag.Diagnostic.t list
@@ -19,8 +17,8 @@ val check_schedule :
 val check_tiling : Tb_hir.Itree.t -> Tb_hir.Tiling.t -> Tb_diag.Diagnostic.t list
 (** The four §III-B1 tiling constraints as a reusable pass: partitioning
     ([H001]), connectedness ([H002]), leaf separation ([H003]) and maximal
-    tiling ([H004]). Unlike {!Tb_hir.Tiling.check_valid} it reports every
-    violation, each with a structured code and a [tile N] location. *)
+    tiling ([H004]). It reports every violation, each with a structured
+    code and a [tile N] location. *)
 
 val check_lut : Tb_hir.Lut.t -> Tb_diag.Diagnostic.t list
 (** LUT totality and correctness ([H010]): every (shape, bitmask) entry is

@@ -1,5 +1,6 @@
-(* Translation validation: symbolic path-summary equivalence across the
-   lowering pipeline, with concrete counterexample witnesses.
+(* Translation validation: symbolic path-summary equivalence of every
+   compiled form of a tree with its source tree, with concrete
+   counterexample witnesses.
 
    Each compiled form of a tree is symbolically executed into the set of
    (feature box, leaf contribution) pairs it can produce. A box is a
@@ -195,59 +196,6 @@ let equal_summaries a b =
   List.equal (fun x y -> compare_path x y = 0) a.paths b.paths
   && List.equal (fun x y -> compare_stuck x y = 0) a.stuck b.stuck
 
-(* Merge two same-value boxes that agree on every feature but one, where
-   they abut. Boxes are canonical (sorted, tightest), so feature lists
-   must align. *)
-let merge_boxes (b1 : box) (b2 : box) : box option =
-  let rec go acc merged l1 l2 =
-    match (l1, l2) with
-    | [], [] -> if merged then Some (List.rev acc) else None
-    | iv1 :: r1, iv2 :: r2 when iv1.feature = iv2.feature ->
-      if iv1.lo = iv2.lo && iv1.hi = iv2.hi then go (iv1 :: acc) merged r1 r2
-      else if merged then None
-      else
-        let joined =
-          if iv1.hi = iv2.lo then Some (iv1.lo, iv2.hi)
-          else if iv2.hi = iv1.lo then Some (iv2.lo, iv1.hi)
-          else None
-        in
-        (match joined with
-        | None -> None
-        | Some (lo, hi) ->
-          let acc =
-            if lo = neg_infinity && hi = infinity then acc
-            else { feature = iv1.feature; lo; hi } :: acc
-          in
-          go acc true r1 r2)
-    | _ -> None
-  in
-  go [] false b1 b2
-
-let coalesce s =
-  let merge_step paths =
-    let rec scan acc = function
-      | [] -> None
-      | (b1, v1) :: rest ->
-        let rec pair seen = function
-          | [] -> None
-          | (b2, v2) :: more ->
-            if Float.compare v1 v2 = 0 then
-              match merge_boxes b1 b2 with
-              | Some b -> Some ((b, v1) :: List.rev_append seen more)
-              | None -> pair ((b2, v2) :: seen) more
-            else pair ((b2, v2) :: seen) more
-        in
-        (match pair [] rest with
-        | Some rest' -> Some (List.rev_append acc rest')
-        | None -> scan ((b1, v1) :: acc) rest)
-    in
-    scan [] paths
-  in
-  let rec fix paths =
-    match merge_step paths with None -> paths | Some paths' -> fix paths'
-  in
-  normalize { s with paths = fix s.paths }
-
 let exact_partition s =
   let boxes = List.map fst s.paths @ List.map fst s.stuck in
   let covers_everything = subtract_all [] boxes = [] in
@@ -386,7 +334,6 @@ let summarize_tiled (cache : dcache) (walk : M.walk_kind) (t : T.t) =
   normalize { paths = !paths; stuck = !stuck }
 
 let summarize_hir t = summarize_tiled (new_cache ()) M.Loop_walk t
-let summarize_mir walk t = summarize_tiled (new_cache ()) walk t
 
 let summarize_layout_c (cache : dcache) (lay : Layout.t) ~tree =
   let nt = lay.Layout.tile_size in
@@ -483,7 +430,7 @@ exception Stuck of string
 
 let stuck_f fmt = Printf.ksprintf (fun m -> raise (Stuck m)) fmt
 
-let summarize_reg_c (cache : dcache) ?num_features (p : Reg_ir.walk_program)
+let summarize_reg (cache : dcache) ~num_features (p : Reg_ir.walk_program)
     (lay : Layout.t) ~tree =
   if p.Reg_ir.lanes <> 1 then
     invalid_arg "Validate.summarize_reg: jammed program (project a lane first)";
@@ -544,14 +491,11 @@ let summarize_reg_c (cache : dcache) ?num_features (p : Reg_ir.walk_program)
     | Reg_ir.Gather (Reg_ir.Row, v) -> (
       match st.vregs.(v) with
       | Vints feats ->
-        (match num_features with
-        | Some nf ->
-          Array.iter
-            (fun f ->
-              if f < 0 || f >= nf then
-                stuck_f "gathered feature id %d out of range" f)
-            feats
-        | None -> ());
+        Array.iter
+          (fun f ->
+            if f < 0 || f >= num_features then
+              stuck_f "gathered feature id %d out of range" f)
+          feats;
         Vrow feats
       | _ -> stuck_f "gather over a non-index vector")
     | Reg_ir.Gather (_, _) -> stuck_f "gather from a non-row buffer"
@@ -672,11 +616,8 @@ let summarize_reg_c (cache : dcache) ?num_features (p : Reg_ir.walk_program)
   end;
   normalize { paths = !paths; stuck = !stuck }
 
-let summarize_reg ?num_features p lay ~tree =
-  summarize_reg_c (new_cache ()) ?num_features p lay ~tree
-
 (* ------------------------------------------------------------------ *)
-(* Cross-stage comparison                                              *)
+(* Comparison with the source                                          *)
 (* ------------------------------------------------------------------ *)
 
 type stage = Source | Hir | Mir | Lir | Reg | Quant
@@ -701,136 +642,103 @@ type finding = {
 
 let pair_string (a, b) = Printf.sprintf "%s<->%s" (stage_name a) (stage_name b)
 
-(* Findings reported per tree and stage pair; the rest of a divergence is
-   the same bug seen again. *)
+(* Findings reported per tree and form; the rest of a divergence is the
+   same bug seen again. *)
 let max_findings = 4
 
-let compare_summaries ~num_features ~pair ~tree ~replay a b =
-  if equal_summaries a b then []
-  else
-    let a = coalesce a and b = coalesce b in
-    if equal_summaries a b then []
-    else begin
-      let findings = ref [] and count = ref 0 in
-      let add f =
-        if !count < max_findings then begin
-          findings := f :: !findings;
-          incr count
-        end
-      in
-      let sa, sb = pair in
-      let run stage row =
-        match replay stage row with
-        | v -> Ok v
-        | exception e -> Error (Printexc.to_string e)
-      in
-      let diverged = function
-        | Ok x, Ok y -> Float.compare x y <> 0
-        | Ok _, Error _ | Error _, Ok _ -> true
-        | Error _, Error _ -> false
-      in
-      let show = function
-        | Ok v -> Printf.sprintf "%.17g" v
-        | Error m -> "raise: " ^ m
-      in
-      let witnessed code severity region fmt =
-        Printf.ksprintf
-          (fun msg ->
+(* Compare one form's summary of a tree with its source tree's. The
+   source summary tiles feature space exactly and never gets stuck, so
+   only three disagreements remain: leaf values that differ where boxes
+   overlap (T002), source regions the form does not cover (T001) and
+   form regions that get stuck (T003). Each is replayed on a witness row
+   — [Tree.predict] on the source, [replay] on the form — and a
+   confirmed divergence becomes T004. A form that partitions space
+   differently but computes the same function yields nothing. *)
+let compare_with_source ~num_features ~stage ~tree ~src ~replay source form =
+  if equal_summaries source form then []
+  else begin
+    let findings = ref [] and count = ref 0 in
+    let run f row =
+      match f row with v -> Ok v | exception e -> Error (Printexc.to_string e)
+    in
+    let show = function
+      | Ok v -> Printf.sprintf "%.17g" v
+      | Error m -> "raise: " ^ m
+    in
+    let witnessed code region fmt =
+      Printf.ksprintf
+        (fun msg ->
+          if !count < max_findings then begin
+            incr count;
             let wit = witness_row ~num_features region in
-            let ra = run sa wit and rb = run sb wit in
-            let confirmed = diverged (ra, rb) in
+            let rs = run (Tree.predict src) wit and rf = run replay wit in
+            let confirmed =
+              match (rs, rf) with
+              | Ok x, Ok y -> Float.compare x y <> 0
+              | Ok _, Error _ | Error _, Ok _ -> true
+              | Error _, Error _ -> false
+            in
             let code = if confirmed then "T004" else code in
-            let severity = if confirmed then D.Error else severity in
             let message =
               Printf.sprintf
-                "%s on %s: %s; witness [%s] replays %s=%s vs %s=%s (%s)" msg
+                "%s on %s: %s; witness [%s] replays source=%s vs %s=%s (%s)"
+                msg
                 (box_to_string region)
                 (if confirmed then "confirmed miscompile" else "not confirmed by replay")
                 (String.concat ", "
                    (Array.to_list (Array.map (Printf.sprintf "%g") wit)))
-                (stage_name sa) (show ra) (stage_name sb) (show rb) code
+                (show rs) (stage_name stage) (show rf) code
             in
-            add { code; severity; tree; pair; region; witness = Some wit; message })
-          fmt
-      in
-      (* Leaf-value disagreements on overlapping boxes. *)
-      List.iter
-        (fun (ba, va) ->
-          List.iter
-            (fun (bb, vb) ->
-              if Float.compare va vb <> 0 then
-                match intersect ba bb with
-                | Some region ->
-                  witnessed "T002" D.Warning region
-                    "leaf contribution differs (%.17g vs %.17g)" va vb
-                | None -> ())
-            b.paths)
-        a.paths;
-      (* Regions one side reaches that the other covers nowhere. *)
-      let boxes s = List.map fst s.paths @ List.map fst s.stuck in
-      let cover_b = boxes b and cover_a = boxes a in
-      List.iter
-        (fun (ba, va) ->
-          List.iter
-            (fun region ->
-              witnessed "T001" D.Warning region
-                "partition mismatch: %s maps this region to leaf %.17g but %s \
-                 has no path here"
-                (stage_name sa) va (stage_name sb))
-            (subtract_all ba cover_b))
-        a.paths;
-      List.iter
-        (fun (bb, vb) ->
-          List.iter
-            (fun region ->
-              witnessed "T003" D.Warning region
-                "unreachable region introduced: %s maps it to leaf %.17g but \
-                 %s has no path here"
-                (stage_name sb) vb (stage_name sa))
-            (subtract_all bb cover_a))
-        b.paths;
-      (* Stuck regions facing a live path on the other side. *)
-      List.iter
-        (fun (bs, msg) ->
-          List.iter
-            (fun (ba, _) ->
-              match intersect bs ba with
+            findings :=
+              {
+                code;
+                severity = (if confirmed then D.Error else D.Warning);
+                tree;
+                pair = (Source, stage);
+                region;
+                witness = Some wit;
+                message;
+              }
+              :: !findings
+          end)
+        fmt
+    in
+    List.iter
+      (fun (bs, vs) ->
+        List.iter
+          (fun (bf, vf) ->
+            if Float.compare vs vf <> 0 then
+              match intersect bs bf with
               | Some region ->
-                witnessed "T003" D.Warning region "%s gets stuck (%s)"
-                  (stage_name sb) msg
+                witnessed "T002" region
+                  "leaf contribution differs (%.17g vs %.17g)" vs vf
               | None -> ())
-            a.paths)
-        b.stuck;
-      List.iter
-        (fun (bs, msg) ->
-          List.iter
-            (fun (bb, _) ->
-              match intersect bs bb with
-              | Some region ->
-                witnessed "T001" D.Warning region "%s gets stuck (%s)"
-                  (stage_name sa) msg
-              | None -> ())
-            b.paths)
-        a.stuck;
-      (* The summaries differ but every slice agrees pointwise: pure
-         partition drift with no semantic divergence. *)
-      if !findings = [] then
-        add
-          {
-            code = "T001";
-            severity = D.Info;
-            tree;
-            pair;
-            region = [];
-            witness = None;
-            message =
-              Printf.sprintf
-                "summaries of %s and %s differ structurally but agree on every \
-                 overlap (benign partition drift)"
-                (stage_name sa) (stage_name sb);
-          };
-      List.rev !findings
-    end
+          form.paths)
+      source.paths;
+    let cover = List.map fst form.paths @ List.map fst form.stuck in
+    List.iter
+      (fun (bs, vs) ->
+        List.iter
+          (fun region ->
+            witnessed "T001" region
+              "partition mismatch: source maps this region to leaf %.17g but \
+               %s has no path here"
+              vs (stage_name stage))
+          (subtract_all bs cover))
+      source.paths;
+    List.iter
+      (fun (bf, msg) ->
+        List.iter
+          (fun (bs, _) ->
+            match intersect bf bs with
+            | Some region ->
+              witnessed "T003" region "%s gets stuck (%s)" (stage_name stage)
+                msg
+            | None -> ())
+          source.paths)
+      form.stuck;
+    List.rev !findings
+  end
 
 let to_diagnostics fs =
   List.map
@@ -852,119 +760,103 @@ let to_diagnostics fs =
 (* Pipeline checks                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let walks_by_tree (mir : M.t) n =
-  let walks = Array.make n M.Loop_walk in
+(* A compiled form: for execution-order tree [i], its summary and its
+   concrete evaluator, or [None] when there is nothing to check (a tree
+   on the generic walk at MIR, whose meaning is the HIR form's). *)
+type form = {
+  stage : stage;
+  at : int -> (summary * (float array -> float)) option;
+}
+
+let hir_form cache (hir : Program.t) =
+  let at i =
+    let tiled = hir.Program.trees.(i).Program.tiled in
+    Some (summarize_tiled cache M.Loop_walk tiled, T.walk tiled)
+  in
+  { stage = Hir; at }
+
+let mir_form cache (hir : Program.t) (mir : M.t) =
+  let walks = Array.make (Array.length hir.Program.trees) M.Loop_walk in
   Array.iter
     (fun (plan : M.group_plan) ->
       Array.iter
         (fun pos -> walks.(pos) <- plan.M.walk)
         plan.M.group.Reorder.positions)
     mir.M.group_plans;
-  walks
+  let at i =
+    match walks.(i) with
+    | M.Loop_walk -> None
+    | walk ->
+      let tiled = hir.Program.trees.(i).Program.tiled in
+      Some (summarize_tiled cache walk tiled, M.walk_tree walk tiled)
+  in
+  { stage = Mir; at }
 
-let check_hir (hir : Program.t) =
-  let cache = new_cache () in
-  let nf = hir.Program.forest.Forest.num_features in
-  let out = ref [] in
-  Array.iteri
-    (fun i (entry : Program.tree_entry) ->
-      let src = hir.Program.forest.Forest.trees.(entry.Program.original_index) in
-      let tiled = entry.Program.tiled in
-      let fs =
-        compare_summaries ~num_features:nf ~pair:(Source, Hir) ~tree:i
-          ~replay:(fun stage row ->
-            match stage with
-            | Source -> Tree.predict src row
-            | _ -> T.walk tiled row)
-          (summarize_source src)
-          (summarize_tiled cache M.Loop_walk tiled)
-      in
-      out := List.rev_append fs !out)
-    hir.Program.trees;
-  List.rev !out
+let lir_form cache (lay : Layout.t) =
+  let at i =
+    Some (summarize_layout_c cache lay ~tree:i, Layout.walk lay ~tree:i)
+  in
+  { stage = Lir; at }
 
-let check_mir (hir : Program.t) (mir : M.t) =
-  let cache = new_cache () in
-  let nf = hir.Program.forest.Forest.num_features in
-  let walks = walks_by_tree mir (Array.length hir.Program.trees) in
-  let out = ref [] in
-  Array.iteri
-    (fun i (entry : Program.tree_entry) ->
-      match walks.(i) with
-      | M.Loop_walk -> ()  (* the generic walk is the HIR semantics *)
-      | walk ->
-        let tiled = entry.Program.tiled in
-        let fs =
-          compare_summaries ~num_features:nf ~pair:(Hir, Mir) ~tree:i
-            ~replay:(fun stage row ->
-              match stage with
-              | Mir -> M.walk_tree walk tiled row
-              | _ -> T.walk tiled row)
-            (summarize_tiled cache M.Loop_walk tiled)
-            (summarize_tiled cache walk tiled)
-        in
-        out := List.rev_append fs !out)
-    hir.Program.trees;
-  List.rev !out
-
-let check_lir (hir : Program.t) (mir : M.t) (lay : Layout.t) =
-  let cache = new_cache () in
-  let nf = hir.Program.forest.Forest.num_features in
-  let walks = walks_by_tree mir (Array.length hir.Program.trees) in
-  let out = ref [] in
-  Array.iteri
-    (fun i (entry : Program.tree_entry) ->
-      let tiled = entry.Program.tiled in
-      let walk = walks.(i) in
-      let fs =
-        compare_summaries ~num_features:nf ~pair:(Mir, Lir) ~tree:i
-          ~replay:(fun stage row ->
-            match stage with
-            | Lir -> Layout.walk lay ~tree:i row
-            | _ -> M.walk_tree walk tiled row)
-          (summarize_tiled cache walk tiled)
-          (summarize_layout_c cache lay ~tree:i)
-      in
-      out := List.rev_append fs !out)
-    hir.Program.trees;
-  List.rev !out
-
-let check_reg (hir : Program.t) (mir : M.t) (lay : Layout.t) =
-  let cache = new_cache () in
-  let nf = hir.Program.forest.Forest.num_features in
+(* Every tree runs its group's single-lane program; [variants] are
+   {!Reg_codegen.all_variants}. *)
+let reg_form cache (hir : Program.t) (mir : M.t) (lay : Layout.t) variants =
+  let num_features = hir.Program.forest.Forest.num_features in
   let lp = lazy (Lower.assemble hir mir lay) in
-  let variants = Reg_codegen.all_variants lay mir in
-  let out = ref [] in
-  Array.iteri
-    (fun gi (plan : M.group_plan) ->
-      match List.assoc_opt gi variants with
-      | None -> ()
-      | Some prog ->
-        Array.iter
-          (fun tree ->
-            let fs =
-              compare_summaries ~num_features:nf ~pair:(Lir, Reg) ~tree
-                ~replay:(fun stage row ->
-                  match stage with
-                  | Reg -> Interp.run_walk prog (Lazy.force lp) ~tree ~row
-                  | _ -> Layout.walk lay ~tree row)
-                (summarize_layout_c cache lay ~tree)
-                (summarize_reg_c cache ~num_features:nf prog lay ~tree)
-            in
-            out := List.rev_append fs !out)
-          plan.M.group.Reorder.positions)
-    mir.M.group_plans;
-  (* Unroll-and-jam: each lane of a jammed variant must be a pure window
-     renaming of the group's single-lane program — then validating the
-     base program (above) validates every lane. *)
+  let progs = Array.make (Array.length hir.Program.trees) None in
   List.iter
+    (fun (gi, prog) ->
+      Array.iter
+        (fun pos -> progs.(pos) <- Some prog)
+        mir.M.group_plans.(gi).M.group.Reorder.positions)
+    variants;
+  let at tree =
+    Option.map
+      (fun prog ->
+        ( summarize_reg cache ~num_features prog lay ~tree,
+          fun row -> Interp.run_walk prog (Lazy.force lp) ~tree ~row ))
+      progs.(tree)
+  in
+  { stage = Reg; at }
+
+(* One pass over the trees: the source is summarized once per tree, each
+   form once, against one decision-structure memo. Findings come out
+   form by form, in the order [forms] lists them. *)
+let check_forms (hir : Program.t) forms =
+  let cache = new_cache () in
+  let forms = Array.of_list (forms cache) in
+  let out = Array.make (Array.length forms) [] in
+  let forest = hir.Program.forest in
+  let num_features = forest.Forest.num_features in
+  Array.iteri
+    (fun tree (entry : Program.tree_entry) ->
+      let src = forest.Forest.trees.(entry.Program.original_index) in
+      let source = lazy (summarize_source src) in
+      Array.iteri
+        (fun k form ->
+          match form.at tree with
+          | None -> ()
+          | Some (summary, replay) ->
+            let fs =
+              compare_with_source ~num_features ~stage:form.stage ~tree ~src
+                ~replay (Lazy.force source) summary
+            in
+            out.(k) <- List.rev_append fs out.(k))
+        forms)
+    hir.Program.trees;
+  List.concat_map List.rev (Array.to_list out)
+
+(* Unroll-and-jam: each lane of a jammed variant must be a pure window
+   renaming of the group's single-lane program — then validating the
+   base program validates every lane. *)
+let check_jam (lay : Layout.t) (mir : M.t) variants =
+  List.concat_map
     (fun (gi, (p : Reg_ir.walk_program)) ->
-      if p.Reg_ir.lanes > 1 then
-        match List.assoc_opt gi variants with
-        | None -> ()
-        | Some expected ->
-          let collision = (Alias.check p).Alias.diags in
-          for lane = 0 to p.Reg_ir.lanes - 1 do
+      match List.assoc_opt gi variants with
+      | Some expected when p.Reg_ir.lanes > 1 ->
+        let collision = (Alias.check p).Alias.diags in
+        List.filter_map
+          (fun lane ->
             let problem =
               match collision with
               | d :: _ -> Some d.D.message
@@ -972,10 +864,8 @@ let check_reg (hir : Program.t) (mir : M.t) (lay : Layout.t) =
                 if Alias.project p ~lane = expected then None
                 else Some "lane projection is not the group walk program"
             in
-            match problem with
-            | None -> ()
-            | Some msg ->
-              out :=
+            Option.map
+              (fun msg ->
                 {
                   code = "T001";
                   severity = D.Warning;
@@ -988,15 +878,27 @@ let check_reg (hir : Program.t) (mir : M.t) (lay : Layout.t) =
                       "group %d lane %d of the jammed walk is not a window \
                        renaming of the group program: %s"
                       gi lane msg;
-                }
-                :: !out
-          done)
-    (Reg_codegen.jammed_variants lay mir);
-  List.rev !out
+                })
+              problem)
+          (List.init p.Reg_ir.lanes Fun.id)
+      | _ -> [])
+    (Reg_codegen.jammed_variants lay mir)
+
+let check_hir hir = check_forms hir (fun c -> [ hir_form c hir ])
+let check_mir hir mir = check_forms hir (fun c -> [ mir_form c hir mir ])
+let check_lir hir _mir lay = check_forms hir (fun c -> [ lir_form c lay ])
+
+let check_reg hir mir lay =
+  let variants = Reg_codegen.all_variants lay mir in
+  check_forms hir (fun c -> [ reg_form c hir mir lay variants ])
+  @ check_jam lay mir variants
 
 let check_all hir mir lay =
-  check_hir hir @ check_mir hir mir @ check_lir hir mir lay
-  @ check_reg hir mir lay
+  let variants = Reg_codegen.all_variants lay mir in
+  check_forms hir (fun c ->
+      [ hir_form c hir; mir_form c hir mir; lir_form c lay;
+        reg_form c hir mir lay variants ])
+  @ check_jam lay mir variants
 
 (* The quantized stage pair is concrete, not symbolic: both sides
    quantize rows and thresholds with the same saturating rounding, so

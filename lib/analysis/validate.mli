@@ -2,38 +2,45 @@
 
     Every root-to-leaf path of a decision tree is a conjunction of
     [x_f < t] / [x_f >= t] facts — a {e box} over feature space. This
-    module symbolically executes each compiled form of a tree — the
-    source binary tree, the HIR tiled tree (through the LUT child tables
-    and padding), the MIR walk kinds (peeled / unrolled step contracts),
-    the LIR layout buffers and the register-IR walk programs (including
-    unrolled sparse steps) — into a canonical {e path summary}: the set
-    of [(box, leaf contribution)] pairs the form can produce, plus any
-    {e stuck} regions where execution is undefined (out-of-bounds load,
+    module symbolically executes each compiled form of a tree — the HIR
+    tiled tree (through the LUT child tables and padding), the MIR walk
+    kinds (peeled / unrolled step contracts), the LIR layout buffers and
+    the register-IR walk programs (including unrolled sparse steps) —
+    into a canonical {e path summary}: the set of [(box, leaf
+    contribution)] pairs the form can produce, plus any {e stuck}
+    regions where execution is undefined (out-of-bounds load,
     walk-contract violation, fuel exhaustion on a corrupt layout).
 
-    Summaries are normalized (tightest intervals, unconstrained features
-    omitted, boxes sorted) so two correct lowerings of the same tree
-    produce structurally equal summaries; comparison is then a fast
-    structural check. On inequality the comparer localizes the
-    divergence by box intersection/subtraction, picks a witness row (the
-    midpoint of the disagreeing box) and {e refutes concretely}: both
-    forms are replayed on the witness — {!Tb_model.Tree.predict},
-    {!Tb_hir.Tiled_tree.walk}, {!Tb_mir.Mir.walk_tree},
-    {!Tb_lir.Layout.walk} and {!Tb_vm.Interp.run_walk} respectively —
-    and only a confirmed divergence is an error ([T004]); everything
-    else stays a warning ([T001]..[T003], see
-    {!Tb_diag.Diagnostic}'s registry).
+    The source tree is the one reference: every form is compared with
+    the summary of the tree it was compiled from. Summaries are
+    normalized (tightest intervals, unconstrained features omitted,
+    boxes sorted), so a correct lowering's summary is structurally equal
+    to its source's and the comparison is a fast structural check.
+    Otherwise the source summary tiles feature space exactly and never
+    gets stuck, so three disagreements remain: leaf values that differ
+    where boxes overlap, source regions the form does not cover, and
+    form regions that get stuck. Each is localized to a box, a witness
+    row (its midpoint) is built, and the divergence is {e refuted
+    concretely}: {!Tb_model.Tree.predict} runs on the source side, the
+    form's evaluator ({!Tb_hir.Tiled_tree.walk}, {!Tb_mir.Mir.walk_tree},
+    {!Tb_lir.Layout.walk} or {!Tb_vm.Interp.run_walk}) on the other. Only
+    a confirmed divergence is an error ([T004]); the rest stay warnings
+    ([T001]..[T003], see {!Tb_diag.Diagnostic}'s registry). A form that
+    partitions space differently but computes the same function gets no
+    finding.
 
     Cost: summarization is per-tree (never per-forest-product) and
     linear in the number of source leaves — the LUT child table of each
     tile is first compiled into a reduced decision structure that only
     splits on lanes the table actually consults, so padding lanes and
-    dummy/hop tiles add no paths. Each check call memoizes those
-    structures in an array indexed by shape id, so finding a tile's
-    structure is O(1); inside a slot the row is still checked by
-    physical identity, so a mutated row copy under the same shape id
-    gets its own structure. This keeps the validator cheap enough to run
-    inside {!Tb_core.Passman}'s [Verify_each] mode by default. *)
+    dummy/hop tiles add no paths. Each check call makes one pass over the
+    trees, summarizing the source once and each requested form once, and
+    memoizes those structures in an array indexed by shape id, so
+    finding a tile's structure is O(1); inside a slot the row is still
+    checked by physical identity, so a mutated row copy under the same
+    shape id gets its own structure. This keeps the validator cheap
+    enough to run inside {!Tb_core.Passman}'s [Verify_each] mode by
+    default. *)
 
 type interval = { feature : int; lo : float; hi : float }
 (** Half-open constraint [lo <= x_feature < hi]; [lo] may be
@@ -59,25 +66,10 @@ val summarize_source : Tb_model.Tree.t -> summary
 val summarize_hir : Tb_hir.Tiled_tree.t -> summary
 (** Through the tile shapes' LUT rows; padding tiles add no paths. *)
 
-val summarize_mir : Tb_mir.Mir.walk_kind -> Tb_hir.Tiled_tree.t -> summary
-(** Under the walk kind's step contract: a peeled walk marks leaves
-    shallower than [peel] stuck, an unrolled walk marks any path not
-    ending on a leaf after exactly [depth] tile steps stuck. *)
-
 val summarize_layout : Tb_lir.Layout.t -> tree:int -> summary
 (** Symbolic traversal of the layout buffers, mirroring
     {!Tb_lir.Layout.walk}; bounds-checked, with fuel against cycles in
     corrupt sparse layouts. *)
-
-val summarize_reg :
-  ?num_features:int ->
-  Tb_lir.Reg_ir.walk_program ->
-  Tb_lir.Layout.t ->
-  tree:int ->
-  summary
-(** Symbolic execution of a register-IR walk program (lanes = 1) over
-    the layout buffers, forking at the LUT load on the comparison
-    bitmask. [num_features] enables bounds-checking the row gather. *)
 
 (** {2 Summary utilities} *)
 
@@ -92,13 +84,7 @@ val exact_partition : summary -> bool
 val equal_summaries : summary -> summary -> bool
 (** Structural equality of normalized summaries — the fast path. *)
 
-val coalesce : summary -> summary
-(** Merge adjacent same-value boxes (equal on every other feature,
-    abutting on one) to a fixpoint — canonicalization before slow-path
-    comparison, so partition drift that does not change semantics is not
-    reported. *)
-
-(** {2 Cross-stage comparison} *)
+(** {2 Findings} *)
 
 type stage = Source | Hir | Mir | Lir | Reg | Quant
 
@@ -109,53 +95,47 @@ type finding = {
   severity : Tb_diag.Diagnostic.severity;
   tree : int;  (** execution-order (layout) tree index *)
   pair : stage * stage;
+      (** [(Source, form)] for a per-tree finding: the form that diverged
+          from its source tree *)
   region : box;  (** a disagreeing box *)
   witness : float array option;
       (** concrete row inside [region] (midpoint), when one was built *)
   message : string;
 }
 
-val compare_summaries :
-  num_features:int ->
-  pair:stage * stage ->
-  tree:int ->
-  replay:(stage -> float array -> float) ->
-  summary ->
-  summary ->
-  finding list
-(** Compare two adjacent forms' summaries for one tree. [replay] runs a
-    form concretely on a witness row (it may raise; an exception on one
-    side with a value on the other is a confirmed divergence). Returns
-    [[]] iff the summaries agree (after {!coalesce}), and at most 4
-    findings otherwise. *)
-
 val to_diagnostics : finding list -> Tb_diag.Diagnostic.t list
 
 (** {2 Pipeline checks (what {!Tb_core.Passman} runs)} *)
 
 val check_hir : Tb_hir.Program.t -> finding list
-(** Source ↔ HIR, per tree. *)
+(** Source ↔ HIR tiled trees, per tree. *)
 
 val check_mir : Tb_hir.Program.t -> Tb_mir.Mir.t -> finding list
-(** HIR ↔ MIR (walk-kind semantics), per tree. Expects at least the
-    specialized MIR; interleaving and parallelization do not change walk
-    semantics. *)
+(** Source ↔ MIR walk kinds, per tree; trees on the generic walk are the
+    HIR form and are skipped. Expects at least the specialized MIR;
+    interleaving and parallelization do not change walk kinds. *)
 
 val check_lir :
   Tb_hir.Program.t -> Tb_mir.Mir.t -> Tb_lir.Layout.t -> finding list
-(** MIR ↔ LIR layout buffers, per tree. *)
+(** Source ↔ LIR layout buffers, per tree. The layout walk does not
+    depend on walk kinds, so the MIR argument is unused; it stays so
+    that callers pass every stage check the same [(hir, mir, layout)]
+    as {!check_all}. *)
 
 val check_reg :
   Tb_hir.Program.t -> Tb_mir.Mir.t -> Tb_lir.Layout.t -> finding list
-(** LIR ↔ register-IR walk programs: every tree against its group's
-    program, plus the unroll-and-jam renaming check — each lane of a
-    jammed variant must project (window extraction + rebasing) to
-    exactly the group's single-lane program, so validating the base
-    program validates every lane. *)
+(** Source ↔ register-IR walk programs: every tree against its group's
+    single-lane program, plus the unroll-and-jam renaming check — each
+    lane of a jammed variant must project (window extraction +
+    rebasing) to exactly the group's single-lane program, so validating
+    the base program validates every lane. A lane that does not is a
+    [T001] warning with pair (lir, reg) and tree [-1]. *)
 
 val check_all :
   Tb_hir.Program.t -> Tb_mir.Mir.t -> Tb_lir.Layout.t -> finding list
-(** All four pairs in pipeline order. *)
+(** All four forms in one pass over the trees: the same findings as
+    [check_hir @ check_mir @ check_lir @ check_reg], in that order, with
+    each source tree and each form summarized once. *)
 
 val check_quant :
   ?rows:int ->

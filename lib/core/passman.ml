@@ -85,28 +85,20 @@ let stage r name ?(check = fun _ -> []) pass =
    so a quantized compile that falls back re-assembles the float program
    from the same passes instead of lowering again. *)
 let lower_stages r ~batch_size ?profiles forest schedule =
-  let validate name check =
-    stage r name ignore ~check:(fun () -> Validate.to_diagnostics (check ()))
-  in
   stage r "schedule" ignore ~check:(fun () ->
       Tb_analysis.Hir_check.check_schedule ~batch_size schedule);
   let hir =
     stage r "hir" ~check:Tb_analysis.Hir_check.check_program (fun () ->
         Tb_hir.Program.build ?profiles forest schedule)
   in
-  validate "validate:hir" (fun () -> Validate.check_hir hir);
   let mir_pass name pass m =
     stage r name
       ~check:(Tb_analysis.Mir_check.check ~batch_size hir)
       (fun () -> pass m)
   in
-  let specialized =
+  let mir =
     mir_pass "mir:lower" Mir.lower_of_hir hir
     |> mir_pass "mir:specialize" (Mir.apply_walk_specialization hir)
-  in
-  validate "validate:mir" (fun () -> Validate.check_mir hir specialized);
-  let mir =
-    specialized
     |> mir_pass "mir:interleave" Mir.apply_interleaving
     |> mir_pass "mir:parallelize" Mir.apply_parallelization
   in
@@ -115,12 +107,14 @@ let lower_stages r ~batch_size ?profiles forest schedule =
     stage r "lir:layout" ~check:(Lir_check.check_layout ~num_features)
       (fun () -> Layout.build hir)
   in
-  validate "validate:lir" (fun () -> Validate.check_lir hir mir layout);
   stage r "lir:walks" ignore ~check:(fun () ->
       Lir_check.check_walks
         (Lir_check.env_of_layout ~num_features layout)
         layout mir);
-  validate "validate:reg" (fun () -> Validate.check_reg hir mir layout);
+  (* Interleaving and parallelization do not change walk kinds, so the
+     final MIR validates the specialized walks. *)
+  stage r "validate" ignore ~check:(fun () ->
+      Validate.to_diagnostics (Validate.check_all hir mir layout));
   fun ?quant () ->
     stage r "lir:assemble" (fun () -> Lower.assemble ?quant hir mir layout)
 

@@ -6,17 +6,17 @@
     {!Tb_analysis} verifier for it, and records its wall time, so a fault
     is caught {e at the pass that introduced it} rather than as a wrong
     prediction at inference time. Stages, in order: [schedule]
-    (legality), [hir] (tiling / LUT / padding / groups), [validate:hir]
-    (source ↔ HIR translation validation), [mir:lower],
-    [mir:specialize], [validate:mir] (HIR ↔ walk kinds),
-    [mir:interleave], [mir:parallelize] (loop-nest well-formedness and
-    the row-partition race proof after every MIR pass), [lir:layout]
-    (buffer closure), [validate:lir] (MIR ↔ layout buffers), [lir:walks]
-    (interval dataflow over every walk variant), [validate:reg] (layout ↔
-    register-IR walk programs), [lir:assemble]; then, in {!run},
-    [validate:quant] (quantized tier only), [pack] and [instantiate].
-    The [validate:*] stages refute any divergence with a concrete
-    witness row (the T00x family).
+    (legality), [hir] (tiling / LUT / padding / groups), [mir:lower],
+    [mir:specialize], [mir:interleave], [mir:parallelize] (loop-nest
+    well-formedness and the row-partition race proof after every MIR
+    pass), [lir:layout] (buffer closure), [lir:walks] (interval dataflow
+    over every walk variant), [validate] (translation validation of
+    every compiled form — HIR tiles, MIR walk kinds, layout buffers,
+    register-IR walk programs — against its source tree, in one pass),
+    [lir:assemble]; then, in {!run}, [validate:quant] (quantized tier
+    only), [pack] and [instantiate]. Both validation stages refute any
+    divergence with a concrete witness row (the T00x family); a
+    [validate] finding's pair names the form that diverged.
 
     Compilation fails — [Error report] — at the first stage with an
     [Error]-severity diagnostic; warnings and infos are carried

@@ -209,69 +209,3 @@ let tile_root (it : Itree.t) t tile_id =
   | [ r ] -> r
   | [] -> invalid_arg "Tiling.tile_root: empty or rootless tile"
   | _ -> invalid_arg "Tiling.tile_root: disconnected tile"
-
-let check_valid (it : Itree.t) t =
-  let ( let* ) r f = Result.bind r f in
-  let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  (* Partitioning + leaf separation: every internal node in exactly one
-     tile, no leaf in any tile. *)
-  let* () =
-    let rec check n =
-      if n >= it.Itree.num_nodes then Ok ()
-      else if Itree.is_leaf it n then
-        if t.tile_of_node.(n) <> -1 then fail "leaf %d assigned to a tile" n
-        else check (n + 1)
-      else if t.tile_of_node.(n) < 0 || t.tile_of_node.(n) >= t.num_tiles then
-        fail "internal node %d not in any tile" n
-      else check (n + 1)
-    in
-    check 0
-  in
-  (* Per-tile checks. *)
-  let rec per_tile tid =
-    if tid >= t.num_tiles then Ok ()
-    else begin
-      let nodes = nodes_of_tile t tid in
-      let* () =
-        if nodes = [] then fail "tile %d is empty" tid
-        else if List.length nodes > t.tile_size then
-          fail "tile %d exceeds tile size" tid
-        else Ok ()
-      in
-      (* Connectedness: exactly one node whose parent is outside the tile,
-         and every other node's parent is inside. *)
-      let roots =
-        List.filter
-          (fun n ->
-            let p = it.Itree.parent.(n) in
-            p < 0 || t.tile_of_node.(p) <> tid)
-          nodes
-      in
-      let* () =
-        match roots with
-        | [ _ ] -> Ok ()
-        | _ -> fail "tile %d is not a connected subtree" tid
-      in
-      (* Maximal tiling: an under-full tile must have no internal node as an
-         out-neighbour. *)
-      let* () =
-        if List.length nodes >= t.tile_size then Ok ()
-        else begin
-          let has_internal_out =
-            List.exists
-              (fun n ->
-                List.exists
-                  (fun c ->
-                    (not (Itree.is_leaf it c)) && t.tile_of_node.(c) <> tid)
-                  [ it.Itree.left.(n); it.Itree.right.(n) ])
-              nodes
-          in
-          if has_internal_out then
-            fail "tile %d is under-full but has an internal out-edge" tid
-          else Ok ()
-        end
-      in
-      per_tile (tid + 1)
-    end
-  in
-  per_tile 0

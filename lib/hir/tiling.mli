@@ -50,8 +50,3 @@ val nodes_of_tile : t -> int -> int list
 
 val tile_root : Itree.t -> t -> int -> int
 (** The node of the tile closest to the tree root. *)
-
-val check_valid : Itree.t -> t -> (unit, string) result
-(** Verify the four §III-B1 constraints: partitioning, connectedness, leaf
-    separation, and maximal tiling. Returns a description of the first
-    violation found. *)

@@ -629,7 +629,7 @@ let validate t =
       fail "A004" "array layout carries a separate leaf store";
     Array.iteri
       (fun i root ->
-        if root < 0 || root > slots then
+        if root < 0 || root >= slots then
           fail "A004" "tree %d slab base %d out of range" i root)
       lay.Layout.tree_root
   | Layout.Sparse_kind ->

@@ -28,6 +28,9 @@ let arrays_close ?eps a b =
   Array.length a = Array.length b
   && Array.for_all2 (fun x y -> floats_close ?eps x y) a b
 
+let show_diags ds =
+  String.concat "; " (List.map Tb_diag.Diagnostic.to_string ds)
+
 (* QCheck2 generator for a (seed) from which tests derive deterministic
    structures via our own PRNG; shrinking over seeds is meaningless but
    cheap. *)
@@ -47,3 +50,14 @@ let serve_one ?config ?mode ~schedule registry requests =
       requests
   in
   List.assoc 0 fleet.Runtime.shard_results
+
+(* A zoo model from the repository's _models/ cache, or [None] when the
+   cache is absent. Tests run under _build/default/test, so the cache is
+   found by walking up from the working directory. *)
+let cached_model name =
+  List.find_map
+    (fun dir ->
+      let path = Filename.concat dir (name ^ ".json") in
+      if Sys.file_exists path then Some (Tb_model.Serialize.of_file path)
+      else None)
+    [ "_models"; "../_models"; "../../_models"; "../../../_models" ]

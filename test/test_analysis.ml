@@ -85,6 +85,30 @@ let test_passman_default_clean () =
         "mir:parallelize"; "lir:layout"; "lir:walks";
       ]
 
+(* Translation validation is one stage over every compiled form, after
+   the last lowering check. *)
+let test_passman_one_validate_stage () =
+  let rng = Prng.create 13 in
+  let forest = Forest.random ~num_trees:6 ~max_depth:5 ~num_features:5 rng in
+  match Passman.lower forest Schedule.default with
+  | Error report ->
+    Alcotest.failf "pipeline rejected a valid model:\n%s"
+      (Passman.report_to_string report)
+  | Ok (_, report) ->
+    let names = List.map (fun s -> s.Passman.stage) report.Passman.stages in
+    check_int "one validate stage" 1
+      (List.length (List.filter (String.equal "validate") names));
+    List.iter
+      (fun s -> check_bool (s ^ " is gone") false (List.mem s names))
+      [ "validate:hir"; "validate:mir"; "validate:lir"; "validate:reg" ];
+    let rec after = function
+      | "lir:walks" :: next :: _ -> Some next
+      | _ :: rest -> after rest
+      | [] -> None
+    in
+    Alcotest.(check (option string)) "validate follows lir:walks"
+      (Some "validate") (after names)
+
 let test_passman_matches_unverified_lower () =
   let rng = Prng.create 12 in
   let forest = Forest.random ~num_trees:6 ~max_depth:6 ~num_features:5 rng in
@@ -822,6 +846,8 @@ let suite =
     quick "illegal schedule fields -> S00x" test_illegal_schedule_fields;
     quick "pass manager stops at an illegal schedule"
       test_passman_stops_at_bad_schedule;
+    quick "pass manager runs one validate stage after lir:walks"
+      test_passman_one_validate_stage;
     quick "mutation: duplicated group plan -> M001"
       test_mutated_mir_duplicated_group;
     quick "mutation: unrolled walk on non-uniform group -> M002"

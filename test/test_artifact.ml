@@ -518,6 +518,23 @@ let test_feature_range_mutants () =
   expect_error "float root tile reads feature -1" "A004"
     (Pack.encode (root_feature_mutant "abalone.tbpack" (-1)))
 
+(* An array-layout slab base must name a slot: a root equal to the slot
+   count used to decode and then index out of bounds at the first
+   predict. The mutant re-encodes with a fresh CRC. *)
+let test_array_root_range_mutant () =
+  let rng = Prng.create 9 in
+  let forest = Forest.random ~num_trees:4 ~max_depth:4 ~num_features:5 rng in
+  let pk =
+    Pack.of_lower ~model:"roots" (Lower.lower forest Schedule.scalar_baseline)
+  in
+  let lay = pk.Pack.layout in
+  check_bool "scalar baseline packs an array layout" true
+    (lay.Layout.kind = Layout.Array_kind);
+  let tree_root = Array.copy lay.Layout.tree_root in
+  tree_root.(Array.length tree_root - 1) <- Array.length lay.Layout.shape_ids;
+  expect_error "array root equal to the slot count" "A004"
+    (Pack.encode { pk with Pack.layout = { lay with Layout.tree_root } })
+
 let suite =
   [
     qcheck ~count:60
@@ -539,4 +556,5 @@ let suite =
     quick "golden quantized artifact byte stability"
       test_golden_quant_artifact_byte_stability;
     quick "tile lane outside the row -> A004" test_feature_range_mutants;
+    quick "array root at the slot count -> A004" test_array_root_range_mutant;
   ]

@@ -41,9 +41,9 @@ let dp_valid_property which seed =
     | `Optimal -> Tiling.optimal_probability_based it ~node_probs ~tile_size
     | `Minmax -> Tiling.min_max_depth it ~tile_size
   in
-  match Tiling.check_valid it tiling with
-  | Ok () -> true
-  | Error msg -> QCheck2.Test.fail_reportf "invalid DP tiling: %s" msg
+  match Tb_analysis.Hir_check.check_tiling it tiling with
+  | [] -> true
+  | ds -> QCheck2.Test.fail_reportf "invalid DP tiling: %s" (show_diags ds)
 
 let dp_walk_equivalence_property which seed =
   let rng, tree, it, _, node_probs, tile_size = setup seed in

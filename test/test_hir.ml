@@ -255,9 +255,9 @@ let tiling_valid_property ~probabilistic seed =
     end
     else Tiling.basic it ~tile_size
   in
-  match Tiling.check_valid it tiling with
-  | Ok () -> true
-  | Error msg -> QCheck2.Test.fail_reportf "invalid tiling: %s" msg
+  match Hir_check.check_tiling it tiling with
+  | [] -> true
+  | ds -> QCheck2.Test.fail_reportf "invalid tiling: %s" (show_diags ds)
 
 let test_basic_tiling_tile_size_one () =
   (* Tile size 1 must produce one tile per internal node. *)
@@ -281,9 +281,9 @@ let test_basic_tiling_complete_tree () =
   in
   let it = Itree.of_tree (complete 3) in
   let tiling = Tiling.basic it ~tile_size:3 in
-  (match Tiling.check_valid it tiling with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail m);
+  (match Hir_check.check_tiling it tiling with
+  | [] -> ()
+  | ds -> Alcotest.fail (show_diags ds));
   (* nodes: preorder; root=0, its children are 1 and 8 (left subtree has 7
      nodes: 3 internal + 4 leaves). *)
   check_int "root tile" 0 tiling.Tiling.tile_of_node.(0);
@@ -322,9 +322,9 @@ let test_probability_tiling_prefers_probable () =
   (* leaves left-to-right: 1.0, 2.0, 3.0, 4.0; make leaf 4.0 hot. *)
   let node_probs = Itree.node_probs it ~leaf_probs:[| 0.05; 0.05; 0.05; 0.85 |] in
   let tiling = Tiling.probability_based it ~node_probs ~tile_size:2 in
-  (match Tiling.check_valid it tiling with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail m);
+  (match Hir_check.check_tiling it tiling with
+  | [] -> ()
+  | ds -> Alcotest.fail (show_diags ds));
   (* preorder ids: 0 root, 1 leaf, 2 node, 3 leaf, 4 node, 5/6 leaves *)
   check_int "root and hot child share tile" tiling.Tiling.tile_of_node.(0)
     tiling.Tiling.tile_of_node.(2)

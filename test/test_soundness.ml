@@ -374,6 +374,88 @@ let test_miscompile_wrong_leaf_constant () =
   Alcotest.(check bool) "a wrong-leaf-constant mutant was caught with T004" true
     !found
 
+(* (e) One peel step too many: the peeled walk steps onto a leaf without
+   a check. The MIR form gets stuck where its source tree has a leaf, and
+   the witness's MIR replay breaks the walk contract. *)
+let test_miscompile_overdeep_peel () =
+  match cached_model "abalone" with
+  | None -> print_endline "skipped: abalone is not in the model cache"
+  | Some forest ->
+    let schedule =
+      { Schedule.default with Schedule.pad_and_unroll = false; peel = true }
+    in
+    let lp = Lower.lower forest schedule in
+    let plans = Array.copy lp.Lower.mir.Mir.group_plans in
+    let g, peel =
+      match
+        Array.find_mapi
+          (fun g (p : Mir.group_plan) ->
+            match p.Mir.walk with
+            | Mir.Peeled_walk { peel } -> Some (g, peel)
+            | _ -> None)
+          plans
+      with
+      | Some found -> found
+      | None -> Alcotest.fail "abalone lowered without a peeled walk"
+    in
+    let walk = Mir.Peeled_walk { peel = peel + 1 } in
+    plans.(g) <- { (plans.(g)) with Mir.walk };
+    let hir = lp.Lower.hir in
+    let fs =
+      Validate.check_mir hir { lp.Lower.mir with Mir.group_plans = plans }
+    in
+    check_bool "every finding is paired with the source" true
+      (List.for_all
+         (fun f -> f.Validate.pair = (Validate.Source, Validate.Mir))
+         fs);
+    match find_t004 fs with
+    | None -> Alcotest.fail "an over-deep peel was not caught with T004"
+    | Some f ->
+      check_bool "the finding's tree runs the mutated walk" true
+        (Array.mem f.Validate.tree
+           plans.(g).Mir.group.Tb_hir.Reorder.positions);
+      let row = Option.get f.Validate.witness in
+      let tiled = hir.Program.trees.(f.Validate.tree).Program.tiled in
+      (match Mir.walk_tree walk tiled row with
+      | exception Mir.Walk_contract _ -> ()
+      | v ->
+        Alcotest.failf
+          "MIR replay returned %g instead of breaking the walk contract" v)
+
+(* (f) A wrong constant in the layout's leaf store: both forms that read
+   it, the layout walk and the register program, diverge from the
+   source; the HIR and MIR forms do not read it and stay clean. *)
+let test_miscompile_layout_leaf_forms () =
+  match cached_model "abalone" with
+  | None -> print_endline "skipped: abalone is not in the model cache"
+  | Some forest ->
+    let lp = Lower.lower forest Schedule.default in
+    let lay = lp.Lower.layout in
+    let leaf_values = Array.copy lay.Layout.leaf_values in
+    leaf_values.(0) <- leaf_values.(0) +. 1.0;
+    let mutant = { lay with Layout.leaf_values } in
+    let fs = Validate.check_all lp.Lower.hir lp.Lower.mir mutant in
+    let codes stage =
+      List.filter_map
+        (fun f ->
+          if f.Validate.pair = (Validate.Source, stage) then
+            Some f.Validate.code
+          else None)
+        fs
+    in
+    let show stage = String.concat "," (codes stage) in
+    check_string "hir findings" "" (show Validate.Hir);
+    check_string "mir findings" "" (show Validate.Mir);
+    check_string "lir findings" "T004" (show Validate.Lir);
+    check_string "reg findings" "T004" (show Validate.Reg);
+    check_int "no other findings" 2 (List.length fs);
+    List.iter
+      (fun f ->
+        if f.Validate.pair = (Validate.Source, Validate.Reg) then
+          confirm_with_interp "layout leaf constant"
+            (Lower.assemble lp.Lower.hir lp.Lower.mir mutant) f)
+      fs
+
 let suite =
   [
     qcheck ~count:150
@@ -393,4 +475,8 @@ let suite =
       test_miscompile_swapped_lut_entries;
     quick "miscompile: wrong leaf constant -> T004 + Interp-confirmed witness"
       test_miscompile_wrong_leaf_constant;
+    quick "miscompile: over-deep peel -> T004 (source, mir), walk contract"
+      test_miscompile_overdeep_peel;
+    quick "miscompile: layout leaf constant -> T004 on lir and reg only"
+      test_miscompile_layout_leaf_forms;
   ]
