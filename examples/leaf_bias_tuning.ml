@@ -56,22 +56,13 @@ let () =
      objective probability tiling minimizes. *)
   let rows = test.Dataset.features in
   let mean_steps compiled =
-    let lowered = compiled.Treebeard.lowered in
-    let total = ref 0 in
-    let walks = ref 0 in
-    Array.iteri
-      (fun tree _ ->
-        Array.iter
-          (fun row ->
-            let steps = ref 0 in
-            ignore
-              (Tb_lir.Layout.walk_with_trace lowered.Tb_lir.Lower.layout ~tree row
-                 ~on_slot:(fun _ -> incr steps));
-            total := !total + !steps;
-            incr walks)
-          (Array.sub rows 0 64))
-      lowered.Tb_lir.Lower.tree_class;
-    float_of_int !total /. float_of_int !walks
+    let w =
+      Tb_cpu.Profiler.profile ~target:Config.intel_rocket_lake
+        compiled.Treebeard.lowered (Array.sub rows 0 64)
+    in
+    let module C = Tb_cpu.Cost_model in
+    float_of_int (w.C.steps_checked + w.C.steps_unchecked)
+    /. float_of_int (w.C.walks_checked + w.C.walks_unrolled)
   in
   Printf.printf "mean tile steps per walk: basic %.2f, probability-based %.2f\n"
     (mean_steps basic) (mean_steps prob);

@@ -272,14 +272,13 @@ let comparison_bits t slot row =
   done;
   !bits
 
-let walk_with_trace t ~tree row ~on_slot =
+let walk t ~tree row =
   match t.kind with
   | Array_kind ->
     let fanout = t.tile_size + 1 in
     let base = t.tree_root.(tree) in
     let rec go local =
       let s = base + local in
-      on_slot s;
       let sid = t.shape_ids.(s) in
       if sid = leaf_marker then t.thresholds.(s * t.tile_size)
       else begin
@@ -294,7 +293,6 @@ let walk_with_trace t ~tree row ~on_slot =
     if r < 0 then t.leaf_values.(-r - 1)
     else begin
       let rec go s =
-        on_slot s;
         let bits = comparison_bits t s row in
         let c = t.lut.(t.shape_ids.(s)).(bits) in
         let p = t.child_ptr.(s) in
@@ -302,8 +300,6 @@ let walk_with_trace t ~tree row ~on_slot =
       in
       go r
     end
-
-let walk t ~tree row = walk_with_trace t ~tree row ~on_slot:ignore
 
 (* ------------------------------------------------------------------ *)
 (* Stride facts                                                        *)
@@ -389,28 +385,18 @@ let quantize_threshold (q : qspec) ~feature x =
 let quantize_leaf (q : qspec) v =
   float_of_int (quantize_scaled ~q_max:q.q_max (v *. pow2 q.leaf_exp))
 
-let quantize_row (q : qspec) row =
-  Array.mapi
-    (fun f x ->
-      match if f < Array.length q.feature_exp then q.feature_exp.(f) else None with
-      | None -> 0.0
-      | Some e -> float_of_int (quantize_scaled ~q_max:q.q_max (x *. pow2 e)))
-    row
-
 let dequant_scale (q : qspec) = pow2 (-q.leaf_exp)
 
-let quantize_leaf_int (q : qspec) v =
-  quantize_scaled ~q_max:q.q_max (v *. pow2 q.leaf_exp)
-
-(* Per-batch row quantization is on the fast path's critical path (it
-   runs once per row per predict call), so the per-feature 2^e scales
-   are hoisted out of the loop — [ldexp] per element costs as much as a
-   tile step on wide-feature models. Unused features keep scale 0, which
+(* Row quantization is on the quantized tier's critical path (it runs
+   once per row per predict call), so the per-feature 2^e scales are
+   hoisted out of the loop — [ldexp] per element costs as much as a tile
+   step on wide-feature models. Unused features keep scale 0, which
    doubles as the None marker ([pow2] never returns 0). The row is filled
-   by a plain loop around the inlined [quantize_scaled], so no scaled
-   feature is boxed: a closure per element ([Array.init]) or an
-   out-of-line call that takes the float would box one per feature. *)
-let row_quantizer (q : qspec) =
+   by a plain loop around the inlined [quantize_scaled] into a flat float
+   array, so no scaled feature is boxed: a closure per element
+   ([Array.init]) or an out-of-line call that takes the float would box
+   one per feature. *)
+let quantize_row (q : qspec) =
   let nf = Array.length q.feature_exp in
   let scale = Array.make nf 0.0 in
   Array.iteri
@@ -418,10 +404,11 @@ let row_quantizer (q : qspec) =
     q.feature_exp;
   let q_max = q.q_max in
   fun (row : float array) ->
-    let qrow = Array.make nf 0 in
+    let qrow = Array.make nf 0.0 in
     for f = 0 to nf - 1 do
       let s = Array.unsafe_get scale f in
-      if s <> 0.0 then Array.unsafe_set qrow f (quantize_scaled ~q_max (row.(f) *. s))
+      if s <> 0.0 then
+        Array.unsafe_set qrow f (float_of_int (quantize_scaled ~q_max (row.(f) *. s)))
     done;
     qrow
 
@@ -444,67 +431,6 @@ let quantize (q : qspec) t =
     t.shape_ids;
   let leaf_values = Array.map (quantize_leaf q) t.leaf_values in
   { t with thresholds; leaf_values; quant = Some q }
-
-(* ------------------------------------------------------------------ *)
-(* Narrow buffers (the materialized int8/int16 execution form)         *)
-(* ------------------------------------------------------------------ *)
-
-(* The quantized float-trick buffers above stay authoritative — they are
-   what [walk] (the reference semantics), the interpreter and the Pack
-   wire format consume. The narrow form re-expresses them for the JIT's
-   integer kernels: thresholds and leaves in int16 Bigarrays (a quarter
-   of the float64 buffers' value traffic), quantized rows as int arrays.
-   int8 plans use the same int16 lanes — every int8 value and the int8
-   sentinel below fit — so one kernel family serves both widths. The
-   only values a narrow element cannot carry are the ±inf routing
-   markers, so those are re-encoded exactly:
-
-   - [-inf] lanes (never true) store [-q_max - 1], the smallest value a
-     quantized row can take — [qrow < -q_max - 1] is false for every
-     row, just like [qrow < -inf]. A genuinely saturated threshold at
-     [-q_max - 1] already compares false against every row in the float
-     domain too, so the merge is lossless.
-   - [+inf] lanes (always true) also store [-q_max - 1] (contributing a
-     0 bit) and set their lane's bit in the slot's [always] mask, which
-     the narrow comparison ORs in. *)
-
-type narrow16 = (int, Bigarray.int16_signed_elt, Bigarray.c_layout) Bigarray.Array1.t
-type narrow = { thr : narrow16; leaves : narrow16; always : int array }
-
-let narrow t =
-  match t.quant with
-  | None -> invalid_arg "Layout.narrow: float layout has no narrow form"
-  | Some q ->
-    let nt = t.tile_size in
-    let slots = Array.length t.shape_ids in
-    let always = Array.make slots 0 in
-    let never = -q.q_max - 1 in
-    let thr_i = Array.make (Array.length t.thresholds) 0 in
-    Array.iteri
-      (fun s sid ->
-        if sid = leaf_marker then
-          (* Array-layout leaf slot: the (finite) leaf sits in lane 0. *)
-          thr_i.(s * nt) <- int_of_float t.thresholds.(s * nt)
-        else if sid <> unused_marker then
-          for lane = 0 to nt - 1 do
-            let i = (s * nt) + lane in
-            let x = t.thresholds.(i) in
-            if x = infinity then begin
-              always.(s) <- always.(s) lor (1 lsl (nt - 1 - lane));
-              thr_i.(i) <- never
-            end
-            else if x = neg_infinity then thr_i.(i) <- never
-            else thr_i.(i) <- int_of_float x
-          done)
-      t.shape_ids;
-    let lanes =
-      Bigarray.Array1.of_array Bigarray.int16_signed Bigarray.c_layout
-    in
-    {
-      thr = lanes thr_i;
-      leaves = lanes (Array.map int_of_float t.leaf_values);
-      always;
-    }
 
 (* ------------------------------------------------------------------ *)
 (* Accounting                                                          *)

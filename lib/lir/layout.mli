@@ -27,10 +27,11 @@ type qspec = {
 (** Layout-side mirror of [Tb_analysis.Numeric.plan] (the analysis
     library consumes this one, so the plan's fixed-point parameters are
     replicated here). A quantized layout stores the plan's integers in
-    the existing float buffers: every certified value is far below
-    [2^53], so float compares/adds on them are bit-identical to integer
-    arithmetic and the float walk kernels execute the integer path
-    unchanged. *)
+    the existing float buffers: every certified value, and every partial
+    sum of leaves (below the plan's accumulator bound, [2^31 - 1] at
+    int16), is an integer far below [2^53], so float compares and adds on
+    them are exact. The float walk kernels, fed {!quantize_row} rows,
+    therefore execute the integer path unchanged. *)
 
 type t = {
   kind : kind;
@@ -83,10 +84,6 @@ val comparison_bits : t -> int -> float array -> int
 val walk : t -> tree:int -> float array -> float
 (** Reference traversal over the layout buffers — the semantics the JIT
     backend must reproduce. *)
-
-val walk_with_trace : t -> tree:int -> float array -> on_slot:(int -> unit) -> float
-(** Like {!walk}, reporting each visited slot index (absolute, in slot
-    units) — drives the cache simulator. *)
 
 type stride_facts = {
   lane_stride : int;
@@ -142,25 +139,19 @@ val quantize_leaf : qspec -> float -> float
 (** One leaf value (or the base score) scaled by [2^leaf_exp], as an
     integer-valued float. *)
 
-val quantize_row : qspec -> float array -> float array
-(** Per-feature fixed-point rounding of an input row (0 for unused
-    features), as integer-valued floats — the row form the quantized
-    layout's walks compare against. *)
-
 val dequant_scale : qspec -> float
 (** [2^(-leaf_exp)]: multiply an integer-valued accumulator by this to
     dequantize. Exact (a power of two). *)
 
-val quantize_leaf_int : qspec -> float -> int
-(** {!quantize_leaf} in the integer domain (used for the base score). *)
-
-val row_quantizer : qspec -> float array -> int array
-(** {!quantize_row} in the integer domain, staged: apply to the spec
-    once to hoist the per-feature scales, then per row. Always produces
-    an array of exactly [Array.length feature_exp] elements (the walk
-    kernels index it by model feature, so extra row columns are dropped
-    and a too-short row raises). The batch entry point of the integer
-    fast path. *)
+val quantize_row : qspec -> float array -> float array
+(** Per-feature fixed-point rounding of an input row (0 for unused
+    features, NaN to 0, ±inf saturated), as integer-valued floats — the
+    row form the quantized layout's walks compare against. Staged: apply
+    it to the spec once to hoist the per-feature scales, then to each
+    row; a row allocates its result and boxes nothing. The result has
+    exactly [Array.length feature_exp] elements: the walks index it by
+    model feature, so extra row columns are dropped, and a row too short
+    for a used feature raises [Invalid_argument]. *)
 
 val quantize : qspec -> t -> t
 (** Rewrite thresholds and leaf values to the plan's fixed-point
@@ -169,23 +160,3 @@ val quantize : qspec -> t -> t
     bit-identical to [Tb_analysis.Numeric]'s integer evaluator on
     routing-stable rows. @raise Invalid_argument if already quantized or
     [qbits] is not 8/16. *)
-
-type narrow16 = (int, Bigarray.int16_signed_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-type narrow = { thr : narrow16; leaves : narrow16; always : int array }
-(** Materialized narrow execution form of a quantized layout: thresholds
-    and leaves in int16 lanes (same slot-major indexing as the float
-    buffers) for both plan widths — an int8 plan's values and sentinel
-    fit an int16 lane, so one kernel family walks either — plus a
-    per-slot OR-mask of always-true lanes. The ±inf routing markers the
-    narrow elements cannot carry are re-encoded exactly: -inf lanes
-    store [-q_max - 1] (no quantized row is below it, so the comparison
-    is constantly false, as with -inf), and +inf lanes store the same
-    sentinel but set their bit in [always], which the narrow comparison
-    ORs into the LUT index. *)
-
-val narrow : t -> narrow
-(** Materialize the narrow buffers of a quantized layout — what the
-    JIT's integer kernels walk. Routing and results are bit-identical
-    to {!walk} over the float-trick buffers.
-    @raise Invalid_argument on a float layout. *)

@@ -654,9 +654,9 @@ let validate t =
       if sid >= lut_rows || sid < Layout.unused_marker then
         fail "A004" "slot %d shape id %d out of range" s sid)
     lay.Layout.shape_ids;
-  (* Every tile lane must read inside the row. The integer kernels load
-     the quantized row unchecked, and that row is as long as the plan's
-     feature_exp. *)
+  (* Every tile lane must read inside the row: a quantized row is exactly
+     as long as the plan's feature_exp, so a lane past it would decode
+     cleanly and then raise at the first predict. *)
   let row_len =
     match lay.Layout.quant with
     | Some spec -> Array.length spec.Layout.feature_exp

@@ -1,9 +1,7 @@
 module Layout = Tb_lir.Layout
-module Lower = Tb_lir.Lower
 module Pack = Tb_lir.Pack
 module Mir = Tb_mir.Mir
 module Schedule = Tb_hir.Schedule
-module BA = Bigarray.Array1
 
 type predictor = float array array -> float array array
 
@@ -88,10 +86,11 @@ let step_sparse (lay : Layout.t) s row =
 
 (* A walk returns the index of its leaf value: lane 0 of the leaf slot in
    the threshold buffer (array layout) or the leaf's index in the leaf
-   buffer (sparse layout). [leaf_store] picks the buffer the index is
-   into; the integer tier passes its narrow buffers. *)
-let leaf_store (lay : Layout.t) thr leaves =
-  match lay.Layout.kind with Layout.Array_kind -> thr | Layout.Sparse_kind -> leaves
+   buffer (sparse layout). [leaf_store] is the buffer the index is into. *)
+let leaf_store (lay : Layout.t) =
+  match lay.Layout.kind with
+  | Layout.Array_kind -> lay.Layout.thresholds
+  | Layout.Sparse_kind -> lay.Layout.leaf_values
 
 let rec walk_array_from (lay : Layout.t) base local row =
   let s = base + local in
@@ -366,338 +365,20 @@ let tree_jam_fn (lay : Layout.t) (walk : Mir.walk_kind) roots classes =
     fun cur row o p0 count -> jam_trees_generic lay roots classes cur row o p0 count
 
 (* ------------------------------------------------------------------ *)
-(* Narrow-walk kernels (quantized fast path)                           *)
-(* ------------------------------------------------------------------ *)
-
-(* The quantized walk runs in the integer domain over the layout's
-   materialized narrow buffers ({!Layout.narrow}): quantized rows are
-   int arrays, thresholds and leaves load from int16 Bigarrays, and
-   per-class accumulators are ints. Routing replicates
-   [Layout.comparison_bits] bit for bit — finite thresholds compare as
-   the very integers the float-trick buffers store, +inf marker lanes
-   come from the slot's constant [always] mask, and -inf lanes store
-   the row minimum (constantly false, exactly like comparing against
-   -inf). Integer adds are exact, so tree order is irrelevant and the
-   final dequantize reproduces Lower.reference_qpredict — and hence
-   Numeric.qpredict_raw — bitwise. One kernel family serves int8 and
-   int16 plans alike, because [Layout.narrow] widens int8 plans into the
-   same int16 lanes; a Bigarray load is a single instruction only when
-   the element kind is statically known, so the lanes have one fixed
-   kind. Each kernel mirrors its float counterpart above, and a walk
-   returns the index of its leaf value in [thr] (array layout) or
-   [leaves] (sparse layout). *)
-
-(* The narrow {!tile_child}: the same checked slot loads ([always.(s)],
-   [shape_ids.(s)], [lut.(sid)]) before the same unchecked lane loads.
-   Here the row loads are unchecked too. The row comes from
-   [Layout.row_quantizer], so it is as long as the plan's [feature_exp];
-   [Pack.validate] (A004) rejects a tile lane whose feature id falls
-   outside it, and the lowering only emits feature ids of the model, whose
-   features the plan covers. *)
-let ntile_child (lay : Layout.t) (thr : Layout.narrow16)
-    (always : int array) s (qrow : int array) =
-  let a = always.(s) in
-  let lut_row = lay.Layout.lut.(lay.Layout.shape_ids.(s)) in
-  let feat = lay.Layout.features in
-  let nt = lay.Layout.tile_size in
-  let i = s * nt in
-  if nt = 8 then begin
-    let x0 = Array.unsafe_get qrow (Array.unsafe_get feat i) in
-    let b0 = if x0 < BA.unsafe_get thr i then 1 else 0 in
-    let x1 = Array.unsafe_get qrow (Array.unsafe_get feat (i + 1)) in
-    let b1 = if x1 < BA.unsafe_get thr (i + 1) then 1 else 0 in
-    let x2 = Array.unsafe_get qrow (Array.unsafe_get feat (i + 2)) in
-    let b2 = if x2 < BA.unsafe_get thr (i + 2) then 1 else 0 in
-    let x3 = Array.unsafe_get qrow (Array.unsafe_get feat (i + 3)) in
-    let b3 = if x3 < BA.unsafe_get thr (i + 3) then 1 else 0 in
-    let x4 = Array.unsafe_get qrow (Array.unsafe_get feat (i + 4)) in
-    let b4 = if x4 < BA.unsafe_get thr (i + 4) then 1 else 0 in
-    let x5 = Array.unsafe_get qrow (Array.unsafe_get feat (i + 5)) in
-    let b5 = if x5 < BA.unsafe_get thr (i + 5) then 1 else 0 in
-    let x6 = Array.unsafe_get qrow (Array.unsafe_get feat (i + 6)) in
-    let b6 = if x6 < BA.unsafe_get thr (i + 6) then 1 else 0 in
-    let x7 = Array.unsafe_get qrow (Array.unsafe_get feat (i + 7)) in
-    let b7 = if x7 < BA.unsafe_get thr (i + 7) then 1 else 0 in
-    lut_row.(a lor (b0 lsl 7) lor (b1 lsl 6) lor (b2 lsl 5) lor (b3 lsl 4)
-             lor (b4 lsl 3) lor (b5 lsl 2) lor (b6 lsl 1) lor b7)
-  end
-  else begin
-    let bits = ref a in
-    for lane = 0 to nt - 1 do
-      let x = Array.unsafe_get qrow (Array.unsafe_get feat (i + lane)) in
-      let b = if x < BA.unsafe_get thr (i + lane) then 1 else 0 in
-      bits := !bits lor (b lsl (nt - 1 - lane))
-    done;
-    lut_row.(!bits)
-  end
-
-let nstep_array (lay : Layout.t) thr always base local qrow =
-  (local * (lay.Layout.tile_size + 1))
-  + ntile_child lay thr always (base + local) qrow
-  + 1
-
-let nstep_sparse (lay : Layout.t) thr always s qrow =
-  let c = ntile_child lay thr always s qrow in
-  let p = lay.Layout.child_ptr.(s) in
-  if p >= 0 then p + c else -(-p - 1 + c) - 1
-
-let rec nwalk_array_from (lay : Layout.t) thr always base local qrow =
-  let s = base + local in
-  if lay.Layout.shape_ids.(s) = Layout.leaf_marker then s * lay.Layout.tile_size
-  else
-    let next = nstep_array lay thr always base local qrow in
-    nwalk_array_from lay thr always base next qrow
-
-let nwalk_array_unrolled (lay : Layout.t) thr always base qrow ~depth =
-  let local = ref 0 in
-  for _ = 1 to depth do
-    local := nstep_array lay thr always base !local qrow
-  done;
-  (base + !local) * lay.Layout.tile_size
-
-let nwalk_array_peeled lay thr always base qrow ~peel =
-  let local = ref 0 in
-  for _ = 1 to peel do
-    local := nstep_array lay thr always base !local qrow
-  done;
-  nwalk_array_from lay thr always base !local qrow
-
-let rec nwalk_sparse_from lay thr always s qrow =
-  if s < 0 then -s - 1
-  else nwalk_sparse_from lay thr always (nstep_sparse lay thr always s qrow) qrow
-
-let nwalk_sparse_unrolled lay thr always root qrow ~depth =
-  if root < 0 then -root - 1
-  else begin
-    let s = ref root in
-    for _ = 1 to depth do
-      s := nstep_sparse lay thr always !s qrow
-    done;
-    - !s - 1
-  end
-
-let nwalk_sparse_peeled lay thr always root qrow ~peel =
-  let s = ref root in
-  for _ = 1 to peel do
-    if !s >= 0 then s := nstep_sparse lay thr always !s qrow
-  done;
-  nwalk_sparse_from lay thr always !s qrow
-
-let nwalk_fn (lay : Layout.t) thr always (walk : Mir.walk_kind) tree :
-    int array -> int =
-  let root = lay.Layout.tree_root.(tree) in
-  match (lay.Layout.kind, walk) with
-  | Layout.Array_kind, Mir.Loop_walk ->
-    fun qrow -> nwalk_array_from lay thr always root 0 qrow
-  | Layout.Array_kind, Mir.Unrolled_walk { depth } ->
-    fun qrow -> nwalk_array_unrolled lay thr always root qrow ~depth
-  | Layout.Array_kind, Mir.Peeled_walk { peel } ->
-    fun qrow -> nwalk_array_peeled lay thr always root qrow ~peel
-  | Layout.Sparse_kind, Mir.Loop_walk ->
-    fun qrow -> nwalk_sparse_from lay thr always root qrow
-  | Layout.Sparse_kind, Mir.Unrolled_walk { depth } ->
-    fun qrow -> nwalk_sparse_unrolled lay thr always root qrow ~depth
-  | Layout.Sparse_kind, Mir.Peeled_walk { peel } ->
-    fun qrow -> nwalk_sparse_peeled lay thr always root qrow ~peel
-
-let njam_generic (lay : Layout.t) thr (leaves : Layout.narrow16) always tree
-    (cur : int array) (qrows : int array array) i0 count (out : int array array) cls =
-  let root = lay.Layout.tree_root.(tree) in
-  match lay.Layout.kind with
-  | Layout.Array_kind ->
-    let nt = lay.Layout.tile_size in
-    for j = 0 to count - 1 do
-      cur.(j) <- 0
-    done;
-    let remaining = ref count in
-    while !remaining > 0 do
-      for j = 0 to count - 1 do
-        let local = cur.(j) in
-        if local >= 0 then begin
-          let s = root + local in
-          if lay.Layout.shape_ids.(s) = Layout.leaf_marker then begin
-            let o = out.(i0 + j) in
-            o.(cls) <- o.(cls) + BA.get thr (s * nt);
-            cur.(j) <- -1;
-            decr remaining
-          end
-          else cur.(j) <- nstep_array lay thr always root local qrows.(i0 + j)
-        end
-      done
-    done
-  | Layout.Sparse_kind ->
-    if root < 0 then
-      for j = 0 to count - 1 do
-        let o = out.(i0 + j) in
-        o.(cls) <- o.(cls) + BA.get leaves (-root - 1)
-      done
-    else begin
-      for j = 0 to count - 1 do
-        cur.(j) <- root
-      done;
-      let remaining = ref count in
-      while !remaining > 0 do
-        for j = 0 to count - 1 do
-          let s = cur.(j) in
-          if s >= 0 then begin
-            let next = nstep_sparse lay thr always s qrows.(i0 + j) in
-            cur.(j) <- next;
-            if next < 0 then begin
-              let o = out.(i0 + j) in
-              o.(cls) <- o.(cls) + BA.get leaves (-next - 1);
-              decr remaining
-            end
-          end
-        done
-      done
-    end
-
-let njam_unrolled (lay : Layout.t) thr (leaves : Layout.narrow16) always tree
-    (cur : int array) (qrows : int array array) i0 count (out : int array array) cls
-    ~depth =
-  let root = lay.Layout.tree_root.(tree) in
-  match lay.Layout.kind with
-  | Layout.Array_kind ->
-    for j = 0 to count - 1 do
-      cur.(j) <- 0
-    done;
-    for _ = 1 to depth do
-      for j = 0 to count - 1 do
-        cur.(j) <- nstep_array lay thr always root cur.(j) qrows.(i0 + j)
-      done
-    done;
-    for j = 0 to count - 1 do
-      let o = out.(i0 + j) in
-      o.(cls) <- o.(cls) + BA.get thr ((root + cur.(j)) * lay.Layout.tile_size)
-    done
-  | Layout.Sparse_kind ->
-    if root < 0 then
-      for j = 0 to count - 1 do
-        let o = out.(i0 + j) in
-        o.(cls) <- o.(cls) + BA.get leaves (-root - 1)
-      done
-    else begin
-      for j = 0 to count - 1 do
-        cur.(j) <- root
-      done;
-      for _ = 1 to depth do
-        for j = 0 to count - 1 do
-          cur.(j) <- nstep_sparse lay thr always cur.(j) qrows.(i0 + j)
-        done
-      done;
-      for j = 0 to count - 1 do
-        let o = out.(i0 + j) in
-        o.(cls) <- o.(cls) + BA.get leaves (-cur.(j) - 1)
-      done
-    end
-
-let njam_fn lay thr leaves always (walk : Mir.walk_kind) tree =
-  match walk with
-  | Mir.Unrolled_walk { depth } ->
-    fun cur qrows i0 count out cls ->
-      njam_unrolled lay thr leaves always tree cur qrows i0 count out cls ~depth
-  | Mir.Loop_walk | Mir.Peeled_walk _ ->
-    fun cur qrows i0 count out cls ->
-      njam_generic lay thr leaves always tree cur qrows i0 count out cls
-
-let njam_trees_generic (lay : Layout.t) thr (leaves : Layout.narrow16) always
-    (roots : int array) (classes : int array) (cur : int array) (qrow : int array)
-    (o : int array) p0 count =
-  match lay.Layout.kind with
-  | Layout.Array_kind ->
-    let nt = lay.Layout.tile_size in
-    for j = 0 to count - 1 do
-      cur.(j) <- 0
-    done;
-    let remaining = ref count in
-    while !remaining > 0 do
-      for j = 0 to count - 1 do
-        let local = cur.(j) in
-        if local >= 0 then begin
-          let base = roots.(p0 + j) in
-          let s = base + local in
-          if lay.Layout.shape_ids.(s) = Layout.leaf_marker then begin
-            cur.(j) <- -(s * nt) - 1;
-            decr remaining
-          end
-          else cur.(j) <- nstep_array lay thr always base local qrow
-        end
-      done
-    done;
-    for j = 0 to count - 1 do
-      let cls = classes.(p0 + j) in
-      o.(cls) <- o.(cls) + BA.get thr (-cur.(j) - 1)
-    done
-  | Layout.Sparse_kind ->
-    let remaining = ref 0 in
-    for j = 0 to count - 1 do
-      let root = roots.(p0 + j) in
-      cur.(j) <- root;
-      if root >= 0 then incr remaining
-    done;
-    while !remaining > 0 do
-      for j = 0 to count - 1 do
-        let s = cur.(j) in
-        if s >= 0 then begin
-          let next = nstep_sparse lay thr always s qrow in
-          cur.(j) <- next;
-          if next < 0 then decr remaining
-        end
-      done
-    done;
-    for j = 0 to count - 1 do
-      let cls = classes.(p0 + j) in
-      o.(cls) <- o.(cls) + BA.get leaves (-cur.(j) - 1)
-    done
-
-let njam_trees_unrolled (lay : Layout.t) thr (leaves : Layout.narrow16) always
-    (roots : int array) (classes : int array) (cur : int array) (qrow : int array)
-    (o : int array) p0 count ~depth =
-  match lay.Layout.kind with
-  | Layout.Array_kind ->
-    for j = 0 to count - 1 do
-      cur.(j) <- 0
-    done;
-    for _ = 1 to depth do
-      for j = 0 to count - 1 do
-        cur.(j) <- nstep_array lay thr always roots.(p0 + j) cur.(j) qrow
-      done
-    done;
-    for j = 0 to count - 1 do
-      let cls = classes.(p0 + j) in
-      o.(cls) <-
-        o.(cls) + BA.get thr ((roots.(p0 + j) + cur.(j)) * lay.Layout.tile_size)
-    done
-  | Layout.Sparse_kind ->
-    for j = 0 to count - 1 do
-      cur.(j) <- roots.(p0 + j)
-    done;
-    for _ = 1 to depth do
-      for j = 0 to count - 1 do
-        cur.(j) <- nstep_sparse lay thr always cur.(j) qrow
-      done
-    done;
-    for j = 0 to count - 1 do
-      let cls = classes.(p0 + j) in
-      o.(cls) <- o.(cls) + BA.get leaves (-cur.(j) - 1)
-    done
-
-let ntree_jam_fn lay thr leaves always (walk : Mir.walk_kind) roots classes =
-  match walk with
-  | Mir.Unrolled_walk { depth } ->
-    fun cur qrow o p0 count ->
-      njam_trees_unrolled lay thr leaves always roots classes cur qrow o p0 count ~depth
-  | Mir.Loop_walk | Mir.Peeled_walk _ ->
-    fun cur qrow o p0 count ->
-      njam_trees_generic lay thr leaves always roots classes cur qrow o p0 count
-
-(* ------------------------------------------------------------------ *)
 (* Runner assembly                                                     *)
 (* ------------------------------------------------------------------ *)
 
 (* A runner adds the predictions of rows[lo..hi) into out[lo..hi) (same
-   indexing). Both tiers assemble theirs once, at instantiate time, so a
-   call only runs closures over one cursor buffer per row range. *)
+   indexing). It is assembled once, at instantiate time, so a call only
+   runs closures over one cursor buffer per row range. *)
+
+(* One tree's walks over rows[lo..hi), one row at a time. *)
+let per_row (vals : float array) cls walk _cur (rows : float array array)
+    (out : float array array) lo hi =
+  for i = lo to hi - 1 do
+    let o = out.(i) in
+    o.(cls) <- o.(cls) +. vals.(walk rows.(i))
+  done
 
 (* Every tree with its group and output class, in group order — the
    order in which each output cell accumulates its trees. *)
@@ -711,22 +392,24 @@ let trees_in_order (pk : Pack.t) =
 (* The one runner of both tiers. A group interleaved k ways jams k walks
    in lockstep along one of two axes, chosen per row range:
    - row jams (tree-at-a-time): one runner per tree, which walks the rows
-     one by one ([per_row cls walk], over the tier's [walk_of]) or, when
-     k > 1, k rows at a time through the tier's lockstep kernel [jam_of];
+     one by one ([per_row]) or, when k > 1, k rows at a time through the
+     lockstep kernel [jam_fn];
    - tree jams (row-at-a-time): row by row, each group walks its trees k
-     at a time through the tier's [tree_jam_of] kernel, or one by one
-     through the same [per_row] runners when k = 1 (a 1-lane jam costs
-     more than a plain walk).
+     at a time through [tree_jam_fn], or one by one through the same
+     [per_row] runners when k = 1 (a 1-lane jam costs more than a plain
+     walk).
    A range shorter than the widest interleave runs tree jams: its row
    jams would be narrower than the schedule asked for, and a 1-row range
    would walk every tree as one serial chain of dependent loads. So does
-   every range when [row_major] (the float tier's row-at-a-time
-   schedules); every other range runs row jams. Both axes add each
-   output cell's trees in [trees_in_order], so a row's margins do not
-   depend on the range it runs in. Each row-range call allocates the
-   jams' cursor buffer, as long as the widest interleave: ranges may run
-   on different domains at once, so no buffer outlives its call. *)
-let assemble_runner (pk : Pack.t) ~row_major ~per_row ~walk_of ~jam_of ~tree_jam_of =
+   every range when [row_major]; every other range runs row jams. Both
+   axes add each output cell's trees in [trees_in_order], so a row's
+   margins do not depend on the range it runs in. Each row-range call
+   allocates the jams' cursor buffer, as long as the widest interleave:
+   ranges may run on different domains at once, so no buffer outlives
+   its call. *)
+let assemble_runner (pk : Pack.t) ~row_major =
+  let lay = pk.Pack.layout in
+  let vals = leaf_store lay in
   let width =
     Array.fold_left
       (fun w (g : Pack.group) -> max w g.Pack.interleave)
@@ -736,9 +419,9 @@ let assemble_runner (pk : Pack.t) ~row_major ~per_row ~walk_of ~jam_of ~tree_jam
     Array.map
       (fun ((g : Pack.group), tree, cls) ->
         let k = g.Pack.interleave in
-        if k <= 1 then per_row cls (walk_of g.Pack.walk tree)
+        if k <= 1 then per_row vals cls (walk_fn lay g.Pack.walk tree)
         else begin
-          let jam = jam_of g.Pack.walk tree in
+          let jam = jam_fn lay g.Pack.walk tree in
           fun cur rows out lo hi ->
             let i = ref lo in
             while !i < hi do
@@ -756,7 +439,9 @@ let assemble_runner (pk : Pack.t) ~row_major ~per_row ~walk_of ~jam_of ~tree_jam
         let cls = Array.get pk.Pack.tree_class in
         if k <= 1 then begin
           let walks =
-            Array.map (fun tree -> per_row (cls tree) (walk_of g.Pack.walk tree)) pos
+            Array.map
+              (fun tree -> per_row vals (cls tree) (walk_fn lay g.Pack.walk tree))
+              pos
           in
           fun cur rows out i ->
             for t = 0 to Array.length walks - 1 do
@@ -764,8 +449,8 @@ let assemble_runner (pk : Pack.t) ~row_major ~per_row ~walk_of ~jam_of ~tree_jam
             done
         end
         else begin
-          let roots = Array.map (Array.get pk.Pack.layout.Layout.tree_root) pos in
-          let jam = tree_jam_of g.Pack.walk roots (Array.map cls pos) in
+          let roots = Array.map (Array.get lay.Layout.tree_root) pos in
+          let jam = tree_jam_fn lay g.Pack.walk roots (Array.map cls pos) in
           let n = Array.length pos in
           fun cur rows out i ->
             let row = rows.(i) and o = out.(i) in
@@ -791,40 +476,6 @@ let assemble_runner (pk : Pack.t) ~row_major ~per_row ~walk_of ~jam_of ~tree_jam
         row_jams.(t) cur rows out lo hi
       done
 
-let float_per_row (vals : float array) cls walk _cur (rows : float array array)
-    (out : float array array) lo hi =
-  for i = lo to hi - 1 do
-    let o = out.(i) in
-    o.(cls) <- o.(cls) +. vals.(walk rows.(i))
-  done
-
-let int_per_row (vals : Layout.narrow16) cls walk _cur (qrows : int array array)
-    (out : int array array) lo hi =
-  for i = lo to hi - 1 do
-    let o = out.(i) in
-    o.(cls) <- o.(cls) + BA.get vals (walk qrows.(i))
-  done
-
-let float_runner (pk : Pack.t) =
-  let lay = pk.Pack.layout in
-  assemble_runner pk
-    ~row_major:(pk.Pack.loop_order = Schedule.One_row_at_a_time)
-    ~per_row:(float_per_row (leaf_store lay lay.Layout.thresholds lay.Layout.leaf_values))
-    ~walk_of:(walk_fn lay) ~jam_of:(jam_fn lay) ~tree_jam_of:(tree_jam_fn lay)
-
-(* Every tree honors its group's walk kind and interleave. The schedule's
-   loop order is deliberately ignored on ranges as wide as the widest
-   interleave: integer adds are exact, so tree-at-a-time — the
-   cache-friendliest order — is always bitwise-identical. *)
-let quant_runner (pk : Pack.t) =
-  let lay = pk.Pack.layout in
-  let { Layout.thr; leaves; always } = Layout.narrow lay in
-  assemble_runner pk ~row_major:false
-    ~per_row:(int_per_row (leaf_store lay thr leaves))
-    ~walk_of:(nwalk_fn lay thr always)
-    ~jam_of:(njam_fn lay thr leaves always)
-    ~tree_jam_of:(ntree_jam_fn lay thr leaves always)
-
 (* ------------------------------------------------------------------ *)
 (* Drivers                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -849,35 +500,40 @@ let instantiate_with ~threads (pk : Pack.t) =
   let m = pk.Pack.num_outputs in
   match pk.Pack.layout.Layout.quant with
   | None ->
-    let run = float_runner pk in
+    let run =
+      assemble_runner pk ~row_major:(pk.Pack.loop_order = Schedule.One_row_at_a_time)
+    in
     let base = pk.Pack.base_score in
     fun rows ->
       let out = Array.init (Array.length rows) (fun _ -> Array.make m base) in
       parallel_run ~threads run rows out;
       out
   | Some q ->
-    (* Integer fast path: quantize the batch into int rows once, walk
-       the narrow buffers accumulating int sums from the quantized base
-       score, then dequantize exactly. Must equal Lower.reference_qpredict — and
-       hence Numeric.qpredict_raw — bit for bit: routing matches the
-       float-trick buffers comparison for comparison, and both sides'
-       sums are the same integers far below 2^53. *)
-    let run = quant_runner pk in
-    let quantize_row = Layout.row_quantizer q in
-    let qbase = Layout.quantize_leaf_int q pk.Pack.base_score in
+    (* The integer tier runs the float kernels over the quantized
+       layout's integer-valued float buffers: quantize each row once,
+       accumulate from the quantized base score, then dequantize in
+       place. Every certified partial sum is an integer below the plan's
+       accumulator bound, so each float add is exact and the result
+       equals Lower.reference_qpredict — and hence
+       Numeric.qpredict_raw — bit for bit. Exact sums make every
+       accumulation order bitwise-identical, so ranges as wide as the
+       widest interleave run tree-at-a-time, the cache-friendliest order,
+       whatever the schedule's loop order. *)
+    let run = assemble_runner pk ~row_major:false in
+    let quantize_row = Layout.quantize_row q in
+    let qbase = Layout.quantize_leaf q pk.Pack.base_score in
     let scale = Layout.dequant_scale q in
     fun rows ->
       let qrows = Array.map quantize_row rows in
-      let acc = Array.init (Array.length rows) (fun _ -> Array.make m qbase) in
-      parallel_run ~threads run qrows acc;
-      Array.map
-        (fun (a : int array) ->
-          let o = Array.make m 0.0 in
+      let out = Array.init (Array.length rows) (fun _ -> Array.make m qbase) in
+      parallel_run ~threads run qrows out;
+      Array.iter
+        (fun (o : float array) ->
           for c = 0 to m - 1 do
-            o.(c) <- float_of_int a.(c) *. scale
-          done;
-          o)
-        acc
+            o.(c) <- o.(c) *. scale
+          done)
+        out;
+      out
 
 let instantiate_single_thread (pk : Pack.t) = instantiate_with ~threads:1 pk
 let instantiate (pk : Pack.t) = instantiate_with ~threads:pk.Pack.num_threads pk

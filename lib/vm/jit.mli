@@ -39,14 +39,17 @@ type predictor = float array array -> float array array
 val instantiate : Tb_lir.Pack.t -> predictor
 (** Closure instantiation: build the specialized predictor from a packed
     artifact — the cheap half of a compile, run on registry disk hits.
-    The whole closure graph is built here, for both the float and the
-    integer tier: a row-jam runner per tree and a tree-jam runner per
-    group, each with its walk kind and interleave resolved. A call runs
+    The whole closure graph is built here: a row-jam runner per tree and
+    a tree-jam runner per group, each with its walk kind and interleave
+    resolved. Both tiers run the same kernels; the integer tier runs them
+    over the quantized layout's integer-valued float buffers. A call runs
     those closures and performs no compilation work. It allocates its
-    outputs (on the integer tier also the quantized rows and their
-    integer sums) and one cursor buffer per row range, and nothing per
-    tree: walks return leaf indices rather than boxed floats, and every
-    jam, on either axis, shares the range's buffer. *)
+    outputs (on the integer tier also one quantized copy of each row,
+    from {!Tb_lir.Layout.quantize_row}; its sums accumulate in the
+    outputs, which are dequantized in place) and one cursor buffer per
+    row range, and nothing per tree: walks return leaf indices rather
+    than boxed floats, and every jam, on either axis, shares the range's
+    buffer. *)
 
 val instantiate_single_thread : Tb_lir.Pack.t -> predictor
 (** Same, ignoring the artifact's thread count (used by benchmarks that

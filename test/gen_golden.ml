@@ -78,8 +78,8 @@ let () =
     Tb_lir.Pack.format_version;
   (* And one golden *quantized* artifact: same model, int16 tier, fixed
      tolerance and resident_k (an inert wire field; the fixture records
-     2) so the quant metadata block and the narrow-layout serialization
-     are pinned too. The plan comes from the
+     2) so the quant metadata block and the quantized layout's
+     integer-valued buffers are pinned too. The plan comes from the
      deterministic certifier, so the fixture is reproducible from the
      model cache alone. *)
   let cert = Tb_analysis.Numeric.certify ~width:Tb_analysis.Numeric.I16 forest in

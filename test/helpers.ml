@@ -51,13 +51,23 @@ let serve_one ?config ?mode ~schedule registry requests =
   in
   List.assoc 0 fleet.Runtime.shard_results
 
-(* A zoo model from the repository's _models/ cache, or [None] when the
-   cache is absent. Tests run under _build/default/test, so the cache is
-   found by walking up from the working directory. *)
+(* The repository's _models/ cache, or [None] when it is absent. Tests
+   run from _build/default/test and a dev shell may run the binary from
+   the repo root, so the cache is found by walking up from the working
+   directory. *)
+let models_dir =
+  List.find_opt
+    (fun d -> Sys.file_exists d && Sys.is_directory d)
+    [ "_models"; "../_models"; "../../_models"; "../../../_models" ]
+
+(* Checked-in fixtures sit next to the binary under dune runtest (cwd
+   _build/default/test), or under test/ when run from the repo root. *)
+let golden_dir = if Sys.file_exists "golden" then "golden" else "test/golden"
+
+(* A zoo model from the _models/ cache, or [None] when the cache or the
+   model's file is absent. *)
 let cached_model name =
-  List.find_map
-    (fun dir ->
+  Option.bind models_dir (fun dir ->
       let path = Filename.concat dir (name ^ ".json") in
       if Sys.file_exists path then Some (Tb_model.Serialize.of_file path)
       else None)
-    [ "_models"; "../_models"; "../../_models"; "../../../_models" ]

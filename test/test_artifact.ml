@@ -386,14 +386,6 @@ let test_wall_cost_split () =
 
 (* ---------------- golden artifact fixture ---------------- *)
 
-let golden_dir =
-  if Sys.file_exists "golden" then "golden" else "test/golden"
-
-let models_dir =
-  List.find_opt
-    (fun d -> Sys.file_exists d && Sys.is_directory d)
-    [ "_models"; "../_models"; "../../_models"; "../../../_models" ]
-
 let test_golden_artifact_byte_stability () =
   let path = Filename.concat golden_dir "abalone.tbpack" in
   let fixture =
@@ -435,10 +427,10 @@ let test_golden_artifact_byte_stability () =
     end
 
 (* The quantized fixture pins the v2 quant metadata block and the
-   narrow-layout serialization the same way the float fixture pins the
-   base format: decode, re-encode byte-identically, and (with the model
-   cache present) reproduce it from scratch through certify -> lower
-   ~quant -> pack. *)
+   quantized layout's integer-valued buffers the same way the float
+   fixture pins the base format: decode, re-encode byte-identically, and
+   (with the model cache present) reproduce it from scratch through
+   certify -> lower ~quant -> pack. *)
 let test_golden_quant_artifact_byte_stability () =
   let path = Filename.concat golden_dir "abalone-int16.tbpack" in
   let fixture =
@@ -490,10 +482,11 @@ let test_golden_quant_artifact_byte_stability () =
         (Bytes.compare fixture (Pack.encode repacked) = 0)
     end
 
-(* Tile lanes that read outside the row. The integer kernels load the
-   quantized row unchecked, so the decoder must reject such a pack rather
-   than instantiate it. Each mutant re-encodes with a fresh CRC, so only
-   the structural check can catch it. *)
+(* Tile lanes that read outside the row. A quantized row is exactly as
+   long as the plan's feature_exp, so such a pack would decode and then
+   fail at its first predict; the decoder must reject it instead. Each
+   mutant re-encodes with a fresh CRC, so only the structural check can
+   catch it. *)
 let root_feature_mutant file f =
   let pk =
     match Artifact.read_file (Filename.concat golden_dir file) with

@@ -22,18 +22,6 @@ let names =
   [ "abalone"; "airline"; "airline-ohe"; "covtype"; "epsilon"; "letter";
     "higgs"; "year" ]
 
-(* Tests run from _build/default/test; a dev shell may run the binary from
-   the repo root. Probe upward for the model cache. *)
-let models_dir =
-  List.find_opt
-    (fun d -> Sys.file_exists d && Sys.is_directory d)
-    [ "_models"; "../_models"; "../../_models"; "../../../_models" ]
-
-(* Fixtures sit next to the binary under dune runtest (cwd
-   _build/default/test), or under test/ when run from the repo root. *)
-let golden_dir =
-  if Sys.file_exists "golden" then "golden" else "test/golden"
-
 let read_file path =
   let ic = open_in_bin path in
   let n = in_channel_length ic in

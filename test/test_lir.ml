@@ -77,21 +77,6 @@ let test_sparse_children_homogeneous () =
       end)
     lay.Layout.shape_ids
 
-let test_layout_walk_trace_counts_depth () =
-  let p = Program.build (random_forest 6) { Schedule.scalar_baseline with tile_size = 2 } in
-  let lay = Layout.build p in
-  let rng = Prng.create 99 in
-  for _ = 1 to 20 do
-    let row = random_row rng 6 in
-    for tree = 0 to lay.Layout.num_trees - 1 do
-      let count = ref 0 in
-      let (_ : float) = Layout.walk_with_trace lay ~tree row ~on_slot:(fun _ -> incr count) in
-      let tiled = p.Program.trees.(tree).Program.tiled in
-      check_bool "trace length within depth bound" true
-        (!count <= Tb_hir.Tiled_tree.depth tiled + 1)
-    done
-  done
-
 let test_array_slab_cap () =
   (* A pathological chain tiled with size 8 would explode the implicit
      array indexing; builder must refuse. *)
@@ -212,7 +197,6 @@ let suite =
     quick "array offsets disjoint" test_array_layout_root_offsets_disjoint;
     quick "sparse single-leaf tree" test_sparse_layout_single_leaf_tree;
     quick "sparse children homogeneous" test_sparse_children_homogeneous;
-    quick "walk trace bounded by depth" test_layout_walk_trace_counts_depth;
     quick "array slab cap" test_array_slab_cap;
     quick "scalar vs vector step ops" test_step_ops_scalar_vs_vector;
     quick "sparse step loads child ptr" test_step_ops_sparse_has_child_ptr;

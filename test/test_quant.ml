@@ -53,14 +53,32 @@ let pack_quant (cert : Numeric.certificate) k =
     tolerance = cert.Numeric.plan.Numeric.tolerance;
   }
 
-(* Ordinary rows plus scaled-up ones that exercise input saturation
-   against the padded (infinite-threshold) dummy lanes. *)
+(* Ordinary rows, scaled-up ones that exercise input saturation against
+   the padded (infinite-threshold) dummy lanes, and non-finite ones: NaN
+   quantizes to 0, and ±inf saturate to the plan's extremes, which must
+   still route against the ±inf threshold markers as the integer
+   evaluator routes them. The non-finite rows draw nothing from [rng], so
+   the models and rows a property samples after them are unchanged. Only
+   the quantized tier has a defined answer on them: on the float tier a
+   NaN or +inf feature fails every [x < t], so a padded walk leaves
+   through its dummy path. *)
 let probe_rows rng num_features =
-  Array.append
-    (random_rows rng num_features 10)
-    (Array.map
-       (Array.map (fun x -> 1e3 *. x))
-       (random_rows rng num_features 2))
+  let rows = random_rows rng num_features 10 in
+  let scaled =
+    Array.map (Array.map (fun x -> 1e3 *. x)) (random_rows rng num_features 2)
+  in
+  let fill v = Array.make num_features v in
+  let mixed =
+    Array.mapi
+      (fun f x ->
+        match f mod 4 with 0 -> nan | 1 -> infinity | 2 -> neg_infinity | _ -> x)
+      rows.(0)
+  in
+  Array.concat
+    [ rows; scaled; [| fill nan; fill infinity; fill neg_infinity; mixed |] ]
+
+let finite_rows rows =
+  List.filter (Array.for_all Float.is_finite) (Array.to_list rows) |> Array.of_list
 
 (* Random model with a *sound* plan — only N001 (overflow) makes the
    quantized execution itself unsound; excess deviation (N003), flip risk
@@ -158,7 +176,7 @@ let test_resident_k_inert () =
   let golden =
     match
       Artifact.read_file
-        (Filename.concat Test_artifact.golden_dir "abalone-int16.tbpack")
+        (Filename.concat golden_dir "abalone-int16.tbpack")
     with
     | Error m -> Alcotest.failf "missing golden quant artifact (%s)" m
     | Ok b -> decode b
@@ -398,7 +416,10 @@ let one_pipeline_property seed =
   let schedule =
     pipeline_schedules.(Prng.int rng (Array.length pipeline_schedules))
   in
-  let rows = probe_rows rng forest.Forest.num_features in
+  (* The float half profiles, compiles and compares on the finite rows;
+     the int16 half checks every probe row. *)
+  let probes = probe_rows rng forest.Forest.num_features in
+  let rows = finite_rows probes in
   let profiles = Tb_model.Model_stats.profile_forest forest rows in
   let plan = `Schedule schedule in
   let fail fmt = QCheck2.Test.fail_reportf fmt in
@@ -436,10 +457,10 @@ let one_pipeline_property seed =
     fail "int16 compile fell back to %s"
       (Treebeard.tier_to_string made.Treebeard.tier);
   let qm = Numeric.quantize cert.Numeric.plan forest in
-  let want = Array.map (Numeric.qpredict_raw qm) rows in
-  if not (same_predictions want (made.Treebeard.predict rows)) then
+  let want = Array.map (Numeric.qpredict_raw qm) probes in
+  if not (same_predictions want (made.Treebeard.predict probes)) then
     fail "int16: make diverged from qpredict_raw";
-  if not (same_predictions want (checked.Passman.predict rows)) then
+  if not (same_predictions want (checked.Passman.predict probes)) then
     fail "int16: Passman.run diverged from qpredict_raw";
   if
     not
