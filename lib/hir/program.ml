@@ -83,15 +83,6 @@ let build ?profiles forest (schedule : Schedule.t) =
   in
   { forest; schedule; trees; groups; lut }
 
-let reference_predict t row =
-  let out = Array.make (Forest.num_outputs t.forest) t.forest.Forest.base_score in
-  Array.iter
-    (fun entry ->
-      let cls = Forest.class_of_tree t.forest entry.original_index in
-      out.(cls) <- out.(cls) +. Tiled_tree.walk entry.tiled row)
-    t.trees;
-  out
-
 let num_leaf_biased t =
   Array.fold_left
     (fun acc e -> if e.used_probability_tiling then acc + 1 else acc)

@@ -37,10 +37,5 @@ val build :
     @raise Invalid_argument if the schedule fails {!Schedule.validate} or
     the profile count mismatches. *)
 
-val reference_predict : t -> float array -> float array
-(** Prediction computed by walking the HIR's tiled trees directly — the
-    semantic anchor lower stages are tested against. Must equal
-    {!Tb_model.Forest.predict_raw} on the source forest. *)
-
 val num_leaf_biased : t -> int
 (** Trees that were tiled with Algorithm 1. *)

@@ -36,14 +36,6 @@ let lower ?profiles ?quant forest schedule =
   let hir = Program.build ?profiles forest schedule in
   assemble ?quant hir (Mir.lower hir) (Layout.build hir)
 
-let reference_predict t row =
-  let out = Array.make t.num_outputs t.base_score in
-  for tree = 0 to t.layout.Layout.num_trees - 1 do
-    let cls = t.tree_class.(tree) in
-    out.(cls) <- out.(cls) +. Layout.walk t.layout ~tree row
-  done;
-  out
-
 (* End-to-end integer fast path over the quantized layout buffers: the
    semantics the quantized JIT must reproduce and the form the
    differential tests pin against [Tb_analysis.Numeric.qpredict_raw].

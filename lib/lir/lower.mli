@@ -34,10 +34,6 @@ val assemble :
     verification between them instead of calling {!Tb_mir.Mir.lower}.
     [?quant] quantizes the supplied (float) layout first. *)
 
-val reference_predict : t -> float array -> float array
-(** Predict by walking the layout directly (no backend) — must equal
-    {!Tb_model.Forest.predict_raw}; the anchor for backend tests. *)
-
 val reference_qpredict : t -> float array -> float array
 (** The quantized analogue over a quantized layout: quantize the row,
     accumulate the integer-valued walk results from the certified base

@@ -33,7 +33,6 @@ type t = {
   walk_depth : int array;
   groups : group array;
   layout : Layout.t;
-  programs : Reg_ir.walk_program array;
   quant : quant option;
 }
 
@@ -56,10 +55,6 @@ let of_lower ?(model = "") ?(target = "") ?(us_per_row = 0.0) ?quant
         })
       mir.Mir.group_plans
   in
-  let variants = Reg_codegen.all_variants lp.Lower.layout mir in
-  let programs =
-    Array.init (Array.length groups) (fun g -> List.assoc g variants)
-  in
   {
     meta = { model; target; schedule = mir.Mir.schedule; us_per_row };
     loop_order = mir.Mir.loop_order;
@@ -70,7 +65,6 @@ let of_lower ?(model = "") ?(target = "") ?(us_per_row = 0.0) ?quant
     walk_depth = Array.copy lp.Lower.walk_depth;
     groups;
     layout = lp.Lower.layout;
-    programs;
     quant;
   }
 
@@ -296,6 +290,15 @@ let w_program b (p : Reg_ir.walk_program) =
   w_i32 b p.Reg_ir.num_vregs;
   w_stmts b p.Reg_ir.body
 
+(* The REG block body: each group's single-lane walk program, derived from
+   the layout and the walk plan rather than stored in [t]. [decode] checks
+   the block against this writer, so it is the block's one definition. *)
+let w_programs b t =
+  w_i32 b (Array.length t.groups);
+  Array.iter
+    (fun g -> w_program b (Reg_codegen.walk_program t.layout g.walk))
+    t.groups
+
 (* Block tags, in required stream order. *)
 let tag_meta = 1
 let tag_plan = 2
@@ -355,8 +358,7 @@ let encode t =
   w_block payload tag_layout b;
   (* REG *)
   let b = Buffer.create 1024 in
-  w_i32 b (Array.length t.programs);
-  Array.iter (w_program b) t.programs;
+  w_programs b t;
   w_block payload tag_reg b;
   (* QUANT — optional trailing block; float packs omit it entirely so
      their encodings stay minimal. *)
@@ -456,6 +458,19 @@ let r_float_array c what =
   need c (8 * n) what;
   r_seq n (fun () -> r_f64 c what)
 
+(* A LUT row, each entry checked as it is read: the entry is the child a
+   tile's comparison outcome selects, one of its at most [nt + 1]
+   children, and anything else walks into another tile's slots. *)
+let r_lut_row c nt =
+  let n = r_len c "LUT row" in
+  need c (4 * n) "LUT row";
+  r_seq n (fun () ->
+      let child = r_i32 c "LUT entry" in
+      if child < 0 || child > nt then
+        fail "A004" "LUT entry %d at offset %d is outside 0..%d" child
+          (c.pos - 4) nt;
+      child)
+
 let r_walk c =
   match r_u8 c "walk kind" with
   | 0 -> Mir.Loop_walk
@@ -475,118 +490,6 @@ let r_kind c what =
   | 0 -> Layout.Array_kind
   | 1 -> Layout.Sparse_kind
   | tag -> fail "A004" "unknown layout-kind tag %d in %s" tag what
-
-let r_buf c =
-  match r_u8 c "buffer" with
-  | 0 -> Reg_ir.Thresholds
-  | 1 -> Reg_ir.Feature_ids
-  | 2 -> Reg_ir.Shape_ids
-  | 3 -> Reg_ir.Child_ptrs
-  | 4 -> Reg_ir.Leaf_values
-  | 5 -> Reg_ir.Lut
-  | 6 -> Reg_ir.Tree_roots
-  | 7 -> Reg_ir.Row
-  | tag -> fail "A004" "unknown buffer tag %d" tag
-
-let r_iexpr c =
-  match r_u8 c "iexpr" with
-  | 0 -> Reg_ir.Iconst (r_i32 c "iconst")
-  | 1 -> Reg_ir.Imov (r_i32 c "imov")
-  | 2 ->
-    let x = r_i32 c "iadd" in
-    Reg_ir.Iadd (x, r_i32 c "iadd")
-  | 3 ->
-    let r = r_i32 c "imul_const" in
-    Reg_ir.Imul_const (r, r_i32 c "imul_const")
-  | 4 ->
-    let r = r_i32 c "iadd_const" in
-    Reg_ir.Iadd_const (r, r_i32 c "iadd_const")
-  | 5 ->
-    let x = r_i32 c "isub" in
-    Reg_ir.Isub (x, r_i32 c "isub")
-  | 6 ->
-    let buf = r_buf c in
-    Reg_ir.Iload (buf, r_i32 c "iload")
-  | 7 -> Reg_ir.Movemask (r_i32 c "movemask")
-  | tag -> fail "A004" "unknown iexpr tag %d" tag
-
-let r_fexpr c =
-  match r_u8 c "fexpr" with
-  | 0 ->
-    let buf = r_buf c in
-    Reg_ir.Fload (buf, r_i32 c "fload")
-  | tag -> fail "A004" "unknown fexpr tag %d" tag
-
-let r_vexpr c =
-  match r_u8 c "vexpr" with
-  | 0 ->
-    let buf = r_buf c in
-    Reg_ir.Vload_f (buf, r_i32 c "vload_f")
-  | 1 ->
-    let buf = r_buf c in
-    Reg_ir.Vload_i (buf, r_i32 c "vload_i")
-  | 2 ->
-    let buf = r_buf c in
-    Reg_ir.Gather (buf, r_i32 c "gather")
-  | 3 ->
-    let x = r_i32 c "vcmp_lt" in
-    Reg_ir.Vcmp_lt (x, r_i32 c "vcmp_lt")
-  | tag -> fail "A004" "unknown vexpr tag %d" tag
-
-let r_cond c =
-  match r_u8 c "cond" with
-  | 0 ->
-    let r = r_i32 c "ige" in
-    Reg_ir.Ige (r, r_i32 c "ige")
-  | 1 ->
-    let buf = r_buf c in
-    let r = r_i32 c "ieq_load" in
-    Reg_ir.Ieq_load (buf, r, r_i32 c "ieq_load")
-  | tag -> fail "A004" "unknown cond tag %d" tag
-
-let rec r_stmt c =
-  match r_u8 c "stmt" with
-  | 0 ->
-    let r = r_i32 c "iset" in
-    Reg_ir.Iset (r, r_iexpr c)
-  | 1 ->
-    let r = r_i32 c "fset" in
-    Reg_ir.Fset (r, r_fexpr c)
-  | 2 ->
-    let r = r_i32 c "vset" in
-    Reg_ir.Vset (r, r_vexpr c)
-  | 3 ->
-    let cond = r_cond c in
-    Reg_ir.While (cond, r_stmts c)
-  | 4 ->
-    let cond = r_cond c in
-    let t = r_stmts c in
-    Reg_ir.If (cond, t, r_stmts c)
-  | 5 ->
-    let n = r_i32 c "repeat" in
-    Reg_ir.Repeat (n, r_stmts c)
-  | tag -> fail "A004" "unknown stmt tag %d" tag
-
-and r_stmts c =
-  let n = r_len c "stmt list" in
-  (* Each stmt is at least 2 bytes, so a hostile count cannot force a
-     huge allocation past what the payload could actually hold. *)
-  need c (2 * n) "stmt list";
-  let acc = ref [] in
-  for _ = 1 to n do
-    acc := r_stmt c :: !acc
-  done;
-  List.rev !acc
-
-let r_program c =
-  let tile_size = r_u8 c "program tile_size" in
-  let layout = r_kind c "program layout" in
-  let lanes = r_i32 c "lanes" in
-  let num_iregs = r_i32 c "num_iregs" in
-  let num_fregs = r_i32 c "num_fregs" in
-  let num_vregs = r_i32 c "num_vregs" in
-  let body = r_stmts c in
-  { Reg_ir.tile_size; layout; body; num_iregs; num_fregs; num_vregs; lanes }
 
 let r_block c tag what =
   let got = r_u8 c (what ^ " block tag") in
@@ -649,11 +552,19 @@ let validate t =
         fail "A004" "LUT row length %d != 2^tile size %d" (Array.length row)
           (1 lsl nt))
     lay.Layout.lut;
-  Array.iteri
-    (fun s sid ->
-      if sid >= lut_rows || sid < Layout.unused_marker then
-        fail "A004" "slot %d shape id %d out of range" s sid)
-    lay.Layout.shape_ids;
+  (* Array slots may carry the leaf and unused markers; every sparse slot
+     is a tile, whose shape id must name a LUT row. *)
+  let min_sid =
+    match lay.Layout.kind with
+    | Layout.Array_kind -> Layout.unused_marker
+    | Layout.Sparse_kind -> 0
+  in
+  let shape_ids = lay.Layout.shape_ids in
+  for s = 0 to slots - 1 do
+    let sid = shape_ids.(s) in
+    if sid >= lut_rows || sid < min_sid then
+      fail "A004" "slot %d shape id %d out of range" s sid
+  done;
   (* Every tile lane must read inside the row: a quantized row is exactly
      as long as the plan's feature_exp, so a lane past it would decode
      cleanly and then raise at the first predict. *)
@@ -665,7 +576,7 @@ let validate t =
   let features = lay.Layout.features in
   for i = 0 to Array.length features - 1 do
     let f = features.(i) in
-    if (f < 0 || f >= row_len) && lay.Layout.shape_ids.(i / nt) >= 0 then
+    if (f < 0 || f >= row_len) && shape_ids.(i / nt) >= 0 then
       fail "A004" "tile slot %d lane %d reads feature %d outside the row" (i / nt)
         (i mod nt) f
   done;
@@ -699,17 +610,6 @@ let validate t =
     (fun tree n ->
       if n <> 1 then fail "A004" "tree %d appears in %d group plans" tree n)
     seen;
-  if Array.length t.programs <> Array.length t.groups then
-    fail "A004" "%d register programs for %d groups"
-      (Array.length t.programs) (Array.length t.groups);
-  Array.iteri
-    (fun g p ->
-      match Reg_ir.check p with
-      | [] -> ()
-      | ds ->
-        fail "A004" "group %d register program fails verification: %s" g
-          (D.to_string (List.hd ds)))
-    t.programs;
   (* Quantized artifacts: the spec must be sane and every stored value
      must actually be one of the plan's integers (as integer-valued
      floats), with infinities kept as always/never-true markers. *)
@@ -740,6 +640,18 @@ let validate t =
     in
     Array.iteri (in_range "threshold") lay.Layout.thresholds;
     Array.iteri (in_range "leaf") lay.Layout.leaf_values
+
+(* The stored REG block must be exactly what [w_programs] writes for the
+   decoded plan. A block that disagrees (tampered, or written by another
+   codegen) makes the artifact a miss, which the registry recompiles. *)
+let check_programs c (len, body_start) t =
+  let b = Buffer.create 1024 in
+  w_programs b t;
+  if Buffer.contents b <> Bytes.sub_string c.buf body_start len then
+    fail "A004"
+      "register programs block (%d bytes) is not the encoding the walk plan \
+       derives (%d bytes)"
+      len (Buffer.length b)
 
 let decode bytes =
   try
@@ -819,7 +731,7 @@ let decode bytes =
     let leaf_values = r_float_array c "leaf_values" in
     let lut_rows = r_len c "LUT row count" in
     need c (4 * lut_rows) "LUT";
-    let lut = r_seq lut_rows (fun () -> r_int_array c "LUT row") in
+    let lut = r_seq lut_rows (fun () -> r_lut_row c tile_size) in
     check_block c blk "layout";
     let layout =
       {
@@ -836,12 +748,10 @@ let decode bytes =
         quant = None;
       }
     in
-    (* REG *)
-    let blk = r_block c tag_reg "reg" in
-    let num_programs = r_len c "program count" in
-    need c (15 * num_programs) "register programs";
-    let programs = r_seq num_programs (fun () -> r_program c) in
-    check_block c blk "reg";
+    (* REG — derived from the layout and the plan, so it is compared with
+       the writer's bytes once they are validated, not parsed. *)
+    let reg = r_block c tag_reg "reg" in
+    c.pos <- c.pos + fst reg;
     (* QUANT — present only for integer-fast-path artifacts. *)
     let layout, quant =
       if c.pos = c.limit then (layout, None)
@@ -882,11 +792,11 @@ let decode bytes =
         walk_depth;
         groups;
         layout;
-        programs;
         quant;
       }
     in
     validate t;
+    check_programs c reg t;
     Ok t
   with
   | Fail e -> Error e
@@ -898,49 +808,3 @@ let decode bytes =
         code = "A004";
         message = Printf.sprintf "malformed artifact: %s" (Printexc.to_string exn);
       }
-
-(* ------------------------------------------------------------------ *)
-(* Equality                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let float_eq a b = Int64.bits_of_float a = Int64.bits_of_float b
-
-let float_array_eq a b =
-  Array.length a = Array.length b && Array.for_all2 float_eq a b
-
-let layout_eq (a : Layout.t) (b : Layout.t) =
-  a.Layout.kind = b.Layout.kind
-  && a.Layout.tile_size = b.Layout.tile_size
-  && a.Layout.num_trees = b.Layout.num_trees
-  && a.Layout.tree_root = b.Layout.tree_root
-  && float_array_eq a.Layout.thresholds b.Layout.thresholds
-  && a.Layout.features = b.Layout.features
-  && a.Layout.shape_ids = b.Layout.shape_ids
-  && a.Layout.child_ptr = b.Layout.child_ptr
-  && float_array_eq a.Layout.leaf_values b.Layout.leaf_values
-  && a.Layout.lut = b.Layout.lut
-  && a.Layout.quant = b.Layout.quant
-
-let equal a b =
-  a.meta.model = b.meta.model
-  && a.meta.target = b.meta.target
-  && a.meta.schedule = b.meta.schedule
-  && float_eq a.meta.us_per_row b.meta.us_per_row
-  && a.loop_order = b.loop_order
-  && a.num_threads = b.num_threads
-  && a.num_outputs = b.num_outputs
-  && float_eq a.base_score b.base_score
-  && a.tree_class = b.tree_class
-  && a.walk_depth = b.walk_depth
-  && a.groups = b.groups
-  && layout_eq a.layout b.layout
-  && a.programs = b.programs
-  && (match (a.quant, b.quant) with
-     | None, None -> true
-     | Some qa, Some qb ->
-       qa.resident_k = qb.resident_k
-       && float_array_eq qa.dev_bound qb.dev_bound
-       && float_eq qa.tolerance qb.tolerance
-     | _ -> false)
-
-let size_bytes t = Bytes.length (encode t)

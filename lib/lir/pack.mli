@@ -2,12 +2,12 @@
 
     A {!t} is everything {!Tb_vm.Jit} needs to build a predictor — the
     {!Layout} buffers, the MIR walk plan (loop order, per-group walk kind /
-    interleave / tree positions), per-tree aggregation classes and the
-    verified {!Reg_ir} walk programs — plus compile-time metadata (model
-    name, canonical schedule, CPU target, the deterministic modeled
-    service time). It deliberately does {e not} carry the HIR or MIR: a
-    pack is the {e result} of lowering, so rehydrating one is a bounded
-    [Bytes] decode followed by closure construction, never a recompile.
+    interleave / tree positions) and per-tree aggregation classes — plus
+    compile-time metadata (model name, canonical schedule, CPU target, the
+    deterministic modeled service time). It deliberately does {e not}
+    carry the HIR or MIR: a pack is the {e result} of lowering, so
+    rehydrating one is a bounded [Bytes] decode followed by closure
+    construction, never a recompile.
 
     The wire format (see DESIGN.md §11) is a 16-byte header — magic
     ["TBPK"], format version, payload length, CRC32 — followed by
@@ -15,6 +15,10 @@
     tables, layout buffers in the order a walk touches them, register
     programs). Floats are stored as their IEEE-754 bit patterns, so a
     decoded artifact's predictions are bitwise-equal to the compiler's.
+    The register-program block is derived: {!encode} writes each group's
+    {!Reg_codegen.walk_program} for the layout and walk plan, and
+    {!decode} checks the stored block against that encoding instead of
+    parsing it. {!encode} is the one definition of the format.
 
     Decoding is total: every failure — wrong magic ([A001]), unsupported
     version ([A002]), checksum mismatch ([A003]), truncation or a
@@ -67,8 +71,6 @@ type t = {
   walk_depth : int array;  (** per layout tree: max tiled walk depth *)
   groups : group array;
   layout : Layout.t;
-  programs : Reg_ir.walk_program array;
-      (** per group: the verified single-lane register-IR walk body *)
   quant : quant option;
       (** [Some _] iff the layout is quantized (enforced by
           {!of_lower}/[validate]) *)
@@ -82,8 +84,7 @@ val of_lower :
   Lower.t ->
   t
 (** Artifact construction: project a lowered program onto its packable
-    form (drop the HIR/MIR, keep the execution plan) and generate the
-    per-group register programs ({!Reg_codegen.all_variants}).
+    form (drop the HIR/MIR, keep the execution plan).
     [?quant] must be given exactly when the lowered layout is quantized.
     @raise Invalid_argument when the quant metadata and the layout
     disagree about the precision tier. *)
@@ -102,18 +103,19 @@ type error = { code : string; message : string }
 val error_to_diagnostic : error -> Tb_diag.Diagnostic.t
 
 val encode : t -> bytes
-(** Serialize. Deterministic: equal packs encode to equal bytes. *)
+(** Serialize. Deterministic, and every field is written (floats as bit
+    patterns), so two packs are equal exactly when their encodings are:
+    compare [encode] bytes to compare packs. *)
 
 val decode : bytes -> (t, error) result
 (** Total inverse of {!encode}: validates magic, version, length and
     checksum before touching the payload, then structurally validates the
-    decoded pack (layout buffer lengths against slot count and kind,
-    group/program consistency, {!Reg_ir.check} register discipline on
-    every walk program). Never raises. *)
-
-val equal : t -> t -> bool
-(** Structural equality, with floats compared bitwise (NaN-safe) — the
-    round-trip property [decode (encode p) = Ok p] is tested with this. *)
+    decoded pack (layout buffer lengths against slot count and kind, root,
+    shape-id, LUT-entry and feature ranges, every tree in exactly one
+    group plan), and finally checks that the register-program block is
+    byte for byte what {!encode} derives from the decoded layout and plan
+    ([A004] otherwise, so artifacts from another codegen are misses).
+    Never raises. *)
 
 val crc32 : bytes -> pos:int -> len:int -> int32
 (** The checksum used by the format (CRC-32/IEEE 802.3, reflected) over
@@ -121,5 +123,3 @@ val crc32 : bytes -> pos:int -> len:int -> int32
     artifacts.
     @raise Invalid_argument if the range is not inside the buffer. *)
 
-val size_bytes : t -> int
-(** Encoded size in bytes (header + all blocks); encodes internally. *)

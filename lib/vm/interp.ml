@@ -189,13 +189,3 @@ let compile ?trace (lp : Lower.t) =
           plans
       done);
     out
-
-let dump_programs (lp : Lower.t) =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun (g, p) ->
-      Buffer.add_string buf (Printf.sprintf "-- group %d --\n" g);
-      Buffer.add_string buf (to_string p);
-      Buffer.add_char buf '\n')
-    (Tb_lir.Reg_codegen.all_variants lp.Lower.layout lp.Lower.mir);
-  Buffer.contents buf

@@ -29,9 +29,5 @@ val run_walk :
   tree:int ->
   row:float array ->
   float
-(** Execute one walk program for one (tree, row) pair — exposed for tests
-    and for single-stepping in the CLI. *)
-
-val dump_programs : Tb_lir.Lower.t -> string
-(** The verified register IR of every walk variant in the compiled program
-    (shown by the CLI's [compile] subcommand). *)
+(** Execute one walk program for one (tree, row) pair — exposed for the
+    translation validator's witness replay and for tests. *)

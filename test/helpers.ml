@@ -28,6 +28,13 @@ let arrays_close ?eps a b =
   Array.length a = Array.length b
   && Array.for_all2 (fun x y -> floats_close ?eps x y) a b
 
+(* Bitwise float equality: tells -0.0 from 0.0, and a NaN equals itself. *)
+let floats_same_bits a b =
+  Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let arrays_same_bits a b =
+  Array.length a = Array.length b && Array.for_all2 floats_same_bits a b
+
 let show_diags ds =
   String.concat "; " (List.map Tb_diag.Diagnostic.to_string ds)
 

@@ -69,7 +69,8 @@ let roundtrip_property seed =
       QCheck2.Test.fail_reportf "valid artifact rejected: [%s] %s" e.Pack.code
         e.Pack.message
   in
-  if not (Pack.equal pk pk') then
+  (* [encode] writes every field, so equal bytes mean an equal pack. *)
+  if not (Bytes.equal bytes (Pack.encode pk')) then
     QCheck2.Test.fail_report "decode (encode pk) <> pk";
   (* The rehydrated layout must still agree with the source HIR/MIR: the
      cross-stage validator finds nothing to complain about. *)
@@ -235,7 +236,7 @@ let fuzz_storm_property seed =
     (* A mutant that still decodes must be byte-identical to the source
        artifact (e.g. a zero-length truncation "window" stomp that wrote
        back the original bytes). *)
-    if not (Pack.equal pk pk') then
+    if not (Bytes.equal good (Pack.encode pk')) then
       QCheck2.Test.fail_report "corrupt artifact decoded to a different pack";
     true
 
@@ -482,20 +483,23 @@ let test_golden_quant_artifact_byte_stability () =
         (Bytes.compare fixture (Pack.encode repacked) = 0)
     end
 
+let golden_bytes file =
+  match Artifact.read_file (Filename.concat golden_dir file) with
+  | Ok b -> b
+  | Error m -> Alcotest.failf "missing golden artifact (%s)" m
+
+let golden_pack file =
+  match Pack.decode (golden_bytes file) with
+  | Ok pk -> pk
+  | Error e -> Alcotest.failf "%s: [%s] %s" file e.Pack.code e.Pack.message
+
 (* Tile lanes that read outside the row. A quantized row is exactly as
    long as the plan's feature_exp, so such a pack would decode and then
    fail at its first predict; the decoder must reject it instead. Each
    mutant re-encodes with a fresh CRC, so only the structural check can
    catch it. *)
 let root_feature_mutant file f =
-  let pk =
-    match Artifact.read_file (Filename.concat golden_dir file) with
-    | Error m -> Alcotest.failf "missing golden artifact (%s)" m
-    | Ok b -> (
-      match Pack.decode b with
-      | Ok pk -> pk
-      | Error e -> Alcotest.failf "%s: [%s] %s" file e.Pack.code e.Pack.message)
-  in
+  let pk = golden_pack file in
   let lay = pk.Pack.layout in
   let nt = lay.Layout.tile_size in
   let root = lay.Layout.tree_root.(0) in
@@ -528,6 +532,49 @@ let test_array_root_range_mutant () =
   expect_error "array root equal to the slot count" "A004"
     (Pack.encode { pk with Pack.layout = { lay with Layout.tree_root } })
 
+(* The register-program block is derived from the layout and the plan. A
+   stored block that disagrees is rejected even when its programs keep
+   register discipline, as one declaring a spare register does. Blocks
+   follow the 16-byte header as tag (u8), length (i32), body; REG is tag
+   5, and its first program's num_iregs follows the program count (i32),
+   tile size (u8), layout kind (u8) and lane count (i32). The CRC is
+   recomputed, so only the decoder's REG check can catch it. *)
+let test_reg_block_mutant () =
+  let b = golden_bytes "abalone.tbpack" in
+  let rec reg_body pos =
+    if Bytes.get_uint8 b pos = 5 then pos + 5
+    else reg_body (pos + 5 + Int32.to_int (Bytes.get_int32_le b (pos + 1)))
+  in
+  let at = reg_body 16 + 10 in
+  let iregs = Int32.to_int (Bytes.get_int32_le b at) in
+  check_int "first program's num_iregs" Tb_lir.Reg_codegen.num_iregs iregs;
+  Bytes.set_int32_le b at (Int32.of_int (iregs + 1));
+  Bytes.set_int32_le b 12 (Pack.crc32 b ~pos:16 ~len:(Bytes.length b - 16));
+  expect_error "REG block with a spare register" "A004" b
+
+(* Layout values the walk indexes by, re-encoded with a fresh CRC. A LUT
+   entry past the tile's children makes abalone's predictor return wrong
+   margins, and a negative sparse shape id makes its first predict index
+   the LUT out of bounds, so the decoder must reject both. *)
+let test_lut_entry_mutant () =
+  let pk = golden_pack "abalone.tbpack" in
+  let lay = pk.Pack.layout in
+  let nt = lay.Layout.tile_size in
+  let lut = Array.copy lay.Layout.lut in
+  lut.(1) <- Array.map (fun c -> if c = 0 then nt + 1 else c) lut.(1);
+  expect_error "LUT row 1's child 0 entries set to tile_size + 1" "A004"
+    (Pack.encode { pk with Pack.layout = { lay with Layout.lut } })
+
+let test_sparse_shape_id_mutant () =
+  let pk = golden_pack "abalone.tbpack" in
+  let lay = pk.Pack.layout in
+  check_bool "abalone's default pack is sparse" true
+    (lay.Layout.kind = Layout.Sparse_kind);
+  let shape_ids = Array.copy lay.Layout.shape_ids in
+  shape_ids.(0) <- -1;
+  expect_error "sparse slot 0 with shape id -1" "A004"
+    (Pack.encode { pk with Pack.layout = { lay with Layout.shape_ids } })
+
 let suite =
   [
     qcheck ~count:60
@@ -550,4 +597,7 @@ let suite =
       test_golden_quant_artifact_byte_stability;
     quick "tile lane outside the row -> A004" test_feature_range_mutants;
     quick "array root at the slot count -> A004" test_array_root_range_mutant;
+    quick "REG block that disagrees with the plan -> A004" test_reg_block_mutant;
+    quick "LUT entry outside 0..tile_size -> A004" test_lut_entry_mutant;
+    quick "negative sparse shape id -> A004" test_sparse_shape_id_mutant;
   ]

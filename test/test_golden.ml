@@ -5,7 +5,8 @@
 
    A fixture stores a row seed (rows regenerate deterministically from our
    own Prng) and the expected margins, printed with %.17g so the round trip
-   is exact; regenerate after an *intended* change with
+   is exact and the JIT must reproduce them bit for bit; regenerate after
+   an *intended* change with
    [dune exec test/gen_golden.exe] from the repo root. The models
    themselves live in the _models/ cache, which dune cannot copy into the
    test sandbox (underscore dirs are invisible to it), so we reach for the
@@ -56,13 +57,14 @@ let test_golden name () =
       in
       let got = jit (Tb_lir.Lower.lower forest Schedule.default) rows in
       check_int "rows" (Array.length want) (Array.length got);
+      let show a =
+        String.concat "," (Array.to_list (Array.map (Printf.sprintf "%.17g") a))
+      in
       Array.iteri
         (fun i w ->
-          if not (arrays_close w got.(i)) then
-            Alcotest.failf "%s row %d: golden %s, got %s" name i
-              (String.concat "," (List.map string_of_float (Array.to_list w)))
-              (String.concat ","
-                 (List.map string_of_float (Array.to_list got.(i)))))
+          if not (arrays_same_bits w got.(i)) then
+            Alcotest.failf "%s row %d: golden %s, got %s" name i (show w)
+              (show got.(i)))
         want;
       (* The reference scalar walk must agree too: a fixture can only go
          stale through a *semantic* change, never a schedule tweak. *)

@@ -570,6 +570,29 @@ let test_reorder_groups_isomorphic () =
 let random_forest rng =
   Forest.random ~num_trees:(3 + Prng.int rng 10) ~max_depth:6 ~num_features:6 rng
 
+(* [program] holds each source tree exactly once, and every tiled tree
+   walks each row to its source tree's leaf value, bit for bit: the
+   translation validator's rule for a compiled form. Each tree's output
+   class follows from its source index, so this also fixes how the trees
+   aggregate. *)
+let trees_match_source (program : Program.t) rows =
+  let sources = program.Program.forest.Forest.trees in
+  let order =
+    Array.map (fun (e : Program.tree_entry) -> e.Program.original_index)
+      program.Program.trees
+  in
+  Array.sort compare order;
+  order = Array.init (Array.length sources) Fun.id
+  && Array.for_all
+    (fun (e : Program.tree_entry) ->
+      let source = sources.(e.Program.original_index) in
+      Array.for_all
+        (fun row ->
+          floats_same_bits (Tiled_tree.walk e.Program.tiled row)
+            (Tree.predict source row))
+        rows)
+    program.Program.trees
+
 let program_equivalence_property seed =
   let rng = Prng.create seed in
   let forest = random_forest rng in
@@ -585,10 +608,7 @@ let program_equivalence_property seed =
   let rows = random_rows rng forest.Forest.num_features 16 in
   let profiles = Model_stats.profile_forest forest rows in
   let program = Program.build ~profiles forest schedule in
-  Array.for_all
-    (fun row ->
-      arrays_close (Forest.predict_raw forest row) (Program.reference_predict program row))
-    rows
+  trees_match_source program rows
   || QCheck2.Test.fail_reportf "program diverges: %s" (Schedule.to_string schedule)
 
 let test_program_multiclass_classes () =
@@ -598,12 +618,7 @@ let test_program_multiclass_classes () =
   let forest = Forest.make ~task:(Forest.Multiclass k) ~num_features:4 trees in
   let program = Program.build forest Schedule.default in
   let rows = random_rows rng 4 20 in
-  Array.iter
-    (fun row ->
-      let a = Forest.predict_raw forest row in
-      let b = Program.reference_predict program row in
-      check_bool "multiclass equal" true (arrays_close a b))
-    rows
+  check_bool "multiclass equal" true (trees_match_source program rows)
 
 let test_schedule_validate () =
   check_bool "default ok" true (Schedule.validate Schedule.default = Ok ());

@@ -168,10 +168,21 @@ let lower_equivalence_property seed =
   in
   let lp = Lower.lower forest schedule in
   let rows = random_rows rng 6 16 in
-  Array.for_all
-    (fun row ->
-      arrays_close (Forest.predict_raw forest row) (Lower.reference_predict lp row))
-    rows
+  (* The layout holds the HIR's trees in its order, and each walks to its
+     source tree's leaf value, bit for bit. *)
+  let hir_trees = lp.Lower.hir.Program.trees in
+  let num_trees = lp.Lower.layout.Layout.num_trees in
+  (num_trees = Array.length hir_trees
+  && Array.for_all
+       (fun row ->
+         Array.for_all
+           (fun tree ->
+             let source = hir_trees.(tree).Program.original_index in
+             floats_same_bits
+               (Layout.walk lp.Lower.layout ~tree row)
+               (Tb_model.Tree.predict forest.Forest.trees.(source) row))
+           (Array.init num_trees Fun.id))
+       rows)
   || QCheck2.Test.fail_reportf "lowered reference diverges: %s"
        (Schedule.to_string schedule)
 

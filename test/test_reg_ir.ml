@@ -140,7 +140,7 @@ let test_pp_contains_vector_mnemonics () =
   let rng = Prng.create 2 in
   let forest = Forest.random ~num_trees:4 ~max_depth:6 ~num_features:5 rng in
   let lp = Lower.lower forest Schedule.default in
-  let s = Interp.dump_programs lp in
+  let s = Lower.dump lp in
   List.iter
     (fun sub -> check_bool sub true (contains s sub))
     [ "vload.f32"; "gather.row"; "vcmp.lt"; "movemask"; "load.LUT"; "walk(sparse" ]
