@@ -1333,7 +1333,8 @@ let validate () =
 
 (* Packed predictor artifacts: what a warm restart actually buys. Per zoo
    model, measure the cold path (lower + pack + instantiate), each codec
-   stage (encode / decode) and the hydrate path (decode + instantiate),
+   stage (encode / decode, and the decode's checksum and layout check)
+   and the hydrate path (decode + instantiate),
    then replay the same comparison through the two-tier registry — one
    process compiles and persists, a second hydrates from the same cache
    directory. Wall-clock, so host-dependent; the *ratio* (hydrate vs
@@ -1364,7 +1365,8 @@ let artifacts () =
   let t =
     Table.create
       [ "model"; "pack KB"; "lower+pack us"; "encode us"; "decode us";
-        "instantiate us"; "cold us"; "hydrate us"; "speedup" ]
+        "crc us"; "check us"; "instantiate us"; "cold us"; "hydrate us";
+        "speedup" ]
   in
   let rows_json = ref [] in
   let speedups = ref [] in
@@ -1384,6 +1386,16 @@ let artifacts () =
             | Ok p -> p
             | Error e -> failwith ("bench artifact rejected: " ^ e.Pack.message))
       in
+      (* The decode split: the checksum and the layout check, the rest
+         being parsing and the plan and REG checks. *)
+      let crc_us, _ =
+        time3 (fun () -> Pack.crc32 bytes ~pos:16 ~len:(Bytes.length bytes - 16))
+      in
+      let check_us, _ =
+        time3 (fun () ->
+            Tb_lir.Layout.check ~num_features:forest.Forest.num_features
+              decoded.Pack.layout)
+      in
       let instantiate_us, predict =
         time3 (fun () -> Jit.instantiate_single_thread decoded)
       in
@@ -1399,6 +1411,8 @@ let artifacts () =
           Printf.sprintf "%.0f" compile_us;
           Printf.sprintf "%.0f" encode_us;
           Printf.sprintf "%.0f" decode_us;
+          Printf.sprintf "%.0f" crc_us;
+          Printf.sprintf "%.0f" check_us;
           Printf.sprintf "%.0f" instantiate_us;
           Printf.sprintf "%.0f" cold_us;
           Printf.sprintf "%.0f" hydrate_us;
@@ -1412,6 +1426,8 @@ let artifacts () =
             ("lower_pack_us", J.Num compile_us);
             ("encode_us", J.Num encode_us);
             ("decode_us", J.Num decode_us);
+            ("crc_us", J.Num crc_us);
+            ("layout_check_us", J.Num check_us);
             ("instantiate_us", J.Num instantiate_us);
             ("cold_compile_us", J.Num cold_us);
             ("hydrate_us", J.Num hydrate_us);

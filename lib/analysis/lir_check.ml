@@ -747,190 +747,6 @@ let analyze_program ?(path = []) env (p : Reg_ir.walk_program) =
 let check_program ?path env p = fst (analyze_program ?path env p)
 
 (* ------------------------------------------------------------------ *)
-(* Layout closure                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let check_layout ~num_features (lay : Layout.t) =
-  let ds = ref [] in
-  let add d = ds := d :: !ds in
-  let err ~code ~path fmt = D.errorf ~level:D.Lir ~code ~path fmt in
-  let nt = lay.Layout.tile_size in
-  let slots = Array.length lay.Layout.shape_ids in
-  let rows = Array.length lay.Layout.lut in
-  if nt < 1 then add (err ~code:"L020" ~path:[] "tile size %d < 1" nt);
-  let lanes_ok =
-    Array.length lay.Layout.thresholds = slots * nt
-    && Array.length lay.Layout.features = slots * nt
-  in
-  if not lanes_ok then
-    add
-      (err ~code:"L020" ~path:[]
-         "slot-major arrays have %d/%d entries, expected %d slots x %d lanes"
-         (Array.length lay.Layout.thresholds)
-         (Array.length lay.Layout.features)
-         slots nt);
-  let cptr_ok =
-    match lay.Layout.kind with
-    | Layout.Sparse_kind -> Array.length lay.Layout.child_ptr = slots
-    | Layout.Array_kind -> true
-  in
-  if not cptr_ok then
-    add
-      (err ~code:"L020" ~path:[]
-         "child-pointer array has %d entries, expected one per slot (%d)"
-         (Array.length lay.Layout.child_ptr)
-         slots);
-  (* LUT rows (L024). *)
-  let width = 1 lsl nt in
-  (* Paths are formatted only for a finding. *)
-  let row_path sid = [ Printf.sprintf "lut row %d" sid ] in
-  let slot_path s = [ Printf.sprintf "slot %d" s ] in
-  let tree_path i = [ Printf.sprintf "tree %d" i ] in
-  Array.iteri
-    (fun sid row ->
-      if Array.length row <> width then
-        add
-          (err ~code:"L024" ~path:(row_path sid)
-             "row has %d entries, expected 2^%d = %d" (Array.length row) nt
-             width)
-      else
-        Array.iteri
-          (fun bits c ->
-            if c < 0 || c > nt then
-              add
-                (err ~code:"L024" ~path:(row_path sid)
-                   "entry for bits %#x is %d, outside the 0..%d child range"
-                   bits c nt))
-          row)
-    lay.Layout.lut;
-  (* Reachable (distinct) child indices per LUT row, clamped to sane
-     values so a corrupt row doesn't crash the closure walk below. *)
-  let children = Layout.lut_children lay in
-  let row_children sid =
-    if sid < 0 || sid >= rows then [] else children.(sid)
-  in
-  let is_tile s =
-    match lay.Layout.kind with
-    | Layout.Array_kind -> lay.Layout.shape_ids.(s) >= 0
-    | Layout.Sparse_kind -> true
-  in
-  (* Per-slot shape ids and feature ids. *)
-  for s = 0 to slots - 1 do
-    let sid = lay.Layout.shape_ids.(s) in
-    (match lay.Layout.kind with
-    | Layout.Array_kind ->
-      if sid < Layout.unused_marker then
-        add
-          (err ~code:"L024" ~path:(slot_path s)
-             "shape id %d is not a valid marker" sid)
-      else if sid >= rows then
-        add
-          (err ~code:"L024" ~path:(slot_path s)
-             "shape id %d references one of %d LUT rows" sid rows)
-    | Layout.Sparse_kind ->
-      if sid < 0 || sid >= rows then
-        add
-          (err ~code:"L024" ~path:(slot_path s)
-             "shape id %d outside the %d LUT rows (sparse slots are always \
-              tiles)"
-             sid rows));
-    if lanes_ok && is_tile s then
-      for lane = 0 to nt - 1 do
-        let f = lay.Layout.features.((s * nt) + lane) in
-        if f < 0 || f >= num_features then
-          add
-            (err ~code:"L021" ~path:(slot_path s)
-               "lane %d reads feature %d outside the model's %d features" lane
-               f num_features)
-      done
-  done;
-  (* Tree roots and successor closure. *)
-  (match lay.Layout.kind with
-  | Layout.Array_kind ->
-    let n_trees = Array.length lay.Layout.tree_root in
-    if n_trees <> lay.Layout.num_trees then
-      add
-        (err ~code:"L022" ~path:[] "%d tree roots for %d trees" n_trees
-           lay.Layout.num_trees);
-    let slab_end i =
-      if i + 1 < n_trees then lay.Layout.tree_root.(i + 1) else slots
-    in
-    for i = 0 to n_trees - 1 do
-      let base = lay.Layout.tree_root.(i) in
-      let stop = slab_end i in
-      if base < 0 || base >= slots || base > stop then
-        add
-          (err ~code:"L022" ~path:(tree_path i)
-             "slab [%d, %d) is not a valid slot range (layout has %d slots)"
-             base stop slots)
-      else begin
-        if lay.Layout.shape_ids.(base) = Layout.unused_marker then
-          add
-            (err ~code:"L022" ~path:(tree_path i)
-               "root slot %d was never allocated" base);
-        for s = base to stop - 1 do
-          let sid = lay.Layout.shape_ids.(s) in
-          if sid >= 0 then begin
-            let local = s - base in
-            List.iter
-              (fun c ->
-                let target = base + (local * (nt + 1)) + c + 1 in
-                if target >= stop then
-                  add
-                    (err ~code:"L020" ~path:(tree_path i @ slot_path s)
-                       "child %d at slot %d escapes the tree's slab [%d, %d)"
-                       c target base stop)
-                else if lay.Layout.shape_ids.(target) = Layout.unused_marker
-                then
-                  add
-                    (err ~code:"L020" ~path:(tree_path i @ slot_path s)
-                       "child %d points to unallocated slot %d" c target))
-              (row_children sid)
-          end
-        done
-      end
-    done
-  | Layout.Sparse_kind ->
-    let num_leaves = Array.length lay.Layout.leaf_values in
-    Array.iteri
-      (fun i r ->
-        if r >= 0 then begin
-          if r >= slots then
-            add
-              (err ~code:"L022" ~path:(tree_path i)
-                 "root slot %d outside the %d slots" r slots)
-        end
-        else if -r - 1 >= num_leaves then
-          add
-            (err ~code:"L022" ~path:(tree_path i)
-               "single-leaf root index %d outside the %d leaf values" (-r - 1)
-               num_leaves))
-      lay.Layout.tree_root;
-    if cptr_ok then
-      for s = 0 to slots - 1 do
-        let cp = lay.Layout.child_ptr.(s) in
-        List.iter
-          (fun c ->
-            if cp >= 0 then begin
-              if cp + c >= slots then
-                add
-                  (err ~code:"L020" ~path:(slot_path s)
-                     "child %d at slot %d outside the %d slots" c (cp + c)
-                     slots)
-            end
-            else begin
-              let leaf = -cp - 1 + c in
-              if leaf >= num_leaves then
-                add
-                  (err ~code:"L023" ~path:(slot_path s)
-                     "child %d reads leaf %d outside the %d leaf values" c leaf
-                     num_leaves)
-            end)
-          (row_children lay.Layout.shape_ids.(s))
-      done);
-  List.rev !ds
-
-(* ------------------------------------------------------------------ *)
 (* Umbrella: layout + every generated walk variant                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -1002,6 +818,8 @@ let check_walks env (lay : Layout.t) (mir : Mir.t) =
              ds
          in
          List.map (reprefix (Printf.sprintf "variant %d" i)) ds)
+
+let check_layout = Layout.check
 
 let check ~num_features (lay : Layout.t) (mir : Mir.t) =
   let env = env_of_layout ~num_features lay in

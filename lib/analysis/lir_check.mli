@@ -25,10 +25,9 @@
     that lane independence was proved.
 
     The accompanying {!check_layout} closure check is the precise
-    complement: it proves, slot by slot, that every LUT-reachable successor
-    of every tile is allocated and in range — which together with the
-    dataflow facts is the actual memory-safety argument for the generated
-    walks. *)
+    complement: it proves, slot by slot, that every walk stays inside its
+    tree's slots and ends — which together with the dataflow facts is the
+    actual memory-safety argument for the generated walks. *)
 
 type interval = { lo : float; hi : float }
 (** Closed interval; either bound may be infinite. *)
@@ -96,11 +95,8 @@ val check_walks :
     are analyzed once and their findings re-prefixed per variant. *)
 
 val check_layout : num_features:int -> Tb_lir.Layout.t -> Tb_diag.Diagnostic.t list
-(** Model-buffer closure: slot-major array sizes and LUT rows well-formed
-    ([L020]/[L024]), tree roots valid ([L022]), every reachable tile
-    successor allocated and inside its slab ([L020]), leaf indices inside
-    the leaf store ([L023]) and stored feature ids within the model
-    ([L021]). *)
+(** {!Tb_lir.Layout.check}, the well-formedness rules ([L020]..[L024])
+    the artifact decoder also enforces. *)
 
 val check :
   num_features:int -> Tb_lir.Layout.t -> Tb_mir.Mir.t ->

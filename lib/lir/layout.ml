@@ -2,6 +2,7 @@ module T = Tb_hir.Tiled_tree
 module Program = Tb_hir.Program
 module Schedule = Tb_hir.Schedule
 module Lut = Tb_hir.Lut
+module D = Tb_diag.Diagnostic
 
 type kind = Array_kind | Sparse_kind
 
@@ -302,6 +303,199 @@ let walk t ~tree row =
     end
 
 (* ------------------------------------------------------------------ *)
+(* Well-formedness                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Per LUT row, the children its entries select as a bitmask: bit c for
+   child c in 0..tile_size, and bit tile_size + 1 when some entry is
+   outside that range. *)
+let child_masks t =
+  let nt = t.tile_size in
+  Array.map
+    (fun row ->
+      let m = ref 0 in
+      for i = 0 to Array.length row - 1 do
+        let c = row.(i) in
+        m := !m lor (if c >= 0 && c <= nt then 1 lsl c else 1 lsl (nt + 1))
+      done;
+      !m)
+    t.lut
+
+let check ~num_features t =
+  let ds = ref [] in
+  let add d = ds := d :: !ds in
+  let err ~code ~path fmt = D.errorf ~level:D.Lir ~code ~path fmt in
+  let nt = t.tile_size in
+  if nt < 1 || nt > 8 then
+    [ err ~code:"L020" ~path:[] "tile size %d outside 1..8" nt ]
+  else begin
+    let sparse = t.kind = Sparse_kind in
+    let roots = t.tree_root and shape_ids = t.shape_ids in
+    let features = t.features and child_ptr = t.child_ptr in
+    let slots = Array.length shape_ids and trees = Array.length roots in
+    let rows = Array.length t.lut and num_leaves = Array.length t.leaf_values in
+    (* Paths are formatted only for a finding. *)
+    let slot_path s = [ Printf.sprintf "slot %d" s ] in
+    let tree_path i = [ Printf.sprintf "tree %d" i ] in
+    let row_path sid = [ Printf.sprintf "lut row %d" sid ] in
+    let lanes_ok =
+      Array.length t.thresholds = slots * nt && Array.length features = slots * nt
+    in
+    if not lanes_ok then
+      add
+        (err ~code:"L020" ~path:[]
+           "slot-major arrays have %d/%d entries, expected %d slots x %d lanes"
+           (Array.length t.thresholds) (Array.length features) slots nt);
+    let cptrs = if sparse then slots else 0 in
+    let cptr_ok = Array.length child_ptr = cptrs in
+    if not cptr_ok then
+      add
+        (err ~code:"L020" ~path:[] "child-pointer array has %d entries, expected %d"
+           (Array.length child_ptr) cptrs);
+    if (not sparse) && num_leaves > 0 then
+      add
+        (err ~code:"L023" ~path:[]
+           "array layout carries %d values in a separate leaf store" num_leaves);
+    if trees <> t.num_trees then
+      add (err ~code:"L022" ~path:[] "%d tree roots for %d trees" trees t.num_trees);
+    let width = 1 lsl nt and masks = child_masks t in
+    Array.iteri
+      (fun sid row ->
+        if Array.length row <> width then
+          add
+            (err ~code:"L024" ~path:(row_path sid)
+               "row has %d entries, expected 2^%d = %d" (Array.length row) nt width)
+        else if masks.(sid) lsr (nt + 1) <> 0 then
+          Array.iteri
+            (fun bits c ->
+              if c < 0 || c > nt then
+                add
+                  (err ~code:"L024" ~path:(row_path sid)
+                     "entry for bits %#x is %d, outside the 0..%d child range" bits
+                     c nt))
+            row)
+      t.lut;
+    (* The highest child each row selects: a sparse child block ends there. *)
+    let top =
+      Array.map
+        (fun m ->
+          let c = ref 0 in
+          for b = 1 to nt do
+            if m land (1 lsl b) <> 0 then c := b
+          done;
+          !c)
+        masks
+    in
+    (* A tree owns the slots from its root (array: slab base) up to the
+       next slot-rooted tree's, so those roots must ascend. *)
+    let ordered = ref true and prev = ref (-1) in
+    for i = 0 to trees - 1 do
+      let r = roots.(i) in
+      if r >= 0 || not sparse then begin
+        if r < 0 || r >= slots then begin
+          ordered := false;
+          add
+            (err ~code:"L022" ~path:(tree_path i) "root slot %d outside the %d slots"
+               r slots)
+        end
+        else if r <= !prev then begin
+          ordered := false;
+          add
+            (err ~code:"L022" ~path:(tree_path i)
+               "root slot %d is not past the previous tree's root %d" r !prev)
+        end
+        else if (not sparse) && shape_ids.(r) = unused_marker then
+          add
+            (err ~code:"L022" ~path:(tree_path i) "root slot %d was never allocated"
+               r);
+        prev := r
+      end
+      else if -r - 1 >= num_leaves then
+        add
+          (err ~code:"L022" ~path:(tree_path i)
+             "single-leaf root index %d outside the %d leaf values" (-r - 1)
+             num_leaves)
+    done;
+    let ordered = !ordered in
+    (* A quantized row has exactly one entry per plan feature. *)
+    let row_len =
+      match t.quant with
+      | Some q -> min num_features (Array.length q.feature_exp)
+      | None -> num_features
+    in
+    let min_sid = if sparse then 0 else unused_marker in
+    let path owner s =
+      if owner >= 0 then tree_path owner @ slot_path s else slot_path s
+    in
+    (* One pass over the slots. With ordered roots, [next] is the first
+       tree rooted past slot [s], so [s] lies in tree [owner]'s slots,
+       which end at [stop]. *)
+    let next = ref 0 and owner = ref (-1) in
+    for s = 0 to slots - 1 do
+      if ordered then
+        while !next < trees && roots.(!next) <= s do
+          if roots.(!next) >= 0 then owner := !next;
+          incr next
+        done;
+      let stop = if ordered && !next < trees then roots.(!next) else slots in
+      let sid = shape_ids.(s) in
+      if sid < min_sid || sid >= rows then
+        add
+          (err ~code:"L024" ~path:(path !owner s)
+             "shape id %d names none of the %d LUT rows%s" sid rows
+             (if sparse then " (sparse slots are always tiles)"
+              else " or the leaf and unused markers"))
+      else if sid >= 0 then begin
+        if lanes_ok then
+          for lane = 0 to nt - 1 do
+            let f = features.((s * nt) + lane) in
+            if f < 0 || f >= row_len then
+              add
+                (err ~code:"L021" ~path:(path !owner s)
+                   "lane %d reads feature %d outside the row's %d features" lane f
+                   row_len)
+          done;
+        let m = masks.(sid) and hi = top.(sid) in
+        if sparse && cptr_ok then begin
+          let cp = child_ptr.(s) in
+          (* Successors strictly past their slot make every walk end. *)
+          if cp >= 0 && cp <= s then
+            add
+              (err ~code:"L020" ~path:(path !owner s)
+                 "child pointer %d does not point past its own slot" cp)
+          else if cp >= 0 && cp >= stop - hi then
+            add
+              (err ~code:"L020" ~path:(path !owner s)
+                 "child %d at slot %d escapes the tree's slots, which end at %d" hi
+                 (cp + hi) stop)
+          else if cp < 0 && -cp - 1 >= num_leaves - hi then
+            add
+              (err ~code:"L023" ~path:(path !owner s)
+                 "child %d reads leaf %d outside the %d leaf values" hi
+                 (-cp - 1 + hi) num_leaves)
+        end
+        else if (not sparse) && !owner >= 0 then begin
+          let base = roots.(!owner) in
+          let first = base + ((s - base) * (nt + 1)) + 1 in
+          for c = 0 to nt do
+            if m land (1 lsl c) <> 0 then
+              if first + c >= stop then
+                add
+                  (err ~code:"L020" ~path:(path !owner s)
+                     "child %d at slot %d escapes the tree's slab [%d, %d)" c
+                     (first + c) base stop)
+              else if shape_ids.(first + c) = unused_marker then
+                add
+                  (err ~code:"L020" ~path:(path !owner s)
+                     "child %d points to unallocated slot %d" c (first + c))
+          done
+        end
+      end
+    done;
+    List.rev !ds
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Stride facts                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -311,30 +505,22 @@ type stride_facts = {
   leaf_advance : (int * int) option;
 }
 
-let lut_children t =
-  let nt = t.tile_size in
-  let all = List.init (nt + 1) Fun.id in
-  Array.map
-    (fun row ->
-      let hit = Array.make (nt + 1) false in
-      Array.iter (fun c -> if c >= 0 && c <= nt then hit.(c) <- true) row;
-      List.filter (fun c -> hit.(c)) all)
-    t.lut
-
 let stride_facts t =
   match t.kind with
   | Array_kind ->
     { lane_stride = t.tile_size; tile_advance = None; leaf_advance = None }
   | Sparse_kind ->
-    let children = lut_children t in
-    let full = List.init (t.tile_size + 1) Fun.id in
+    let nt = t.tile_size in
+    let masks = child_masks t in
     (* An out-of-range shape id or a row with no valid entry (corrupt
        layout) degrades to the full child range so the facts stay
-       conservative — the closure check (L02x) reports the corruption
-       separately. *)
+       conservative — {!check} reports the corruption separately. *)
+    let full = (1 lsl (nt + 1)) - 1 in
     let reachable sid =
-      if sid < 0 || sid >= Array.length children then full
-      else match children.(sid) with [] -> full | cs -> cs
+      let m =
+        if sid < 0 || sid >= Array.length masks then 0 else masks.(sid) land full
+      in
+      if m = 0 then full else m
     in
     let tile = ref None and leaf = ref None in
     let widen r v =
@@ -344,11 +530,13 @@ let stride_facts t =
     in
     Array.iteri
       (fun s cp ->
-        let children = reachable t.shape_ids.(s) in
-        if cp >= 0 then List.iter (fun c -> widen tile (cp + c)) children
-        else List.iter (fun c -> widen leaf (-cp - 1 + c)) children)
+        let m = reachable t.shape_ids.(s) in
+        for c = 0 to nt do
+          if m land (1 lsl c) <> 0 then
+            if cp >= 0 then widen tile (cp + c) else widen leaf (-cp - 1 + c)
+        done)
       t.child_ptr;
-    { lane_stride = t.tile_size; tile_advance = !tile; leaf_advance = !leaf }
+    { lane_stride = nt; tile_advance = !tile; leaf_advance = !leaf }
 
 (* ------------------------------------------------------------------ *)
 (* Quantization (the integer fast path's layout half)                  *)

@@ -85,6 +85,36 @@ val walk : t -> tree:int -> float array -> float
 (** Reference traversal over the layout buffers — the semantics the JIT
     backend must reproduce. *)
 
+val check : num_features:int -> t -> Tb_diag.Diagnostic.t list
+(** Well-formedness, the one definition shared by the verifier
+    ([Tb_analysis.Lir_check.check_layout]) and the artifact decoder
+    ({!Pack.decode}). A tree owns the slots from its root up to the next
+    tree's root (array layout: its slab), so slot roots must ascend.
+    [Error] findings at the [Lir] level:
+
+    - [L020]: a tile size outside 1..8, slot-major buffers other than
+      [slots x tile_size] long, a child-pointer array other than one
+      entry per sparse slot (none on an array layout), a LUT-reachable
+      tile successor outside its tree's slots or (array layout)
+      unallocated, or a sparse child pointer not strictly past its own
+      slot;
+    - [L021]: a tile lane reading a feature outside [0, num_features),
+      or, on a quantized layout, past the plan's [feature_exp] (the
+      length of every quantized row);
+    - [L022]: a root count other than [num_trees], a slot root outside
+      the slots, not past the previous one or (array layout) never
+      allocated, or a single-leaf root outside the leaf store;
+    - [L023]: a leaf successor outside the leaf store, or an array
+      layout carrying a leaf store;
+    - [L024]: a LUT row not [2^tile_size] long or with an entry outside
+      the child range 0..tile_size, or a shape id naming no LUT row (on
+      an array layout, nor the leaf or unused marker).
+
+    Without errors, every walk from a tree's root reads only its tree's
+    slots and the leaf store, and ends within [slots] steps: every
+    successor lies strictly past the slot it leaves. Total on any
+    buffers; one pass per slot, with a child bitmask per LUT row. *)
+
 type stride_facts = {
   lane_stride : int;
       (** Slot-major lane stride of [thresholds]/[features]: element
@@ -102,17 +132,12 @@ type stride_facts = {
           children. *)
 }
 
-val lut_children : t -> int list array
-(** For each LUT row, the distinct entries within the child range
-    [0, tile_size], in increasing order: the children a slot of that
-    shape can select. One pass over the LUT; callers index the table by
-    each slot's shape id. *)
-
 val stride_facts : t -> stride_facts
 (** Relational facts about the layout's index arithmetic, consumed by
     [Lir_check]'s congruence/interval product to discharge
     [child_ptr + lut_child] bounds obligations. Conservative on corrupt
-    layouts (out-of-range shape ids fall back to the full child range). *)
+    layouts (out-of-range shape ids fall back to the full child range;
+    {!check} reports the corruption). *)
 
 val memory_bytes : t -> int
 (** Model bytes under this layout, counting thresholds as float32, feature

@@ -436,7 +436,8 @@ let r_str c what =
   s
 
 (* [Array.init]/[List.init] make no order guarantee, and every read
-   advances the cursor — all repetition below is explicit left-to-right. *)
+   advances the cursor — repeated variable-length records are read
+   explicitly left to right. *)
 let r_seq n read =
   if n = 0 then [||]
   else begin
@@ -448,28 +449,27 @@ let r_seq n read =
     a
   end
 
+(* Fixed-width arrays: one bounds check for the whole array, then a plain
+   loop over the bytes. *)
 let r_int_array c what =
   let n = r_len c what in
   need c (4 * n) what;
-  r_seq n (fun () -> r_i32 c what)
+  let a = Array.make n 0 and buf = c.buf and pos = c.pos in
+  for i = 0 to n - 1 do
+    a.(i) <- Int32.to_int (Bytes.get_int32_le buf (pos + (4 * i)))
+  done;
+  c.pos <- pos + (4 * n);
+  a
 
 let r_float_array c what =
   let n = r_len c what in
   need c (8 * n) what;
-  r_seq n (fun () -> r_f64 c what)
-
-(* A LUT row, each entry checked as it is read: the entry is the child a
-   tile's comparison outcome selects, one of its at most [nt + 1]
-   children, and anything else walks into another tile's slots. *)
-let r_lut_row c nt =
-  let n = r_len c "LUT row" in
-  need c (4 * n) "LUT row";
-  r_seq n (fun () ->
-      let child = r_i32 c "LUT entry" in
-      if child < 0 || child > nt then
-        fail "A004" "LUT entry %d at offset %d is outside 0..%d" child
-          (c.pos - 4) nt;
-      child)
+  let a = Array.create_float n and buf = c.buf and pos = c.pos in
+  for i = 0 to n - 1 do
+    a.(i) <- Int64.float_of_bits (Bytes.get_int64_le buf (pos + (8 * i)))
+  done;
+  c.pos <- pos + (8 * n);
+  a
 
 let r_walk c =
   match r_u8 c "walk kind" with
@@ -512,74 +512,11 @@ let check_block c (len, body_start) what =
 
 let validate t =
   let lay = t.layout in
-  let slots = Array.length lay.Layout.shape_ids in
-  let nt = lay.Layout.tile_size in
-  if nt < 1 || nt > 8 then fail "A004" "tile size %d out of range" nt;
-  if lay.Layout.num_trees <> Array.length lay.Layout.tree_root then
-    fail "A004" "num_trees %d != tree_root length %d" lay.Layout.num_trees
-      (Array.length lay.Layout.tree_root);
-  if Array.length lay.Layout.thresholds <> slots * nt then
-    fail "A004" "thresholds length %d != %d slots x tile size %d"
-      (Array.length lay.Layout.thresholds) slots nt;
-  if Array.length lay.Layout.features <> slots * nt then
-    fail "A004" "features length %d != %d slots x tile size %d"
-      (Array.length lay.Layout.features) slots nt;
-  (match lay.Layout.kind with
-  | Layout.Array_kind ->
-    if lay.Layout.child_ptr <> [||] then
-      fail "A004" "array layout carries child pointers";
-    if lay.Layout.leaf_values <> [||] then
-      fail "A004" "array layout carries a separate leaf store";
-    Array.iteri
-      (fun i root ->
-        if root < 0 || root >= slots then
-          fail "A004" "tree %d slab base %d out of range" i root)
-      lay.Layout.tree_root
-  | Layout.Sparse_kind ->
-    if Array.length lay.Layout.child_ptr <> slots then
-      fail "A004" "child_ptr length %d != %d slots"
-        (Array.length lay.Layout.child_ptr) slots;
-    let leaves = Array.length lay.Layout.leaf_values in
-    Array.iteri
-      (fun i root ->
-        if root >= slots || -root - 1 >= leaves then
-          fail "A004" "tree %d root %d out of range" i root)
-      lay.Layout.tree_root);
-  let lut_rows = Array.length lay.Layout.lut in
-  Array.iter
-    (fun row ->
-      if Array.length row <> 1 lsl nt then
-        fail "A004" "LUT row length %d != 2^tile size %d" (Array.length row)
-          (1 lsl nt))
-    lay.Layout.lut;
-  (* Array slots may carry the leaf and unused markers; every sparse slot
-     is a tile, whose shape id must name a LUT row. *)
-  let min_sid =
-    match lay.Layout.kind with
-    | Layout.Array_kind -> Layout.unused_marker
-    | Layout.Sparse_kind -> 0
-  in
-  let shape_ids = lay.Layout.shape_ids in
-  for s = 0 to slots - 1 do
-    let sid = shape_ids.(s) in
-    if sid >= lut_rows || sid < min_sid then
-      fail "A004" "slot %d shape id %d out of range" s sid
-  done;
-  (* Every tile lane must read inside the row: a quantized row is exactly
-     as long as the plan's feature_exp, so a lane past it would decode
-     cleanly and then raise at the first predict. *)
-  let row_len =
-    match lay.Layout.quant with
-    | Some spec -> Array.length spec.Layout.feature_exp
-    | None -> max_int
-  in
-  let features = lay.Layout.features in
-  for i = 0 to Array.length features - 1 do
-    let f = features.(i) in
-    if (f < 0 || f >= row_len) && shape_ids.(i / nt) >= 0 then
-      fail "A004" "tile slot %d lane %d reads feature %d outside the row" (i / nt)
-        (i mod nt) f
-  done;
+  (* Artifacts do not record the model's width, so only a quantized
+     layout's plan bounds the feature ids. *)
+  (match Layout.check ~num_features:max_int lay with
+  | [] -> ()
+  | d :: _ -> fail "A004" "malformed layout: %s" (D.to_string d));
   let num_trees = lay.Layout.num_trees in
   if Array.length t.tree_class <> num_trees then
     fail "A004" "tree_class length %d != %d trees" (Array.length t.tree_class)
@@ -731,7 +668,7 @@ let decode bytes =
     let leaf_values = r_float_array c "leaf_values" in
     let lut_rows = r_len c "LUT row count" in
     need c (4 * lut_rows) "LUT";
-    let lut = r_seq lut_rows (fun () -> r_lut_row c tile_size) in
+    let lut = r_seq lut_rows (fun () -> r_int_array c "LUT row") in
     check_block c blk "layout";
     let layout =
       {

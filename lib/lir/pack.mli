@@ -109,13 +109,14 @@ val encode : t -> bytes
 
 val decode : bytes -> (t, error) result
 (** Total inverse of {!encode}: validates magic, version, length and
-    checksum before touching the payload, then structurally validates the
-    decoded pack (layout buffer lengths against slot count and kind, root,
-    shape-id, LUT-entry and feature ranges, every tree in exactly one
-    group plan), and finally checks that the register-program block is
-    byte for byte what {!encode} derives from the decoded layout and plan
-    ([A004] otherwise, so artifacts from another codegen are misses).
-    Never raises. *)
+    checksum before touching the payload, then rejects the first
+    {!Layout.check} error of the decoded layout ([A004], naming its code
+    and path), so every walk of a decoded pack ends and reads only its
+    tree's slots and the leaf store; then checks the plan (per-tree
+    tables, every tree in exactly one group plan, the quant block), and
+    finally that the register-program block is byte for byte what
+    {!encode} derives from the decoded layout and plan ([A004] otherwise,
+    so artifacts from another codegen are misses). Never raises. *)
 
 val crc32 : bytes -> pos:int -> len:int -> int32
 (** The checksum used by the format (CRC-32/IEEE 802.3, reflected) over

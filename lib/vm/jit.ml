@@ -23,10 +23,12 @@ type predictor = float array array -> float array array
    does two checked loads: [shape_ids.(s)] proves 0 <= s < slots, and
    [lut.(sid)] proves the slot is a tile (sid >= 0). The threshold and
    feature buffers hold exactly slots x tile_size entries — [Layout.build]
-   builds them so, and [Pack.validate] (A004) and [Lir_check] (L020) check
-   it — so every lane index s * nt + l is below their length. Row loads
-   stay checked: a short row raises [Invalid_argument], as the reference
-   walk does.
+   builds them so, and [Layout.check] (L020), which both the verifier and
+   the artifact decoder run, checks it — so every lane index s * nt + l
+   is below their length. The same check bounds every walk: successors
+   stay in their tree's slots and lie strictly past the slot they leave.
+   Row loads stay checked: a short row raises [Invalid_argument], as the
+   reference walk does.
 
    Tiles of size 8 (the default schedule's) compare in straight-line code,
    the shape of Treebeard's vector compare + movemask: eight independent

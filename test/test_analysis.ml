@@ -459,6 +459,144 @@ let test_mutated_layout_bad_lut_row () =
   lay.Layout.lut.(0).(0) <- 99;
   check_has_code "L024" (Lir_check.check_layout ~num_features:4 lay)
 
+(* Walk-path mutants: every index in them is in range, so only the
+   closure rules catch them. A child pointer past the slots or onto the
+   next tree's root walks out of the tree, one onto its own slot cycles,
+   an array leaf marker turned tile walks out of its slab, and a slab
+   base past the slots used to make the check itself index out of
+   bounds. *)
+let test_mutated_layout_root_child_ptr () =
+  let self_pointer lay target =
+    let child_ptr = Array.copy lay.Layout.child_ptr in
+    child_ptr.(lay.Layout.tree_root.(0)) <- target;
+    check_has_code "L020"
+      (Lir_check.check_layout ~num_features:4 { lay with Layout.child_ptr })
+  in
+  let lay, _ = small_layout_env () in
+  let root = lay.Layout.tree_root.(0) in
+  check_bool "trees 0 and 1 are rooted at tiles" true
+    (root >= 0 && lay.Layout.tree_root.(1) > root);
+  List.iter (self_pointer lay) [ Layout.num_slots lay; lay.Layout.tree_root.(1); root ];
+  (* With one-lane tiles tree 0 spans more slots than its root's children
+     reach, so only the strictly-past rule rejects the pointer to itself. *)
+  let rng = Prng.create 18 in
+  let forest = Forest.random ~num_trees:4 ~max_depth:5 ~num_features:4 rng in
+  let lay =
+    (Lower.lower forest { Schedule.default with Schedule.tile_size = 1 }).Lower.layout
+  in
+  let root = lay.Layout.tree_root.(0) in
+  check_bool "tree 0 spans past its root's children" true
+    (root >= 0 && lay.Layout.tree_root.(1) > root + 2);
+  self_pointer lay root
+
+let small_array_layout () =
+  let rng = Prng.create 18 in
+  let forest = Forest.random ~num_trees:4 ~max_depth:5 ~num_features:4 rng in
+  (Lower.lower forest Schedule.scalar_baseline).Lower.layout
+
+let test_mutated_layout_array_leaf_tiles () =
+  let lay = small_array_layout () in
+  let shape_ids =
+    Array.map
+      (fun sid -> if sid = Layout.leaf_marker then 0 else sid)
+      lay.Layout.shape_ids
+  in
+  check_has_code "L020"
+    (Lir_check.check_layout ~num_features:4 { lay with Layout.shape_ids })
+
+let test_mutated_layout_slab_past_slots () =
+  let lay = small_array_layout () in
+  let tree_root = Array.copy lay.Layout.tree_root in
+  tree_root.(1) <- Layout.num_slots lay + 3;
+  check_has_code "L022"
+    (Lir_check.check_layout ~num_features:4 { lay with Layout.tree_root })
+
+(* [Layout.walk] with a step budget: a walk that visits more slots than
+   the layout has revisits one, so it would never end. *)
+let bounded_walk (lay : Layout.t) ~tree row =
+  let budget = ref (Layout.num_slots lay + 1) in
+  let visit () =
+    decr budget;
+    if !budget < 0 then failwith "walk exceeds slots + 1 steps"
+  in
+  let child s =
+    lay.Layout.lut.(lay.Layout.shape_ids.(s)).(Layout.comparison_bits lay s row)
+  in
+  match lay.Layout.kind with
+  | Layout.Array_kind ->
+    let base = lay.Layout.tree_root.(tree) in
+    let rec go local =
+      visit ();
+      let s = base + local in
+      if lay.Layout.shape_ids.(s) = Layout.leaf_marker then
+        lay.Layout.thresholds.(s * lay.Layout.tile_size)
+      else go ((local * (lay.Layout.tile_size + 1)) + child s + 1)
+    in
+    go 0
+  | Layout.Sparse_kind ->
+    let r = lay.Layout.tree_root.(tree) in
+    if r < 0 then lay.Layout.leaf_values.(-r - 1)
+    else begin
+      let rec go s =
+        visit ();
+        let c = child s and p = lay.Layout.child_ptr.(s) in
+        if p >= 0 then go (p + c) else lay.Layout.leaf_values.(-p - 1 + c)
+      in
+      go r
+    end
+
+(* Totality: one entry of a small random layout set to a value near its
+   valid range. The check never raises, and a layout it passes walks
+   every tree to a leaf within its step bound on random rows. *)
+let layout_check_total_property seed =
+  let rng = Prng.create seed in
+  let nf = 2 + Prng.int rng 4 in
+  let forest =
+    Forest.random ~num_trees:(1 + Prng.int rng 4) ~max_depth:(1 + Prng.int rng 4)
+      ~num_features:nf rng
+  in
+  let grid = Array.of_list Schedule.table2_grid in
+  let schedule = grid.(Prng.int rng (Array.length grid)) in
+  let lay = (Lower.lower forest schedule).Lower.layout in
+  let lay =
+    {
+      lay with
+      Layout.tree_root = Array.copy lay.Layout.tree_root;
+      shape_ids = Array.copy lay.Layout.shape_ids;
+      child_ptr = Array.copy lay.Layout.child_ptr;
+      features = Array.copy lay.Layout.features;
+      lut = Array.map Array.copy lay.Layout.lut;
+    }
+  in
+  let slots = Layout.num_slots lay and leaves = Array.length lay.Layout.leaf_values in
+  let set a lo hi =
+    if Array.length a > 0 then
+      a.(Prng.int rng (Array.length a)) <- lo + Prng.int rng (hi - lo + 1)
+  in
+  (match Prng.int rng 6 with
+  | 0 -> set lay.Layout.shape_ids (-3) (Array.length lay.Layout.lut)
+  | 1 -> set lay.Layout.child_ptr (-leaves - 2) (slots + 1)
+  | 2 ->
+    (* Next to its own slot: at or before it, the pointer makes a cycle. *)
+    let cp = lay.Layout.child_ptr in
+    if Array.length cp > 0 then begin
+      let s = Prng.int rng (Array.length cp) in
+      cp.(s) <- s - 1 + Prng.int rng 3
+    end
+  | 3 -> set lay.Layout.tree_root (-leaves - 2) (slots + 1)
+  | 4 -> set lay.Layout.features (-1) nf
+  | _ ->
+    let lut = lay.Layout.lut in
+    set lut.(Prng.int rng (Array.length lut)) (-1) (lay.Layout.tile_size + 1));
+  if not (D.has_errors (Lir_check.check_layout ~num_features:nf lay)) then
+    Array.iter
+      (fun row ->
+        for tree = 0 to lay.Layout.num_trees - 1 do
+          ignore (bounded_walk lay ~tree row)
+        done)
+      (random_rows rng nf 8);
+  true
+
 (* --- the congruence (stride) domain --- *)
 
 let test_congruence_domain () =
@@ -865,6 +1003,14 @@ let suite =
     quick "mutation: leaf index out of store -> L023"
       test_mutated_layout_bad_leaf_index;
     quick "mutation: invalid LUT child -> L024" test_mutated_layout_bad_lut_row;
+    quick "mutation: root child pointer off its tree -> L020"
+      test_mutated_layout_root_child_ptr;
+    quick "mutation: array leaf markers turned tiles -> L020"
+      test_mutated_layout_array_leaf_tiles;
+    quick "mutation: slab base past the slots -> L022"
+      test_mutated_layout_slab_past_slots;
+    qcheck ~count:300 ~name:"layout check total; clean layouts walk within slots + 1"
+      seed_gen layout_check_total_property;
     quick "congruence domain algebra + tightening" test_congruence_domain;
     quick "relational analysis discharges sparse-loop L011"
       test_relational_discharges_sparse_l011;

@@ -575,6 +575,48 @@ let test_sparse_shape_id_mutant () =
   expect_error "sparse slot 0 with shape id -1" "A004"
     (Pack.encode { pk with Pack.layout = { lay with Layout.shape_ids } })
 
+(* Walk-path mutants, each re-encoded with a fresh CRC. No value a walk
+   indexes by directly is out of range, so only the layout check's
+   closure rules catch them: tree 0's root child pointer moved past the
+   slots or onto tree 1's root makes the first predict index out of
+   bounds, onto its own slot makes a loop walk cycle forever, and an
+   array pack whose leaf markers became shape 0 walks out of its slabs.
+   No test predicts on them. *)
+let root_child_ptr_mutant target =
+  let pk = golden_pack "abalone.tbpack" in
+  let lay = pk.Pack.layout in
+  let root = lay.Layout.tree_root.(0) in
+  check_bool "trees 0 and 1 are rooted at tiles" true
+    (root >= 0 && lay.Layout.tree_root.(1) > root);
+  let child_ptr = Array.copy lay.Layout.child_ptr in
+  child_ptr.(root) <- target lay;
+  Pack.encode { pk with Pack.layout = { lay with Layout.child_ptr } }
+
+let test_root_child_ptr_mutants () =
+  expect_error "tree 0's root child pointer at the slot count" "A004"
+    (root_child_ptr_mutant Layout.num_slots);
+  expect_error "tree 0's root child pointer on tree 1's root" "A004"
+    (root_child_ptr_mutant (fun lay -> lay.Layout.tree_root.(1)));
+  expect_error "tree 0's root child pointer on its own slot" "A004"
+    (root_child_ptr_mutant (fun lay -> lay.Layout.tree_root.(0)))
+
+let test_array_leaf_marker_mutant () =
+  let rng = Prng.create 9 in
+  let forest = Forest.random ~num_trees:4 ~max_depth:4 ~num_features:5 rng in
+  let pk =
+    Pack.of_lower ~model:"leaves" (Lower.lower forest Schedule.scalar_baseline)
+  in
+  let lay = pk.Pack.layout in
+  check_bool "scalar baseline packs an array layout" true
+    (lay.Layout.kind = Layout.Array_kind);
+  let shape_ids =
+    Array.map
+      (fun sid -> if sid = Layout.leaf_marker then 0 else sid)
+      lay.Layout.shape_ids
+  in
+  expect_error "array leaf markers set to shape 0" "A004"
+    (Pack.encode { pk with Pack.layout = { lay with Layout.shape_ids } })
+
 let suite =
   [
     qcheck ~count:60
@@ -600,4 +642,7 @@ let suite =
     quick "REG block that disagrees with the plan -> A004" test_reg_block_mutant;
     quick "LUT entry outside 0..tile_size -> A004" test_lut_entry_mutant;
     quick "negative sparse shape id -> A004" test_sparse_shape_id_mutant;
+    quick "root child pointer off its tree's slots -> A004"
+      test_root_child_ptr_mutants;
+    quick "array leaf markers turned tiles -> A004" test_array_leaf_marker_mutant;
   ]
