@@ -27,6 +27,16 @@ let golden_rows forest seed =
   Array.init num_rows (fun _ ->
       Array.init forest.Forest.num_features (fun _ -> Prng.gaussian rng))
 
+(* The schedules whose packs test/golden/pack_digests.json pins, by the
+   name the fixture records; test_golden.ml keeps the same list. *)
+let digest_schedules =
+  [
+    ("default", Schedule.default);
+    ("array-layout", { Schedule.default with layout = Schedule.Array_layout });
+    ("unpadded", { Schedule.default with pad_and_unroll = false });
+    ("tile-size-4", { Schedule.default with tile_size = 4 });
+  ]
+
 let () =
   if not (Sys.file_exists "test/golden") then Sys.mkdir "test/golden" 0o755;
   List.iter
@@ -100,4 +110,30 @@ let () =
   output_bytes oc qbytes;
   close_out oc;
   Printf.printf "wrote %s (%d bytes, format v%d)\n" qpath (Bytes.length qbytes)
-    Tb_lir.Pack.format_version
+    Tb_lir.Pack.format_version;
+  (* The bytes of every zoo model's pack under each digest schedule, as an
+     MD5 hex digest per pack: 32 packs pinned in one small file. Built as
+     abalone.tbpack is, so us_per_row stays 0. *)
+  let digests =
+    List.map
+      (fun name ->
+        let forest = Tb_model.Serialize.of_file ("_models/" ^ name ^ ".json") in
+        ( name,
+          Json.Obj
+            (List.map
+               (fun (sname, s) ->
+                 let bytes =
+                   Tb_lir.Pack.encode
+                     (Tb_lir.Pack.of_lower ~model:name (Tb_lir.Lower.lower forest s))
+                 in
+                 (sname, Json.Str (Digest.to_hex (Digest.bytes bytes))))
+               digest_schedules) ))
+      names
+  in
+  let dpath = "test/golden/pack_digests.json" in
+  let oc = open_out dpath in
+  output_string oc (Json.to_string ~indent:true (Json.Obj digests));
+  output_string oc "\n";
+  close_out oc;
+  Printf.printf "wrote %s (%d models x %d schedules)\n" dpath (List.length names)
+    (List.length digest_schedules)

@@ -78,4 +78,47 @@ let test_golden name () =
         want
     end
 
-let suite = List.map (fun name -> quick ("golden " ^ name) (test_golden name)) names
+(* The pack digest fixture: the MD5 of every zoo model's encoded pack
+   under four schedules, written by gen_golden.exe with the same list.
+   A compiler change that moves a single byte of any of the 32 packs
+   fails here. *)
+let digest_schedules =
+  [
+    ("default", Schedule.default);
+    ("array-layout", { Schedule.default with layout = Schedule.Array_layout });
+    ("unpadded", { Schedule.default with pad_and_unroll = false });
+    ("tile-size-4", { Schedule.default with tile_size = 4 });
+  ]
+
+let test_pack_digests () =
+  let fixture =
+    Json.of_string (read_file (Filename.concat golden_dir "pack_digests.json"))
+  in
+  match models_dir with
+  | None -> Printf.printf "skipped: no _models cache found from %s\n" (Sys.getcwd ())
+  | Some dir ->
+    List.iter
+      (fun name ->
+        let path = Filename.concat dir (name ^ ".json") in
+        if not (Sys.file_exists path) then
+          Printf.printf "skipped: %s not cached\n" path
+        else begin
+          let forest = Tb_model.Serialize.of_file path in
+          let want = Json.member name fixture in
+          List.iter
+            (fun (sname, s) ->
+              let bytes =
+                Tb_lir.Pack.encode
+                  (Tb_lir.Pack.of_lower ~model:name (Tb_lir.Lower.lower forest s))
+              in
+              Alcotest.(check string)
+                (Printf.sprintf "%s %s pack digest" name sname)
+                (Json.to_str (Json.member sname want))
+                (Digest.to_hex (Digest.bytes bytes)))
+            digest_schedules
+        end)
+      names
+
+let suite =
+  List.map (fun name -> quick ("golden " ^ name) (test_golden name)) names
+  @ [ quick "golden pack digests: 8 models x 4 schedules" test_pack_digests ]
