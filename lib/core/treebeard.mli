@@ -129,7 +129,7 @@ val make :
 val predict_forest : t -> float array array -> float array array
 (** Batch inference: one raw margin vector per row. Feature values must be
     finite when the schedule enables padding + unrolling (see
-    {!Tb_hir.Padding}). *)
+    {!Tb_hir.Tiled_tree.create}). *)
 
 val predict_one : t -> float array -> float array
 

@@ -1,6 +1,6 @@
 type t = {
   tile_size : int;
-  ids : (Shape.t, int) Hashtbl.t;
+  ids : (int, int) Hashtbl.t;  (* shape code -> id *)
   mutable shapes : Shape.t array;  (* indexed by id *)
   mutable rows : int array array;  (* indexed by id *)
   mutable count : int;
@@ -24,27 +24,35 @@ let compute_row t shape =
   Array.init (1 lsl t.tile_size) (fun bits ->
       Shape.navigate_index idx ~tile_size:t.tile_size ~bits)
 
-let shape_id t shape =
-  match Hashtbl.find_opt t.ids shape with
+let add t code shape =
+  if Shape.size shape > t.tile_size then
+    invalid_arg "Lut.shape_id: shape larger than tile size";
+  let id = t.count in
+  if id >= Array.length t.shapes then begin
+    let grow a fill =
+      let b = Array.make (2 * Array.length a) fill in
+      Array.blit a 0 b 0 (Array.length a);
+      b
+    in
+    t.shapes <- grow t.shapes (Shape.Node (None, None));
+    t.rows <- grow t.rows [||]
+  end;
+  t.shapes.(id) <- shape;
+  t.rows.(id) <- compute_row t shape;
+  t.count <- id + 1;
+  Hashtbl.add t.ids code id;
+  id
+
+let shape_id_of_code t code =
+  match Hashtbl.find_opt t.ids code with
   | Some id -> id
-  | None ->
-    if Shape.size shape > t.tile_size then
-      invalid_arg "Lut.shape_id: shape larger than tile size";
-    let id = t.count in
-    if id >= Array.length t.shapes then begin
-      let grow a fill =
-        let b = Array.make (2 * Array.length a) fill in
-        Array.blit a 0 b 0 (Array.length a);
-        b
-      in
-      t.shapes <- grow t.shapes (Shape.Node (None, None));
-      t.rows <- grow t.rows [||]
-    end;
-    t.shapes.(id) <- shape;
-    t.rows.(id) <- compute_row t shape;
-    t.count <- id + 1;
-    Hashtbl.add t.ids shape id;
-    id
+  | None -> add t code (Shape.of_code code)
+
+let shape_id t shape =
+  let code = Shape.code shape in
+  match Hashtbl.find_opt t.ids code with
+  | Some id -> id
+  | None -> add t code shape
 
 let shape_of_id t id =
   if id < 0 || id >= t.count then invalid_arg "Lut.shape_of_id: bad id";

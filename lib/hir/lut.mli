@@ -1,11 +1,12 @@
 (** The child-index lookup table (paper §V-A2).
 
     [LUT : (tile shape, comparison bitmask) -> child index]. Shape IDs are
-    assigned on demand per registry; the table rows are computed statically
-    (at compile time) by exhaustively navigating each shape under every
-    possible bitmask, so the generated walk needs one load per step. A row
-    indexes its shape once ({!Shape.index}) and navigates all [2^tile_size]
-    masks over that index, at most [tile_size] steps each. *)
+    assigned on demand per registry, keyed by the shape's integer code
+    ({!Shape.code}); the table rows are computed statically (at compile
+    time) by exhaustively navigating each shape under every possible
+    bitmask, so the generated walk needs one load per step. A row indexes
+    its shape once ({!Shape.index}) and navigates all [2^tile_size] masks
+    over that index, at most [tile_size] steps each. *)
 
 type t
 
@@ -15,8 +16,17 @@ val create : tile_size:int -> t
 val tile_size : t -> int
 
 val shape_id : t -> Shape.t -> int
-(** Intern a shape, computing its LUT row on first sight.
+(** Intern a shape by its {!Shape.code}, computing its LUT row on first
+    sight. Ids are dense and follow first-sight order, so interning the
+    same shapes in the same order gives the same table.
     @raise Invalid_argument if the shape exceeds the registry tile size. *)
+
+val shape_id_of_code : t -> int -> int
+(** [shape_id_of_code t (Shape.code s)] is [shape_id t s], but builds the
+    {!Shape.t} only on a shape's first sight ({!Shape.of_code}); the tiler
+    interns every tile this way.
+    @raise Invalid_argument if the code is not a shape's or the shape
+    exceeds the registry tile size. *)
 
 val shape_of_id : t -> int -> Shape.t
 

@@ -55,14 +55,10 @@ let build ?profiles forest (schedule : Schedule.t) =
         | Schedule.Optimal_probability_based ->
           Tiling.basic itree ~tile_size:schedule.tile_size
     in
-    let tiled = Tiled_tree.create lut itree tiling in
-    let tiled =
-      if
-        schedule.pad_and_unroll
-        && Padding.imbalance tiled <= schedule.pad_imbalance_limit
-      then Padding.pad_to_uniform_depth tiled
-      else tiled
+    let pad_limit =
+      if schedule.pad_and_unroll then Some schedule.pad_imbalance_limit else None
     in
+    let tiled = Tiled_tree.create ?pad_limit lut itree tiling in
     { tiled; original_index = index; used_probability_tiling = use_probability }
   in
   let entries = Array.mapi tile_one forest.Forest.trees in

@@ -6,7 +6,9 @@
       the schedule asks for it and profiles are available, basic tiling
       otherwise);
     + pad almost-balanced trees to uniform tiled depth when the schedule
-      enables padding + unrolling;
+      enables padding + unrolling: the tiler emits the padded tree
+      ({!Tiled_tree.create}'s [pad_limit] is the schedule's
+      [pad_imbalance_limit]);
     + reorder trees into code-sharing groups. *)
 
 type tree_entry = {

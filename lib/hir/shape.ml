@@ -10,6 +10,31 @@ let rec depth (Node (l, r)) =
   let side = function None -> 0 | Some s -> depth s in
   1 + max (side l) (side r)
 
+let rec code_from acc (Node (l, r)) =
+  let acc = (acc lsl 2) lor (if l = None then 0 else 2) lor (if r = None then 0 else 1) in
+  let acc = match l with None -> acc | Some s -> code_from acc s in
+  match r with None -> acc | Some s -> code_from acc s
+
+let code shape = code_from 1 shape
+
+let of_code code =
+  (* [pos] counts the bits still to read below the leading 1; each node
+     reads its pair, then its left and right sub-shapes. *)
+  let pos = ref 0 in
+  while code lsr (!pos + 1) > 0 do incr pos done;
+  if code < 4 || !pos land 1 = 1 then invalid_arg "Shape.of_code";
+  let rec node () =
+    if !pos < 2 then invalid_arg "Shape.of_code";
+    pos := !pos - 2;
+    let pair = (code lsr !pos) land 3 in
+    let l = if pair land 2 = 0 then None else Some (node ()) in
+    let r = if pair land 1 = 0 then None else Some (node ()) in
+    Node (l, r)
+  in
+  let shape = node () in
+  if !pos <> 0 then invalid_arg "Shape.of_code";
+  shape
+
 (* Indexed form: nodes numbered in level order; child entries are either a
    node index (>= 1) or an exit slot encoded as [-1 - slot], with exit slots
    numbered left to right (DFS preorder collection order). *)

@@ -28,6 +28,19 @@ val num_exits : t -> int
 val depth : t -> int
 (** Longest node chain, counted in nodes (a singleton has depth 1). *)
 
+val code : t -> int
+(** The shape's integer code: a leading 1, then two bits per node in
+    preorder (left before right), the high bit set when the node has a
+    left child in the shape, the low bit when it has a right child. The
+    preorder bit pairs delimit themselves, so distinct shapes get distinct
+    codes; a shape of [k] nodes takes [2k + 1] bits, 17 at most for tile
+    size 8. {!Lut} interns shapes by this code, and {!Tiled_tree.create}
+    computes it straight from a tile's nodes without building a shape. *)
+
+val of_code : int -> t
+(** The shape with this code.
+    @raise Invalid_argument if [code] is not the code of a shape. *)
+
 type index
 (** A shape's level-order numbering: for each node, its left and right
     child as a node id or an exit slot. *)

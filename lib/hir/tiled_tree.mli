@@ -36,9 +36,37 @@ type t = {
   source_leaves : int;  (** leaf count of the source binary tree *)
 }
 
-val create : Lut.t -> Itree.t -> Tiling.t -> t
+val create : ?pad_limit:int -> Lut.t -> Itree.t -> Tiling.t -> t
 (** Build the tiled tree for a tiling of [itree], interning shapes in the
-    given registry. Handles the degenerate single-leaf tree. *)
+    given registry. Handles the degenerate single-leaf tree.
+
+    Nodes are numbered breadth first from the root tile, so siblings are
+    contiguous, and the tree's new shapes are interned in that order.
+
+    {b Padding} (paper §III-F). With [pad_limit], an almost-balanced tree,
+    one whose tiled imbalance (deepest minus shallowest leaf, in tiles) is
+    at most [pad_limit] and not zero, is built padded: above each short
+    leaf sits a chain of dummy tiles, one per missing level, so every
+    reachable leaf is at the deepest leaf's depth. A padded walk executes
+    a fixed number of tile steps, which lets MIR unroll it with no
+    termination checks and lets isomorphic trees share unrolled code.
+    Without [pad_limit], or outside the limit, nothing is padded.
+
+    A dummy tile (see {!is_dummy}) holds no source node: its lanes are the
+    always-true predicate [feature 0 < +inf] and its shape is the single
+    node. The walk always leaves through exit 0, toward the rest of the
+    chain and the real leaf; exit 1 is a dead [Leaf 0.0] that no input
+    reaches. A tree's dummy tiles share one pair of lane arrays, and the
+    dummy shape is interned after the tree's real shapes.
+
+    {b Precondition} (shared with the paper's padding): feature values
+    must be finite. IEEE comparison makes [x < +inf] false for NaN and
+    +inf inputs, which would divert a padded walk through the dead exit;
+    unpadded trees handle non-finite features consistently (the predicate
+    simply evaluates false everywhere).
+
+    @raise Invalid_argument on a disconnected tile or a LUT whose tile
+    size differs from the tiling's. *)
 
 val walk : t -> float array -> float
 (** Reference tiled traversal (must equal {!Tb_model.Tree.predict} on the
@@ -81,7 +109,8 @@ val structure_key : t -> string
     traversal code (used by tree reordering). *)
 
 val is_uniform_depth : t -> bool
-(** All reachable leaves at the same tiled depth (holds after padding). *)
+(** All reachable leaves at the same tiled depth (holds for a padded
+    tree). *)
 
 val is_dummy : tile -> bool
 (** Padding tiles (no originating nodes); their exit 0 is the only

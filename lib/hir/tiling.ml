@@ -29,25 +29,48 @@ let tile_with ~make_tile (it : Itree.t) ~tile_size =
   { tile_size; tile_of_node; num_tiles = !num_tiles }
 
 let basic (it : Itree.t) ~tile_size =
-  let make_tile root =
-    (* LevelOrderTraversal of Algorithm 2: BFS from the tile root, skipping
-       leaves, until the tile is full. *)
-    let queue = Queue.create () in
-    Queue.add root queue;
-    let tile = ref [] in
-    let count = ref 0 in
-    while (not (Queue.is_empty queue)) && !count < tile_size do
-      let n = Queue.pop queue in
+  (* Algorithm 2 without the recursion's lists: each tile is the first
+     [tile_size] internal nodes of a level-order traversal from its root
+     (an array queue, leaves skipped), and tiles are numbered in the order
+     [tile_with] numbers them: depth first, a tile before the subtrees of
+     its exits, which are taken in member order, left before right. The
+     stack holds the roots still to tile, pushed in reverse. *)
+  let tile_of_node = Array.make it.Itree.num_nodes (-1) in
+  let queue = Array.make ((2 * tile_size) + 1) 0 in
+  let members = Array.make tile_size 0 in
+  let stack = Array.make it.Itree.num_nodes 0 in
+  let sp = ref 0 and num_tiles = ref 0 in
+  let push n =
+    if not (Itree.is_leaf it n || tile_of_node.(n) >= 0) then begin
+      stack.(!sp) <- n;
+      incr sp
+    end
+  in
+  push Itree.root;
+  while !sp > 0 do
+    decr sp;
+    let id = !num_tiles in
+    incr num_tiles;
+    queue.(0) <- stack.(!sp);
+    let head = ref 0 and tail = ref 1 and count = ref 0 in
+    while !head < !tail && !count < tile_size do
+      let n = queue.(!head) in
+      incr head;
       if not (Itree.is_leaf it n) then begin
-        tile := n :: !tile;
+        members.(!count) <- n;
         incr count;
-        Queue.add it.Itree.left.(n) queue;
-        Queue.add it.Itree.right.(n) queue
+        tile_of_node.(n) <- id;
+        queue.(!tail) <- it.Itree.left.(n);
+        queue.(!tail + 1) <- it.Itree.right.(n);
+        tail := !tail + 2
       end
     done;
-    List.rev !tile
-  in
-  tile_with ~make_tile it ~tile_size
+    for k = !count - 1 downto 0 do
+      push it.Itree.right.(members.(k));
+      push it.Itree.left.(members.(k))
+    done
+  done;
+  { tile_size; tile_of_node; num_tiles = !num_tiles }
 
 let probability_based (it : Itree.t) ~node_probs ~tile_size =
   let make_tile root =

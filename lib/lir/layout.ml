@@ -114,128 +114,121 @@ let build_array (p : Program.t) =
 (* Sparse layout                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Worklist entries: a real tiled node sitting in a preassigned slot, or a
-   synthesized hop tile carrying a leaf value. *)
-type sparse_item =
-  | Real of int  (* tiled node index (always a Tile) *)
-  | Hop of float
+(* A tile whose children are all leaves points into the leaf store; any
+   other tile's children take one block of slots, a leaf child becoming a
+   hop tile with two leaf-store entries. *)
+let leaf_children (tree : T.t) (tile : T.tile) =
+  let k = ref 0 in
+  for j = 0 to Array.length tile.T.children - 1 do
+    match tree.T.nodes.(tile.T.children.(j)) with T.Leaf _ -> incr k | T.Tile _ -> ()
+  done;
+  !k
+
+(* Slots and leaf-store entries of one tree; the layout places every node
+   of a tiled tree once. *)
+let sparse_size (tree : T.t) =
+  match tree.T.nodes.(0) with
+  | T.Leaf _ -> (0, 1)
+  | T.Tile _ ->
+    let slots = ref 1 and leaves = ref 0 in
+    Array.iter
+      (function
+        | T.Leaf _ -> ()
+        | T.Tile tile ->
+          let k = Array.length tile.T.children and l = leaf_children tree tile in
+          if l = k then leaves := !leaves + l
+          else begin
+            slots := !slots + k;
+            leaves := !leaves + (2 * l)
+          end)
+      tree.T.nodes;
+    (!slots, !leaves)
 
 let build_sparse (p : Program.t) =
   let trees = Array.map (fun e -> e.Program.tiled) p.Program.trees in
   let nt = p.Program.schedule.Schedule.tile_size in
-  let dummy_shape = Tb_hir.Shape.Node (None, None) in
-  let dummy_shape_id = Lut.shape_id p.Program.lut dummy_shape in
-  (* Growable buffers. *)
-  let num_slots = ref 0 in
-  let leaves = ref [] and num_leaves = ref 0 in
+  let dummy_shape_id = Lut.shape_id p.Program.lut (Tb_hir.Shape.Node (None, None)) in
+  let num_slots, num_leaves =
+    Array.fold_left
+      (fun (s, l) tree ->
+        let s', l' = sparse_size tree in
+        (s + s', l + l'))
+      (0, 0) trees
+  in
+  let thresholds = Array.make (num_slots * nt) 0.0 in
+  let features = Array.make (num_slots * nt) 0 in
+  let shape_ids = Array.make num_slots unused_marker in
+  let child_ptr = Array.make num_slots 0 in
+  let leaf_values = Array.make num_leaves 0.0 in
+  let slots = ref 0 and leaves = ref 0 in
   let push_leaf v =
-    leaves := v :: !leaves;
-    let i = !num_leaves in
-    incr num_leaves;
-    i
+    leaf_values.(!leaves) <- v;
+    incr leaves;
+    !leaves - 1
   in
-  (* Reserve a contiguous block of [n] slots; contents are set later via the
-     returned setter list. *)
-  let reserved = Hashtbl.create 1024 in
-  let reserve n =
-    let start = !num_slots in
-    num_slots := !num_slots + n;
-    for i = start to start + n - 1 do
-      Hashtbl.replace reserved i None
-    done;
-    start
+  let place s ~shape_id ~(lanes : float array) ~(lane_features : int array) ~ptr =
+    shape_ids.(s) <- shape_id;
+    child_ptr.(s) <- ptr;
+    for lane = 0 to nt - 1 do
+      thresholds.((s * nt) + lane) <- lanes.(lane);
+      features.((s * nt) + lane) <- lane_features.(lane)
+    done
   in
+  let hop_lanes = Array.make nt infinity and hop_features = Array.make nt 0 in
   let tree_root = Array.make (Array.length trees) 0 in
+  (* [item.(s - root)] is the tiled node in slot [s] of the current tree.
+     A tile's child block is reserved when the tile is placed, so slots are
+     placed in the order they are reserved: the slots are the BFS queue. *)
+  let item =
+    Array.make (Array.fold_left (fun m t -> max m (Array.length t.T.nodes)) 0 trees) 0
+  in
   Array.iteri
     (fun ti (tree : T.t) ->
       match tree.T.nodes.(0) with
       | T.Leaf v -> tree_root.(ti) <- -1 - push_leaf v
       | T.Tile _ ->
-        let root_slot = reserve 1 in
-        tree_root.(ti) <- root_slot;
-        let queue = Queue.create () in
-        Queue.add (root_slot, Real 0) queue;
-        while not (Queue.is_empty queue) do
-          let slot, item = Queue.pop queue in
-          let fill ~shape_id ~thresholds ~features ~child_ptr =
-            Hashtbl.replace reserved slot
-              (Some (shape_id, thresholds, features, child_ptr))
-          in
-          match item with
-          | Hop v ->
+        let root = !slots in
+        tree_root.(ti) <- root;
+        slots := root + 1;
+        item.(0) <- 0;
+        let next = ref root in
+        while !next < !slots do
+          let s = !next in
+          incr next;
+          match tree.T.nodes.(item.(s - root)) with
+          | T.Leaf v ->
             (* A hop tile: single always-true dummy predicate, both exits
                lead to leaves holding the original leaf's value. *)
             let l0 = push_leaf v in
-            let _l1 = push_leaf v in
-            fill ~shape_id:dummy_shape_id
-              ~thresholds:(Array.make nt infinity)
-              ~features:(Array.make nt 0)
-              ~child_ptr:(-l0 - 1)
-          | Real node_idx ->
-            let tile =
-              match tree.T.nodes.(node_idx) with
-              | T.Tile tile -> tile
-              | T.Leaf _ -> assert false
-            in
+            ignore (push_leaf v : int);
+            place s ~shape_id:dummy_shape_id ~lanes:hop_lanes ~lane_features:hop_features
+              ~ptr:(-l0 - 1)
+          | T.Tile tile ->
             let children = tile.T.children in
-            let all_leaves =
-              Array.for_all
-                (fun c -> match tree.T.nodes.(c) with T.Leaf _ -> true | T.Tile _ -> false)
-                children
-            in
-            let child_ptr =
-              if all_leaves then begin
-                let first = ref None in
-                Array.iter
-                  (fun c ->
-                    match tree.T.nodes.(c) with
-                    | T.Leaf v ->
-                      let idx = push_leaf v in
-                      if !first = None then first := Some idx
-                    | T.Tile _ -> assert false)
-                  children;
-                -Option.get !first - 1
+            let k = Array.length children in
+            let ptr =
+              if leaf_children tree tile = k then begin
+                let first = !leaves in
+                for j = 0 to k - 1 do
+                  match tree.T.nodes.(children.(j)) with
+                  | T.Leaf v -> ignore (push_leaf v : int)
+                  | T.Tile _ -> assert false
+                done;
+                -first - 1
               end
               else begin
-                (* Mixed or all-tile children: leaf children become hop
-                   tiles so the block is homogeneous. *)
-                let start = reserve (Array.length children) in
-                Array.iteri
-                  (fun c child ->
-                    let item =
-                      match tree.T.nodes.(child) with
-                      | T.Leaf v -> Hop v
-                      | T.Tile _ -> Real child
-                    in
-                    Queue.add (start + c, item) queue)
-                  children;
+                let start = !slots in
+                slots := start + k;
+                for j = 0 to k - 1 do
+                  item.(start + j - root) <- children.(j)
+                done;
                 start
               end
             in
-            fill ~shape_id:tile.T.shape_id ~thresholds:tile.T.thresholds
-              ~features:tile.T.features ~child_ptr
+            place s ~shape_id:tile.T.shape_id ~lanes:tile.T.thresholds
+              ~lane_features:tile.T.features ~ptr
         done)
     trees;
-  let n = !num_slots in
-  let thresholds = Array.make (n * nt) 0.0 in
-  let features = Array.make (n * nt) 0 in
-  let shape_ids = Array.make n unused_marker in
-  let child_ptr = Array.make n 0 in
-  for s = 0 to n - 1 do
-    match Hashtbl.find reserved s with
-    | Some (sid, thr, fts, cp) ->
-      shape_ids.(s) <- sid;
-      child_ptr.(s) <- cp;
-      for lane = 0 to nt - 1 do
-        thresholds.((s * nt) + lane) <- thr.(lane);
-        features.((s * nt) + lane) <- fts.(lane)
-      done
-    | None -> invalid_arg "Layout.build_sparse: unfilled slot"
-  done;
-  let leaf_values = Array.make !num_leaves 0.0 in
-  List.iteri
-    (fun i v -> leaf_values.(!num_leaves - 1 - i) <- v)
-    !leaves;
   {
     kind = Sparse_kind;
     tile_size = nt;

@@ -155,13 +155,26 @@ let w_str b s =
   w_i32 b (String.length s);
   Buffer.add_string b s
 
+(* An array is its length, then its elements. Each is sized once and
+   filled in a plain loop, as [r_int_array] and [r_float_array] read it,
+   then appended with one copy. *)
 let w_int_array b a =
-  w_i32 b (Array.length a);
-  Array.iter (w_i32 b) a
+  let n = Array.length a in
+  let bytes = Bytes.create (4 + (4 * n)) in
+  Bytes.set_int32_le bytes 0 (Int32.of_int n);
+  for i = 0 to n - 1 do
+    Bytes.set_int32_le bytes (4 + (4 * i)) (Int32.of_int a.(i))
+  done;
+  Buffer.add_bytes b bytes
 
 let w_float_array b a =
-  w_i32 b (Array.length a);
-  Array.iter (w_f64 b) a
+  let n = Array.length a in
+  let bytes = Bytes.create (4 + (8 * n)) in
+  Bytes.set_int32_le bytes 0 (Int32.of_int n);
+  for i = 0 to n - 1 do
+    Bytes.set_int64_le bytes (4 + (8 * i)) (Int64.bits_of_float a.(i))
+  done;
+  Buffer.add_bytes b bytes
 
 let w_walk b = function
   | Mir.Loop_walk -> w_u8 b 0

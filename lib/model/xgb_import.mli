@@ -10,7 +10,7 @@
     Semantics match XGBoost's: the [yes] child is taken when
     [x(split) < split_condition], which is exactly this library's left
     branch. The [missing] field is ignored (inputs are assumed
-    non-missing; see {!Tb_hir.Padding} for the related finiteness
+    non-missing; see {!Tb_hir.Tiled_tree.create} for the related finiteness
     precondition). Split names of the form ["fN"] map to feature index
     [N]; other names need [feature_names]. *)
 

@@ -8,7 +8,6 @@ module Lut = Tb_hir.Lut
 module Itree = Tb_hir.Itree
 module Tiling = Tb_hir.Tiling
 module Tiled_tree = Tb_hir.Tiled_tree
-module Padding = Tb_hir.Padding
 module Reorder = Tb_hir.Reorder
 module Schedule = Tb_hir.Schedule
 module Program = Tb_hir.Program
@@ -122,6 +121,38 @@ let test_lut_exhaustive_size8 () =
              reference_navigate shape ~tile_size ~bits))
         (Lut.row lut ~shape_id))
     shapes
+
+let test_shape_code_exhaustive () =
+  (* All 2 055 shapes of 1..8 nodes: the code is injective and decodes
+     back to its shape, and a registry fed by code matches one fed by
+     shape, id for id and shape for shape, in either order of mixing. *)
+  let shapes = Shape.enumerate ~max_size:8 in
+  check_int "shapes of <= 8 nodes" 2055 (List.length shapes);
+  let seen = Hashtbl.create 4096 in
+  let by_shape = Lut.create ~tile_size:8 and by_code = Lut.create ~tile_size:8 in
+  List.iter
+    (fun shape ->
+      let code = Shape.code shape in
+      (match Hashtbl.find_opt seen code with
+      | Some other ->
+        Alcotest.failf "%s and %s share code %d" (Shape.to_string shape)
+          (Shape.to_string other) code
+      | None -> Hashtbl.add seen code shape);
+      check_bool "of_code inverts code" true (Shape.equal shape (Shape.of_code code));
+      let id = Lut.shape_id by_shape shape in
+      check_int "same id by code" id (Lut.shape_id_of_code by_code code);
+      check_bool "stored shape equal" true
+        (Shape.equal shape (Lut.shape_of_id by_code id));
+      check_int "shape then code" id (Lut.shape_id_of_code by_shape code);
+      check_int "code then shape" id (Lut.shape_id by_code shape))
+    shapes;
+  check_int "registries agree" (Lut.num_shapes by_shape) (Lut.num_shapes by_code);
+  List.iter
+    (fun code ->
+      match Shape.of_code code with
+      | _ -> Alcotest.failf "of_code accepted %d" code
+      | exception Invalid_argument _ -> ())
+    [ 0; 1; 2; 3; 0b1000; 0b110; 0b1100 ]
 
 let test_navigate_paper_example () =
   (* Figure 5's first tile shape is the left chain (nodes 0-1-2 down the
@@ -242,6 +273,40 @@ let random_leaf_probs rng n =
   let total = Array.fold_left ( +. ) 0.0 raw in
   Array.map (fun x -> x /. total) raw
 
+(* Algorithm 2 as the paper writes it, with lists and recursion: each
+   tile is a level-order traversal from its root, leaves skipped, and the
+   tiles below it are numbered depth first, member by member, left before
+   right. [Tiling.basic] must number its tiles the same way. *)
+let reference_basic_tiling (it : Itree.t) ~tile_size =
+  let tile_of_node = Array.make it.Itree.num_nodes (-1) in
+  let num_tiles = ref 0 in
+  let rec tile_tree root =
+    if not (Itree.is_leaf it root) then begin
+      let queue = Queue.create () and tile = ref [] and count = ref 0 in
+      Queue.add root queue;
+      while (not (Queue.is_empty queue)) && !count < tile_size do
+        let n = Queue.pop queue in
+        if not (Itree.is_leaf it n) then begin
+          tile := n :: !tile;
+          incr count;
+          Queue.add it.Itree.left.(n) queue;
+          Queue.add it.Itree.right.(n) queue
+        end
+      done;
+      let id = !num_tiles in
+      incr num_tiles;
+      List.iter (fun n -> tile_of_node.(n) <- id) !tile;
+      List.iter
+        (fun n ->
+          let visit c = if tile_of_node.(c) <> id then tile_tree c in
+          visit it.Itree.left.(n);
+          visit it.Itree.right.(n))
+        (List.rev !tile)
+    end
+  in
+  tile_tree Itree.root;
+  (tile_of_node, !num_tiles)
+
 let tiling_valid_property ~probabilistic seed =
   let rng = Prng.create seed in
   let tree = Tree.random ~max_depth:8 rng in
@@ -255,6 +320,11 @@ let tiling_valid_property ~probabilistic seed =
     end
     else Tiling.basic it ~tile_size
   in
+  (probabilistic
+  || (tiling.Tiling.tile_of_node, tiling.Tiling.num_tiles)
+     = reference_basic_tiling it ~tile_size
+  || QCheck2.Test.fail_reportf "basic tiling numbers its tiles unlike Algorithm 2")
+  &&
   match Hir_check.check_tiling it tiling with
   | [] -> true
   | ds -> QCheck2.Test.fail_reportf "invalid tiling: %s" (show_diags ds)
@@ -360,8 +430,8 @@ let tiled_walk_equivalence_property ~probabilistic ~pad seed =
     end
     else Tiling.basic it ~tile_size
   in
-  let tiled = Tiled_tree.create lut it tiling in
-  let tiled = if pad then Padding.pad_to_uniform_depth tiled else tiled in
+  let pad_limit = if pad then Some max_int else None in
+  let tiled = Tiled_tree.create ?pad_limit lut it tiling in
   let rows = random_rows rng num_features 64 in
   Array.for_all
     (fun row -> floats_close (Tree.predict tree row) (Tiled_tree.walk tiled row))
@@ -418,6 +488,99 @@ let tiled_tree_construction_property seed =
       ("min-max-depth", Tiling.min_max_depth it ~tile_size);
     ]
 
+(* [Tiled_tree.create] over random trees, tile sizes 1-8, basic and
+   probability-based tiling, unpadded or padded within limits 0, 2 and
+   max_int. The padded tree is checked against the unpadded one built
+   from the same tiling, and its sparse layout against the source tree. *)
+let flat_tiling_property seed =
+  let rng = Prng.create seed in
+  let num_features = 5 in
+  let tree = Tree.random ~max_depth:(2 + Prng.int rng 8) ~num_features rng in
+  let it = Itree.of_tree tree in
+  let tile_size = 1 + Prng.int rng 8 in
+  let probabilistic = Prng.bool rng in
+  let tiling =
+    if probabilistic then
+      Tiling.probability_based it
+        ~node_probs:
+          (Itree.node_probs it ~leaf_probs:(random_leaf_probs rng (Tree.num_leaves tree)))
+        ~tile_size
+    else Tiling.basic it ~tile_size
+  in
+  let pad_limit = [| None; Some 0; Some 2; Some max_int |].(Prng.int rng 4) in
+  let fail fmt =
+    QCheck2.Test.fail_reportf
+      ("nt=%d %s pad_limit=%s: " ^^ fmt)
+      tile_size
+      (if probabilistic then "probability" else "basic")
+      (match pad_limit with None -> "off" | Some l -> string_of_int l)
+  in
+  let lut = Lut.create ~tile_size in
+  let unpadded = Tiled_tree.create lut it tiling in
+  let tiled = Tiled_tree.create ?pad_limit lut it tiling in
+  let lo, hi = Tiled_tree.depth_range unpadded in
+  let padded =
+    match pad_limit with Some l -> lo < hi && hi - lo <= l | None -> false
+  in
+  (* Every static leaf of a padded tree sits at the unpadded maximum
+     depth; an unpadded one is the tree built without a limit. *)
+  if padded then begin
+    List.iter
+      (fun (d, _) -> if d <> hi then fail "leaf at depth %d, deepest %d" d hi)
+      (Tiled_tree.leaf_depths tiled)
+  end
+  else if tiled.Tiled_tree.nodes <> unpadded.Tiled_tree.nodes then
+    fail "tree outside the limit was changed";
+  (* A dummy tile and its dead leaf per missing level above each leaf. *)
+  let missing =
+    if padded then
+      List.fold_left (fun acc (d, _) -> acc + (hi - d)) 0
+        (Tiled_tree.leaf_depths unpadded)
+    else 0
+  in
+  let want =
+    Tiled_tree.num_tiles unpadded + Tiled_tree.num_leaves unpadded + (2 * missing)
+  in
+  if Array.length tiled.Tiled_tree.nodes <> want then
+    fail "%d nodes, expected %d" (Array.length tiled.Tiled_tree.nodes) want;
+  (match
+     Hir_check.check_tiled_tree ~num_features tiled
+     @ Hir_check.check_tree_against_source tree tiled
+   with
+  | [] -> ()
+  | d :: _ -> fail "%s" (Tb_diag.Diagnostic.to_string d));
+  let forest = Forest.make ~task:Forest.Regression ~num_features [| tree |] in
+  let schedule =
+    {
+      Schedule.default with
+      tile_size;
+      pad_and_unroll = pad_limit <> None;
+      pad_imbalance_limit = Option.value pad_limit ~default:0;
+    }
+  in
+  let program =
+    {
+      Program.forest;
+      schedule;
+      trees = [| { Program.tiled; original_index = 0; used_probability_tiling = probabilistic } |];
+      groups = Reorder.reorder [| tiled |];
+      lut;
+    }
+  in
+  let layout = Tb_lir.Layout.build_kind Tb_lir.Layout.Sparse_kind program in
+  (match Tb_lir.Layout.check ~num_features layout with
+  | [] -> ()
+  | d :: _ -> fail "layout: %s" (Tb_diag.Diagnostic.to_string d));
+  Array.iter
+    (fun row ->
+      let want = Tree.predict tree row in
+      if not (floats_same_bits want (Tiled_tree.walk tiled row)) then
+        fail "tiled walk diverges";
+      if not (floats_same_bits want (Tb_lir.Layout.walk layout ~tree:0 row)) then
+        fail "sparse layout walk diverges")
+    (random_rows rng num_features 32);
+  true
+
 let test_tiled_tree_scalar_depth () =
   (* Tile size 1: tiled depth equals binary depth (in tiles = nodes+1 on
      the path... the deepest leaf is depth-of-tree tiles down). *)
@@ -454,33 +617,39 @@ let test_padding_uniform () =
     let it = Itree.of_tree tree in
     let tile_size = 1 + Prng.int rng 4 in
     let lut = Lut.create ~tile_size in
-    let tiled = Tiled_tree.create lut it (Tiling.basic it ~tile_size) in
-    let padded = Padding.pad_to_uniform_depth tiled in
+    let tiling = Tiling.basic it ~tile_size in
+    let tiled = Tiled_tree.create lut it tiling in
+    let padded = Tiled_tree.create ~pad_limit:max_int lut it tiling in
     check_bool "uniform after pad" true (Tiled_tree.is_uniform_depth padded);
     check_int "depth preserved" (Tiled_tree.depth tiled) (Tiled_tree.depth padded);
-    check_int "imbalance zero" 0 (Padding.imbalance padded)
+    let lo, hi = Tiled_tree.depth_range padded in
+    check_int "imbalance zero" 0 (hi - lo)
   done
 
-let test_padding_idempotent_on_uniform () =
-  let rng = Prng.create 34 in
-  let tree = Tree.random ~max_depth:6 rng in
-  let it = Itree.of_tree tree in
-  let lut = Lut.create ~tile_size:2 in
-  let tiled = Tiled_tree.create lut it (Tiling.basic it ~tile_size:2) in
-  let p1 = Padding.pad_to_uniform_depth tiled in
-  let p2 = Padding.pad_to_uniform_depth p1 in
-  check_bool "physically unchanged" true (p1 == p2)
-
-let test_padding_to_larger_depth () =
-  let it = Itree.of_tree (Tree.Node
-    { feature = 0; threshold = 0.0; left = Tree.Leaf 1.0; right = Tree.Leaf 2.0 }) in
-  let lut = Lut.create ~tile_size:2 in
-  let tiled = Tiled_tree.create lut it (Tiling.basic it ~tile_size:2) in
-  let padded = Padding.pad_to_depth tiled ~depth:4 in
-  check_int "depth 4" 4 (Tiled_tree.depth padded);
-  check_bool "uniform" true (Tiled_tree.is_uniform_depth padded);
-  check_float "walk left" 1.0 (Tiled_tree.walk padded [| -1.0 |]);
-  check_float "walk right" 2.0 (Tiled_tree.walk padded [| 1.0 |])
+(* A complete tree of depth 6 tiles to uniform depth under basic tiling
+   when a tile holds whole levels (1, 3 or 7 nodes), so padding it adds no
+   dummy tile. *)
+let test_padding_keeps_uniform_tree () =
+  let rec complete d =
+    if d = 0 then Tree.Leaf 1.0
+    else
+      Tree.Node
+        { feature = d mod 3; threshold = 0.1 *. float_of_int d;
+          left = complete (d - 1); right = complete (d - 1) }
+  in
+  let it = Itree.of_tree (complete 6) in
+  List.iter (fun tile_size ->
+    let lut = Lut.create ~tile_size in
+    let tiling = Tiling.basic it ~tile_size in
+    let tiled = Tiled_tree.create lut it tiling in
+    check_bool "uniform unpadded" true (Tiled_tree.is_uniform_depth tiled);
+    let padded = Tiled_tree.create ~pad_limit:max_int lut it tiling in
+    check_bool "no dummy tile" true
+      (Array.for_all
+         (function Tiled_tree.Tile t -> not (Tiled_tree.is_dummy t) | Tiled_tree.Leaf _ -> true)
+         padded.Tiled_tree.nodes);
+    check_bool "same nodes as unpadded" true (padded.Tiled_tree.nodes = tiled.Tiled_tree.nodes))
+    [ 1; 3; 7 ]
 
 let test_expected_depth_prob_beats_basic_on_biased () =
   (* Aggregate property over strongly leaf-biased random trees. *)
@@ -684,8 +853,7 @@ let suite =
     quick "tiled leaf count" test_tiled_tree_leaf_count;
     quick "single leaf tree" test_tiled_tree_single_leaf;
     quick "padding yields uniform depth" test_padding_uniform;
-    quick "padding idempotent" test_padding_idempotent_on_uniform;
-    quick "padding to larger depth" test_padding_to_larger_depth;
+    quick "padding leaves a uniform tree as is" test_padding_keeps_uniform_tree;
     quick "probability tiling lowers expected depth" test_expected_depth_prob_beats_basic_on_biased;
     quick "reorder covers all trees" test_reorder_covers_all;
     quick "reorder groups isomorphic trees" test_reorder_groups_isomorphic;
@@ -695,6 +863,9 @@ let suite =
     quick "table2 grid sane" test_table2_grid_sane;
     quick "leaf-biased trees use Algorithm 1" test_leaf_biased_trees_get_probability_tiling;
     quick "lut rows exhaustive (size<=8)" test_lut_exhaustive_size8;
+    quick "shape codes exhaustive (size<=8)" test_shape_code_exhaustive;
+    qcheck ~count:300 ~name:"flat tiling + padding + sparse layout == source tree"
+      seed_gen flat_tiling_property;
     qcheck ~name:"tiled tree construction (four tilings)" seed_gen
       tiled_tree_construction_property;
   ]

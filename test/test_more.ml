@@ -12,7 +12,6 @@ module Lut = Tb_hir.Lut
 module Itree = Tb_hir.Itree
 module Tiling = Tb_hir.Tiling
 module Tiled_tree = Tb_hir.Tiled_tree
-module Padding = Tb_hir.Padding
 module Reorder = Tb_hir.Reorder
 module Schedule = Tb_hir.Schedule
 module Lower = Tb_lir.Lower
@@ -104,8 +103,7 @@ let test_padding_dead_leaves_unreachable () =
     in
     let it = Itree.of_tree tree in
     let lut = Lut.create ~tile_size:2 in
-    let tiled = Tiled_tree.create lut it (Tiling.basic it ~tile_size:2) in
-    let padded = Padding.pad_to_uniform_depth tiled in
+    let padded = Tiled_tree.create ~pad_limit:max_int lut it (Tiling.basic it ~tile_size:2) in
     for _ = 1 to 50 do
       let row = random_row rng 4 in
       check_bool "dead leaf never reached" true (Tiled_tree.walk padded row >= 1.0)
