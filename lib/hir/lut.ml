@@ -19,40 +19,31 @@ let create ~tile_size =
 
 let tile_size t = t.tile_size
 
-let compute_row t shape =
-  let idx = Shape.index shape in
-  Array.init (1 lsl t.tile_size) (fun bits ->
-      Shape.navigate_index idx ~tile_size:t.tile_size ~bits)
-
-let add t code shape =
-  if Shape.size shape > t.tile_size then
-    invalid_arg "Lut.shape_id: shape larger than tile size";
-  let id = t.count in
-  if id >= Array.length t.shapes then begin
-    let grow a fill =
-      let b = Array.make (2 * Array.length a) fill in
-      Array.blit a 0 b 0 (Array.length a);
-      b
-    in
-    t.shapes <- grow t.shapes (Shape.Node (None, None));
-    t.rows <- grow t.rows [||]
-  end;
-  t.shapes.(id) <- shape;
-  t.rows.(id) <- compute_row t shape;
-  t.count <- id + 1;
-  Hashtbl.add t.ids code id;
-  id
-
-let shape_id_of_code t code =
+let intern t code shape_of_code =
   match Hashtbl.find_opt t.ids code with
   | Some id -> id
-  | None -> add t code (Shape.of_code code)
+  | None ->
+    let shape = shape_of_code code in
+    if Shape.size shape > t.tile_size then
+      invalid_arg "Lut.shape_id: shape larger than tile size";
+    let id = t.count in
+    if id >= Array.length t.shapes then begin
+      let grow a fill =
+        let b = Array.make (2 * Array.length a) fill in
+        Array.blit a 0 b 0 (Array.length a);
+        b
+      in
+      t.shapes <- grow t.shapes (Shape.Node (None, None));
+      t.rows <- grow t.rows [||]
+    end;
+    t.shapes.(id) <- shape;
+    t.rows.(id) <- Shape.exit_row shape ~tile_size:t.tile_size;
+    t.count <- id + 1;
+    Hashtbl.add t.ids code id;
+    id
 
-let shape_id t shape =
-  let code = Shape.code shape in
-  match Hashtbl.find_opt t.ids code with
-  | Some id -> id
-  | None -> add t code shape
+let shape_id_of_code t code = intern t code Shape.of_code
+let shape_id t shape = intern t (Shape.code shape) (fun _ -> shape)
 
 let shape_of_id t id =
   if id < 0 || id >= t.count then invalid_arg "Lut.shape_of_id: bad id";

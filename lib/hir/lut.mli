@@ -3,10 +3,9 @@
     [LUT : (tile shape, comparison bitmask) -> child index]. Shape IDs are
     assigned on demand per registry, keyed by the shape's integer code
     ({!Shape.code}); the table rows are computed statically (at compile
-    time) by exhaustively navigating each shape under every possible
-    bitmask, so the generated walk needs one load per step. A row indexes
-    its shape once ({!Shape.index}) and navigates all [2^tile_size] masks
-    over that index, at most [tile_size] steps each. *)
+    time) for every possible bitmask, so the generated walk needs one load
+    per step. A row is filled in one walk over the indexed shape that
+    writes each of its [2^tile_size] entries once ({!Shape.exit_row}). *)
 
 type t
 

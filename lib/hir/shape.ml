@@ -17,22 +17,21 @@ let rec code_from acc (Node (l, r)) =
 
 let code shape = code_from 1 shape
 
-let of_code code =
+let of_code c =
   (* [pos] counts the bits still to read below the leading 1; each node
-     reads its pair, then its left and right sub-shapes. *)
+     reads its pair, then its left and right sub-shapes. A code that does
+     not re-encode to itself is no shape's. *)
   let pos = ref 0 in
-  while code lsr (!pos + 1) > 0 do incr pos done;
-  if code < 4 || !pos land 1 = 1 then invalid_arg "Shape.of_code";
+  while c lsr (!pos + 1) > 0 do incr pos done;
   let rec node () =
     if !pos < 2 then invalid_arg "Shape.of_code";
     pos := !pos - 2;
-    let pair = (code lsr !pos) land 3 in
+    let pair = (c lsr !pos) land 3 in
     let l = if pair land 2 = 0 then None else Some (node ()) in
-    let r = if pair land 1 = 0 then None else Some (node ()) in
-    Node (l, r)
+    Node (l, if pair land 1 = 0 then None else Some (node ()))
   in
   let shape = node () in
-  if !pos <> 0 then invalid_arg "Shape.of_code";
+  if code shape <> c then invalid_arg "Shape.of_code";
   shape
 
 (* Indexed form: nodes numbered in level order; child entries are either a
@@ -88,6 +87,32 @@ let navigate_index idx ~tile_size ~bits =
   go 0
 
 let navigate shape ~tile_size ~bits = navigate_index (index shape) ~tile_size ~bits
+
+let exit_row shape ~tile_size =
+  let idx = index shape in
+  let row = Array.make (1 lsl tile_size) 0 in
+  let all = (1 lsl tile_size) - 1 in
+  (* Every mask that agrees with [value] on the bits in [fixed] reaches
+     node or exit [i]. An exit's masks are [value] plus each subset of the
+     free bits, so each entry is written once. *)
+  let rec fill i fixed value =
+    if i < 0 then begin
+      let free = all land lnot fixed in
+      let sub = ref free in
+      row.(value) <- -1 - i;
+      while !sub <> 0 do
+        row.(value lor !sub) <- -1 - i;
+        sub := (!sub - 1) land free
+      done
+    end
+    else begin
+      let bit = 1 lsl (tile_size - 1 - i) in
+      fill idx.left.(i) (fixed lor bit) (value lor bit);
+      fill idx.right.(i) (fixed lor bit) value
+    end
+  in
+  fill 0 0 0;
+  row
 
 let enumerate ~max_size =
   (* shapes_of n: all shapes with exactly n nodes. *)

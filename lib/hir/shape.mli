@@ -60,6 +60,13 @@ val navigate : t -> tile_size:int -> bits:int -> int
 (** [navigate shape] is [navigate_index (index shape)]: one bitmask,
     indexing the shape anew. *)
 
+val exit_row : t -> tile_size:int -> int array
+(** The exit every bitmask reaches: entry [bits] is
+    [navigate shape ~tile_size ~bits], for all [2^tile_size] masks. One
+    walk over the indexed shape fixes the bits along each exit's path and
+    writes the exit into every mask that agrees on them, so each entry is
+    written once. {!Lut} builds its rows this way. *)
+
 val enumerate : max_size:int -> t list
 (** All shapes with 1..max_size nodes (Catalan-many per size). Used by the
     exhaustive LUT tests. *)

@@ -4,39 +4,14 @@ type t = {
   num_tiles : int;
 }
 
-(* Shared recursion skeleton: [make_tile root] returns the node set of the
-   tile rooted at [root] (internal nodes only); recursion continues on every
-   internal node reachable by an edge leaving the tile. *)
+(* Shared skeleton: [make_tile root members] writes the tile rooted at
+   [root] (internal nodes only) into [members] and returns its size.
+   Tiles are numbered depth first, a tile before the subtrees below its
+   exits, which are taken in member order, left before right (the order
+   of the paper's [Out(Tile)] recursion); the stack holds the roots still
+   to tile, pushed in reverse. *)
 let tile_with ~make_tile (it : Itree.t) ~tile_size =
   let tile_of_node = Array.make it.Itree.num_nodes (-1) in
-  let num_tiles = ref 0 in
-  let rec tile_tree root =
-    if not (Itree.is_leaf it root) then begin
-      let tile = make_tile root in
-      let id = !num_tiles in
-      incr num_tiles;
-      List.iter (fun n -> tile_of_node.(n) <- id) tile;
-      let in_tile n = tile_of_node.(n) = id in
-      List.iter
-        (fun n ->
-          let visit child = if not (in_tile child) then tile_tree child in
-          visit it.Itree.left.(n);
-          visit it.Itree.right.(n))
-        tile
-    end
-  in
-  tile_tree Itree.root;
-  { tile_size; tile_of_node; num_tiles = !num_tiles }
-
-let basic (it : Itree.t) ~tile_size =
-  (* Algorithm 2 without the recursion's lists: each tile is the first
-     [tile_size] internal nodes of a level-order traversal from its root
-     (an array queue, leaves skipped), and tiles are numbered in the order
-     [tile_with] numbers them: depth first, a tile before the subtrees of
-     its exits, which are taken in member order, left before right. The
-     stack holds the roots still to tile, pushed in reverse. *)
-  let tile_of_node = Array.make it.Itree.num_nodes (-1) in
-  let queue = Array.make ((2 * tile_size) + 1) 0 in
   let members = Array.make tile_size 0 in
   let stack = Array.make it.Itree.num_nodes 0 in
   let sp = ref 0 and num_tiles = ref 0 in
@@ -51,7 +26,23 @@ let basic (it : Itree.t) ~tile_size =
     decr sp;
     let id = !num_tiles in
     incr num_tiles;
-    queue.(0) <- stack.(!sp);
+    let count = make_tile stack.(!sp) members in
+    for k = 0 to count - 1 do
+      tile_of_node.(members.(k)) <- id
+    done;
+    for k = count - 1 downto 0 do
+      push it.Itree.right.(members.(k));
+      push it.Itree.left.(members.(k))
+    done
+  done;
+  { tile_size; tile_of_node; num_tiles = !num_tiles }
+
+let basic (it : Itree.t) ~tile_size =
+  (* LevelOrderTraversal of Algorithm 2: BFS from the tile root over one
+     reused array queue, skipping leaves, until the tile is full. *)
+  let queue = Array.make ((2 * tile_size) + 1) 0 in
+  let make_tile root members =
+    queue.(0) <- root;
     let head = ref 0 and tail = ref 1 and count = ref 0 in
     while !head < !tail && !count < tile_size do
       let n = queue.(!head) in
@@ -59,21 +50,17 @@ let basic (it : Itree.t) ~tile_size =
       if not (Itree.is_leaf it n) then begin
         members.(!count) <- n;
         incr count;
-        tile_of_node.(n) <- id;
         queue.(!tail) <- it.Itree.left.(n);
         queue.(!tail + 1) <- it.Itree.right.(n);
         tail := !tail + 2
       end
     done;
-    for k = !count - 1 downto 0 do
-      push it.Itree.right.(members.(k));
-      push it.Itree.left.(members.(k))
-    done
-  done;
-  { tile_size; tile_of_node; num_tiles = !num_tiles }
+    !count
+  in
+  tile_with ~make_tile it ~tile_size
 
 let probability_based (it : Itree.t) ~node_probs ~tile_size =
-  let make_tile root =
+  let make_tile root members =
     (* Algorithm 1: greedily add the most probable internal out-node. *)
     let tile = ref [ root ] in
     let count = ref 1 in
@@ -98,7 +85,8 @@ let probability_based (it : Itree.t) ~node_probs ~tile_size =
         tile := best :: !tile;
         incr count
     done;
-    List.rev !tile
+    List.iteri (fun k n -> members.(k) <- n) (List.rev !tile);
+    !count
   in
   tile_with ~make_tile it ~tile_size
 
