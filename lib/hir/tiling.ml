@@ -7,34 +7,25 @@ type t = {
 (* Shared skeleton: [make_tile root members] writes the tile rooted at
    [root] (internal nodes only) into [members] and returns its size.
    Tiles are numbered depth first, a tile before the subtrees below its
-   exits, which are taken in member order, left before right (the order
-   of the paper's [Out(Tile)] recursion); the stack holds the roots still
-   to tile, pushed in reverse. *)
+   exits, which are taken in member order, left before right (the paper's
+   [Out(Tile)] recursion). *)
 let tile_with ~make_tile (it : Itree.t) ~tile_size =
   let tile_of_node = Array.make it.Itree.num_nodes (-1) in
-  let members = Array.make tile_size 0 in
-  let stack = Array.make it.Itree.num_nodes 0 in
-  let sp = ref 0 and num_tiles = ref 0 in
-  let push n =
-    if not (Itree.is_leaf it n || tile_of_node.(n) >= 0) then begin
-      stack.(!sp) <- n;
-      incr sp
+  let members = Array.make tile_size 0 and num_tiles = ref 0 in
+  let rec tile_tree root =
+    if not (Itree.is_leaf it root || tile_of_node.(root) >= 0) then begin
+      let id = !num_tiles in
+      incr num_tiles;
+      let tile = Array.sub members 0 (make_tile root members) in
+      Array.iter (fun n -> tile_of_node.(n) <- id) tile;
+      Array.iter
+        (fun n ->
+          tile_tree it.Itree.left.(n);
+          tile_tree it.Itree.right.(n))
+        tile
     end
   in
-  push Itree.root;
-  while !sp > 0 do
-    decr sp;
-    let id = !num_tiles in
-    incr num_tiles;
-    let count = make_tile stack.(!sp) members in
-    for k = 0 to count - 1 do
-      tile_of_node.(members.(k)) <- id
-    done;
-    for k = count - 1 downto 0 do
-      push it.Itree.right.(members.(k));
-      push it.Itree.left.(members.(k))
-    done
-  done;
+  tile_tree Itree.root;
   { tile_size; tile_of_node; num_tiles = !num_tiles }
 
 let basic (it : Itree.t) ~tile_size =
