@@ -48,7 +48,7 @@ type index
 val index : t -> index
 (** Number the nodes with one BFS and the exits with one DFS; linear in the
     shape's size. Build it once per shape and navigate every bitmask over
-    it ({!Lut} builds each row this way). *)
+    it (the H010 check navigates each LUT row this way). *)
 
 val navigate_index : index -> tile_size:int -> bits:int -> int
 (** [navigate_index idx ~tile_size ~bits] walks the indexed shape from node

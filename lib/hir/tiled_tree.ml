@@ -18,8 +18,7 @@ type t = {
   source_leaves : int;
 }
 
-(* The code of Shape.Node (None, None), a dummy tile's shape. *)
-let dummy_code = 0b100
+let dummy_code = Shape.code (Shape.Node (None, None))
 
 let create ?pad_limit lut (it : Itree.t) (tiling : Tiling.t) =
   let tile_size = tiling.Tiling.tile_size in
