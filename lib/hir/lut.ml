@@ -43,7 +43,11 @@ let intern t code shape_of_code =
     id
 
 let shape_id_of_code t code = intern t code Shape.of_code
-let shape_id t shape = intern t (Shape.code shape) (fun _ -> shape)
+let shape_id t shape =
+  (* Checked before coding: a shape of over 31 nodes has no int code. *)
+  if Shape.size shape > t.tile_size then
+    invalid_arg "Lut.shape_id: shape larger than tile size";
+  intern t (Shape.code shape) (fun _ -> shape)
 
 let shape_of_id t id =
   if id < 0 || id >= t.count then invalid_arg "Lut.shape_of_id: bad id";

@@ -34,7 +34,7 @@ val code : t -> int
     left child in the shape, the low bit when it has a right child. The
     preorder bit pairs delimit themselves, so distinct shapes get distinct
     codes; a shape of [k] nodes takes [2k + 1] bits, 17 at most for tile
-    size 8. {!Lut} interns shapes by this code, and {!Tiled_tree.create}
+    size 8 (past 31 nodes the code wraps and is meaningless). {!Lut} interns shapes by this code, and {!Tiled_tree.create}
     computes it straight from a tile's nodes without building a shape. *)
 
 val of_code : int -> t

@@ -222,6 +222,21 @@ let test_lut_rejects_oversized () =
   check_bool "raises" true
     (match Lut.shape_id lut s with
     | exception Invalid_argument _ -> true
+    | _ -> false);
+  (* A 62-node shape whose preorder ends in 30 childless nodes, a node
+     with only a right child, and that child: its code overflows an int
+     and wraps onto the single node's code. It must be refused, not
+     given the single node's id. *)
+  let lut = Lut.create ~tile_size:8 in
+  let leaf = Shape.Node (None, None) in
+  ignore (Lut.shape_id lut leaf);
+  let rec spine k = if k = 0 then leaf else Shape.Node (Some (spine (k - 1)), Some leaf) in
+  let big = Shape.Node (Some (spine 29), Some (Shape.Node (None, Some leaf))) in
+  check_int "62 nodes" 62 (Shape.size big);
+  check_int "code wraps onto the single node's" (Shape.code leaf) (Shape.code big);
+  check_bool "62-node shape raises" true
+    (match Lut.shape_id lut big with
+    | exception Invalid_argument _ -> true
     | _ -> false)
 
 (* ------------------------------------------------------------------ *)
