@@ -153,20 +153,8 @@ let env_of_layout ~num_features (lay : Layout.t) =
     widen_thresholds;
   }
 
-let buffer_name = function
-  | Reg_ir.Thresholds -> "thresholds"
-  | Reg_ir.Feature_ids -> "featureIds"
-  | Reg_ir.Shape_ids -> "shapeIds"
-  | Reg_ir.Child_ptrs -> "childPtrs"
-  | Reg_ir.Leaf_values -> "leafValues"
-  | Reg_ir.Lut -> "lut"
-  | Reg_ir.Tree_roots -> "treeRoots"
-  | Reg_ir.Row -> "row"
-
-let is_float_buffer = function
-  | Reg_ir.Thresholds | Reg_ir.Leaf_values | Reg_ir.Row -> true
-  | Reg_ir.Feature_ids | Reg_ir.Shape_ids | Reg_ir.Child_ptrs | Reg_ir.Lut
-  | Reg_ir.Tree_roots -> false
+(* Bounds messages name the LUT in lower case. *)
+let buffer_name = function Reg_ir.Lut -> "lut" | b -> Reg_ir.buffer_name b
 
 (* ------------------------------------------------------------------ *)
 (* Abstract values: interval x congruence x provenance                 *)
@@ -206,10 +194,12 @@ type aval = {
   sym : int option;
 }
 
+(* A vector register holds int lanes with a value range, or anything
+   else (float lanes, or lanes whose type the paths disagree on). *)
 type ival = Ibot | Iv of aval
-type vval = Vbot | Vint of interval | Vfloat
+type vval = Vint of interval | Vother
 
-type state = { ir : ival array; vr : vval array; fr : bool array }
+type state = { ir : ival array; vr : vval array }
 
 let join_aval a b =
   {
@@ -226,17 +216,11 @@ let join_ival a b =
 
 let join_vval a b =
   match (a, b) with
-  | Vbot, _ | _, Vbot -> Vbot
   | Vint x, Vint y -> Vint (hull x y)
-  | Vfloat, Vfloat -> Vfloat
-  | Vint _, Vfloat | Vfloat, Vint _ -> Vbot
+  | Vother, _ | _, Vother -> Vother
 
 let join_state a b =
-  {
-    ir = Array.map2 join_ival a.ir b.ir;
-    vr = Array.map2 join_vval a.vr b.vr;
-    fr = Array.map2 ( && ) a.fr b.fr;
-  }
+  { ir = Array.map2 join_ival a.ir b.ir; vr = Array.map2 join_vval a.vr b.vr }
 
 (* Widening-with-thresholds: an escaping bound jumps to the nearest
    landmark in the given direction, or to infinity once landmarks run
@@ -272,7 +256,6 @@ let widen_state ~thresholds prev next =
   {
     ir = Array.map2 (widen_ival ~thresholds) prev.ir next.ir;
     vr = Array.map2 (widen_vval ~thresholds) prev.vr next.vr;
-    fr = next.fr;
   }
 
 let aval_equal a b =
@@ -288,8 +271,7 @@ let ival_equal a b =
 
 let vval_equal a b =
   match (a, b) with
-  | Vbot, Vbot -> true
-  | Vfloat, Vfloat -> true
+  | Vother, Vother -> true
   | Vint x, Vint y -> x.lo = y.lo && x.hi = y.hi
   | _ -> false
 
@@ -297,7 +279,6 @@ let state_equal a b =
   Array.length a.ir = Array.length b.ir
   && Array.for_all2 ival_equal a.ir b.ir
   && Array.for_all2 vval_equal a.vr b.vr
-  && a.fr = b.fr
 
 let set_i st r v =
   let ir = Array.copy st.ir in
@@ -309,11 +290,6 @@ let set_v st r v =
   vr.(r) <- v;
   { st with vr }
 
-let set_f st r =
-  let fr = Array.copy st.fr in
-  fr.(r) <- true;
-  { st with fr }
-
 let join_opt a b =
   match (a, b) with
   | None, x | x, None -> x
@@ -323,7 +299,11 @@ let join_opt a b =
 (* The forward dataflow                                                *)
 (* ------------------------------------------------------------------ *)
 
-let analyze_program ?(path = []) env (p : Reg_ir.walk_program) =
+(* The bounds dataflow proper. It runs only on a program that
+   [Reg_ir.check] accepts, so every register it reads is in range and
+   defined on every path, every load is typed as its buffer, and every
+   repeat count is non-negative; it reports bounds verdicts alone. *)
+let bounds env (p : Reg_ir.walk_program) =
   let diags = ref [] in
   let dedup = Hashtbl.create 64 in
   let emit ~report d =
@@ -335,31 +315,12 @@ let analyze_program ?(path = []) env (p : Reg_ir.walk_program) =
       end
     end
   in
-  let err ~report ~code pth fmt =
+  let finding severity ~report ~code pth fmt =
     Printf.ksprintf
       (fun message ->
-        emit ~report
-          { D.code; severity = D.Error; level = D.Lir; path = pth; message })
+        emit ~report { D.code; severity; level = D.Lir; path = pth; message })
       fmt
   in
-  let warn ~report ~code pth fmt =
-    Printf.ksprintf
-      (fun message ->
-        emit ~report
-          { D.code; severity = D.Warning; level = D.Lir; path = pth; message })
-      fmt
-  in
-  let info ~report ~code pth fmt =
-    Printf.ksprintf
-      (fun message ->
-        emit ~report
-          { D.code; severity = D.Info; level = D.Lir; path = pth; message })
-      fmt
-  in
-  if p.Reg_ir.tile_size <> env.tile_size then
-    err ~report:true ~code:"L003" path
-      "program tile size %d does not match the layout's %d" p.Reg_ir.tile_size
-      env.tile_size;
   let nt = p.Reg_ir.tile_size in
   let sym_counter = ref 0 in
   let fresh () =
@@ -383,28 +344,7 @@ let analyze_program ?(path = []) env (p : Reg_ir.walk_program) =
     | None -> Hashtbl.replace access buf range
     | Some acc -> Hashtbl.replace access buf (hull acc range)
   in
-  let read_a ~report pth r st =
-    if r < 0 || r >= p.Reg_ir.num_iregs then begin
-      err ~report ~code:"L001" pth "int register %d outside the %d declared" r
-        p.Reg_ir.num_iregs;
-      av top
-    end
-    else
-      match st.ir.(r) with
-      | Iv a -> a
-      | Ibot ->
-        err ~report ~code:"L002" pth
-          "int register %d read before any definition" r;
-        av top
-  in
-  let read_v ~report pth r st =
-    if r < 0 || r >= p.Reg_ir.num_vregs then begin
-      err ~report ~code:"L001" pth
-        "vector register %d outside the %d declared" r p.Reg_ir.num_vregs;
-      Vbot
-    end
-    else st.vr.(r)
-  in
+  let read_a r st = match st.ir.(r) with Iv a -> a | Ibot -> av top in
   let check_bounds ?(cg = Congruence.top) ~report pth buf ~width idx =
     (* Reduced product: shrink the interval to congruence-class members
        before judging (e.g. a lane index that is a multiple of tile_size
@@ -425,18 +365,18 @@ let analyze_program ?(path = []) env (p : Reg_ir.walk_program) =
          unreachable (e.g. a peeled walk whose loop body never runs again
          on a tiny slab), and intervals do not track reachability. *)
       if extent < width || (finite && (idx.lo > hi_ok || idx.hi < 0.0)) then
-        err ~report ~code:"L010" pth
+        finding D.Error ~report ~code:"L010" pth
           "%d-element access to %s at index %s is always out of bounds \
            (extent %d)"
           width (buffer_name buf) (istr idx) extent
       else if idx.lo >= 0.0 && idx.hi <= hi_ok then ()
       else if finite then
-        warn ~report ~code:"L011" pth
+        finding D.Warning ~report ~code:"L011" pth
           "%d-element access to %s at index %s may be out of bounds \
            (extent %d)"
           width (buffer_name buf) (istr idx) extent
       else
-        info ~report ~code:"L012" pth
+        finding D.Info ~report ~code:"L012" pth
           "%d-element access to %s at loop-variant index %s (extent %d): \
            bounds not provable by intervals (see the layout closure check)"
           width (buffer_name buf) (istr idx) extent
@@ -493,10 +433,10 @@ let analyze_program ?(path = []) env (p : Reg_ir.walk_program) =
          between here and its next write all see one runtime value, so it
          gets its own symbol (the source's may already have been lost to a
          control-flow join — provenance must not depend on that). *)
-      let a = read_a ~report pth r st in
+      let a = read_a r st in
       { a with sym = fresh () }
     | Reg_ir.Iadd (ra, rb) ->
-      let a = read_a ~report pth ra st and b = read_a ~report pth rb st in
+      let a = read_a ra st and b = read_a rb st in
       let iv = relational_add a b (iadd a.iv b.iv) in
       let org =
         match (a.org, b.org) with
@@ -508,11 +448,11 @@ let analyze_program ?(path = []) env (p : Reg_ir.walk_program) =
       in
       av ~cg:(Congruence.add a.cg b.cg) ~org iv
     | Reg_ir.Isub (ra, rb) ->
-      let a = read_a ~report pth ra st and b = read_a ~report pth rb st in
+      let a = read_a ra st and b = read_a rb st in
       let iv = relational_sub a b (isub a.iv b.iv) in
       av ~cg:(Congruence.sub a.cg b.cg) iv
     | Reg_ir.Imul_const (r, c) ->
-      let a = read_a ~report pth r st in
+      let a = read_a r st in
       let org =
         match a.org with
         | Oshape s when c = 1 lsl nt -> Olutbase s
@@ -520,88 +460,44 @@ let analyze_program ?(path = []) env (p : Reg_ir.walk_program) =
       in
       av ~cg:(Congruence.mul_const c a.cg) ~org (imul_const a.iv c)
     | Reg_ir.Iadd_const (r, c) ->
-      let a = read_a ~report pth r st in
+      let a = read_a r st in
       av ~cg:(Congruence.add a.cg (Congruence.const c)) (iadd a.iv (const c))
     | Reg_ir.Iload (buf, r) ->
-      let a = read_a ~report pth r st in
-      if is_float_buffer buf then
-        err ~report ~code:"L003" pth "integer load from float buffer %s"
-          (buffer_name buf);
+      let a = read_a r st in
       check_bounds ~cg:a.cg ~report pth buf ~width:1 a.iv;
       av ~cg:(env.content_cg buf) ~org:(load_origin buf a) (content_iv buf)
-    | Reg_ir.Movemask v -> (
-      match read_v ~report pth v st with
-      | Vint _ -> av { lo = 0.0; hi = float_of_int ((1 lsl nt) - 1) }
-      | Vfloat ->
-        err ~report ~code:"L003" pth "movemask of float-typed lanes";
-        av top
-      | Vbot ->
-        err ~report ~code:"L002" pth
-          "vector register %d read before any definition" v;
-        av top)
+    | Reg_ir.Movemask _ -> av { lo = 0.0; hi = float_of_int ((1 lsl nt) - 1) }
   in
   let eval_fexpr ~report pth st = function
     | Reg_ir.Fload (buf, r) ->
-      let a = read_a ~report pth r st in
-      if not (is_float_buffer buf) then
-        err ~report ~code:"L003" pth "float load from integer buffer %s"
-          (buffer_name buf);
+      let a = read_a r st in
       check_bounds ~cg:a.cg ~report pth buf ~width:1 a.iv
   in
   let eval_vexpr ~report pth st = function
     | Reg_ir.Vload_f (buf, r) ->
-      let a = read_a ~report pth r st in
-      if not (is_float_buffer buf) then
-        err ~report ~code:"L003" pth
-          "float vector load from integer buffer %s" (buffer_name buf);
+      let a = read_a r st in
       check_bounds ~cg:a.cg ~report pth buf ~width:nt a.iv;
-      Vfloat
+      Vother
     | Reg_ir.Vload_i (buf, r) ->
-      let a = read_a ~report pth r st in
-      if is_float_buffer buf then
-        err ~report ~code:"L003" pth
-          "integer vector load from float buffer %s" (buffer_name buf);
+      let a = read_a r st in
       check_bounds ~cg:a.cg ~report pth buf ~width:nt a.iv;
       Vint (content_iv buf)
     | Reg_ir.Gather (buf, v) ->
-      if not (is_float_buffer buf) then
-        err ~report ~code:"L003" pth "gather from integer buffer %s"
-          (buffer_name buf);
-      (match read_v ~report pth v st with
+      (match st.vr.(v) with
       | Vint lanes -> check_bounds ~report pth buf ~width:1 lanes
-      | Vfloat ->
-        err ~report ~code:"L003" pth "gather indexed by float-typed lanes"
-      | Vbot ->
-        err ~report ~code:"L002" pth
-          "vector register %d read before any definition" v);
-      Vfloat
-    | Reg_ir.Vcmp_lt (a, b) ->
-      let lane r =
-        match read_v ~report pth r st with
-        | Vfloat -> ()
-        | Vint _ ->
-          err ~report ~code:"L003" pth
-            "vector compare over integer-typed lanes (register %d)" r
-        | Vbot ->
-          err ~report ~code:"L002" pth
-            "vector register %d read before any definition" r
-      in
-      lane a;
-      lane b;
-      Vint { lo = 0.0; hi = 1.0 }
+      | Vother -> ());
+      Vother
+    | Reg_ir.Vcmp_lt _ -> Vint { lo = 0.0; hi = 1.0 }
   in
   let check_cond ~report pth st = function
-    | Reg_ir.Ige (r, _) -> ignore (read_a ~report pth r st)
+    | Reg_ir.Ige _ -> ()
     | Reg_ir.Ieq_load (buf, r, _) ->
-      let a = read_a ~report pth r st in
-      if is_float_buffer buf then
-        err ~report ~code:"L003" pth
-          "integer conditional load from float buffer %s" (buffer_name buf);
+      let a = read_a r st in
       check_bounds ~cg:a.cg ~report pth buf ~width:1 a.iv
   in
   let refine st cond taken =
     match cond with
-    | Reg_ir.Ige (r, c) when r >= 0 && r < p.Reg_ir.num_iregs -> (
+    | Reg_ir.Ige (r, c) -> (
       match st.ir.(r) with
       | Ibot -> Some st
       | Iv a ->
@@ -614,7 +510,7 @@ let analyze_program ?(path = []) env (p : Reg_ir.walk_program) =
             hi = Congruence.tighten_hi a.cg iv.hi }
         in
         if iv.lo > iv.hi then None else Some (set_i st r (Iv { a with iv })))
-    | _ -> Some st
+    | Reg_ir.Ieq_load _ -> Some st
   in
   let thresholds = env.widen_thresholds in
   let sub pth seg = pth @ [ seg ] in
@@ -631,30 +527,11 @@ let analyze_program ?(path = []) env (p : Reg_ir.walk_program) =
     | None -> None
     | Some st -> (
       match stmt with
-      | Reg_ir.Iset (r, e) ->
-        let v = eval_iexpr ~report pth st e in
-        if r < 0 || r >= p.Reg_ir.num_iregs then begin
-          err ~report ~code:"L001" pth
-            "int register %d outside the %d declared" r p.Reg_ir.num_iregs;
-          Some st
-        end
-        else Some (set_i st r (Iv v))
-      | Reg_ir.Fset (r, e) ->
+      | Reg_ir.Iset (r, e) -> Some (set_i st r (Iv (eval_iexpr ~report pth st e)))
+      | Reg_ir.Fset (_, e) ->
         eval_fexpr ~report pth st e;
-        if r < 0 || r >= p.Reg_ir.num_fregs then begin
-          err ~report ~code:"L001" pth
-            "float register %d outside the %d declared" r p.Reg_ir.num_fregs;
-          Some st
-        end
-        else Some (set_f st r)
-      | Reg_ir.Vset (r, e) ->
-        let v = eval_vexpr ~report pth st e in
-        if r < 0 || r >= p.Reg_ir.num_vregs then begin
-          err ~report ~code:"L001" pth
-            "vector register %d outside the %d declared" r p.Reg_ir.num_vregs;
-          Some st
-        end
-        else Some (set_v st r v)
+        Some st
+      | Reg_ir.Vset (r, e) -> Some (set_v st r (eval_vexpr ~report pth st e))
       | Reg_ir.If (cond, then_b, else_b) ->
         check_cond ~report pth st cond;
         let t = exec_stmts ~report (sub pth "then") (refine st cond true) then_b in
@@ -689,17 +566,11 @@ let analyze_program ?(path = []) env (p : Reg_ir.walk_program) =
           ignore (exec_stmts ~report (sub pth "while") (Some entry) body));
         refine inv cond false
       | Reg_ir.Repeat (n, body) ->
-        if n < 0 then begin
-          err ~report ~code:"L004" pth "negative repeat count %d" n;
-          Some st
-        end
-        else begin
-          let st = ref (Some st) in
-          for _ = 1 to n do
-            st := exec_stmts ~report (sub pth "repeat") !st body
-          done;
-          !st
-        end)
+        let st = ref (Some st) in
+        for _ = 1 to n do
+          st := exec_stmts ~report (sub pth "repeat") !st body
+        done;
+        !st)
   in
   let init =
     let ir = Array.make (max p.Reg_ir.num_iregs 0) Ibot in
@@ -721,30 +592,33 @@ let analyze_program ?(path = []) env (p : Reg_ir.walk_program) =
       if off + Reg_ir.base_reg < Array.length ir then
         ir.(off + Reg_ir.base_reg) <- Iv (roots ())
     done;
-    {
-      ir;
-      vr = Array.make (max p.Reg_ir.num_vregs 0) Vbot;
-      fr = Array.make (max p.Reg_ir.num_fregs 0) false;
-    }
+    { ir; vr = Array.make (max p.Reg_ir.num_vregs 0) Vother }
   in
-  (match exec_stmts ~report:true path (Some init) p.Reg_ir.body with
-  | Some final ->
-    let fw = Reg_ir.lane_fwidth p in
-    for lane = 0 to max 1 p.Reg_ir.lanes - 1 do
-      let r = (lane * fw) + Reg_ir.result_reg in
-      if r >= 0 && r < Array.length final.fr && not final.fr.(r) then
-        warn ~report:true ~code:"L002" path
-          "result register may be undefined when the walk exits%s"
-          (if p.Reg_ir.lanes > 1 then Printf.sprintf " (lane %d)" lane else "")
-    done
-  | None -> ());
+  ignore (exec_stmts ~report:true [] (Some init) p.Reg_ir.body : state option);
   let facts =
     Hashtbl.fold (fun buf iv acc -> (buf, iv) :: acc) access []
     |> List.sort compare
   in
   (List.rev !diags, facts)
 
-let check_program ?path env p = fst (analyze_program ?path env p)
+let analyze_program env (p : Reg_ir.walk_program) =
+  let discipline =
+    Reg_ir.check p
+    @
+    if p.Reg_ir.tile_size = env.tile_size then []
+    else
+      [
+        D.errorf ~level:D.Lir ~code:"L003" ~path:[]
+          "program tile size %d does not match the layout's %d"
+          p.Reg_ir.tile_size env.tile_size;
+      ]
+  in
+  if D.has_errors discipline then (discipline, [])
+  else
+    let flow, facts = bounds env p in
+    (discipline @ flow, facts)
+
+let check_program env p = fst (analyze_program env p)
 
 (* ------------------------------------------------------------------ *)
 (* Umbrella: layout + every generated walk variant                     *)

@@ -2,7 +2,9 @@
     {!Tb_lir.Reg_ir} walk programs (intervals in reduced product with a
     {!Congruence} stride domain, plus provenance-tracked
     [child_ptr + lut_child] facts from {!Tb_lir.Layout.stride_facts}) and
-    a closure check over {!Tb_lir.Layout} model buffers.
+    a closure check over {!Tb_lir.Layout} model buffers. The register
+    discipline ([L001]..[L004]) is {!Tb_lir.Reg_ir.check}'s; the dataflow
+    proves buffer bounds on the programs that pass it.
 
     Bounds verdicts come in three tiers, reflecting what the abstract
     domains can prove about cursor-chasing loads:
@@ -58,25 +60,24 @@ val env_of_layout : num_features:int -> Tb_lir.Layout.t -> env
     actual layout arrays. *)
 
 val check_program :
-  ?path:string list -> env -> Tb_lir.Reg_ir.walk_program ->
-  Tb_diag.Diagnostic.t list
-(** Forward dataflow over the program: register discipline
-    ([L001]..[L004] as in {!Tb_lir.Reg_ir.check}), load/store typing against
-    buffer element kinds ([L003]), and a bounds verdict for every buffer
-    access ([L010]/[L011]/[L012]). Branch conditions refine intervals
-    and congruence classes ([Ige] on both arms); [While] bodies run to a
-    threshold-widened fixpoint before one reporting pass; [Repeat] bodies
-    are executed abstractly [n] times. Duplicate findings at one program
-    point are deduplicated. *)
+  env -> Tb_lir.Reg_ir.walk_program -> Tb_diag.Diagnostic.t list
+(** The program's {!Tb_lir.Reg_ir.check} findings ([L001]..[L004]), an
+    [L003] error when its tile size is not the layout's, and — only when
+    none of those is an error — a bounds verdict for every buffer access
+    ([L010]/[L011]/[L012]) from a forward dataflow. Branch conditions
+    refine intervals and congruence classes ([Ige] on both arms);
+    [While] bodies run to a threshold-widened fixpoint before one
+    reporting pass; [Repeat] bodies are executed abstractly [n] times.
+    Duplicate bounds findings at one program point are deduplicated. *)
 
 val analyze_program :
-  ?path:string list -> env -> Tb_lir.Reg_ir.walk_program ->
+  env -> Tb_lir.Reg_ir.walk_program ->
   Tb_diag.Diagnostic.t list * (Tb_lir.Reg_ir.buffer * interval) list
 (** Like {!check_program}, additionally returning per-buffer access facts:
     for each buffer, the hull of every access's index range (vector
     accesses contribute [index .. index + width - 1]) proved by the
-    reporting pass. The soundness harness replays concrete executions
-    against these hulls. *)
+    reporting pass, or none when the dataflow did not run. The soundness
+    harness replays concrete executions against these hulls. *)
 
 val check_variant :
   env -> variant:int -> Tb_lir.Reg_ir.walk_program -> Tb_diag.Diagnostic.t list

@@ -448,83 +448,47 @@ let certified_clean c = c.findings = []
 
 (* ---------------- the executable quantized path ---------------- *)
 
-type qtree =
-  | Qleaf of int
-  | Qnode of { feature : int; qthreshold : int; qleft : qtree; qright : qtree }
+type qmodel = { qplan : plan; qforest : Forest.t }
 
-type qmodel = {
-  qplan : plan;
-  qtrees : qtree array;
-  qbase : int;
-  q_classes : int;
-}
-
+(* The plan's integers held as integer-valued floats, so the ordinary
+   tree walk evaluates the quantized model: every compare is between two
+   integers and every partial sum is an integer far below 2^53, so each
+   float add is exact. *)
 let quantize plan (forest : Forest.t) =
-  let rec go = function
-    | Tree.Leaf v -> Qleaf (qleaf plan v)
-    | Tree.Node { feature; threshold; left; right } ->
-      let e =
+  let qtree =
+    Tree.fold
+      ~leaf:(fun v -> Tree.Leaf (float_of_int (qleaf plan v)))
+      ~node:(fun feature t left right ->
         match plan.feature_exp.(feature) with
-        | Some e -> e
-        | None -> invalid_arg "Numeric.quantize: node on an unused feature"
-      in
-      Qnode
-        {
-          feature;
-          qthreshold = qthreshold plan e threshold;
-          qleft = go left;
-          qright = go right;
-        }
+        | Some e ->
+          Tree.Node
+            { feature; threshold = float_of_int (qthreshold plan e t); left;
+              right }
+        | None -> invalid_arg "Numeric.quantize: node on an unused feature")
   in
   {
     qplan = plan;
-    qtrees = Array.map go forest.Forest.trees;
-    qbase = qleaf plan forest.Forest.base_score;
-    q_classes = Forest.num_outputs forest;
+    qforest =
+      {
+        forest with
+        Forest.trees = Array.map qtree forest.Forest.trees;
+        base_score = float_of_int (qleaf plan forest.Forest.base_score);
+      };
   }
 
 let quantize_input plan row =
   Array.mapi
     (fun f x ->
       match plan.feature_exp.(f) with
-      | None -> 0
-      | Some e -> quantize_scaled ~q_max:plan.q_max (x *. pow2 e))
+      | None -> 0.0
+      | Some e -> float_of_int (quantize_scaled ~q_max:plan.q_max (x *. pow2 e)))
     row
 
-let rec qeval t qrow =
-  match t with
-  | Qleaf q -> q
-  | Qnode { feature; qthreshold; qleft; qright } ->
-    if qrow.(feature) < qthreshold then qeval qleft qrow else qeval qright qrow
-
-let qpredict_acc (m : qmodel) qrow =
-  let acc = Array.make m.q_classes m.qbase in
-  Array.iteri
-    (fun i t ->
-      let c = i mod m.q_classes in
-      acc.(c) <- acc.(c) + qeval t qrow)
-    m.qtrees;
-  acc
-
-let qpredict_raw (m : qmodel) row =
-  let qrow = quantize_input m.qplan row in
+let qpredict_raw m row =
+  let scale = pow2 (-m.qplan.leaf_exp) in
   Array.map
-    (fun acc -> float_of_int acc *. pow2 (-m.qplan.leaf_exp))
-    (qpredict_acc m qrow)
-
-let qtree_leaf_index t qrow =
-  let rec count = function
-    | Qleaf _ -> 1
-    | Qnode { qleft; qright; _ } -> count qleft + count qright
-  in
-  let rec go t acc =
-    match t with
-    | Qleaf _ -> acc
-    | Qnode { feature; qthreshold; qleft; qright } ->
-      if qrow.(feature) < qthreshold then go qleft acc
-      else go qright (acc + count qleft)
-  in
-  go t 0
+    (fun acc -> acc *. scale)
+    (Forest.predict_raw m.qforest (quantize_input m.qplan row))
 
 let dead_zone_row plan (forest : Forest.t) row =
   let qrow = quantize_input plan row in
@@ -537,7 +501,8 @@ let dead_zone_row plan (forest : Forest.t) row =
           match plan.feature_exp.(f) with
           | None -> ()
           | Some e ->
-            if row.(f) < t <> (qrow.(f) < qthreshold plan e t) then hit := true)
+            if row.(f) < t <> (qrow.(f) < float_of_int (qthreshold plan e t))
+            then hit := true)
         tree)
     forest.Forest.trees;
   !hit

@@ -160,37 +160,29 @@ val certified_clean : certificate -> bool
 
 (** {2 Executable quantized path}
 
-    A reference integer-only evaluator over the derived plan — what the
-    future quantized LIR layout must agree with, and what the soundness
-    harness replays against the certificate. *)
-
-type qtree =
-  | Qleaf of int
-  | Qnode of { feature : int; qthreshold : int; qleft : qtree; qright : qtree }
+    The certified model in the plan's integers, evaluated by the ordinary
+    tree walk ({!Tb_model.Forest.predict_raw}) — what the quantized LIR
+    layout must agree with, and what the soundness harness replays
+    against the certificate. *)
 
 type qmodel = {
   qplan : plan;
-  qtrees : qtree array;
-  qbase : int;  (** [round (base_score * 2^leaf_exp)] *)
-  q_classes : int;
+  qforest : Tb_model.Forest.t;
+      (** the source forest with every threshold, leaf and [base_score]
+          replaced by its plan integer, held as an integer-valued float *)
 }
 
 val quantize : plan -> Tb_model.Forest.t -> qmodel
 
-val quantize_input : plan -> float array -> int array
-(** Per-feature rounding of a row by its scale (0 for unused features). *)
-
-val qpredict_acc : qmodel -> int array -> int array
-(** Integer class accumulators for a quantized row ([qbase] included). *)
+val quantize_input : plan -> float array -> float array
+(** Per-feature rounding of a row by its scale, as integer-valued floats
+    (0 for unused features). *)
 
 val qpredict_raw : qmodel -> float array -> float array
-(** Quantize the row, accumulate in integers, dequantize: the end-to-end
-    integer fast path whose deviation the certificate bounds. *)
-
-val qtree_leaf_index : qtree -> int array -> int
-(** Leaf reached by the quantized routing, in left-to-right leaf order —
-    comparable with {!Tb_model.Tree.predict_leaf_index} to detect routing
-    divergence. *)
+(** Quantize the row, walk the quantized forest, dequantize by
+    [2^-leaf_exp]: the end-to-end integer fast path whose deviation the
+    certificate bounds. Every partial sum is an integer far below 2^53,
+    so the float walk adds exactly. *)
 
 val dead_zone_row : plan -> Tb_model.Forest.t -> float array -> bool
 (** True when some internal node [(f, t)] of the forest disagrees between

@@ -920,8 +920,22 @@ let check_quant ?(rows = 48) (forest : Forest.t) (plan : Numeric.plan)
         message = "quantized stage pair requested on a float lowering";
       };
     ]
-  | Some _ ->
+  | Some q ->
     let qm = Numeric.quantize plan forest in
+    let lay = lp.Lower.layout in
+    let qbase = Layout.quantize_leaf q lp.Lower.base_score in
+    let scale = Layout.dequant_scale q in
+    (* The quantized layout's own evaluation: quantize the row, add the
+       integer-valued walk results to the quantized base, dequantize. *)
+    let layout_qpredict row =
+      let qrow = Layout.quantize_row q row in
+      let out = Array.make lp.Lower.num_outputs qbase in
+      for tree = 0 to lay.Layout.num_trees - 1 do
+        let c = lp.Lower.tree_class.(tree) in
+        out.(c) <- out.(c) +. Layout.walk lay ~tree qrow
+      done;
+      Array.map (fun acc -> acc *. scale) out
+    in
     let nf = forest.Forest.num_features in
     let rng = Tb_util.Prng.create 0x51ab in
     let gaussian_row () =
@@ -948,7 +962,7 @@ let check_quant ?(rows = 48) (forest : Forest.t) (plan : Numeric.plan)
     let out = ref [] in
     List.iter
       (fun row ->
-        let a = Lower.reference_qpredict lp row in
+        let a = layout_qpredict row in
         let b = Numeric.qpredict_raw qm row in
         let agree =
           Array.length a = Array.length b

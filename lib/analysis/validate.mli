@@ -144,12 +144,11 @@ val check_quant :
   Tb_lir.Lower.t ->
   finding list
 (** The quantized stage pair (Lir ↔ Quant), checked concretely: the
-    quantized lowering's reference evaluator
-    ({!Tb_lir.Lower.reference_qpredict}) against the certified integer
-    evaluator ({!Numeric.qpredict_raw}) on [rows] deterministic Gaussian
-    probes plus threshold-tie probes, compared {e bitwise} per class —
-    the two integer paths must agree on every row, dead zones included
-    (only the float path may diverge there). Any mismatch is a [T005]
-    error with the witness row. @raise Invalid_argument via
-    [reference_qpredict] if the lowering is not quantized — callers gate
-    on [layout.quant]. *)
+    quantized layout's own evaluation (quantize the row, add each tree's
+    {!Tb_lir.Layout.walk} to the quantized base score, dequantize)
+    against the certified integer evaluator ({!Numeric.qpredict_raw}) on
+    [rows] deterministic Gaussian probes plus threshold-tie probes,
+    compared {e bitwise} per class — the two integer paths must agree on
+    every row, dead zones included (only the float path may diverge
+    there). Any mismatch is a [T005] error with the witness row; a float
+    lowering is one [T005] error without a witness. *)

@@ -130,8 +130,8 @@ let lower ?(mode = Verify_each) ?(batch_size = 1024) ?profiles forest schedule
   pipeline mode (fun r ->
       lower_stages r ~batch_size ?profiles forest schedule ())
 
-let run ~mode ?(batch_size = 1024) ?profiles ~backend ~target resolution
-    forest schedule =
+let run ~mode ?(batch_size = 1024) ?profiles ~target resolution forest
+    schedule =
   pipeline mode @@ fun r ->
   let assemble = lower_stages r ~batch_size ?profiles forest schedule in
   let resolution, lowered =
@@ -169,10 +169,7 @@ let run ~mode ?(batch_size = 1024) ?profiles ~backend ~target resolution
         Pack.of_lower ~target:target.Tb_cpu.Config.name ?quant lowered)
   in
   let predict =
-    stage r "instantiate" (fun () ->
-        match backend with
-        | `Threaded -> Tb_vm.Jit.instantiate artifact
-        | `Single_thread -> Tb_vm.Jit.instantiate_single_thread artifact)
+    stage r "instantiate" (fun () -> Tb_vm.Jit.instantiate artifact)
   in
   {
     forest;
@@ -187,6 +184,5 @@ let run ~mode ?(batch_size = 1024) ?profiles ~backend ~target resolution
 
 let compile ?(mode = Verify_each) ?batch_size ?profiles
     ?(schedule = Tb_hir.Schedule.default) forest =
-  run ~mode ?batch_size ?profiles ~backend:`Threaded
-    ~target:Tb_cpu.Config.intel_rocket_lake (Float_tier [])
-    forest schedule
+  run ~mode ?batch_size ?profiles ~target:Tb_cpu.Config.intel_rocket_lake
+    (Float_tier []) forest schedule

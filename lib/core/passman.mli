@@ -87,7 +87,6 @@ val run :
   mode:mode ->
   ?batch_size:int ->
   ?profiles:Tb_model.Model_stats.tree_profile array ->
-  backend:[ `Threaded | `Single_thread ] ->
   target:Tb_cpu.Config.t ->
   resolution ->
   Tb_model.Forest.t ->
@@ -98,8 +97,9 @@ val run :
     checks that lowering in every [mode]; a finding re-assembles the
     float program from the same stages, with the findings in
     [precision_diags]. A quantized pack records [resident_k = 0]
-    ({!Tb_lir.Pack.quant}). [target] names the pack's metadata.
-    Under [No_verify] the result is always [Ok]. *)
+    ({!Tb_lir.Pack.quant}). [target] names the pack's metadata. The
+    predictor is {!Tb_vm.Jit.instantiate}, which runs the schedule's
+    [num_threads]. Under [No_verify] the result is always [Ok]. *)
 
 val compile :
   ?mode:mode ->
@@ -108,5 +108,5 @@ val compile :
   ?schedule:Tb_hir.Schedule.t ->
   Tb_model.Forest.t ->
   (compiled * report, report) result
-(** {!run} on the float tier with the threaded backend — the verified
-    counterpart of {!Treebeard.make}. Defaults to [Verify_each]. *)
+(** {!run} on the float tier — the verified counterpart of
+    {!Treebeard.make}. Defaults to [Verify_each]. *)

@@ -111,7 +111,7 @@ let make ?(plan = `Schedule Schedule.default) ?profiles ?training_rows
     | `Threaded -> schedule
     | `Single_thread -> fst (Schedule.clamp_threads ~max_threads:1 schedule)
   in
-  Passman.run ~mode:No_verify ?profiles ~backend ~target
+  Passman.run ~mode:No_verify ?profiles ~target
     (resolve_precision ~precision forest)
     forest schedule
   |> Result.get_ok |> fst

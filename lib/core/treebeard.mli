@@ -113,10 +113,10 @@ val make :
       [`Auto] simulates candidate schedules on them (a synthetic
       Gaussian probe batch is used when absent).
     - [backend]: [`Single_thread] clamps the schedule's row-loop
-      parallelism to one thread ({!Tb_hir.Schedule.clamp_threads}) and
-      builds the predictor with {!Tb_vm.Jit.instantiate_single_thread} — for
-      hosts like the serving runtime whose workers each own a core.
-      Default [`Threaded] keeps the schedule's own [num_threads].
+      parallelism to one thread ({!Tb_hir.Schedule.clamp_threads}), so
+      the predictor runs on the calling domain — for hosts like the
+      serving runtime whose workers each own a core. Default [`Threaded]
+      keeps the schedule's own [num_threads].
     - [precision]: [`Quantized r] compiles the integer fast path when the
       model certifies clean at [r.bits]/[r.tolerance] — layout buffers
       rewritten to the certified fixed-point integers, predictions

@@ -173,28 +173,16 @@ let comparison_bits t (tile : tile) row =
   done;
   !bits
 
-let walk_leaf_node t row =
-  let rec go i =
-    match t.nodes.(i) with
-    | Leaf _ -> i
-    | Tile tile ->
-      let bits = comparison_bits t tile row in
-      let child = Lut.lookup t.lut ~shape_id:tile.shape_id ~bits in
-      go tile.children.(child)
-  in
-  go 0
-
-let walk t row =
-  match t.nodes.(walk_leaf_node t row) with
-  | Leaf v -> v
-  | Tile _ -> assert false
-
 let step t i row =
   match t.nodes.(i) with
   | Leaf _ -> invalid_arg "Tiled_tree.step: node is a leaf"
   | Tile tile ->
     let bits = comparison_bits t tile row in
     tile.children.(Lut.lookup t.lut ~shape_id:tile.shape_id ~bits)
+
+let walk t row =
+  let rec go i = match t.nodes.(i) with Leaf v -> v | Tile _ -> go (step t i row) in
+  go 0
 
 let is_dummy (tile : tile) = Array.length tile.node_ids = 0
 

@@ -72,10 +72,6 @@ val walk : t -> float array -> float
 (** Reference tiled traversal (must equal {!Tb_model.Tree.predict} on the
     source tree — tested). *)
 
-val walk_leaf_node : t -> float array -> int
-(** Index (into [nodes]) of the leaf reached — used by probability
-    accounting. *)
-
 val step : t -> int -> float array -> int
 (** One tile step: index (into [nodes]) of the child the row selects at
     tile node [i]. Building block for walk-kind-faithful replay

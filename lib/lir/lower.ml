@@ -36,24 +36,6 @@ let lower ?profiles ?quant forest schedule =
   let hir = Program.build ?profiles forest schedule in
   assemble ?quant hir (Mir.lower hir) (Layout.build hir)
 
-(* End-to-end integer fast path over the quantized layout buffers: the
-   semantics the quantized JIT must reproduce and the form the
-   differential tests pin against [Tb_analysis.Numeric.qpredict_raw].
-   Accumulation is exact (integer-valued floats below the certified
-   accumulator bound), so tree order cannot change the result. *)
-let reference_qpredict t row =
-  match t.layout.Layout.quant with
-  | None -> invalid_arg "Lower.reference_qpredict: layout is not quantized"
-  | Some q ->
-    let qrow = Layout.quantize_row q row in
-    let out = Array.make t.num_outputs (Layout.quantize_leaf q t.base_score) in
-    for tree = 0 to t.layout.Layout.num_trees - 1 do
-      let cls = t.tree_class.(tree) in
-      out.(cls) <- out.(cls) +. Layout.walk t.layout ~tree qrow
-    done;
-    let scale = Layout.dequant_scale q in
-    Array.map (fun acc -> acc *. scale) out
-
 let dump t =
   let buf = Buffer.create 1024 in
   let fmt = Format.formatter_of_buffer buf in

@@ -34,13 +34,6 @@ val assemble :
     verification between them instead of calling {!Tb_mir.Mir.lower}.
     [?quant] quantizes the supplied (float) layout first. *)
 
-val reference_qpredict : t -> float array -> float array
-(** The quantized analogue over a quantized layout: quantize the row,
-    accumulate the integer-valued walk results from the certified base
-    score, dequantize exactly. Must equal
-    [Tb_analysis.Numeric.qpredict_raw] bit for bit; the anchor for the
-    quantized backend tests. @raise Invalid_argument on a float layout. *)
-
 val dump : t -> string
 (** Human-readable dump: schedule, MIR loop nest, walk listing, the
     verified register IR of every walk variant, and layout statistics

@@ -106,10 +106,26 @@ type vkind = VInt | VFloat
 
 module D = Tb_diag.Diagnostic
 
+let buffer_name = function
+  | Thresholds -> "thresholds"
+  | Feature_ids -> "featureIds"
+  | Shape_ids -> "shapeIds"
+  | Child_ptrs -> "childPtrs"
+  | Leaf_values -> "leafValues"
+  | Lut -> "LUT"
+  | Tree_roots -> "treeRoots"
+  | Row -> "row"
+
+let is_float_buffer = function
+  | Thresholds | Leaf_values | Row -> true
+  | Feature_ids | Shape_ids | Child_ptrs | Lut | Tree_roots -> false
+
 (* Structured register-discipline check. Findings are collected (with
    error recovery so one fault does not hide the rest) instead of
    short-circuiting on the first violation. Statements are addressed by
-   their static pre-order index ("op N"). *)
+   their static pre-order index ("op N"). The state says which int and
+   float registers are defined and each vector register's lane type;
+   every update copies, so a branch can start from its parent's state. *)
 let check p =
   let diags = ref [] in
   let opno = ref (-1) in
@@ -121,20 +137,40 @@ let check p =
     if r < 0 || r >= p.num_iregs then err "L001" "ireg %d out of range (file size %d)" r p.num_iregs
     else if use && not defined.(r) then err "L002" "ireg %d used before assignment" r
   in
-  let rec go stmts (di, dv) =
+  (* A load's element type must be its buffer's. *)
+  let typed ~float what b =
+    if is_float_buffer b <> float then
+      err "L003" "%s from %s buffer %s" what
+        (if float then "integer" else "float")
+        (buffer_name b)
+  in
+  let check_cond di = function
+    | Ige (r, _) -> check_ireg ~defined:di r ~use:true
+    | Ieq_load (b, r, _) ->
+      check_ireg ~defined:di r ~use:true;
+      typed ~float:false "integer conditional load" b
+  in
+  let define a r =
+    let a = Array.copy a in
+    a.(r) <- true;
+    a
+  in
+  let rec go stmts ((di, df, dv) as st) =
     match stmts with
-    | [] -> (di, dv)
+    | [] -> st
     | stmt :: rest ->
       incr opno;
-      let state =
+      let st =
         match stmt with
         | Iset (r, e) ->
           check_ireg ~defined:di r ~use:false;
           (match e with
           | Iconst _ -> ()
-          | Imov a | Imul_const (a, _) | Iadd_const (a, _)
-          | Iload (_, a) ->
+          | Imov a | Imul_const (a, _) | Iadd_const (a, _) ->
             check_ireg ~defined:di a ~use:true
+          | Iload (b, a) ->
+            check_ireg ~defined:di a ~use:true;
+            typed ~float:false "integer load" b
           | Iadd (a, b) | Isub (a, b) ->
             check_ireg ~defined:di a ~use:true;
             check_ireg ~defined:di b ~use:true
@@ -146,21 +182,18 @@ let check p =
               | Some VInt -> ()
               | Some VFloat -> err "L003" "movemask on float vector v%d" v
               | None -> err "L002" "vreg %d used before assignment" v));
-          if r >= 0 && r < p.num_iregs then begin
-            let di = Array.copy di in
-            di.(r) <- true;
-            (di, dv)
-          end
-          else (di, dv)
-        | Fset (r, Fload (_, a)) ->
-          if r < 0 || r >= p.num_fregs then
+          if r >= 0 && r < p.num_iregs then (define di r, df, dv) else st
+        | Fset (r, Fload (b, a)) ->
+          let in_range = r >= 0 && r < p.num_fregs in
+          if not in_range then
             err "L001" "freg %d out of range (file size %d)" r p.num_fregs;
           check_ireg ~defined:di a ~use:true;
-          (di, dv)
+          typed ~float:true "float load" b;
+          if in_range then (di, define df r, dv) else st
         | Vset (r, e) ->
           if r < 0 || r >= p.num_vregs then begin
             err "L001" "vreg %d out of range (file size %d)" r p.num_vregs;
-            (di, dv)
+            st
           end
           else begin
             let use_v v expected =
@@ -176,14 +209,17 @@ let check p =
             in
             let kind =
               match e with
-              | Vload_f (_, a) ->
+              | Vload_f (b, a) ->
                 check_ireg ~defined:di a ~use:true;
+                typed ~float:true "float vector load" b;
                 VFloat
-              | Vload_i (_, a) ->
+              | Vload_i (b, a) ->
                 check_ireg ~defined:di a ~use:true;
+                typed ~float:false "integer vector load" b;
                 VInt
-              | Gather (_, idx) ->
+              | Gather (b, idx) ->
                 use_v idx VInt;
+                typed ~float:true "gather" b;
                 VFloat
               | Vcmp_lt (a, b) ->
                 use_v a VFloat;
@@ -192,37 +228,31 @@ let check p =
             in
             let dv = Array.copy dv in
             dv.(r) <- Some kind;
-            (di, dv)
+            (di, df, dv)
           end
         | While (cond, body) ->
-          (match cond with
-          | Ige (r, _) | Ieq_load (_, r, _) -> check_ireg ~defined:di r ~use:true);
+          check_cond di cond;
           (* The body may not execute: definitions inside don't escape. *)
-          let (_ : bool array * vkind option array) =
-            go body (Array.copy di, Array.copy dv)
-          in
-          (di, dv)
+          ignore (go body st : _ * _ * _);
+          st
         | Repeat (n, body) ->
           if n < 0 then begin
             err "L004" "negative repeat count %d" n;
-            (di, dv)
+            st
           end
-          else if n = 0 then (di, dv)
-          else go body (di, dv) (* executes at least once when n >= 1 *)
+          else if n = 0 then st
+          else go body st (* executes at least once when n >= 1 *)
         | If (cond, then_, else_) ->
-          (match cond with
-          | Ige (r, _) | Ieq_load (_, r, _) -> check_ireg ~defined:di r ~use:true);
-          let dit, dvt = go then_ (Array.copy di, Array.copy dv) in
-          let die, dve = go else_ (Array.copy di, Array.copy dv) in
+          check_cond di cond;
+          let dit, dft, dvt = go then_ st in
+          let die, dfe, dve = go else_ st in
           (* Joins take the intersection: defined only if defined on both
              paths, lane type kept only when both paths agree. *)
-          let di' = Array.mapi (fun i a -> a && die.(i)) dit in
-          let dv' =
-            Array.mapi (fun i a -> if a = dve.(i) then a else None) dvt
-          in
-          (di', dv')
+          ( Array.map2 ( && ) dit die,
+            Array.map2 ( && ) dft dfe,
+            Array.map2 (fun a b -> if a = b then a else None) dvt dve )
       in
-      go rest state
+      go rest st
   in
   let di = Array.make (max 1 p.num_iregs) false in
   (* Walk inputs: state and base are set up by the driver — once per jam
@@ -233,23 +263,25 @@ let check p =
     if p.num_iregs > off + state_reg then di.(off + state_reg) <- true;
     if p.num_iregs > off + base_reg then di.(off + base_reg) <- true
   done;
+  let df = Array.make (max 1 p.num_fregs) false in
   let dv = Array.make (max 1 p.num_vregs) None in
-  let (_ : bool array * vkind option array) = go p.body (di, dv) in
+  let _, df, _ = go p.body (di, df, dv) in
+  (* Every lane's result register must be set on every path out. *)
+  let fw = lane_fwidth p in
+  for lane = 0 to max 1 p.lanes - 1 do
+    let r = (lane * fw) + result_reg in
+    if r < p.num_fregs && not df.(r) then
+      diags :=
+        D.warningf ~level:D.Lir ~code:"L002" ~path:[]
+          "result register may be undefined when the walk exits%s"
+          (if p.lanes > 1 then Printf.sprintf " (lane %d)" lane else "")
+        :: !diags
+  done;
   List.rev !diags
 
 (* ------------------------------------------------------------------ *)
 (* Printer                                                             *)
 (* ------------------------------------------------------------------ *)
-
-let buffer_name = function
-  | Thresholds -> "thresholds"
-  | Feature_ids -> "featureIds"
-  | Shape_ids -> "shapeIds"
-  | Child_ptrs -> "childPtrs"
-  | Leaf_values -> "leafValues"
-  | Lut -> "LUT"
-  | Tree_roots -> "treeRoots"
-  | Row -> "row"
 
 let iexpr_str = function
   | Iconst c -> string_of_int c

@@ -96,16 +96,18 @@ val map_regs :
     visited in no specified order). *)
 
 val check : walk_program -> Tb_diag.Diagnostic.t list
-(** Register-discipline verification with structured diagnostics: register
-    indices within the declared files ([L001]), every register assigned
-    before use along all paths ([L002]), vector-typed operands used
-    consistently — float vs int lanes ([L003]) — and non-negative repeat
-    counts ([L004]). Findings are collected (not first-error-only);
-    an empty list means the program is well-formed.
+(** Register-discipline verification with structured diagnostics, the
+    one definition of [L001]..[L004]: register indices within the
+    declared files ([L001]); every register assigned before use along
+    all paths ([L002] error), and every lane's [result_reg] assigned on
+    every path out of the walk ([L002] warning); vector operands used
+    with their lane type, and every load typed as its buffer's elements
+    ([L003]); non-negative repeat counts ([L004]). Findings are
+    collected (not first-error-only); an empty list means the program is
+    well-formed.
 
-    {!Tb_analysis.Lir_check} extends this discipline check into a full
-    forward interval dataflow that also proves buffer-bounds facts against
-    a {!Layout}. *)
+    {!Tb_analysis.Lir_check} proves buffer bounds against a {!Layout} on
+    the programs this check accepts. *)
 
 val buffer_name : buffer -> string
 (** Display name used in diagnostics and the assembly rendering, e.g.

@@ -187,8 +187,8 @@ let wall_us (report : Passman.report) keep =
 let compile t name resolution schedule =
   let src = Hashtbl.find t.sources name in
   let c, report =
-    Passman.run ~mode:No_verify ?profiles:src.profiles ~backend:`Single_thread
-      ~target:t.target resolution src.forest schedule
+    Passman.run ~mode:No_verify ?profiles:src.profiles ~target:t.target
+      resolution src.forest schedule
     |> Result.get_ok
   in
   (* Service-time model: simulate on the rows the predictor actually

@@ -22,9 +22,9 @@ let names =
 
 let num_rows = 8
 
-let golden_rows forest seed =
+let gaussian_rows ?(n = num_rows) forest seed =
   let rng = Prng.create seed in
-  Array.init num_rows (fun _ ->
+  Array.init n (fun _ ->
       Array.init forest.Forest.num_features (fun _ -> Prng.gaussian rng))
 
 (* The schedules whose packs test/golden/pack_digests.json pins, by the
@@ -37,13 +37,46 @@ let digest_schedules =
     ("tile-size-4", { Schedule.default with tile_size = 4 });
   ]
 
+(* The virtual serve report pinned by test/golden/serve_virtual.json:
+   CI's serve-sim smoke settings (burst:16 at 80k rps, 1000 requests,
+   500 us deadline, SIEVE cache of 2) over abalone and letter, each model
+   serving a pool of 128 rows from our own Prng. test_golden.ml keeps the
+   same set-up. *)
+let serve_config =
+  {
+    Tb_serve.Simulate.default_config with
+    arrival = Burst 16;
+    rate_rps = 80_000.0;
+    num_requests = 1000;
+    cache_policy = Tb_serve.Policy.Sieve;
+    cache_capacity = 2;
+    runtime = { Tb_serve.Runtime.default_config with deadline_us = 500.0 };
+  }
+
+let serve_model name =
+  let forest = Tb_model.Serialize.of_file ("_models/" ^ name ^ ".json") in
+  {
+    Tb_serve.Simulate.name;
+    forest;
+    profiles = None;
+    pool = gaussian_rows ~n:128 forest (Hashtbl.hash name);
+    weight = 1;
+    slo_us = None;
+  }
+
+let write_json path json =
+  let oc = open_out path in
+  output_string oc (Json.to_string ~indent:true json);
+  output_string oc "\n";
+  close_out oc
+
 let () =
   if not (Sys.file_exists "test/golden") then Sys.mkdir "test/golden" 0o755;
   List.iter
     (fun name ->
       let forest = Tb_model.Serialize.of_file ("_models/" ^ name ^ ".json") in
       let seed = Hashtbl.hash name in
-      let rows = golden_rows forest seed in
+      let rows = gaussian_rows forest seed in
       let predict =
         Tb_vm.Jit.instantiate
           (Tb_lir.Pack.of_lower (Tb_lir.Lower.lower forest Schedule.default))
@@ -62,10 +95,7 @@ let () =
           ]
       in
       let path = "test/golden/" ^ name ^ ".json" in
-      let oc = open_out path in
-      output_string oc (Json.to_string ~indent:true json);
-      output_string oc "\n";
-      close_out oc;
+      write_json path json;
       Printf.printf "wrote %s (%d rows x %d outputs)\n" path num_rows
         (Array.length predictions.(0)))
     names;
@@ -131,9 +161,13 @@ let () =
       names
   in
   let dpath = "test/golden/pack_digests.json" in
-  let oc = open_out dpath in
-  output_string oc (Json.to_string ~indent:true (Json.Obj digests));
-  output_string oc "\n";
-  close_out oc;
+  write_json dpath (Json.Obj digests);
   Printf.printf "wrote %s (%d models x %d schedules)\n" dpath (List.length names)
-    (List.length digest_schedules)
+    (List.length digest_schedules);
+  let report =
+    Tb_serve.Simulate.run_fleet serve_config
+      (List.map serve_model [ "abalone"; "letter" ])
+  in
+  let spath = "test/golden/serve_virtual.json" in
+  write_json spath (Tb_serve.Simulate.fleet_report_to_json ~virtual_only:true report);
+  Printf.printf "wrote %s (%d requests)\n" spath serve_config.num_requests

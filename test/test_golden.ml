@@ -119,6 +119,57 @@ let test_pack_digests () =
         end)
       names
 
+(* The virtual serve report fixture, written by gen_golden.exe with the
+   same set-up: CI's serve-sim smoke settings over abalone and letter,
+   each serving a pool of 128 rows from our own Prng. Virtual reports
+   carry no wall-clock time, so the recomputed report must match the file
+   byte for byte. *)
+let test_serve_virtual () =
+  match models_dir with
+  | None -> Printf.printf "skipped: no _models cache found from %s\n" (Sys.getcwd ())
+  | Some dir ->
+    let module Simulate = Tb_serve.Simulate in
+    let model name =
+      let forest =
+        Tb_model.Serialize.of_file (Filename.concat dir (name ^ ".json"))
+      in
+      let rng = Prng.create (Hashtbl.hash name) in
+      let pool =
+        Array.init 128 (fun _ ->
+            Array.init forest.Forest.num_features (fun _ -> Prng.gaussian rng))
+      in
+      { Simulate.name; forest; profiles = None; pool; weight = 1; slo_us = None }
+    in
+    let names = [ "abalone"; "letter" ] in
+    if
+      List.exists
+        (fun name -> not (Sys.file_exists (Filename.concat dir (name ^ ".json"))))
+        names
+    then Printf.printf "skipped: abalone or letter not cached\n"
+    else begin
+      let config =
+        {
+          Simulate.default_config with
+          arrival = Burst 16;
+          rate_rps = 80_000.0;
+          num_requests = 1000;
+          cache_policy = Tb_serve.Policy.Sieve;
+          cache_capacity = 2;
+          runtime = { Tb_serve.Runtime.default_config with deadline_us = 500.0 };
+        }
+      in
+      let report = Simulate.run_fleet config (List.map model names) in
+      Alcotest.(check string)
+        "virtual serve report"
+        (read_file (Filename.concat golden_dir "serve_virtual.json"))
+        (Json.to_string ~indent:true
+           (Simulate.fleet_report_to_json ~virtual_only:true report)
+        ^ "\n")
+    end
+
 let suite =
   List.map (fun name -> quick ("golden " ^ name) (test_golden name)) names
-  @ [ quick "golden pack digests: 8 models x 4 schedules" test_pack_digests ]
+  @ [
+      quick "golden pack digests: 8 models x 4 schedules" test_pack_digests;
+      quick "golden virtual serve report: abalone + letter" test_serve_virtual;
+    ]

@@ -85,24 +85,24 @@ let soundness_property seed =
   Array.iter
     (fun row ->
       let qrow = Numeric.quantize_input plan row in
-      let acc = Numeric.qpredict_acc qm qrow in
+      let acc = Forest.predict_raw qm.Numeric.qforest qrow in
       Array.iteri
         (fun c a ->
-          if abs a > cert.Numeric.acc_bound.(c) then
-            fail "class %d accumulator %d outside proved bound %d" c a
+          if Float.abs a > float_of_int cert.Numeric.acc_bound.(c) then
+            fail "class %d accumulator %g outside proved bound %d" c a
               cert.Numeric.acc_bound.(c))
         acc;
       if not (Numeric.dead_zone_row plan forest row) then begin
         (* Routing-stable: same leaf per tree ... *)
         Array.iteri
           (fun i qt ->
-            let got = Numeric.qtree_leaf_index qt qrow in
+            let got = Tree.predict_leaf_index qt qrow in
             let want = Tree.predict_leaf_index forest.Forest.trees.(i) row in
             if got <> want then
               fail "tree %d: quantized routing reached leaf %d, float %d, \
                     on a row outside every dead zone"
                 i got want)
-          qm.Numeric.qtrees;
+          qm.Numeric.qforest.Forest.trees;
         (* ... deviation within the proved bound ... *)
         let q = Numeric.qpredict_raw qm row in
         let f = Numeric.reference_raw forest row in

@@ -5,8 +5,9 @@
    ties, saturated inputs and dead zones included — because both sides
    quantize identically and integer addition commutes exactly. The
    properties here replay that contract at each layer: the quantized
-   lowering's reference evaluation and the packed-artifact JIT, at int8
-   and int16, whatever the pack's inert [resident_k] field records.
+   lowering's layout walk ({!Validate.check_quant}) and the
+   packed-artifact JIT, at int8 and int16, whatever the pack's inert
+   [resident_k] field records.
    Divergence from the *float* path is only allowed on rows inside a
    rounding dead zone, and elsewhere must stay within the certificate's
    proved deviation bound. *)
@@ -109,14 +110,10 @@ let jit_bitwise_property seed =
     let lowered = Lower.lower ~quant:(qspec_of_plan plan) forest schedule in
     let rows = probe_rows rng forest.Forest.num_features in
     let want = Array.map (Numeric.qpredict_raw qm) rows in
-    (* The lowering's own reference evaluation... *)
-    Array.iteri
-      (fun i row ->
-        let got = Lower.reference_qpredict lowered row in
-        if not (bitwise_eq got want.(i)) then
-          QCheck2.Test.fail_reportf
-            "reference_qpredict diverged from qpredict_raw on row %d" i)
-      rows;
+    (* The quantized stage pair on the lowering's own layout walk... *)
+    (match Validate.check_quant forest plan lowered with
+    | [] -> ()
+    | f :: _ -> QCheck2.Test.fail_reportf "check_quant: %s" f.Validate.message);
     (* ... and the JIT over the packed artifact, on the whole batch and on
        every row alone (a 1-row call runs tree jams). *)
     let predict =
@@ -379,6 +376,41 @@ let test_check_quant_clean () =
   Alcotest.(check int) "no findings" 0
     (List.length (Validate.check_quant forest cert.Numeric.plan lowered))
 
+(* The leaf-store indices of one tree of a sparse layout: its tiles from
+   the root, each tile's children being the entries its LUT row selects. *)
+let sparse_leaves (lay : Layout.t) tree =
+  let rec tiles s acc =
+    let row = lay.Layout.lut.(lay.Layout.shape_ids.(s)) in
+    let children = List.init (1 + Array.fold_left max 0 row) Fun.id in
+    let p = lay.Layout.child_ptr.(s) in
+    if p >= 0 then List.fold_left (fun acc c -> tiles (p + c) acc) acc children
+    else List.map (fun c -> -p - 1 + c) children @ acc
+  in
+  let r = lay.Layout.tree_root.(tree) in
+  if r < 0 then [ -r - 1 ] else tiles r []
+
+(* A quantized lowering whose layout walk is off by one quantization step
+   in every leaf of one tree disagrees with the certified evaluator on
+   every row that reaches that tree, so T005 must refute it with a
+   witness. *)
+let test_check_quant_catches_raised_leaves () =
+  let forest, cert, lowered = quantized_lowering () in
+  let lay = lowered.Lower.layout in
+  let leaf_values = Array.copy lay.Layout.leaf_values in
+  List.iter
+    (fun i -> leaf_values.(i) <- leaf_values.(i) +. 1.0)
+    (sparse_leaves lay 0);
+  let mutant = { lowered with Lower.layout = { lay with Layout.leaf_values } } in
+  match Validate.check_quant forest cert.Numeric.plan mutant with
+  | [] -> Alcotest.fail "raised leaves were not refuted"
+  | findings ->
+    List.iter
+      (fun (f : Validate.finding) ->
+        check_string "T005" "T005" f.Validate.code;
+        check_bool "error severity" true (f.Validate.severity = D.Error);
+        check_bool "witness row" true (f.Validate.witness <> None))
+      findings
+
 (* ---------------- one pipeline, three callers ---------------- *)
 
 module Passman = Tb_core.Passman
@@ -451,7 +483,7 @@ let one_pipeline_property seed =
   in
   let checked =
     verified
-      (Passman.run ~mode:Verify_each ~profiles ~backend:`Threaded
+      (Passman.run ~mode:Verify_each ~profiles
          ~target:Tb_cpu.Config.intel_rocket_lake resolution forest schedule)
   in
   if made.Treebeard.tier <> `Int16 || checked.Passman.tier <> `Int16 then
@@ -560,8 +592,8 @@ let test_refuted_lowering () =
   | Treebeard.Quant_tier _ -> ()
   | Treebeard.Float_tier _ -> Alcotest.fail "finite stump did not certify");
   let c, _ =
-    Passman.run ~mode:No_verify ~backend:`Single_thread
-      ~target:Tb_cpu.Config.intel_rocket_lake resolution marker Schedule.default
+    Passman.run ~mode:No_verify ~target:Tb_cpu.Config.intel_rocket_lake
+      resolution marker Schedule.default
     |> Result.get_ok
   in
   check_string "run fell back" "float"
@@ -611,6 +643,8 @@ let suite =
     quick "precision_of_string round-trips" test_precision_strings;
     quick "check_quant: float lowering is refused" test_check_quant_requires_quantized;
     quick "check_quant: clean quantized lowering passes" test_check_quant_clean;
+    quick "check_quant: raised leaves of one tree -> T005 with witness"
+      test_check_quant_catches_raised_leaves;
     qcheck ~count:12 ~name:"make == Passman on one pipeline (float, int16)"
       seed_gen one_pipeline_property;
     quick "registry int16: every schedule checked, warm restart hydrates"

@@ -97,9 +97,44 @@ let test_verifier_accepts_both_branch_def () =
             [ Reg_ir.Iset (3, Reg_ir.Iconst 7) ],
             [ Reg_ir.Iset (3, Reg_ir.Iconst 8) ] );
         Reg_ir.Iset (4, Reg_ir.Imov 3);
+        Reg_ir.Fset (Reg_ir.result_reg, Reg_ir.Fload (Reg_ir.Leaf_values, 4));
       ]
   in
   check_bool "accepted" true (Reg_ir.check p = [])
+
+let test_verifier_rejects_int_load_from_float_buffer () =
+  let p =
+    dummy_program
+      [
+        Reg_ir.Iset (2, Reg_ir.Iconst 0);
+        Reg_ir.Iset (3, Reg_ir.Iload (Reg_ir.Thresholds, 2));
+        Reg_ir.Fset (Reg_ir.result_reg, Reg_ir.Fload (Reg_ir.Leaf_values, 2));
+      ]
+  in
+  match Reg_ir.check p with
+  | [ d ] ->
+    check_string "code" "L003" d.Tb_diag.Diagnostic.code;
+    check_bool "error" true (d.Tb_diag.Diagnostic.severity = Tb_diag.Diagnostic.Error)
+  | ds -> Alcotest.failf "expected one L003, got %d findings" (List.length ds)
+
+let test_verifier_warns_unset_result () =
+  (* The walk sets its result on one branch only. *)
+  let p =
+    dummy_program
+      [
+        Reg_ir.Iset (2, Reg_ir.Iconst 0);
+        Reg_ir.If
+          ( Reg_ir.Ige (2, 0),
+            [ Reg_ir.Fset (Reg_ir.result_reg, Reg_ir.Fload (Reg_ir.Leaf_values, 2)) ],
+            [] );
+      ]
+  in
+  match Reg_ir.check p with
+  | [ d ] ->
+    check_string "code" "L002" d.Tb_diag.Diagnostic.code;
+    check_bool "warning" true
+      (d.Tb_diag.Diagnostic.severity = Tb_diag.Diagnostic.Warning)
+  | ds -> Alcotest.failf "expected one L002, got %d findings" (List.length ds)
 
 (* --- unroll-and-jam --- *)
 
@@ -234,6 +269,9 @@ let suite =
     quick "verifier rejects lane mismatch" test_verifier_rejects_lane_type_mismatch;
     quick "verifier If join is intersection" test_verifier_if_join_is_intersection;
     quick "verifier accepts both-branch def" test_verifier_accepts_both_branch_def;
+    quick "verifier rejects int load from float buffer"
+      test_verifier_rejects_int_load_from_float_buffer;
+    quick "verifier warns on unset result" test_verifier_warns_unset_result;
     quick "jam_lanes structure and projection" test_jam_lanes_structure_and_projection;
     quick "printer shows vector mnemonics" test_pp_contains_vector_mnemonics;
     quick "count_ops expands repeats" test_count_ops_expands_repeats;
