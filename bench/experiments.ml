@@ -1349,18 +1349,13 @@ let artifacts () =
     "Packed artifacts: cold compile vs disk hydration, per codec stage\n\
      and end-to-end through the two-tier registry (wall-clock)";
   let names = [ "abalone"; "letter"; "covtype"; "airline"; "higgs" ] in
-  (* Best of 3: these are sub-millisecond paths on the small models. *)
-  let time3 f =
-    let best = ref infinity in
-    let result = ref None in
-    for _ = 1 to 3 do
-      let t0 = Timer.now () in
-      let r = f () in
-      let us = (Timer.now () -. t0) *. 1e6 in
-      if us < !best then best := us;
-      result := Some r
-    done;
-    (!best, Option.get !result)
+  (* Median of 9 calls after one warm-up: best of 3 right after the
+     bench's set-up moved a stage by a third between runs. *)
+  let time9 f =
+    ignore (f ());
+    let calls = Array.init 9 (fun _ -> Timer.time_once f) in
+    ( Stats.percentile (Array.map (fun (_, s) -> s *. 1e6) calls) 0.5,
+      fst calls.(8) )
   in
   let t =
     Table.create
@@ -1375,13 +1370,13 @@ let artifacts () =
       let b = load name in
       let forest = b.entry.Zoo.forest in
       let compile_us, pk =
-        time3 (fun () ->
+        time9 (fun () ->
             Pack.of_lower ~model:name ~target:intel.Config.name
               (Lower.lower ~profiles:b.profiles forest Schedule.default))
       in
-      let encode_us, bytes = time3 (fun () -> Pack.encode pk) in
+      let encode_us, bytes = time9 (fun () -> Pack.encode pk) in
       let decode_us, decoded =
-        time3 (fun () ->
+        time9 (fun () ->
             match Pack.decode bytes with
             | Ok p -> p
             | Error e -> failwith ("bench artifact rejected: " ^ e.Pack.message))
@@ -1389,15 +1384,15 @@ let artifacts () =
       (* The decode split: the checksum and the layout check, the rest
          being parsing and the plan and REG checks. *)
       let crc_us, _ =
-        time3 (fun () -> Pack.crc32 bytes ~pos:16 ~len:(Bytes.length bytes - 16))
+        time9 (fun () -> Pack.crc32 bytes ~pos:16 ~len:(Bytes.length bytes - 16))
       in
       let check_us, _ =
-        time3 (fun () ->
+        time9 (fun () ->
             Tb_lir.Layout.check ~num_features:forest.Forest.num_features
               decoded.Pack.layout)
       in
       let instantiate_us, predict =
-        time3 (fun () -> Jit.instantiate_single_thread decoded)
+        time9 (fun () -> Jit.instantiate_single_thread decoded)
       in
       ignore (predict (Array.sub b.rows_1024 0 8));
       let cold_us = compile_us +. instantiate_us in

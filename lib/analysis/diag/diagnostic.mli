@@ -28,8 +28,12 @@
       schedule, [M006] bad thread count
     - [M010] parallel row loop: overlapping domain write ranges (race),
       [M011] parallel row loop: rows not covered
-    - [L001] register out of range, [L002] use before definition,
-      [L003] vector lane-type mismatch, [L004] negative repeat count
+    - register discipline, defined by [Tb_lir.Reg_ir.check]: [L001]
+      register out of range, [L002] use before definition (a warning
+      when a lane's result register may be unset at the walk's exit),
+      [L003] vector lane-type or load/buffer element-type mismatch (or,
+      from [Lir_check], a program tile size that is not the layout's),
+      [L004] negative repeat count
     - [L010] buffer index definitely out of bounds, [L011] buffer index
       possibly out of bounds (finite interval sticking out after the
       congruence/stride refinement), [L012] bounds not provable
@@ -82,7 +86,7 @@
       box) produced diverging predictions — an error-severity member of
       the family
     - [T005] quantized-path divergence: the quantized LIR layout's
-      reference evaluation disagrees {e bitwise} with the certified
+      own walk disagrees {e bitwise} with the certified
       integer evaluator ([Numeric.qpredict_raw]) on a probe row — a
       miscompile of the integer fast path (error severity; the finding
       carries the witness row)

@@ -455,7 +455,7 @@ type qmodel = { qplan : plan; qforest : Forest.t }
    integers and every partial sum is an integer far below 2^53, so each
    float add is exact. *)
 let quantize plan (forest : Forest.t) =
-  let qtree =
+  let quantize_tree =
     Tree.fold
       ~leaf:(fun v -> Tree.Leaf (float_of_int (qleaf plan v)))
       ~node:(fun feature t left right ->
@@ -471,7 +471,7 @@ let quantize plan (forest : Forest.t) =
     qforest =
       {
         forest with
-        Forest.trees = Array.map qtree forest.Forest.trees;
+        Forest.trees = Array.map quantize_tree forest.Forest.trees;
         base_score = float_of_int (qleaf plan forest.Forest.base_score);
       };
   }

@@ -181,7 +181,9 @@ let step t i row =
     tile.children.(Lut.lookup t.lut ~shape_id:tile.shape_id ~bits)
 
 let walk t row =
-  let rec go i = match t.nodes.(i) with Leaf v -> v | Tile _ -> go (step t i row) in
+  let rec go i =
+    match t.nodes.(i) with Leaf v -> v | Tile _ -> go (step t i row)
+  in
   go 0
 
 let is_dummy (tile : tile) = Array.length tile.node_ids = 0

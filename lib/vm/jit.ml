@@ -516,7 +516,7 @@ let instantiate_with ~threads (pk : Pack.t) =
        accumulate from the quantized base score, then dequantize in
        place. Every certified partial sum is an integer below the plan's
        accumulator bound, so each float add is exact and the result
-       equals Lower.reference_qpredict — and hence
+       equals the quantized layout walk — and hence
        Numeric.qpredict_raw — bit for bit. Exact sums make every
        accumulation order bitwise-identical, so ranges as wide as the
        widest interleave run tree-at-a-time, the cache-friendliest order,
