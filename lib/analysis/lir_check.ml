@@ -194,9 +194,10 @@ type aval = {
   sym : int option;
 }
 
+type ival = Ibot | Iv of aval
+
 (* A vector register holds int lanes with a value range, or anything
    else (float lanes, or lanes whose type the paths disagree on). *)
-type ival = Ibot | Iv of aval
 type vval = Vint of interval | Vother
 
 type state = { ir : ival array; vr : vval array }

@@ -421,7 +421,11 @@ let test_mutated_walk_swapped_register () =
   let p = walk_stub [ Reg_ir.Iset (2, Reg_ir.Imov 5) ] in
   check_has_code "L002" (Lir_check.check_program env p);
   check_has_code "L002" (Reg_ir.check p);
-  check_has_code "L001" (Reg_ir.check (walk_stub [ Reg_ir.Iset (99, Reg_ir.Iconst 0) ]))
+  let out_of_range = walk_stub [ Reg_ir.Iset (99, Reg_ir.Iconst 0) ] in
+  check_has_code "L001" (Reg_ir.check out_of_range);
+  (* The bounds dataflow must not run on a program with an error: it
+     would index its register state with 99. *)
+  check_has_code "L001" (Lir_check.check_program env out_of_range)
 
 let test_mutated_layout_bad_root () =
   let lay, _ = small_layout_env () in
