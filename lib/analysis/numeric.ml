@@ -461,9 +461,8 @@ let quantize plan (forest : Forest.t) =
       ~node:(fun feature t left right ->
         match plan.feature_exp.(feature) with
         | Some e ->
-          Tree.Node
-            { feature; threshold = float_of_int (qthreshold plan e t); left;
-              right }
+          let threshold = float_of_int (qthreshold plan e t) in
+          Tree.Node { feature; threshold; left; right }
         | None -> invalid_arg "Numeric.quantize: node on an unused feature")
   in
   {
