@@ -22,7 +22,7 @@ let names =
 
 let num_rows = 8
 
-let gaussian_rows ?(n = num_rows) forest seed =
+let gaussian_rows ~n forest seed =
   let rng = Prng.create seed in
   Array.init n (fun _ ->
       Array.init forest.Forest.num_features (fun _ -> Prng.gaussian rng))
@@ -76,7 +76,7 @@ let () =
     (fun name ->
       let forest = Tb_model.Serialize.of_file ("_models/" ^ name ^ ".json") in
       let seed = Hashtbl.hash name in
-      let rows = gaussian_rows forest seed in
+      let rows = gaussian_rows ~n:num_rows forest seed in
       let predict =
         Tb_vm.Jit.instantiate
           (Tb_lir.Pack.of_lower (Tb_lir.Lower.lower forest Schedule.default))
