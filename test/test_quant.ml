@@ -110,10 +110,31 @@ let jit_bitwise_property seed =
     let lowered = Lower.lower ~quant:(qspec_of_plan plan) forest schedule in
     let rows = probe_rows rng forest.Forest.num_features in
     let want = Array.map (Numeric.qpredict_raw qm) rows in
-    (* The quantized stage pair on the lowering's own layout walk... *)
+    (* The quantized stage pair on its own tie and Gaussian probes... *)
     (match Validate.check_quant forest plan lowered with
     | [] -> ()
     | f :: _ -> QCheck2.Test.fail_reportf "check_quant: %s" f.Validate.message);
+    (* ... the lowering's layout walk on these rows, saturated and
+       non-finite ones included: quantize the row, add each tree's walk
+       to the quantized base, dequantize... *)
+    let lay = lowered.Lower.layout in
+    let q = Option.get lay.Layout.quant in
+    Array.iteri
+      (fun i row ->
+        let qrow = Layout.quantize_row q row in
+        let acc =
+          Array.make lowered.Lower.num_outputs
+            (Layout.quantize_leaf q lowered.Lower.base_score)
+        in
+        for tree = 0 to lay.Layout.num_trees - 1 do
+          let c = lowered.Lower.tree_class.(tree) in
+          acc.(c) <- acc.(c) +. Layout.walk lay ~tree qrow
+        done;
+        let got = Array.map (fun a -> a *. Layout.dequant_scale q) acc in
+        if not (bitwise_eq got want.(i)) then
+          QCheck2.Test.fail_reportf
+            "quantized layout walk diverged from qpredict_raw on row %d" i)
+      rows;
     (* ... and the JIT over the packed artifact, on the whole batch and on
        every row alone (a 1-row call runs tree jams). *)
     let predict =
