@@ -47,12 +47,22 @@ type env = {
   widen_thresholds : float array;
 }
 
-let int_range arr =
-  if Array.length arr = 0 then None
-  else
-    Some
-      ( Array.fold_left min max_int arr,
-        Array.fold_left max min_int arr )
+(* The range of every element of [arrs], [None] when there is none: one
+   typed loop, where [min] and [max] would make a polymorphic compare
+   call per element. *)
+let int_range_all (arrs : int array array) =
+  let lo = ref max_int and hi = ref min_int in
+  for r = 0 to Array.length arrs - 1 do
+    let a = arrs.(r) in
+    for i = 0 to Array.length a - 1 do
+      let v = a.(i) in
+      if v < !lo then lo := v;
+      if v > !hi then hi := v
+    done
+  done;
+  if !lo > !hi then None else Some (!lo, !hi)
+
+let int_range arr = int_range_all [| arr |]
 
 (* The join stops once it reaches top, which absorbs every later join. *)
 let cg_of_array arr =
@@ -80,23 +90,12 @@ let env_of_layout ~num_features (lay : Layout.t) =
     | Reg_ir.Tree_roots -> Array.length lay.Layout.tree_root
     | Reg_ir.Row -> num_features
   in
-  let lut_range =
-    Array.fold_left
-      (fun acc row ->
-        Array.fold_left
-          (fun acc v ->
-            match acc with
-            | None -> Some (v, v)
-            | Some (a, b) -> Some (min a v, max b v))
-          acc row)
-      None lay.Layout.lut
-  in
   let content_of = function
     | Reg_ir.Feature_ids -> int_range lay.Layout.features
     | Reg_ir.Shape_ids -> int_range lay.Layout.shape_ids
     | Reg_ir.Child_ptrs -> int_range lay.Layout.child_ptr
     | Reg_ir.Tree_roots -> int_range lay.Layout.tree_root
-    | Reg_ir.Lut -> lut_range
+    | Reg_ir.Lut -> int_range_all lay.Layout.lut
     | Reg_ir.Thresholds | Reg_ir.Leaf_values | Reg_ir.Row -> None
   in
   let cg_of = function

@@ -57,7 +57,10 @@ type env = {
 
 val env_of_layout : num_features:int -> Tb_lir.Layout.t -> env
 (** Extents, content ranges, congruences and relational facts read off the
-    actual layout arrays. *)
+    actual layout arrays, once per buffer. Each integer buffer's range
+    (the LUT's over all its rows) is one typed loop over its elements,
+    and {!Tb_lir.Layout.stride_facts} bounds the advance ranges the same
+    way. *)
 
 val check_program :
   env -> Tb_lir.Reg_ir.walk_program -> Tb_diag.Diagnostic.t list

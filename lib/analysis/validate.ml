@@ -1,15 +1,19 @@
-(* Translation validation: symbolic path-summary equivalence of every
-   compiled form of a tree with its source tree, with concrete
-   counterexample witnesses.
+(* Translation validation: every compiled form of a tree against its
+   source tree, decided by a lockstep walk, explained by symbolic path
+   summaries, with concrete counterexample witnesses.
 
-   Each compiled form of a tree is symbolically executed into the set of
+   Each form has one walker, which runs with one of two carriers. The
+   lockstep carries the source subtree: a form follows its source when
+   every lane it tests is the source node's test (same feature, bitwise
+   threshold) or an infinity, and every leaf it reaches is the source
+   leaf bit for bit. A form that follows gets no finding and no summary.
+   Only a form that does not is symbolically executed into the set of
    (feature box, leaf contribution) pairs it can produce. A box is a
    conjunction of half-open interval constraints, refined one predicate
    at a time: the node test [x_f < t] splits an interval [lo, hi) into a
    true part [lo, min(hi, t)) and a false part [max(lo, t), hi), either
    of which may be empty. Padding lanes and hop tiles compare against
-   +inf, whose false part is always empty — so they add no paths and
-   correct lowerings produce structurally identical summaries.
+   +inf, whose false part is always empty, so they add no paths.
 
    The key cost control is the LUT-row decision structure: rather than
    enumerating all 2^tile_size comparison bitmasks at every tile, each
@@ -18,8 +22,9 @@
    LIR) into a reduced binary decision tree over lanes, collapsing
    branches the table does not distinguish. For a well-formed tile the
    reduced tree tests exactly the lanes on the navigation path, so the
-   number of summary paths equals the source tree's leaf count; corrupt
-   tables merely cause more (still sound) splits. *)
+   lockstep meets each source node once and a summary has as many paths
+   as the source tree has leaves; corrupt tables merely cause more
+   (still sound) splits. *)
 
 module D = Tb_diag.Diagnostic
 module Tree = Tb_model.Tree
@@ -216,15 +221,21 @@ type dtree = Child of int | Test of int * dtree * dtree
 
 (* BDD-style reduction with the lane order as variable order: branches
    the row does not distinguish collapse, so dummy lanes vanish and only
-   lanes the table consults remain. *)
+   lanes the table consults remain. Lane 0 is the most significant bit,
+   so the two branches at [lane] read the row's adjacent blocks
+   [bits, bits + bit) and [bits + bit, bits + 2 bit); a reduced tree is
+   canonical for the entries it reads, so the branches collapse exactly
+   when those blocks are equal. *)
 let build_dtree (row : int array) nt =
+  let rec same_blocks a b n i =
+    i = n || (row.(a + i) = row.(b + i) && same_blocks a b n (i + 1))
+  in
   let rec build lane bits =
     if lane = nt then Child row.(bits)
     else
       let bit = 1 lsl (nt - 1 - lane) in
-      let yes = build (lane + 1) (bits lor bit) in
-      let no = build (lane + 1) bits in
-      if yes = no then yes else Test (lane, yes, no)
+      if same_blocks bits (bits lor bit) bit 0 then build (lane + 1) bits
+      else Test (lane, build (lane + 1) (bits lor bit), build (lane + 1) bits)
   in
   build 0 0
 
@@ -252,23 +263,91 @@ let dtree_for cache ~sid row nt =
     cache.slots.(sid) <- (row, dt) :: entries;
     dt
 
-(* Walk a decision structure, refining the box at each tested lane. *)
-let split_dtree dt box ~lane_feature ~lane_threshold ~emit =
-  let rec go box = function
-    | Child c -> emit box c
+(* ------------------------------------------------------------------ *)
+(* What a path carries                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Each form has one walker, and a walker runs with one of two carriers.
+   The summary carries a box, refines it at every lane the form tests
+   and collects paths and stuck regions. The lockstep carries the source
+   subtree the form is still following. At each lane it needs one of
+   two things. The lane may test the source node's feature against a
+   bitwise-equal threshold; then each branch moves to that child. Or the
+   lane may compare against an infinity; then it takes the one branch
+   [refine] keeps, and the source stays put. Every leaf must be the
+   source leaf bit for bit. Any other lane, leaf or stuck condition
+   diverges. *)
+type 'p carrier = {
+  branch : 'p -> feature:int -> threshold:float -> lt:bool -> 'p option;
+  leaf : 'p -> float -> unit;
+  stuck : 'p -> string -> unit;
+}
+
+(* One form of one tree, ready to run with either carrier from its
+   starting point: the empty box, or the source tree. *)
+type walker = { walk : 'p. 'p carrier -> 'p -> unit }
+
+let summarize w =
+  let paths = ref [] and stuck = ref [] in
+  w.walk
+    {
+      branch = refine;
+      leaf = (fun box v -> paths := (box, v) :: !paths);
+      stuck = (fun box msg -> stuck := (box, msg) :: !stuck);
+    }
+    [];
+  normalize { paths = !paths; stuck = !stuck }
+
+exception Diverges
+
+let same_bits a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+(* The lockstep takes every branch the summary would take from any box,
+   and both branches of a matching finite test, so the boxes along a
+   followed path are the source's own: a form that follows its source
+   has the source's summary, path for path, and gets no finding. *)
+let follower =
+  {
+    branch =
+      (fun src ~feature ~threshold ~lt ->
+        match src with
+        | Tree.Node { feature = f; threshold = t; left; right }
+          when f = feature && same_bits t threshold ->
+          if lt then if neg_infinity < threshold then Some left else None
+          else if threshold < infinity then Some right
+          else None
+        | _ ->
+          if threshold = infinity then if lt then Some src else None
+          else if threshold = neg_infinity then if lt then None else Some src
+          else raise Diverges);
+    leaf =
+      (fun src v ->
+        match src with
+        | Tree.Leaf s when same_bits s v -> ()
+        | _ -> raise Diverges);
+    stuck = (fun _ _ -> raise Diverges);
+  }
+
+let follows w src =
+  match w.walk follower src with () -> true | exception Diverges -> false
+
+(* Walk a decision structure, branching the carrier at each tested lane. *)
+let split_dtree c dt p ~lane_feature ~lane_threshold ~emit =
+  let rec go p = function
+    | Child k -> emit p k
     | Test (lane, yes, no) ->
       let feature = lane_feature lane and threshold = lane_threshold lane in
-      (match refine box ~feature ~threshold ~lt:true with
-      | Some b -> go b yes
+      (match c.branch p ~feature ~threshold ~lt:true with
+      | Some p -> go p yes
       | None -> ());
-      (match refine box ~feature ~threshold ~lt:false with
-      | Some b -> go b no
+      (match c.branch p ~feature ~threshold ~lt:false with
+      | Some p -> go p no
       | None -> ())
   in
-  go box dt
+  go p dt
 
 (* ------------------------------------------------------------------ *)
-(* Summarizers                                                         *)
+(* Walkers                                                             *)
 (* ------------------------------------------------------------------ *)
 
 let summarize_source tree =
@@ -288,115 +367,111 @@ let summarize_source tree =
 
 (* HIR and MIR share the tiled-tree walker; MIR adds the walk kind's
    step contract on top. *)
-let summarize_tiled (cache : dcache) (walk : M.walk_kind) (t : T.t) =
+let walk_tiled (cache : dcache) (walk : M.walk_kind) (t : T.t) c p =
   let nt = t.T.tile_size in
   let n = Array.length t.T.nodes in
-  let paths = ref [] and stuck = ref [] in
-  let push_stuck box msg = stuck := (box, msg) :: !stuck in
-  let rec go box i depth =
-    if i < 0 || i >= n then push_stuck box "tile child index out of range"
-    else if depth > n then push_stuck box "tiled walk deeper than the node count"
+  let rec go p i depth =
+    if i < 0 || i >= n then c.stuck p "tile child index out of range"
+    else if depth > n then c.stuck p "tiled walk deeper than the node count"
     else
       match t.T.nodes.(i) with
       | T.Leaf v -> (
         match walk with
-        | M.Loop_walk -> paths := (box, v) :: !paths
+        | M.Loop_walk -> c.leaf p v
         | M.Peeled_walk { peel } ->
           if depth < peel then
-            push_stuck box
+            c.stuck p
               (Printf.sprintf "leaf at depth %d < peel %d (check-free step on a leaf)"
                  depth peel)
-          else paths := (box, v) :: !paths
+          else c.leaf p v
         | M.Unrolled_walk { depth = d } ->
           if depth < d then
-            push_stuck box
+            c.stuck p
               (Printf.sprintf "leaf at depth %d < unroll depth %d" depth d)
-          else paths := (box, v) :: !paths)
+          else c.leaf p v)
       | T.Tile tile -> (
         match walk with
         | M.Unrolled_walk { depth = d } when depth >= d ->
-          push_stuck box
+          c.stuck p
             (Printf.sprintf "still on a tile after %d unrolled steps" d)
         | _ ->
           (match Lut.row t.T.lut ~shape_id:tile.T.shape_id with
           | row when Array.length row = 1 lsl nt ->
-            split_dtree (dtree_for cache ~sid:tile.T.shape_id row nt) box
+            split_dtree c (dtree_for cache ~sid:tile.T.shape_id row nt) p
               ~lane_feature:(fun l -> tile.T.features.(l))
               ~lane_threshold:(fun l -> tile.T.thresholds.(l))
-              ~emit:(fun box c ->
-                if c < 0 || c >= Array.length tile.T.children then
-                  push_stuck box "LUT exit outside the tile's child list"
-                else go box tile.T.children.(c) (depth + 1))
-          | _ -> push_stuck box "malformed LUT row"
-          | exception Invalid_argument _ -> push_stuck box "bad shape id"))
+              ~emit:(fun p k ->
+                if k < 0 || k >= Array.length tile.T.children then
+                  c.stuck p "LUT exit outside the tile's child list"
+                else go p tile.T.children.(k) (depth + 1))
+          | _ -> c.stuck p "malformed LUT row"
+          | exception Invalid_argument _ -> c.stuck p "bad shape id"))
   in
-  go [] 0 0;
-  normalize { paths = !paths; stuck = !stuck }
+  go p 0 0
 
-let summarize_hir t = summarize_tiled (new_cache ()) M.Loop_walk t
+let summarize_hir t =
+  summarize { walk = (fun c p -> walk_tiled (new_cache ()) M.Loop_walk t c p) }
 
-let summarize_layout_c (cache : dcache) (lay : Layout.t) ~tree =
+let walk_layout (cache : dcache) (lay : Layout.t) ~tree c p =
   let nt = lay.Layout.tile_size in
   let nslots = Array.length lay.Layout.shape_ids in
-  let paths = ref [] and stuck = ref [] in
-  let push_stuck box msg = stuck := (box, msg) :: !stuck in
-  let tile box s emit =
+  let tile p s emit =
     let sid = lay.Layout.shape_ids.(s) in
     if sid < 0 || sid >= Array.length lay.Layout.lut then
-      push_stuck box (Printf.sprintf "slot %d has shape id %d" s sid)
+      c.stuck p (Printf.sprintf "slot %d has shape id %d" s sid)
     else
       let row = lay.Layout.lut.(sid) in
       if Array.length row <> 1 lsl nt then
-        push_stuck box (Printf.sprintf "malformed LUT row %d" sid)
+        c.stuck p (Printf.sprintf "malformed LUT row %d" sid)
       else
-        split_dtree (dtree_for cache ~sid row nt) box
+        split_dtree c (dtree_for cache ~sid row nt) p
           ~lane_feature:(fun l -> lay.Layout.features.((s * nt) + l))
           ~lane_threshold:(fun l -> lay.Layout.thresholds.((s * nt) + l))
           ~emit
   in
   if tree < 0 || tree >= Array.length lay.Layout.tree_root then
-    push_stuck [] (Printf.sprintf "tree %d outside the layout" tree)
+    c.stuck p (Printf.sprintf "tree %d outside the layout" tree)
   else begin
     match lay.Layout.kind with
     | Layout.Array_kind ->
       let base = lay.Layout.tree_root.(tree) in
       let fanout = nt + 1 in
-      let rec go box local depth =
+      let rec go p local depth =
         let s = base + local in
         if s < 0 || s >= nslots then
-          push_stuck box (Printf.sprintf "array slot %d out of bounds" s)
+          c.stuck p (Printf.sprintf "array slot %d out of bounds" s)
         else if depth > nslots then
-          push_stuck box "array walk deeper than the slot count"
+          c.stuck p "array walk deeper than the slot count"
         else if lay.Layout.shape_ids.(s) = Layout.leaf_marker then
-          paths := (box, lay.Layout.thresholds.(s * nt)) :: !paths
+          c.leaf p lay.Layout.thresholds.(s * nt)
         else
-          tile box s (fun box c -> go box ((local * fanout) + c + 1) (depth + 1))
+          tile p s (fun p k -> go p ((local * fanout) + k + 1) (depth + 1))
       in
-      go [] 0 0
+      go p 0 0
     | Layout.Sparse_kind ->
       let nleaves = Array.length lay.Layout.leaf_values in
-      let leaf box idx =
+      let leaf p idx =
         if idx < 0 || idx >= nleaves then
-          push_stuck box (Printf.sprintf "leaf index %d out of bounds" idx)
-        else paths := (box, lay.Layout.leaf_values.(idx)) :: !paths
+          c.stuck p (Printf.sprintf "leaf index %d out of bounds" idx)
+        else c.leaf p lay.Layout.leaf_values.(idx)
       in
-      let rec go box s depth =
-        if s < 0 then leaf box (-s - 1)
+      let rec go p s depth =
+        if s < 0 then leaf p (-s - 1)
         else if s >= nslots then
-          push_stuck box (Printf.sprintf "sparse slot %d out of bounds" s)
+          c.stuck p (Printf.sprintf "sparse slot %d out of bounds" s)
         else if depth > nslots then
-          push_stuck box "sparse walk exceeded the slot count (cycle?)"
+          c.stuck p "sparse walk exceeded the slot count (cycle?)"
         else
-          tile box s (fun box c ->
-              let p = lay.Layout.child_ptr.(s) in
-              if p >= 0 then go box (p + c) (depth + 1)
-              else leaf box (-p - 1 + c))
+          tile p s (fun p k ->
+              let ptr = lay.Layout.child_ptr.(s) in
+              if ptr >= 0 then go p (ptr + k) (depth + 1)
+              else leaf p (-ptr - 1 + k))
       in
-      go [] lay.Layout.tree_root.(tree) 0
-  end;
-  normalize { paths = !paths; stuck = !stuck }
+      go p lay.Layout.tree_root.(tree) 0
+  end
 
-let summarize_layout lay ~tree = summarize_layout_c (new_cache ()) lay ~tree
+let summarize_layout lay ~tree =
+  summarize { walk = (fun c p -> walk_layout (new_cache ()) lay ~tree c p) }
 
 (* ------------------------------------------------------------------ *)
 (* Symbolic register-IR execution                                      *)
@@ -408,21 +483,22 @@ let summarize_layout lay ~tree = summarize_layout_c (new_cache ()) lay ~tree
    forking at the LUT load. *)
 type sval =
   | Sint of int
-  | Sbits of { base : int; lanes : (int * float) array }
-      (* base + movemask of per-lane [row.(feature) < threshold] bits *)
+  | Sbits of { base : int; feats : int array; thrs : float array }
+      (* base + movemask of per-lane [row.(feats.(l)) < thrs.(l)] bits *)
 
 type vval =
   | Vnone
   | Vfloats of float array
   | Vints of int array
   | Vrow of int array  (* row values gathered at these feature ids *)
-  | Vmask of (int * float) array  (* per-lane comparison predicates *)
+  | Vmask of int array * float array
+      (* per-lane comparison predicates: feature ids and thresholds *)
 
-type sstate = {
+type 'p sstate = {
   iregs : sval array;
   fregs : float array;
   vregs : vval array;
-  mutable sbox : box;
+  mutable carried : 'p;
   mutable fuel : int;
 }
 
@@ -430,14 +506,13 @@ exception Stuck of string
 
 let stuck_f fmt = Printf.ksprintf (fun m -> raise (Stuck m)) fmt
 
-let summarize_reg (cache : dcache) ~num_features (p : Reg_ir.walk_program)
-    (lay : Layout.t) ~tree =
+let walk_reg (cache : dcache) ~num_features (p : Reg_ir.walk_program)
+    (lay : Layout.t) ~tree c start =
   if p.Reg_ir.lanes <> 1 then
-    invalid_arg "Validate.summarize_reg: jammed program (project a lane first)";
+    invalid_arg "Validate.walk_reg: jammed program (project a lane first)";
   let nt = p.Reg_ir.tile_size in
   let w = 1 lsl nt in
   let nslots = Array.length lay.Layout.shape_ids in
-  let paths = ref [] and stuck = ref [] in
   let arr_get name a i =
     if i < 0 || i >= Array.length a then
       stuck_f "%s load out of bounds (%d)" name i
@@ -476,7 +551,7 @@ let summarize_reg (cache : dcache) ~num_features (p : Reg_ir.walk_program)
       vregs = Array.copy st.vregs;
     }
   in
-  let protect st f = try f () with Stuck msg -> stuck := (st.sbox, msg) :: !stuck in
+  let protect st f = try f () with Stuck msg -> c.stuck st.carried msg in
   let eval_cond st = function
     | Reg_ir.Ige (r, c) -> as_int st.iregs.(r) >= c
     | Reg_ir.Ieq_load (b, r, c) -> iload b (as_int st.iregs.(r)) = c
@@ -502,7 +577,7 @@ let summarize_reg (cache : dcache) ~num_features (p : Reg_ir.walk_program)
     | Reg_ir.Vcmp_lt (a, b) -> (
       match (st.vregs.(a), st.vregs.(b)) with
       | Vrow feats, Vfloats thrs when Array.length feats = Array.length thrs ->
-        Vmask (Array.init (Array.length feats) (fun l -> (feats.(l), thrs.(l))))
+        Vmask (feats, thrs)
       | _ -> stuck_f "vector compare over unexpected operands")
   in
   let rec exec st stmts k =
@@ -561,17 +636,17 @@ let summarize_reg (cache : dcache) ~num_features (p : Reg_ir.walk_program)
       | Sbits s -> k st (Sbits { s with base = s.base + c }))
     | Reg_ir.Movemask v -> (
       match st.vregs.(v) with
-      | Vmask lanes -> k st (Sbits { base = 0; lanes })
+      | Vmask (feats, thrs) -> k st (Sbits { base = 0; feats; thrs })
       | _ -> stuck_f "movemask of a non-comparison vector")
     | Reg_ir.Iload (Reg_ir.Lut, a) -> (
       match st.iregs.(a) with
       | Sint idx -> k st (Sint (iload Reg_ir.Lut idx))
-      | Sbits { base; lanes } ->
+      | Sbits { base; feats; thrs } ->
         if base < 0 || base mod w <> 0 then
           stuck_f "LUT index base %d is not row-aligned" base
-        else if Array.length lanes <> nt then
+        else if Array.length feats <> nt then
           stuck_f "movemask width %d does not match the tile size"
-            (Array.length lanes)
+            (Array.length feats)
         else
           let sid = base / w in
           if sid >= Array.length lay.Layout.lut then
@@ -581,26 +656,26 @@ let summarize_reg (cache : dcache) ~num_features (p : Reg_ir.walk_program)
             if Array.length row <> w then stuck_f "malformed LUT row %d" sid
             else
               (* The fork: each distinct child the row can select becomes
-                 its own execution path with the correspondingly refined
-                 box. *)
-              split_dtree (dtree_for cache ~sid row nt) st.sbox
-                ~lane_feature:(fun l -> fst lanes.(l))
-                ~lane_threshold:(fun l -> snd lanes.(l))
-                ~emit:(fun box c ->
+                 its own execution path with the correspondingly branched
+                 carrier. *)
+              split_dtree c (dtree_for cache ~sid row nt) st.carried
+                ~lane_feature:(fun l -> feats.(l))
+                ~lane_threshold:(fun l -> thrs.(l))
+                ~emit:(fun carried child ->
                   let st' = clone st in
-                  st'.sbox <- box;
-                  protect st' (fun () -> k st' (Sint c))))
+                  st'.carried <- carried;
+                  protect st' (fun () -> k st' (Sint child))))
     | Reg_ir.Iload (b, a) -> k st (Sint (iload b (as_int st.iregs.(a))))
   in
   if tree < 0 || tree >= Array.length lay.Layout.tree_root then
-    stuck := ([], Printf.sprintf "tree %d outside the layout" tree) :: !stuck
+    c.stuck start (Printf.sprintf "tree %d outside the layout" tree)
   else begin
     let st =
       {
         iregs = Array.make p.Reg_ir.num_iregs (Sint 0);
         fregs = Array.make p.Reg_ir.num_fregs 0.0;
         vregs = Array.make p.Reg_ir.num_vregs Vnone;
-        sbox = [];
+        carried = start;
         fuel = (4 * nslots) + 64;
       }
     in
@@ -612,9 +687,8 @@ let summarize_reg (cache : dcache) ~num_features (p : Reg_ir.walk_program)
       | Layout.Sparse_kind -> Sint lay.Layout.tree_root.(tree));
     protect st (fun () ->
         exec st p.Reg_ir.body (fun st ->
-            paths := (st.sbox, st.fregs.(Reg_ir.result_reg)) :: !paths))
-  end;
-  normalize { paths = !paths; stuck = !stuck }
+            c.leaf st.carried st.fregs.(Reg_ir.result_reg)))
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Comparison with the source                                          *)
@@ -760,18 +834,20 @@ let to_diagnostics fs =
 (* Pipeline checks                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* A compiled form: for execution-order tree [i], its summary and its
+(* A compiled form: for execution-order tree [i], its walker and its
    concrete evaluator, or [None] when there is nothing to check (a tree
    on the generic walk at MIR, whose meaning is the HIR form's). *)
 type form = {
   stage : stage;
-  at : int -> (summary * (float array -> float)) option;
+  at : int -> (walker * (float array -> float)) option;
 }
 
 let hir_form cache (hir : Program.t) =
   let at i =
     let tiled = hir.Program.trees.(i).Program.tiled in
-    Some (summarize_tiled cache M.Loop_walk tiled, T.walk tiled)
+    Some
+      ( { walk = (fun c p -> walk_tiled cache M.Loop_walk tiled c p) },
+        T.walk tiled )
   in
   { stage = Hir; at }
 
@@ -788,13 +864,17 @@ let mir_form cache (hir : Program.t) (mir : M.t) =
     | M.Loop_walk -> None
     | walk ->
       let tiled = hir.Program.trees.(i).Program.tiled in
-      Some (summarize_tiled cache walk tiled, M.walk_tree walk tiled)
+      Some
+        ( { walk = (fun c p -> walk_tiled cache walk tiled c p) },
+          M.walk_tree walk tiled )
   in
   { stage = Mir; at }
 
 let lir_form cache (lay : Layout.t) =
   let at i =
-    Some (summarize_layout_c cache lay ~tree:i, Layout.walk lay ~tree:i)
+    Some
+      ( { walk = (fun c p -> walk_layout cache lay ~tree:i c p) },
+        Layout.walk lay ~tree:i )
   in
   { stage = Lir; at }
 
@@ -813,14 +893,16 @@ let reg_form cache (hir : Program.t) (mir : M.t) (lay : Layout.t) variants =
   let at tree =
     Option.map
       (fun prog ->
-        ( summarize_reg cache ~num_features prog lay ~tree,
+        ( { walk = (fun c p -> walk_reg cache ~num_features prog lay ~tree c p) },
           fun row -> Interp.run_walk prog (Lazy.force lp) ~tree ~row ))
       progs.(tree)
   in
   { stage = Reg; at }
 
-(* One pass over the trees: the source is summarized once per tree, each
-   form once, against one decision-structure memo. Findings come out
+(* One pass over the trees, against one decision-structure memo. Each
+   form of a tree first walks in lockstep with its source tree; only a
+   form that does not follow its source is summarized and compared,
+   with the source summarized at most once per tree. Findings come out
    form by form, in the order [forms] lists them. *)
 let check_forms (hir : Program.t) forms =
   let cache = new_cache () in
@@ -835,13 +917,13 @@ let check_forms (hir : Program.t) forms =
       Array.iteri
         (fun k form ->
           match form.at tree with
-          | None -> ()
-          | Some (summary, replay) ->
+          | Some (w, replay) when not (follows w src) ->
             let fs =
               compare_with_source ~num_features ~stage:form.stage ~tree ~src
-                ~replay (Lazy.force source) summary
+                ~replay (Lazy.force source) (summarize w)
             in
-            out.(k) <- List.rev_append fs out.(k))
+            out.(k) <- List.rev_append fs out.(k)
+          | Some _ | None -> ())
         forms)
     hir.Program.trees;
   List.concat_map List.rev (Array.to_list out)

@@ -2,24 +2,31 @@
 
     Every root-to-leaf path of a decision tree is a conjunction of
     [x_f < t] / [x_f >= t] facts — a {e box} over feature space. This
-    module symbolically executes each compiled form of a tree — the HIR
-    tiled tree (through the LUT child tables and padding), the MIR walk
-    kinds (peeled / unrolled step contracts), the LIR layout buffers and
-    the register-IR walk programs (including unrolled sparse steps) —
-    into a canonical {e path summary}: the set of [(box, leaf
-    contribution)] pairs the form can produce, plus any {e stuck}
-    regions where execution is undefined (out-of-bounds load,
-    walk-contract violation, fuel exhaustion on a corrupt layout).
+    module walks each compiled form of a tree — the HIR tiled tree
+    (through the LUT child tables and padding), the MIR walk kinds
+    (peeled / unrolled step contracts), the LIR layout buffers and the
+    register-IR walk programs (including unrolled sparse steps) — and
+    can execute it symbolically into a canonical {e path summary}: the
+    set of [(box, leaf contribution)] pairs the form can produce, plus
+    any {e stuck} regions where execution is undefined (out-of-bounds
+    load, walk-contract violation, fuel exhaustion on a corrupt layout).
 
-    The source tree is the one reference: every form is compared with
-    the summary of the tree it was compiled from. Summaries are
-    normalized (tightest intervals, unconstrained features omitted,
-    boxes sorted), so a correct lowering's summary is structurally equal
-    to its source's and the comparison is a fast structural check.
-    Otherwise the source summary tiles feature space exactly and never
-    gets stuck, so three disagreements remain: leaf values that differ
-    where boxes overlap, source regions the form does not cover, and
-    form regions that get stuck. Each is localized to a box, a witness
+    The source tree is the one reference, and a lockstep walk decides
+    each (tree, form) pair: the form's walker runs with the source tree
+    as what its path carries. The form {e follows} its source when every
+    lane its LUT rows test is the source node's feature with a
+    bitwise-equal threshold, or compares against [+inf] or [-inf] (then
+    only the branch a box would keep is taken, and the source stays
+    put); when every leaf it reaches is the source leaf bit for bit; and
+    when no stuck condition arises. A pair that follows has a summary
+    equal to its source's path for path, so it gets no finding and no
+    summary is built. Any other pair is summarized, and its summary is
+    compared with the source tree's. Summaries are normalized (tightest
+    intervals, unconstrained features omitted, boxes sorted). The source
+    summary tiles feature space exactly and never gets stuck, so three
+    disagreements remain: leaf values that differ where boxes overlap,
+    source regions the form does not cover, and form regions that get
+    stuck. Each is localized to a box, a witness
     row (its midpoint) is built, and the divergence is {e refuted
     concretely}: {!Tb_model.Tree.predict} runs on the source side, the
     form's evaluator ({!Tb_hir.Tiled_tree.walk}, {!Tb_mir.Mir.walk_tree},
@@ -29,18 +36,19 @@
     partitions space differently but computes the same function gets no
     finding.
 
-    Cost: summarization is per-tree (never per-forest-product) and
-    linear in the number of source leaves — the LUT child table of each
-    tile is first compiled into a reduced decision structure that only
-    splits on lanes the table actually consults, so padding lanes and
-    dummy/hop tiles add no paths. Each check call makes one pass over the
-    trees, summarizing the source once and each requested form once, and
-    memoizes those structures in an array indexed by shape id, so
-    finding a tile's structure is O(1); inside a slot the row is still
-    checked by physical identity, so a mutated row copy under the same
-    shape id gets its own structure. This keeps the validator cheap
-    enough to run inside {!Tb_core.Passman}'s [Verify_each] mode by
-    default. *)
+    Cost: the LUT child table of each tile is first compiled into a
+    reduced decision structure that only splits on lanes the table
+    actually consults, so padding lanes and dummy/hop tiles add no
+    branches. Each check call makes one pass over the trees. Per tree
+    and form it runs one lockstep walk, linear in the number of source
+    leaves, which allocates no box and sorts nothing; summaries (the
+    source's at most once per tree) are built only to explain a form
+    that does not follow. The decision structures are memoized in an
+    array indexed by shape id, so finding a tile's structure is O(1);
+    inside a slot the row is still checked by physical identity, so a
+    mutated row copy under the same shape id gets its own structure.
+    This keeps the validator cheap enough to run inside
+    {!Tb_core.Passman}'s [Verify_each] mode by default. *)
 
 type interval = { feature : int; lo : float; hi : float }
 (** Half-open constraint [lo <= x_feature < hi]; [lo] may be
@@ -82,7 +90,8 @@ val exact_partition : summary -> bool
     tests and reporting rather than hot paths. *)
 
 val equal_summaries : summary -> summary -> bool
-(** Structural equality of normalized summaries — the fast path. *)
+(** Structural equality of normalized summaries: a form whose summary
+    equals its source's gets no finding. *)
 
 (** {2 Findings} *)
 
@@ -135,7 +144,7 @@ val check_all :
   Tb_hir.Program.t -> Tb_mir.Mir.t -> Tb_lir.Layout.t -> finding list
 (** All four forms in one pass over the trees: the same findings as
     [check_hir @ check_mir @ check_lir @ check_reg], in that order, with
-    each source tree and each form summarized once. *)
+    each source tree summarized at most once. *)
 
 val check_quant :
   ?rows:int ->

@@ -488,6 +488,94 @@ let check ~num_features t =
     List.rev !ds
   end
 
+(* Every successor lies strictly past its slot, so one forward pass over
+   the slots meets each slot after every slot that leads to it: [lo] and
+   [hi] hold the fewest and the most tile steps from a root to the slot,
+   with [hi] = -1 on a slot no walk reaches. *)
+let leaf_depths t =
+  let nt = t.tile_size and roots = t.tree_root in
+  let slots = Array.length t.shape_ids and trees = Array.length roots in
+  (* A lane against +inf always sets its comparison bit on a finite row
+     and one against -inf (or NaN) never does, so a LUT entry that
+     contradicts them selects no child: a padding tile's dead exit is
+     not a leaf. Each slot's children are the entries its forced bits
+     allow; the slots of one shape force the same lanes, so one cached
+     mask per LUT row serves nearly every slot. *)
+  let rows = Array.length t.lut in
+  let cached_key = Array.make rows (-1) and cached_mask = Array.make rows 0 in
+  let children s sid =
+    let set = ref 0 and clear = ref 0 in
+    for lane = 0 to nt - 1 do
+      let th = t.thresholds.((s * nt) + lane) and bit = 1 lsl (nt - 1 - lane) in
+      if th = infinity then set := !set lor bit
+      else if not (neg_infinity < th) then clear := !clear lor bit
+    done;
+    let key = (!set lsl nt) lor !clear in
+    if cached_key.(sid) = key then cached_mask.(sid)
+    else begin
+      (* Every subset of the free lanes, on top of the forced ones. *)
+      let set = !set and row = t.lut.(sid) in
+      let free = ((1 lsl nt) - 1) land lnot (set lor !clear) in
+      let m = ref (1 lsl row.(set lor free)) and x = ref free in
+      while !x <> 0 do
+        x := (!x - 1) land free;
+        m := !m lor (1 lsl row.(set lor !x))
+      done;
+      cached_key.(sid) <- key;
+      cached_mask.(sid) <- !m;
+      !m
+    end
+  in
+  let lo = Array.make slots max_int and hi = Array.make slots (-1) in
+  let leaf_lo = Array.make trees max_int and leaf_hi = Array.make trees (-1) in
+  let leaf tree dlo dhi =
+    if dlo < leaf_lo.(tree) then leaf_lo.(tree) <- dlo;
+    if dhi > leaf_hi.(tree) then leaf_hi.(tree) <- dhi
+  in
+  Array.iteri
+    (fun i r ->
+      if r >= 0 then begin
+        lo.(r) <- 0;
+        hi.(r) <- 0
+      end
+      else leaf i 0 0)
+    roots;
+  (* As in [check]: [owner] is the tree whose slots hold [s]. *)
+  let next = ref 0 and owner = ref (-1) in
+  for s = 0 to slots - 1 do
+    while !next < trees && roots.(!next) <= s do
+      if roots.(!next) >= 0 then owner := !next;
+      incr next
+    done;
+    let dhi = hi.(s) in
+    if dhi >= 0 then begin
+      let dlo = lo.(s) and sid = t.shape_ids.(s) in
+      if t.kind = Array_kind && sid = leaf_marker then leaf !owner dlo dhi
+      else begin
+        let first =
+          match t.kind with
+          | Array_kind ->
+            let base = roots.(!owner) in
+            base + ((s - base) * (nt + 1)) + 1
+          | Sparse_kind -> t.child_ptr.(s)
+        in
+        if first < 0 then leaf !owner (dlo + 1) (dhi + 1)
+        else begin
+          let m = ref (children s sid) and c = ref first in
+          while !m <> 0 do
+            if !m land 1 <> 0 then begin
+              if dlo + 1 < lo.(!c) then lo.(!c) <- dlo + 1;
+              if dhi + 1 > hi.(!c) then hi.(!c) <- dhi + 1
+            end;
+            m := !m lsr 1;
+            incr c
+          done
+        end
+      end
+    end
+  done;
+  Array.init trees (fun i -> (leaf_lo.(i), leaf_hi.(i)))
+
 (* ------------------------------------------------------------------ *)
 (* Stride facts                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -515,21 +603,29 @@ let stride_facts t =
       in
       if m = 0 then full else m
     in
-    let tile = ref None and leaf = ref None in
-    let widen r v =
-      match !r with
-      | None -> r := Some (v, v)
-      | Some (lo, hi) -> r := Some (min lo v, max hi v)
+    (* Typed int bounds: [min] and [max] would make a polymorphic compare
+       call, and an option range an allocation, per reachable child. *)
+    let tile_lo = ref max_int and tile_hi = ref min_int in
+    let leaf_lo = ref max_int and leaf_hi = ref min_int in
+    let widen lo hi (v : int) =
+      if v < !lo then lo := v;
+      if v > !hi then hi := v
     in
     Array.iteri
       (fun s cp ->
         let m = reachable t.shape_ids.(s) in
         for c = 0 to nt do
           if m land (1 lsl c) <> 0 then
-            if cp >= 0 then widen tile (cp + c) else widen leaf (-cp - 1 + c)
+            if cp >= 0 then widen tile_lo tile_hi (cp + c)
+            else widen leaf_lo leaf_hi (-cp - 1 + c)
         done)
       t.child_ptr;
-    { lane_stride = nt; tile_advance = !tile; leaf_advance = !leaf }
+    let range lo hi = if !lo > !hi then None else Some (!lo, !hi) in
+    {
+      lane_stride = nt;
+      tile_advance = range tile_lo tile_hi;
+      leaf_advance = range leaf_lo leaf_hi;
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Quantization (the integer fast path's layout half)                  *)

@@ -115,6 +115,15 @@ val check : num_features:int -> t -> Tb_diag.Diagnostic.t list
     successor lies strictly past the slot it leaves. Total on any
     buffers; one pass per slot, with a child bitmask per LUT row. *)
 
+val leaf_depths : t -> (int * int) array
+(** Per tree, the depths of its shallowest and its deepest reachable
+    leaf, in tile steps from the root (a single-leaf tree's is [(0, 0)]).
+    A slot's children are those its LUT row selects on some finite row: a
+    lane against [+inf] always sets its comparison bit and one against
+    [-inf] never does, so a padding tile's dead exit is not counted.
+    Requires a layout {!check} accepts: every successor lies strictly
+    past its slot, so one forward pass over the slots is enough. *)
+
 type stride_facts = {
   lane_stride : int;
       (** Slot-major lane stride of [thresholds]/[features]: element

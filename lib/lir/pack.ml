@@ -560,6 +560,29 @@ let validate t =
     (fun tree n ->
       if n <> 1 then fail "A004" "tree %d appears in %d group plans" tree n)
     seen;
+  (* The walk kernels trust the plan's depths: an unrolled walk takes
+     exactly [depth] steps and a peeled one steps [peel] times without a
+     leaf check, so a leaf at another depth can make a predict read out
+     of bounds or return a wrong margin. *)
+  let depths = Layout.leaf_depths lay in
+  Array.iteri
+    (fun gi g ->
+      Array.iter
+        (fun tree ->
+          let lo, hi = depths.(tree) in
+          match g.walk with
+          | Mir.Unrolled_walk { depth } when lo <> depth || hi <> depth ->
+            fail "A004"
+              "group %d unrolls %d steps but tree %d has leaves at depths \
+               %d..%d"
+              gi depth tree lo hi
+          | Mir.Peeled_walk { peel } when lo < peel ->
+            fail "A004"
+              "group %d peels %d steps but tree %d has a leaf at depth %d" gi
+              peel tree lo
+          | Mir.Loop_walk | Mir.Unrolled_walk _ | Mir.Peeled_walk _ -> ())
+        g.positions)
+    t.groups;
   (* Quantized artifacts: the spec must be sane and every stored value
      must actually be one of the plan's integers (as integer-valued
      floats), with infinities kept as always/never-true markers. *)

@@ -21,6 +21,7 @@ module Schedule = Tb_hir.Schedule
 module Lower = Tb_lir.Lower
 module Pack = Tb_lir.Pack
 module Layout = Tb_lir.Layout
+module Mir = Tb_mir.Mir
 module Jit = Tb_vm.Jit
 module Registry = Tb_serve.Registry
 module Artifact = Tb_serve.Artifact
@@ -617,6 +618,64 @@ let test_array_leaf_marker_mutant () =
   expect_error "array leaf markers set to shape 0" "A004"
     (Pack.encode { pk with Pack.layout = { lay with Layout.shape_ids } })
 
+(* Walk-plan mutants, each re-encoded with a fresh CRC. The kernels trust
+   the plan: an unrolled walk takes exactly its depth in steps, and a
+   peeled one takes its peel without a leaf check. Abalone's default pack
+   unrolls its groups to depths 1, 2 and 3. With every depth one more,
+   the first predict steps off a leaf and indexes out of bounds; one
+   less, it indexes out of bounds too. A peel past a tree's shallowest
+   leaf breaks the contract of the peeled kernels, which step that many
+   times without a leaf check; on an array layout the leaf's depth is
+   its tiled depth, so one more than the group's peel is past it. *)
+let with_walks (pk : Pack.t) f =
+  {
+    pk with
+    Pack.groups =
+      Array.map (fun g -> { g with Pack.walk = f g.Pack.walk }) pk.Pack.groups;
+  }
+
+let test_walk_depth_mutants () =
+  let pk = golden_pack "abalone.tbpack" in
+  let depths =
+    Array.to_list pk.Pack.groups
+    |> List.filter_map (fun g ->
+           match g.Pack.walk with
+           | Mir.Unrolled_walk { depth } -> Some depth
+           | Mir.Loop_walk | Mir.Peeled_walk _ -> None)
+  in
+  check_string "abalone's unrolled depths" "1,2,3"
+    (String.concat "," (List.map string_of_int depths));
+  let unroll d =
+    with_walks pk (function
+      | Mir.Unrolled_walk { depth } -> Mir.Unrolled_walk { depth = depth + d }
+      | w -> w)
+  in
+  expect_error "every unrolled depth raised by one" "A004"
+    (Pack.encode (unroll 1));
+  expect_error "every unrolled depth lowered by one" "A004"
+    (Pack.encode (unroll (-1)));
+  let rng = Prng.create 13 in
+  let forest = Forest.random ~num_trees:6 ~max_depth:6 ~num_features:5 rng in
+  let schedule =
+    {
+      Schedule.default with
+      Schedule.pad_and_unroll = false;
+      peel = true;
+      layout = Schedule.Array_layout;
+    }
+  in
+  let pk = Pack.of_lower ~model:"peel" (Lower.lower forest schedule) in
+  check_bool "the peel schedule packs peeled groups" true
+    (Array.exists
+       (fun g ->
+         match g.Pack.walk with Mir.Peeled_walk _ -> true | _ -> false)
+       pk.Pack.groups);
+  expect_error "every peel one past its group's shallowest leaf" "A004"
+    (Pack.encode
+       (with_walks pk (function
+         | Mir.Peeled_walk { peel } -> Mir.Peeled_walk { peel = peel + 1 }
+         | w -> w)))
+
 let suite =
   [
     qcheck ~count:60
@@ -645,4 +704,6 @@ let suite =
     quick "root child pointer off its tree's slots -> A004"
       test_root_child_ptr_mutants;
     quick "array leaf markers turned tiles -> A004" test_array_leaf_marker_mutant;
+    quick "walk depths that disagree with the leaves -> A004"
+      test_walk_depth_mutants;
   ]

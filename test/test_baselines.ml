@@ -19,7 +19,7 @@ let xgboost_equivalence_property version seed =
   let packed = Xgboost.compile forest in
   let out = Xgboost.predict_batch packed version rows in
   let expected = Forest.predict_batch_raw forest rows in
-  Array.for_all2 arrays_close out expected
+  Array.for_all2 arrays_same_bits out expected
   || QCheck2.Test.fail_report "xgboost baseline diverges"
 
 let treelite_equivalence_property seed =
@@ -27,7 +27,7 @@ let treelite_equivalence_property seed =
   let compiled = Treelite.compile forest in
   let out = Treelite.predict_batch compiled rows in
   let expected = Forest.predict_batch_raw forest rows in
-  Array.for_all2 arrays_close out expected
+  Array.for_all2 arrays_same_bits out expected
   || QCheck2.Test.fail_report "treelite baseline diverges"
 
 let hummingbird_equivalence_property seed =
@@ -35,7 +35,7 @@ let hummingbird_equivalence_property seed =
   let compiled = Hummingbird.compile forest in
   let out = Hummingbird.predict_batch compiled rows in
   let expected = Forest.predict_batch_raw forest rows in
-  (Array.for_all2 (fun a b -> arrays_close ~eps:1e-6 a b) out expected)
+  Array.for_all2 arrays_same_bits out expected
   || QCheck2.Test.fail_report "hummingbird baseline diverges"
 
 let test_baselines_multiclass () =
@@ -47,17 +47,17 @@ let test_baselines_multiclass () =
   let xg = Xgboost.predict_batch (Xgboost.compile forest) Xgboost.V15 rows in
   let tl = Treelite.predict_batch (Treelite.compile forest) rows in
   let hb = Hummingbird.predict_batch (Hummingbird.compile forest) rows in
-  check_bool "xgboost" true (Array.for_all2 arrays_close xg expected);
-  check_bool "treelite" true (Array.for_all2 arrays_close tl expected);
+  check_bool "xgboost" true (Array.for_all2 arrays_same_bits xg expected);
+  check_bool "treelite" true (Array.for_all2 arrays_same_bits tl expected);
   check_bool "hummingbird" true
-    (Array.for_all2 (fun a b -> arrays_close ~eps:1e-6 a b) hb expected)
+    (Array.for_all2 arrays_same_bits hb expected)
 
 let test_xgboost_versions_agree () =
   let forest, rows = random_setup 2 in
   let packed = Xgboost.compile forest in
   let a = Xgboost.predict_batch packed Xgboost.V09 rows in
   let b = Xgboost.predict_batch packed Xgboost.V15 rows in
-  check_bool "v09 == v15 output" true (Array.for_all2 arrays_close a b)
+  check_bool "v09 == v15 output" true (Array.for_all2 arrays_same_bits a b)
 
 let test_xgboost_v15_better_cache () =
   (* Loop interchange (the 0.9 -> 1.5 change) must reduce L1 misses on a

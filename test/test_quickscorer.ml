@@ -12,7 +12,7 @@ let qs_equivalence_property seed =
   let rows = random_rows rng 6 32 in
   let out = Quickscorer.predict_batch (Quickscorer.compile forest) rows in
   let expected = Forest.predict_batch_raw forest rows in
-  Array.for_all2 arrays_close out expected
+  Array.for_all2 arrays_same_bits out expected
   || QCheck2.Test.fail_report "quickscorer diverges"
 
 let test_qs_wide_trees () =
@@ -34,7 +34,7 @@ let test_qs_wide_trees () =
   let rows = random_rows rng 5 64 in
   let out = Quickscorer.predict_batch (Quickscorer.compile forest) rows in
   let expected = Forest.predict_batch_raw forest rows in
-  check_bool "multi-word masks" true (Array.for_all2 arrays_close out expected)
+  check_bool "multi-word masks" true (Array.for_all2 arrays_same_bits out expected)
 
 let test_qs_bit62_leaves () =
   (* Leaf 62 sits in bit 62 of mask word 0 and leaf 125 in bit 62 of
@@ -72,7 +72,7 @@ let test_qs_multiclass () =
   let rows = random_rows rng 4 16 in
   let out = Quickscorer.predict_batch (Quickscorer.compile forest) rows in
   check_bool "multiclass" true
-    (Array.for_all2 arrays_close out (Forest.predict_batch_raw forest rows))
+    (Array.for_all2 arrays_same_bits out (Forest.predict_batch_raw forest rows))
 
 let test_qs_false_node_count_bounds () =
   let rng = Prng.create 4 in
@@ -103,7 +103,7 @@ let test_qs_extreme_rows () =
   let rows = [| Array.make 4 (-1e18); Array.make 4 1e18 |] in
   let out = Quickscorer.predict_batch qs rows in
   check_bool "extremes" true
-    (Array.for_all2 arrays_close out (Forest.predict_batch_raw forest rows))
+    (Array.for_all2 arrays_same_bits out (Forest.predict_batch_raw forest rows))
 
 let suite =
   [

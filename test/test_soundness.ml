@@ -456,6 +456,154 @@ let test_miscompile_layout_leaf_forms () =
             (Lower.assemble lp.Lower.hir lp.Lower.mir mutant) f)
       fs
 
+(* ------------- one mutated entry against the form's evaluator ------------- *)
+
+(* The validator clears a (tree, form) pair without a summary only when
+   the form follows its source tree in lockstep. This property mutates
+   one entry of one compiled form and asks the form's own evaluator:
+   wherever it leaves the source tree bit for bit on a probe row, or
+   raises, the validator must report that tree for that form. Lanes,
+   leaves and LUT entries keep successors strictly past their slot, so
+   no walk can loop. The unmutated compile gets no finding at all. *)
+let mutant_property seed =
+  let rng = Prng.create seed in
+  let forest = random_forest rng in
+  let schedule = grid.(Prng.int rng (Array.length grid)) in
+  let lp = Lower.lower forest schedule in
+  let hir = lp.Lower.hir and mir = lp.Lower.mir and lay = lp.Lower.layout in
+  let unmutated = Validate.check_all hir mir lay in
+  if unmutated <> [] then
+    QCheck2.Test.fail_reportf "unmutated compile under %s has %d findings"
+      (Schedule.to_string schedule) (List.length unmutated);
+  let nt = lay.Layout.tile_size in
+  let pick n = Prng.int rng n in
+  let nudge v =
+    if Float.is_finite v then v +. Prng.float rng 1.0 -. 0.5
+    else Prng.float rng 2.0 -. 1.0
+  in
+  let slots kinds =
+    List.filter kinds (List.init (Array.length lay.Layout.shape_ids) Fun.id)
+  in
+  let is_tile s = lay.Layout.shape_ids.(s) >= 0 in
+  let one l = List.nth l (pick (List.length l)) in
+  let set a i v =
+    let a = Array.copy a in
+    a.(i) <- v;
+    a
+  in
+  (* The mutated forms, each with its findings and its evaluator. *)
+  let what, forms =
+    match pick 6 with
+    | (0 | 1) as k ->
+      let nodes =
+        List.concat_map
+          (fun (tree : Program.tree_entry) ->
+            let t = tree.Program.tiled in
+            List.filter_map
+              (fun n ->
+                match (k, t.Tiled_tree.nodes.(n)) with
+                | 0, Tiled_tree.Tile tile -> Some (t, n, `Tile tile)
+                | 1, Tiled_tree.Leaf v -> Some (t, n, `Leaf v)
+                | _ -> None)
+              (List.init (Array.length t.Tiled_tree.nodes) Fun.id))
+          (Array.to_list hir.Program.trees)
+      in
+      let what =
+        match one nodes with
+        | t, n, `Tile tile ->
+          let lane = pick nt in
+          let thresholds =
+            set tile.Tiled_tree.thresholds lane
+              (nudge tile.Tiled_tree.thresholds.(lane))
+          in
+          t.Tiled_tree.nodes.(n) <- Tiled_tree.Tile { tile with thresholds };
+          "hir lane threshold"
+        | t, n, `Leaf v ->
+          t.Tiled_tree.nodes.(n) <- Tiled_tree.Leaf (nudge v);
+          "hir leaf"
+      in
+      ( what,
+        [
+          ( Validate.Hir,
+            Validate.check_hir hir,
+            fun tree row ->
+              Tiled_tree.walk hir.Program.trees.(tree).Program.tiled row );
+        ] )
+    | k ->
+      let what, mutant =
+        match (k, lay.Layout.kind) with
+        | 2, _ ->
+          let i = (one (slots is_tile) * nt) + pick nt in
+          ( "layout lane threshold",
+            { lay with
+              Layout.thresholds =
+                set lay.Layout.thresholds i (nudge lay.Layout.thresholds.(i)) }
+          )
+        | 3, _ ->
+          let i = (one (slots is_tile) * nt) + pick nt in
+          ( "layout lane feature",
+            { lay with
+              Layout.features = set lay.Layout.features i (pick num_features) }
+          )
+        | 4, Layout.Array_kind ->
+          let i = one (slots (fun s -> not (is_tile s))) * nt in
+          ( "layout leaf",
+            { lay with
+              Layout.thresholds =
+                set lay.Layout.thresholds i (nudge lay.Layout.thresholds.(i)) }
+          )
+        | 4, Layout.Sparse_kind ->
+          let i = pick (Array.length lay.Layout.leaf_values) in
+          ( "layout leaf",
+            { lay with
+              Layout.leaf_values =
+                set lay.Layout.leaf_values i (nudge lay.Layout.leaf_values.(i))
+            } )
+        | _ ->
+          let sid = pick (Array.length lay.Layout.lut) in
+          let lut = Array.copy lay.Layout.lut in
+          lut.(sid) <- set lut.(sid) (pick (1 lsl nt)) (pick (nt + 1));
+          ("layout LUT entry", { lay with Layout.lut })
+      in
+      let lp' = Lower.assemble hir mir mutant in
+      ( what,
+        [
+          ( Validate.Lir,
+            Validate.check_lir hir mir mutant,
+            fun tree row -> Layout.walk mutant ~tree row );
+          ( Validate.Reg,
+            Validate.check_reg hir mir mutant,
+            interp_tree lp' );
+        ] )
+  in
+  let rows = random_rows rng num_features 64 in
+  List.iter
+    (fun (stage, findings, eval) ->
+      Array.iteri
+        (fun tree (entry : Program.tree_entry) ->
+          let src = forest.Forest.trees.(entry.Program.original_index) in
+          let leaves row =
+            match eval tree row with
+            | v -> not (floats_same_bits v (Tree.predict src row))
+            | exception _ -> true
+          in
+          let reported =
+            List.exists
+              (fun (f : Validate.finding) ->
+                f.Validate.tree = tree
+                && f.Validate.pair = (Validate.Source, stage))
+              findings
+          in
+          if Array.exists leaves rows && not reported then
+            QCheck2.Test.fail_reportf
+              "%s under %s: tree %d's %s form leaves its source on a probe \
+               row, with no finding"
+              what (Schedule.to_string schedule) tree
+              (Validate.stage_name stage))
+        hir.Program.trees)
+    forms;
+  true
+
 let suite =
   [
     qcheck ~count:150
@@ -479,4 +627,7 @@ let suite =
       test_miscompile_overdeep_peel;
     quick "miscompile: layout leaf constant -> T004 on lir and reg only"
       test_miscompile_layout_leaf_forms;
+    qcheck ~count:200
+      ~name:"one mutated entry: a form that leaves its source gets a finding"
+      seed_gen mutant_property;
   ]
